@@ -23,6 +23,16 @@ Implementation notes
 * All reductions run in a fixed order (boxes in partition order, chunks
   of `_BOX_CHUNK`), so results are bit-identical across runs and across
   any outer parallelism.
+* The signed power sign(g) * |g|**(q/2) is specialized: q = 2 passes the
+  Gram through, q = 4 is |g| * g and any other q is
+  copysign(|g|**(q/2), g).  Multiplying by a sign is exact, so each form
+  gives the same bits as the general formula except that a -0.0 input
+  stays -0.0; the box sums start at +0.0, so no sum or output changes.
+* The lagged pass reads only the anchor rows and columns of the head/tail
+  cross fluctuations.  With ``rows`` set, `cross_fluctuation_matrices`
+  still forms the full per-box Gram (a rows-only product lets BLAS pick a
+  different accumulation kernel and moves the last bit), but raises only
+  the anchor rows and columns to q/2 and sums only those over boxes.
 * q must be positive.  q = 2 is the classic DCCA coefficient and is
   bounded by 1 in magnitude; for other q the raw ratio is returned and a
   CorrelationBoundWarning is emitted when it leaves [-1, 1].
@@ -157,18 +167,23 @@ def _check_scale(n_samples: int, cfg: DetrendConfig):
         )
 
 
-def _detrended_profiles(values: np.ndarray, scale: int, poly_order: int) -> np.ndarray:
-    """Detrended box profiles for a (N, T) stack; shape (N, 2*floor(T/s), s)."""
+def _box_profiles(values: np.ndarray, scale: int) -> np.ndarray:
+    """Integrated box profiles for a (N, T) stack; shape (N, 2*floor(T/s), s)."""
     starts = box_starts(values.shape[-1], scale)
     idx = starts[:, None] + np.arange(scale)[None, :]
-    profiles = np.cumsum(values[..., idx], axis=-1)
-    return profiles @ _residual_projector(scale, poly_order)
+    return np.cumsum(values[..., idx], axis=-1)
 
 
-def _detrended_residuals(values: np.ndarray, scale: int, poly_order: int) -> np.ndarray:
-    # Gram-product kernel input: profiles with the box mean already removed
-    # (demeaning commutes with the moment sums and keeps the matmul simple).
-    resid = _detrended_profiles(values, scale, poly_order)
+def _detrended_profiles(values: np.ndarray, scale: int, poly_order: int) -> np.ndarray:
+    """Detrended box profiles for a (N, T) stack; shape (N, 2*floor(T/s), s)."""
+    return _box_profiles(values, scale) @ _residual_projector(scale, poly_order)
+
+
+def _detrended_residuals(profiles: np.ndarray, scale: int, poly_order: int) -> np.ndarray:
+    # Gram-product kernel input: detrended ``profiles`` with the box mean
+    # already removed (demeaning commutes with the moment sums and keeps the
+    # matmul simple).
+    resid = profiles @ _residual_projector(scale, poly_order)
     resid -= resid.mean(axis=-1, keepdims=True)
     return resid
 
@@ -202,9 +217,17 @@ def local_moments(bx: BoxResiduals, by: BoxResiduals) -> BoxMoments:
 
 
 def _signed_power(values: np.ndarray, q: float) -> np.ndarray:
+    # sign(g) * |g|**(q/2), specialized; see the implementation notes.  The
+    # result is built in one buffer: fresh Gram-sized temporaries cost more
+    # than the arithmetic.
     if q == 2.0:
         return values
-    return np.sign(values) * np.abs(values) ** (q / 2.0)
+    out = np.abs(values)
+    if q == 4.0:
+        out *= values
+        return out
+    out **= q / 2.0
+    return np.copysign(out, values, out=out)
 
 
 def fluctuation_functions(moments: BoxMoments, q: float) -> FluctuationSet:
@@ -248,9 +271,11 @@ def fluctuation_matrices(
     for q in q_list:
         if not (q > 0):
             raise ConfigError(f"q must be positive, got {q}")
-    resid = _detrended_residuals(values, scale, poly_order)
+    profiles = _box_profiles(values, scale)
+    resid = _detrended_residuals(profiles, scale, poly_order)
     if check_variance:
-        _check_residual_energy(values, resid, scale, labels)
+        _check_residual_energy(profiles, resid, scale, labels)
+    del profiles  # the Gram loop reads only resid; free it before the copy
     n_series, n_boxes, _ = resid.shape
     boxes_first = np.ascontiguousarray(resid.transpose(1, 0, 2))
     acc = {q: np.zeros((n_series, n_series)) for q in q_list}
@@ -262,10 +287,7 @@ def fluctuation_matrices(
     return {q: acc[q] / n_boxes for q in q_list}
 
 
-def _check_residual_energy(values, resid, scale, labels):
-    starts = box_starts(values.shape[-1], scale)
-    idx = starts[:, None] + np.arange(scale)[None, :]
-    profiles = np.cumsum(values[..., idx], axis=-1)
+def _check_residual_energy(profiles, resid, scale, labels):
     reference = np.einsum("nbs,nbs->n", profiles, profiles)
     energy = np.einsum("nbs,nbs->n", resid, resid)
     dead = energy <= _VARIANCE_FLOOR * reference
@@ -285,35 +307,52 @@ def cross_fluctuation_matrices(
     scale: int,
     poly_order: int,
     q_values,
-) -> dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    rows=None,
+) -> dict[float, tuple[np.ndarray, ...]]:
     """Fluctuations of every ``head`` series against every ``tail`` series.
 
     ``head`` and ``tail`` are (N, T) stacks on the same sample grid (in the
     lagged setting: the same series truncated at opposite ends).  For each q
     returns (f_cross, f_head, f_tail): f_cross[i, j] pairs head series i with
     tail series j; f_head/f_tail are the per-series normalizers.
+
+    With ``rows`` (a sequence of A series indices) each q instead maps to
+    (f_rows, f_cols, f_head, f_tail), where f_rows is f_cross[rows, :]
+    (A x N) and f_cols is f_cross[:, rows] (N x A), bit for bit; the rest
+    of f_cross is never summed.
     """
     if head.shape != tail.shape:
         raise ShapeMismatchError(
             f"head/tail shape mismatch: {head.shape} vs {tail.shape}"
         )
     q_list = [float(q) for q in q_values]
-    rh = _detrended_residuals(np.ascontiguousarray(head, dtype=np.float64), scale, poly_order)
-    rt = _detrended_residuals(np.ascontiguousarray(tail, dtype=np.float64), scale, poly_order)
-    n_series, n_boxes, _ = rh.shape
+    rh = _detrended_residuals(
+        _box_profiles(np.ascontiguousarray(head, dtype=np.float64), scale),
+        scale, poly_order,
+    )
+    rt = _detrended_residuals(
+        _box_profiles(np.ascontiguousarray(tail, dtype=np.float64), scale),
+        scale, poly_order,
+    )
+    n_boxes = rh.shape[1]
     hb = np.ascontiguousarray(rh.transpose(1, 0, 2))
     tb = np.ascontiguousarray(rt.transpose(1, 0, 2))
     diag_head = np.einsum("nbs,nbs->bn", rh, rh)
     diag_tail = np.einsum("nbs,nbs->bn", rt, rt)
-    acc = {q: np.zeros((n_series, n_series)) for q in q_list}
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.intp)
+    # Sums start at +0.0, like np.zeros, so a -0.0 power never survives.
+    acc = {q: [0.0] if rows is None else [0.0, 0.0] for q in q_list}
     for lo in range(0, n_boxes, _BOX_CHUNK):
         gram = hb[lo : lo + _BOX_CHUNK] @ tb[lo : lo + _BOX_CHUNK].transpose(0, 2, 1)
+        parts = (gram,) if rows is None else (gram[:, rows, :], gram[:, :, rows])
         for q in q_list:
-            acc[q] += _signed_power(gram, q).sum(axis=0)
+            for i, part in enumerate(parts):
+                acc[q][i] += _signed_power(part, q).sum(axis=0)
     out = {}
     for q in q_list:
         out[q] = (
-            acc[q] / n_boxes,
+            *(total / n_boxes for total in acc[q]),
             _signed_power(diag_head, q).mean(axis=0),
             _signed_power(diag_tail, q).mean(axis=0),
         )

@@ -195,16 +195,18 @@ def _lagged_rows(values, anchor_idx, other_mask, q_values, s, cfg):
     for k in sorted(pos | neg):
         head = np.ascontiguousarray(values[:, :-k])
         tail = np.ascontiguousarray(values[:, k:])
-        cross = cross_fluctuation_matrices(head, tail, s, cfg.poly_order, q_values)
-        for q, (f_cross, f_head, f_tail) in cross.items():
-            for name, a in anchor_idx.items():
+        cross = cross_fluctuation_matrices(
+            head, tail, s, cfg.poly_order, q_values, rows=list(anchor_idx.values())
+        )
+        for q, (f_rows, f_cols, f_head, f_tail) in cross.items():
+            for i, (name, a) in enumerate(anchor_idx.items()):
                 if k in pos:
-                    rho = f_cross[a, other_mask] / np.sqrt(
+                    rho = f_rows[i, other_mask] / np.sqrt(
                         f_head[a] * f_tail[other_mask]
                     )
                     rows.setdefault((name, q), {})[k] = float(rho.mean())
                 if k in neg:
-                    rho = f_cross[other_mask, a] / np.sqrt(
+                    rho = f_cols[other_mask, i] / np.sqrt(
                         f_tail[a] * f_head[other_mask]
                     )
                     rows.setdefault((name, q), {})[-k] = float(rho.mean())

@@ -6,8 +6,10 @@ import pytest
 from qdcca.dfa import (
     BoxResiduals,
     DetrendConfig,
+    _signed_power,
     box_starts,
     compute_box_residuals,
+    cross_fluctuation_matrices,
     fluctuation_functions,
     fluctuation_matrices,
     local_moments,
@@ -299,3 +301,52 @@ def test_determinism_bitwise():
     y = rng.standard_normal(1000)
     cfg = DetrendConfig(scale=64, poly_order=2, q=4.0)
     assert rho_q(x, y, cfg) == rho_q(x.copy(), y.copy(), cfg)
+
+
+def test_signed_power_matches_general_formula_bitwise():
+    # Each specialization must reproduce sign(v) * |v|**(q/2) bit for bit,
+    # including subnormals (which underflow to signed zero for q > 2) and
+    # magnitudes whose powers approach the float range.  The one allowed
+    # difference is the sign of a zero result for a -0.0 input: the
+    # specializations keep -0.0 where the general formula gives +0.0, which
+    # a box sum starting at +0.0 erases.
+    tiny = np.finfo(np.float64).smallest_subnormal
+    v = np.array([
+        0.0, -0.0, tiny, -tiny, 3 * tiny, -1e-310, 2.2e-308, -2.2e-308,
+        1e-150, -1e-150, 3.7e-151, -7.1e149, 1e150, -1e150,
+        0.5, -0.5, 1.0, -1.0, 2.0, -3.25, 1e-8, -123.456,
+    ])
+    v = np.concatenate([v, np.random.default_rng(18).standard_normal(200) * 1e3])
+    for q in (0.5, 1.0, 3.0, 4.0):
+        expected = np.sign(v) * np.abs(v) ** (q / 2.0)
+        got = _signed_power(v, q)
+        assert np.array_equal(got, expected)
+        nonzero_input = v != 0.0
+        assert np.array_equal(
+            got[nonzero_input].view(np.uint64), expected[nonzero_input].view(np.uint64)
+        )
+        assert np.all(got[v == 0.0] == 0.0)
+    assert _signed_power(v, 2.0) is v
+
+
+def test_cross_rows_match_full_matrix_bitwise():
+    # rows= must return exactly f_cross[rows, :] and f_cross[:, rows] of the
+    # full result.  At N = 40, s = 60 a rows-only Gram product (A x s times
+    # s x N) moves the last bit under OpenBLAS 0.3.31 on x86-64, which picks
+    # another accumulation kernel for so few rows; this shape guards that.
+    rng = np.random.default_rng(19)
+    values = rng.standard_normal((40, 1_203)) * rng.uniform(0.5, 2.0, (40, 1))
+    head = np.ascontiguousarray(values[:, :-2])
+    tail = np.ascontiguousarray(values[:, 2:])
+    idx = [3, 17]
+    for s in (10, 60):
+        full = cross_fluctuation_matrices(head, tail, s, 2, (1.0, 2.0, 4.0))
+        part = cross_fluctuation_matrices(head, tail, s, 2, (1.0, 2.0, 4.0), rows=idx)
+        for q in (1.0, 2.0, 4.0):
+            f_cross, f_head, f_tail = full[q]
+            f_rows, f_cols, p_head, p_tail = part[q]
+            assert f_rows.shape == (2, 40) and f_cols.shape == (40, 2)
+            assert np.array_equal(f_rows, f_cross[idx, :])
+            assert np.array_equal(f_cols, f_cross[:, idx])
+            assert np.array_equal(p_head, f_head)
+            assert np.array_equal(p_tail, f_tail)

@@ -135,6 +135,33 @@ def test_run_analysis_lagged_matches_pairwise_means():
         assert got[tau] == pytest.approx(direct, abs=1e-12)
 
 
+def test_run_analysis_lagged_two_anchors_q_not_2():
+    # The lagged pass powers only the anchor rows and columns; at q != 2
+    # with two anchors every tau mean must still be the pairwise mean over
+    # the non-anchor assets.
+    from qdcca.dfa import DetrendConfig, rho_q_lagged
+
+    returns = _factor_matrix(6, 1_500, seed=12, spread=5)
+    cfg = _small_cfg(
+        window=1_500, step=1_500, q=(1.0, 4.0), s=(30,),
+        anchors=("SYN00", "SYN02"), lags=(-2, -1, 0, 1, 2),
+    )
+    result = run_analysis(cfg, returns, families=("lagged",))
+    values = returns.values
+    norm = (values - values.mean(axis=1, keepdims=True)) / values.std(axis=1, keepdims=True)
+    others = (1, 3, 4, 5)
+    for a, name in ((0, "SYN00"), (2, "SYN02")):
+        for q in (1.0, 4.0):
+            got = result.windows[0].lagged[(name, q, 30)]
+            assert sorted(got) == [-2, -1, 0, 1, 2]
+            dcfg = DetrendConfig(scale=30, poly_order=2, q=q)
+            for tau in range(-2, 3):
+                direct = np.mean(
+                    [rho_q_lagged(norm[a], norm[j], dcfg, tau) for j in others]
+                )
+                assert got[tau] == pytest.approx(direct, abs=1e-12)
+
+
 def test_run_analysis_skips_bad_window_and_continues():
     returns = _factor_matrix(4, 2_000, seed=4)
     values = returns.values.copy()
