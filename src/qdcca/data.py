@@ -4,13 +4,21 @@ Input files are minute bars, either one CSV per ticker with columns
 ``timestamp,price`` or a single wide CSV ``timestamp,<ticker>,...``.
 Timestamps may be epoch seconds, epoch minutes or ISO-8601 and are stored
 as epoch minutes throughout.
+
+Each file is read once and parsed in one bulk pass (``np.loadtxt``, whose
+floats are bitwise those of ``float()``); the row checks run on the arrays.
+Tokens are parsed one by one only for an ISO timestamp column and for a
+file the bulk pass rejects or would misread; that pass names the first bad
+token's line.
 """
 
 from __future__ import annotations
 
 import csv
-import math
+import io
+import itertools
 import os
+import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -88,149 +96,139 @@ class AlignmentReport:
 
 
 _ISO_HINTS = ("-", ":", "T")
+# Some line's first field (the timestamp column) holds one of the hints.
+_ISO_IN_FIRST_FIELD = re.compile(r"[\r\n][^,\r\n]*[-:T]")
 
 
-def _parse_timestamp(token: str, path: str, line_no: int) -> int:
+def _epoch_seconds(value):
+    # Epoch minutes are plausible below ~1e8 (year 2160); above is seconds.
+    return value * np.where(value < 1e8, 60.0, 1.0)
+
+
+def _parse_timestamp(token: str) -> float:
+    """One timestamp token as epoch seconds (ValueError if it does not
+    parse); whole minutes are checked later."""
     token = token.strip()
     if any(h in token for h in _ISO_HINTS):
+        dt = datetime.fromisoformat(token.replace("Z", "+00:00"))
+        return dt.replace(tzinfo=dt.tzinfo or timezone.utc).timestamp()
+    return float(_epoch_seconds(float(token)))
+
+
+def _is_header(row: list[str]) -> bool:
+    """A first row is a header when its timestamp does not parse and none of
+    its prices is a number; ``2020-13-01,100`` is a (bad) data row."""
+    for parse, token in zip([_parse_timestamp] + [float] * len(row), row):
         try:
-            dt = datetime.fromisoformat(token.replace("Z", "+00:00"))
-        except ValueError as exc:
-            raise QuoteParseError(f"bad timestamp {token!r}: {exc}", path, line_no)
-        if dt.tzinfo is None:
-            dt = dt.replace(tzinfo=timezone.utc)
-        seconds = dt.timestamp()
-    else:
-        try:
-            seconds = float(token)
-        except ValueError as exc:
-            raise QuoteParseError(f"bad timestamp {token!r}: {exc}", path, line_no)
-        # Epoch minutes are plausible below ~1e8 (year 2160); anything larger
-        # is epoch seconds.
-        if seconds < 1e8:
-            seconds *= 60.0
-    minutes = seconds / 60.0
-    rounded = round(minutes)
-    if abs(minutes - rounded) > 1e-6:
-        raise QuoteParseError(
-            f"timestamp {token!r} is not on a whole minute", path, line_no
-        )
-    return int(rounded)
+            parse(token)
+            return False
+        except ValueError:
+            pass
+    return True
 
 
-def _parse_price(token: str, path: str, line_no: int) -> float:
+def _rows(text: str, first_line: int):
+    """The non-empty CSV rows of ``text`` with their 1-based file lines."""
+    rows = csv.reader(io.StringIO(text, newline=""))
+    return ((line_no, row) for line_no, row in enumerate(rows, first_line) if row)
+
+
+def _bulk_parse(body: str, width: int, wide: bool) -> np.ndarray | None:
+    """Every row as one (T, width) table of epoch seconds and prices, or
+    None when only the per-token parse reads the body as the rules say."""
+    # numpy strips the separators \x1c-\x1f around a number; float() does not.
+    if (not body.strip("\r\n") or any(c in body for c in "\x1c\x1d\x1e\x1f") or (
+            any(h in body for h in _ISO_HINTS) and _ISO_IN_FIRST_FIELD.search("\n" + body))):
+        return None
     try:
-        price = float(token)
-    except ValueError as exc:
-        raise QuoteParseError(f"bad price {token!r}: {exc}", path, line_no)
-    if not math.isfinite(price) or price <= 0:
-        raise QuoteParseError(f"nonpositive price {token!r}", path, line_no)
-    return price
-
-
-def _is_header(row) -> bool:
-    try:
-        float(row[0])
-        return False
+        table = np.loadtxt(io.StringIO(body, newline=""), delimiter=",", dtype=np.float64,
+                           comments=None, quotechar='"', ndmin=2,
+                           usecols=None if wide else (0, 1))
     except ValueError:
-        return "-" not in row[0] and ":" not in row[0]
+        return None
+    table[:, 0] = _epoch_seconds(table[:, 0])
+    return table if table.shape[1] == width else None
 
 
-def _require_sorted(ts: np.ndarray, path: str):
-    gaps = np.diff(ts)
-    if np.any(gaps <= 0):
-        bad = int(np.argmax(gaps <= 0))
-        raise QuoteParseError(
-            "timestamps not strictly increasing", path, line=bad + 2
-        )
-
-
-def _load_narrow(path: str, ticker: str) -> QuoteSeries:
-    timestamps, prices = [], []
-    seen = set()
-    with open(path, newline="") as fh:
-        for line_no, row in enumerate(csv.reader(fh), start=1):
-            if not row or (line_no == 1 and _is_header(row)):
-                continue
-            if len(row) < 2:
-                raise QuoteParseError("expected `timestamp,price`", path, line_no)
-            ts = _parse_timestamp(row[0], path, line_no)
-            if ts in seen:
-                raise QuoteParseError(f"duplicate timestamp {row[0]!r}", path, line_no)
-            seen.add(ts)
-            timestamps.append(ts)
-            prices.append(_parse_price(row[1], path, line_no))
-    if len(timestamps) < 2:
-        raise QuoteParseError("fewer than 2 rows", path)
-    ts_arr = np.asarray(timestamps, dtype=np.int64)
-    _require_sorted(ts_arr, path)
-    return QuoteSeries(
-        ticker=ticker,
-        timestamps=ts_arr,
-        prices=np.asarray(prices, dtype=np.float64),
-    )
-
-
-def _load_wide(path: str) -> list[QuoteSeries]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+def _token_parse(body: str, first_line: int, path: str, width: int, wide: bool):
+    """Parse token by token up to the first row that does not parse: the
+    values of the rows before it, and that row's error (None if none)."""
+    values = []
+    for line_no, row in _rows(body, first_line):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise QuoteParseError("empty file", path)
-        if len(header) < 2 or _is_header([header[0]]) is False:
-            raise QuoteParseError(
-                "wide CSV needs a `timestamp,<ticker>,...` header row", path, 1
-            )
-        tickers = [h.strip() for h in header[1:]]
-        timestamps, columns = [], [[] for _ in tickers]
-        seen = set()
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(tickers) + 1:
-                raise QuoteParseError(
-                    f"expected {len(tickers) + 1} columns, got {len(row)}", path, line_no
-                )
-            ts = _parse_timestamp(row[0], path, line_no)
-            if ts in seen:
-                raise QuoteParseError(f"duplicate timestamp {row[0]!r}", path, line_no)
-            seen.add(ts)
-            timestamps.append(ts)
-            for k, token in enumerate(row[1:]):
-                columns[k].append(_parse_price(token, path, line_no))
-    if len(timestamps) < 2:
+            if len(row) < width or (wide and len(row) > width):
+                raise ValueError(f"expected {width} columns, got {len(row)}")
+            values.append([_parse_timestamp(row[0])] + [float(t) for t in row[1:width]])
+        except ValueError as exc:
+            return values, QuoteParseError(f"bad row {','.join(row)!r}: {exc}", path, line_no)
+    return values, None
+
+
+def _check_rows(table: np.ndarray, error, body: str, first_line: int, path: str) -> np.ndarray:
+    """Epoch minutes of the rows once the checks pass, in the order a row-by-row
+    reader meets them: per row a whole-minute timestamp, new and with positive
+    finite prices; then ``error`` (the first row that did not parse), at least
+    2 rows, strict order.  A failing row's line is looked up only to raise."""
+    with np.errstate(invalid="ignore"):
+        minutes = table[:, 0] / 60.0
+        rounded = np.rint(minutes)
+        stamp_ok = (np.abs(minutes - rounded) <= 1e-6) & (np.abs(rounded) < 2.0**63)
+    stamps = np.where(stamp_ok, rounded, 0.0).astype(np.int64)
+    first_seen = np.zeros(stamps.size, dtype=bool)
+    first_seen[np.unique(stamps, return_index=True)[1]] = True
+    prices = table[:, 1:]
+    row_ok = stamp_ok & first_seen & (np.isfinite(prices) & (prices > 0)).all(axis=1)
+    if not row_ok.all():
+        k = int(np.argmin(row_ok))
+        problem = ("timestamp is not a finite whole minute" if not stamp_ok[k]
+                   else "duplicate timestamp" if not first_seen[k]
+                   else "price is not positive and finite")
+    elif error is not None:
+        raise error
+    elif stamps.size < 2:
         raise QuoteParseError("fewer than 2 rows", path)
-    ts_arr = np.asarray(timestamps, dtype=np.int64)
-    _require_sorted(ts_arr, path)
-    return [
-        QuoteSeries(
-            ticker=t,
-            timestamps=ts_arr,
-            prices=np.asarray(columns[k], dtype=np.float64),
-        )
-        for k, t in enumerate(tickers)
-    ]
+    elif np.any(np.diff(stamps) < 0):
+        k = int(np.argmax(np.diff(stamps) < 0)) + 1
+        problem = "timestamps not strictly increasing"
+    else:
+        return stamps
+    line_no, row = next(itertools.islice(_rows(body, first_line), k, None))
+    raise QuoteParseError(f"{problem} in {','.join(row)!r}", path, line_no)
+
+
+def _load_file(path: str, wide: bool | None = None) -> list[QuoteSeries]:
+    """The series of one quote CSV; a file is wide (``wide=None``) when its
+    first line holds two or more commas."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        text = fh.read()
+    if wide is None:
+        wide = re.match(r"[^\r\n]*", text).group().count(",") >= 2
+    buf = io.StringIO(text, newline="")
+    header = next(csv.reader(buf), [])
+    has_header = bool(header) and _is_header(header)
+    body, first_line = (text[buf.tell():], 2) if has_header else (text, 1)
+    if wide and (not has_header or len(header) < 2):
+        raise QuoteParseError("wide CSV needs a `timestamp,<ticker>,...` header row", path, 1)
+    width = len(header) if wide else 2
+    table, error = _bulk_parse(body, width, wide), None
+    if table is None:
+        values, error = _token_parse(body, first_line, path, width, wide)
+        table = np.array(values, dtype=np.float64).reshape(-1, width)
+    stamps = _check_rows(table, error, body, first_line, path)
+    tickers = ([t.strip() for t in header[1:]] if wide
+               else [os.path.splitext(os.path.basename(path))[0]])
+    return [QuoteSeries(ticker=t, timestamps=stamps, prices=table[:, 1 + k].copy())
+            for k, t in enumerate(tickers)]
 
 
 def load_quotes(path: str) -> list[QuoteSeries]:
     """Load quotes from a directory of per-ticker CSVs or one wide CSV."""
-    if os.path.isdir(path):
-        series = []
-        for name in sorted(os.listdir(path)):
-            if not name.lower().endswith(".csv"):
-                continue
-            ticker = os.path.splitext(name)[0]
-            series.append(_load_narrow(os.path.join(path, name), ticker))
-        if not series:
-            raise QuoteParseError("no .csv files found", path)
-        return series
-    with open(path, newline="") as fh:
-        header = fh.readline()
-    if header.count(",") >= 2:
-        return _load_wide(path)
-    ticker = os.path.splitext(os.path.basename(path))[0]
-    return [_load_narrow(path, ticker)]
+    if not os.path.isdir(path):
+        return _load_file(path)
+    names = sorted(n for n in os.listdir(path) if n.lower().endswith(".csv"))
+    if not names:
+        raise QuoteParseError("no .csv files found", path)
+    return [qs for name in names for qs in _load_file(os.path.join(path, name), wide=False)]
 
 
 def log_returns(quotes: QuoteSeries) -> np.ndarray:

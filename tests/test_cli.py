@@ -6,6 +6,8 @@ import pytest
 
 from qdcca.cli import main
 from qdcca.config import CONFIG_KEYS
+from qdcca.data import load_quotes
+from qdcca.synth import GeneratorSpec, synth_quotes
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "quotes")
 
@@ -44,6 +46,29 @@ def test_missing_input_reports_error(capsys):
     code, out, err = _run(capsys, "analyze", "/nonexistent/path")
     assert code == 2
     assert json.loads(err.strip())["error"] in ("OSError", "QuoteParseError")
+
+
+def test_non_finite_timestamp_is_machine_readable(tmp_path, capsys):
+    (tmp_path / "AAA.csv").write_text("timestamp,price\n0,100\nnan,101\n2,102\n")
+    (tmp_path / "BBB.csv").write_text("timestamp,price\n0,100\n1,101\n2,102\n")
+    code, out, err = _run(capsys, "validate", str(tmp_path))
+    assert code == 2
+    payload = json.loads(err.strip())
+    assert payload["error"] == "QuoteParseError"
+    assert payload["detail"].startswith(f"{tmp_path / 'AAA.csv'}:3: ")
+
+
+def test_synth_output_loads_back_bitwise(tmp_path, capsys):
+    code, _, _ = _run(capsys, "synth", "--generator", "factor", "--n", "4", "--t", "500",
+                      "--seed", "11", "--response-spread", "3", "--out", str(tmp_path))
+    assert code == 0
+    spec = GeneratorSpec("factor", 4, 500, {"beta": 1.0, "sigma": 1.0, "response_spread": 3})
+    expected = synth_quotes(spec, 11)
+    loaded = load_quotes(str(tmp_path))
+    assert [qs.ticker for qs in loaded] == [qs.ticker for qs in expected]
+    for got, want in zip(loaded, expected):
+        assert got.timestamps.tobytes() == want.timestamps.tobytes()
+        assert got.prices.tobytes() == want.prices.tobytes()
 
 
 def _analyze_args(out_dir, *extra):

@@ -1,5 +1,14 @@
+import csv
+import io
+import math
+import os
+import tempfile
+from datetime import datetime, timezone
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdcca.data import (
     QuoteSeries,
@@ -46,12 +55,29 @@ def test_load_rejects_zero_price_with_row(tmp_path):
 def test_load_rejects_duplicates_and_unsorted(tmp_path):
     dup = tmp_path / "DUP.csv"
     dup.write_text("0,100\n1,101\n1,102\n")
-    with pytest.raises(QuoteParseError):
+    with pytest.raises(QuoteParseError) as exc:
         load_quotes(str(dup))
+    assert exc.value.line == 3
     unsorted = tmp_path / "UNS.csv"
     unsorted.write_text("5,100\n3,101\n8,102\n")
-    with pytest.raises(QuoteParseError):
+    with pytest.raises(QuoteParseError) as exc:
         load_quotes(str(unsorted))
+    assert exc.value.line == 2
+    # The named line is the file line of the first out-of-order row, counting
+    # the header and blank lines.
+    for text, line in (
+        ("timestamp,price\n0,100\n2,101\n1,102\n", 4),
+        ("timestamp,price\n0,100\n\n2,101\n\n1,102\n", 6),
+    ):
+        unsorted.write_text(text)
+        with pytest.raises(QuoteParseError, match="not strictly increasing") as exc:
+            load_quotes(str(unsorted))
+        assert exc.value.line == line
+    # A non-adjacent repeat is a duplicate: duplicates are checked before order.
+    unsorted.write_text("timestamp,price\n1,100\n3,101\n\n1,102\n")
+    with pytest.raises(QuoteParseError, match="duplicate timestamp") as exc:
+        load_quotes(str(unsorted))
+    assert exc.value.line == 5
 
 
 def test_load_header_epoch_seconds_and_iso(tmp_path):
@@ -205,3 +231,227 @@ def test_build_return_matrix_base_and_stable_exclusion():
     assert "BTC" in report.excluded
     assert "PEG" in report.excluded
     assert set(rm.tickers) == {"ALT", "ETH"}
+
+
+# --- Quote-file parsing: literal cases, a row-by-row reference, round trips.
+
+# (case, file text, expected): the accepted (timestamps, prices), or the
+# 1-based file line a QuoteParseError must name (None: no line, whole file).
+NARROW_CASES = [
+    ("quoted fields", '"0","100"\n"1","101.5"\n', ([0, 1], [100.0, 101.5])),
+    ("padded tokens", " 0 , 100 \n\t1\t,\t101\t\n", ([0, 1], [100.0, 101.0])),
+    ("crlf", "timestamp,price\r\n0,100\r\n1,101\r\n", ([0, 1], [100.0, 101.0])),
+    ("blank lines", "timestamp,price\n\n0,100\n\n\n1,101\n\n", ([0, 1], [100.0, 101.0])),
+    ("bad price after blank lines", "timestamp,price\n\n0,100\n\n1,0\n", 5),
+    ("underscored digits", "1_000,1_00\n1_001,101\n", ([1000, 1001], [100.0, 101.0])),
+    ("hex timestamp", "0,100\n0x10,101\n", 2),
+    ("hex price", "0,100\n1,0x10\n", 2),
+    ("negative epoch", "0,100\n-5,101\n", 2),
+    ("negative zero epoch", "-0,100\n1,101\n", 1),
+    ("negative exponent epoch", "0,100\n1e-5,101\n", 2),
+    ("integral negative exponent epoch", "0,100\n10e-1,101\n", 2),
+    ("negative exponent prices", "0,1e-5\n1,2.5e-05\n", ([0, 1], [1e-5, 2.5e-5])),
+    ("iso with Z and +02:00",
+     "2020-01-01T00:00:00Z,100\n2020-01-01T02:01:00+02:00,101\n",
+     ([26297280, 26297281], [100.0, 101.0])),
+    ("mixed iso and numeric rows",
+     "timestamp,price\n2020-01-01T00:00:00Z,100\n26297281,101\n1577836920,102\n",
+     ([26297280, 26297281, 26297282], [100.0, 101.0, 102.0])),
+    ("bad iso date", "timestamp,price\n2020-01-01T00:00:00Z,100\n2020-13-01T00:00,101\n", 3),
+    ("epoch minutes below 1e8", "99999998,100\n99999999,101\n",
+     ([99999998, 99999999], [100.0, 101.0])),
+    ("epoch seconds from 1e8", "100000020,100\n100000080,101\n",
+     ([1666667, 1666668], [100.0, 101.0])),
+    ("seconds off the minute", "1577836800,100\n1577836830,101\n", 2),
+    ("row without a price", "0,100\n1\n2,102\n", 2),
+    ("whitespace-only row", "0,100\n  \n2,102\n", 2),
+    ("extra columns ignored", "timestamp,price\n0,100,x\n1,101,\n",
+     ([0, 1], [100.0, 101.0])),
+    ("infinite price", "timestamp,price\n0,100\n1,inf\n", 3),
+    ("nan price", "timestamp,price\n0,100\n1,nan\n", 3),
+    ("overflowing price", "timestamp,price\n0,100\n1,1e400\n", 3),
+    ("one data row", "timestamp,price\n0,100\n", None),
+]
+
+WIDE_CASES = [
+    ("wide quoted fields", 'timestamp,"AAA",BBB\n"0",1,2\n1,"3",4\n',
+     {"AAA": ([0, 1], [1.0, 3.0]), "BBB": ([0, 1], [2.0, 4.0])}),
+    ("wide crlf and blank lines", "timestamp,AAA,BBB\r\n\r\n0,1,2\r\n1,3,4\r\n",
+     {"AAA": ([0, 1], [1.0, 3.0]), "BBB": ([0, 1], [2.0, 4.0])}),
+    ("ragged wide row (short)", "timestamp,AAA,BBB\n0,1,2\n1,3\n2,5,6\n", 3),
+    ("ragged wide row (long)", "timestamp,AAA,BBB\n0,1,2\n\n1,3,4,5\n", 4),
+    ("wide nonpositive price", "timestamp,AAA,BBB\n0,1,2\n\n1,3,-4\n", 4),
+    ("wide without header", "0,1,2\n1,3,4\n", 1),
+]
+
+
+def _load_case(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))
+    return load_quotes(str(path))
+
+
+def _assert_case(tmp_path, name, text, expected):
+    if isinstance(expected, (int, type(None))):
+        with pytest.raises(QuoteParseError) as exc:
+            _load_case(tmp_path, name, text)
+        assert exc.value.path == str(tmp_path / name)
+        assert exc.value.line == expected
+        return
+    series = _load_case(tmp_path, name, text)
+    if isinstance(expected, tuple):
+        expected = {"AAA": expected}
+    assert [qs.ticker for qs in series] == list(expected)
+    for qs in series:
+        ts, prices = expected[qs.ticker]
+        assert qs.timestamps.tolist() == ts
+        assert qs.prices.tobytes() == np.asarray(prices, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("case,text,expected", NARROW_CASES, ids=[c[0] for c in NARROW_CASES])
+def test_narrow_parsing_literal_cases(tmp_path, case, text, expected):
+    _assert_case(tmp_path, "AAA.csv", text, expected)
+
+
+@pytest.mark.parametrize("case,text,expected", WIDE_CASES, ids=[c[0] for c in WIDE_CASES])
+def test_wide_parsing_literal_cases(tmp_path, case, text, expected):
+    _assert_case(tmp_path, "wide.csv", text, expected)
+
+
+def test_header_is_a_first_row_whose_values_do_not_parse(tmp_path):
+    _assert_case(tmp_path, "AAA.csv", "date-time,price\n0,100\n1,101\n",
+                 ([0, 1], [100.0, 101.0]))
+    _assert_case(tmp_path, "wide.csv", "date-time,BTC,ETH\n0,1,2\n1,3,4\n",
+                 {"BTC": ([0, 1], [1.0, 3.0]), "ETH": ([0, 1], [2.0, 4.0])})
+    # A numeric price keeps a first row with a malformed timestamp a data row.
+    _assert_case(tmp_path, "AAA.csv", "2020-13-01,100\n0,100\n1,101\n", 1)
+    _assert_case(tmp_path, "wide.csv", "2020-13-01,1,2\n0,1,2\n1,3,4\n", 1)
+
+
+def test_utf8_byte_order_mark_is_not_data(tmp_path):
+    _assert_case(tmp_path, "AAA.csv", "\ufeff0,100\n1,101\n2,102\n",
+                 ([0, 1, 2], [100.0, 101.0, 102.0]))
+    _assert_case(tmp_path, "AAA.csv", "\ufefftimestamp,price\n0,100\n1,101\n",
+                 ([0, 1], [100.0, 101.0]))
+    _assert_case(tmp_path, "wide.csv", "\ufefftimestamp,AAA,BBB\n0,1,2\n1,3,4\n",
+                 {"AAA": ([0, 1], [1.0, 3.0]), "BBB": ([0, 1], [2.0, 4.0])})
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "1e300"])
+def test_non_finite_or_huge_timestamp_names_its_line(tmp_path, token):
+    _assert_case(tmp_path, "AAA.csv", f"timestamp,price\n0,100\n{token},101\n2,102\n", 3)
+    _assert_case(tmp_path, "wide.csv", f"timestamp,AAA,BBB\n0,1,2\n{token},3,4\n", 3)
+
+
+def test_price_parsing_is_bitwise_python_float(tmp_path):
+    # Random bit patterns cover every positive finite double, subnormals included.
+    rng = np.random.default_rng(5)
+    bits = rng.integers(1, 0x7FF0_0000_0000_0000, size=5000, dtype=np.int64)
+    tokens = [repr(v) for v in bits.view(np.float64).tolist()]
+    tokens += ["5e-324", "2.225073858507201e-308", "1.7976931348623157e308",
+               " 5 ", "+3", ".5", "5.", "1E5", "0.1", "1_0.5", "\xa07 "]
+    text = "".join(f"{k},{token}\n" for k, token in enumerate(tokens))
+    (qs,) = _load_case(tmp_path, "AAA.csv", text)
+    assert qs.prices.tobytes() == np.array([float(t) for t in tokens]).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                min_size=2, max_size=40))
+def test_repr_prices_load_back_bitwise(prices):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "AAA.csv")
+        with open(path, "w") as fh:
+            fh.write("timestamp,price\n")
+            fh.writelines(f"{k},{p!r}\n" for k, p in enumerate(prices))
+        (qs,) = load_quotes(path)
+    assert qs.timestamps.tolist() == list(range(len(prices)))
+    assert qs.prices.tobytes() == np.array(prices, dtype=np.float64).tobytes()
+
+
+def _reference_seconds(token):
+    token = token.strip()
+    try:
+        if any(h in token for h in "-:T"):
+            dt = datetime.fromisoformat(token.replace("Z", "+00:00"))
+            return (dt if dt.tzinfo else dt.replace(tzinfo=timezone.utc)).timestamp()
+        value = float(token)
+    except ValueError:
+        return None
+    return value * 60.0 if value < 1e8 else value
+
+
+def _reference_float(token):
+    try:
+        return float(token)
+    except ValueError:
+        return None
+
+
+def _reference_load(text):
+    """A narrow quote file read row by row with the documented rules: the
+    accepted (timestamps, prices), or the line of the first bad row (None
+    when the file as a whole is at fault)."""
+    seen, stamps, prices, lines = set(), [], [], []
+    rows = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
+    for line, row in enumerate(rows, start=1):
+        if not row:
+            continue
+        if (line == 1 and _reference_seconds(row[0]) is None
+                and all(_reference_float(t) is None for t in row[1:])):
+            continue
+        if len(row) < 2:
+            return line
+        seconds, price = _reference_seconds(row[0]), _reference_float(row[1])
+        if seconds is None or not math.isfinite(seconds / 60.0):
+            return line
+        minutes = seconds / 60.0
+        if abs(minutes - round(minutes)) > 1e-6 or abs(round(minutes)) >= 2**63:
+            return line
+        if round(minutes) in seen:
+            return line
+        if price is None or not math.isfinite(price) or price <= 0:
+            return line
+        seen.add(round(minutes))
+        stamps.append(round(minutes))
+        prices.append(price)
+        lines.append(line)
+    if len(stamps) < 2:
+        return None
+    for k in range(1, len(stamps)):
+        if stamps[k] < stamps[k - 1]:
+            return lines[k]
+    return stamps, prices
+
+
+_TOKENS = ["0", "1", "2", "7", "99999999", "100000020", "1577836860", "-5", "-0",
+           "1e-5", "10e-1", "1_0", "0x10", "nan", "inf", "INFINITY", " 3 ", '"4"',
+           '"5,6"', "2.5", "1e400", "", "abc", "5\x1c", "5\xa0",
+           "2020-01-01T00:01:00Z", "1970-01-01T00:03", "1970-01-01T00:02:00+00:00"]
+
+
+@st.composite
+def _quote_texts(draw):
+    header = draw(st.sampled_from(["", "timestamp,price", "date-time,price", "\ufeff0,3"]))
+    rows = draw(st.lists(st.lists(st.sampled_from(_TOKENS), max_size=3), max_size=8))
+    lines = ([header] if header else []) + [",".join(row) for row in rows]
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_quote_texts())
+def test_parsing_matches_row_by_row_reference(text):
+    expected = _reference_load(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "AAA.csv"), "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        if isinstance(expected, tuple):
+            (qs,) = load_quotes(tmp)
+            assert qs.timestamps.tolist() == expected[0]
+            assert qs.prices.tobytes() == np.array(expected[1]).tobytes()
+        else:
+            with pytest.raises(QuoteParseError) as exc:
+                load_quotes(tmp)
+            assert exc.value.line == expected
