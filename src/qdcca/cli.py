@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .config import AnalysisConfig, apply_overrides, load_config
+from .config import CONFIG_KEYS, AnalysisConfig, apply_overrides, load_config
 from .data import build_return_matrix, load_quotes
 from .emit import write_outputs
 from .errors import QdccaError
@@ -113,13 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> AnalysisConfig:
     cfg = load_config(args.config) if args.config else AnalysisConfig()
-    overrides = {
-        key: getattr(args, key)
-        for key in ("q", "s", "poly_order", "window", "step", "base", "residual",
-                    "lags", "threshold", "anchors", "resolution", "grid",
-                    "stable_threshold", "max_missing", "global_norm", "seed",
-                    "threads", "verbose")
-    }
+    overrides = {key: getattr(args, key) for key in CONFIG_KEYS}
     return apply_overrides(cfg, overrides).validate()
 
 

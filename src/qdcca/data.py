@@ -73,7 +73,6 @@ class ReturnMatrix:
     tickers: tuple[str, ...]
     timestamps: np.ndarray  # int64 epoch minutes, length T
     values: np.ndarray      # float64 (N, T)
-    normalized: bool = False
     filled: np.ndarray | None = None  # bool (T,), True where zero-filled
 
     @property
@@ -127,10 +126,13 @@ def _is_header(row: list[str]) -> bool:
     return True
 
 
-def _rows(text: str, first_line: int):
+def _rows(text: str, first_line: int, path: str):
     """The non-empty CSV rows of ``text`` with their 1-based file lines."""
     rows = csv.reader(io.StringIO(text, newline=""))
-    return ((line_no, row) for line_no, row in enumerate(rows, first_line) if row)
+    try:
+        yield from ((line_no, row) for line_no, row in enumerate(rows, first_line) if row)
+    except csv.Error as exc:  # e.g. a field over csv's 131,072-character limit
+        raise QuoteParseError(f"unreadable row: {exc}", path, first_line + rows.line_num - 1) from exc
 
 
 def _bulk_parse(body: str, width: int, wide: bool) -> np.ndarray | None:
@@ -154,7 +156,7 @@ def _token_parse(body: str, first_line: int, path: str, width: int, wide: bool):
     """Parse token by token up to the first row that does not parse: the
     values of the rows before it, and that row's error (None if none)."""
     values = []
-    for line_no, row in _rows(body, first_line):
+    for line_no, row in _rows(body, first_line, path):
         try:
             if len(row) < width or (wide and len(row) > width):
                 raise ValueError(f"expected {width} columns, got {len(row)}")
@@ -192,19 +194,30 @@ def _check_rows(table: np.ndarray, error, body: str, first_line: int, path: str)
         problem = "timestamps not strictly increasing"
     else:
         return stamps
-    line_no, row = next(itertools.islice(_rows(body, first_line), k, None))
+    line_no, row = next(itertools.islice(_rows(body, first_line, path), k, None))
     raise QuoteParseError(f"{problem} in {','.join(row)!r}", path, line_no)
 
 
 def _load_file(path: str, wide: bool | None = None) -> list[QuoteSeries]:
     """The series of one quote CSV; a file is wide (``wide=None``) when its
     first line holds two or more commas."""
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # The line holding the bad byte: count the line breaks before it
+        # (``exc.object`` is the input after any byte order mark).
+        bad = exc.object[exc.start : exc.start + 1]
+        line = len((exc.object[:exc.start] + bad).splitlines())
+        raise QuoteParseError(f"not UTF-8 text: byte {bad!r} ({exc.reason})", path, line) from exc
     if wide is None:
         wide = re.match(r"[^\r\n]*", text).group().count(",") >= 2
     buf = io.StringIO(text, newline="")
-    header = next(csv.reader(buf), [])
+    try:
+        header = next(csv.reader(buf), [])
+    except csv.Error as exc:
+        raise QuoteParseError(f"unreadable row: {exc}", path, 1) from exc
     has_header = bool(header) and _is_header(header)
     body, first_line = (text[buf.tell():], 2) if has_header else (text, 1)
     if wide and (not has_header or len(header) < 2):

@@ -11,6 +11,13 @@ fluctuation functions whose ratio is the correlation coefficient.
 
 Implementation notes
 --------------------
+* `_gram_power` is the one estimator kernel: given two residual stacks it
+  forms the per-box Gram products, raises them to the signed q/2 power and
+  averages over boxes.  `fluctuation_matrices` (a stack against itself)
+  and `cross_fluctuation_matrices` (head against tail, for lags) are its
+  only callers; both stay public under these names because `spectra` and
+  `pipeline` call them, and the benchmark's spans (`bench/spans.py`) look
+  them up as module attributes there.
 * Detrending is a single projection: the residual projector for abscissa
   1..s is built once per (s, m) from a QR factorization and applied to all
   boxes of all series with one matmul, so assembling an N x N coefficient
@@ -29,10 +36,10 @@ Implementation notes
   gives the same bits as the general formula except that a -0.0 input
   stays -0.0; the box sums start at +0.0, so no sum or output changes.
 * The lagged pass reads only the anchor rows and columns of the head/tail
-  cross fluctuations.  With ``rows`` set, `cross_fluctuation_matrices`
-  still forms the full per-box Gram (a rows-only product lets BLAS pick a
-  different accumulation kernel and moves the last bit), but raises only
-  the anchor rows and columns to q/2 and sums only those over boxes.
+  cross fluctuations.  With ``rows`` set, `_gram_power` still forms the
+  full per-box Gram (a rows-only product lets BLAS pick a different
+  accumulation kernel and moves the last bit), but raises only the anchor
+  rows and columns to q/2 and sums only those over boxes.
 * q must be positive.  q = 2 is the classic DCCA coefficient and is
   bounded by 1 in magnitude; for other q the raw ratio is returned and a
   CorrelationBoundWarning is emitted when it leaves [-1, 1].
@@ -90,43 +97,6 @@ class DetrendConfig:
             raise ConfigError(f"q must be positive, got {self.q}")
 
 
-@dataclass(frozen=True)
-class BoxResiduals:
-    """Detrended, integrated box profiles of one series at one scale.
-
-    residuals has shape (box_count, scale); box_count is 2*floor(T/s).
-    """
-
-    residuals: np.ndarray
-    scale: int
-    poly_order: int
-
-    @property
-    def box_count(self) -> int:
-        return self.residuals.shape[0]
-
-
-@dataclass(frozen=True)
-class BoxMoments:
-    """Per-box residual variances and covariance for a series pair."""
-
-    f2_xx: np.ndarray
-    f2_yy: np.ndarray
-    f2_xy: np.ndarray
-    scale: int
-
-
-@dataclass(frozen=True)
-class FluctuationSet:
-    """Box-averaged fluctuation functions of order q for one pair."""
-
-    f_xx: float
-    f_yy: float
-    f_xy: float
-    q: float
-    scale: int
-
-
 def as_series(x, name: str = "series") -> np.ndarray:
     """Coerce to a 1-D float array and reject non-finite values."""
     arr = np.ascontiguousarray(x, dtype=np.float64)
@@ -174,11 +144,6 @@ def _box_profiles(values: np.ndarray, scale: int) -> np.ndarray:
     return np.cumsum(values[..., idx], axis=-1)
 
 
-def _detrended_profiles(values: np.ndarray, scale: int, poly_order: int) -> np.ndarray:
-    """Detrended box profiles for a (N, T) stack; shape (N, 2*floor(T/s), s)."""
-    return _box_profiles(values, scale) @ _residual_projector(scale, poly_order)
-
-
 def _detrended_residuals(profiles: np.ndarray, scale: int, poly_order: int) -> np.ndarray:
     # Gram-product kernel input: detrended ``profiles`` with the box mean
     # already removed (demeaning commutes with the moment sums and keeps the
@@ -186,34 +151,6 @@ def _detrended_residuals(profiles: np.ndarray, scale: int, poly_order: int) -> n
     resid = profiles @ _residual_projector(scale, poly_order)
     resid -= resid.mean(axis=-1, keepdims=True)
     return resid
-
-
-def compute_box_residuals(x, cfg: DetrendConfig) -> BoxResiduals:
-    """Integrate and polynomially detrend one series box by box."""
-    arr = as_series(x)
-    _check_scale(arr.size, cfg)
-    resid = _detrended_profiles(arr[None, :], cfg.scale, cfg.poly_order)[0]
-    return BoxResiduals(residuals=resid, scale=cfg.scale, poly_order=cfg.poly_order)
-
-
-def local_moments(bx: BoxResiduals, by: BoxResiduals) -> BoxMoments:
-    """Per-box residual variances and signed covariance of two series."""
-    if bx.scale != by.scale:
-        raise ShapeMismatchError(
-            f"scale mismatch: {bx.scale} vs {by.scale}"
-        )
-    if bx.box_count != by.box_count:
-        raise ShapeMismatchError(
-            f"box count mismatch: {bx.box_count} vs {by.box_count}"
-        )
-    rx = bx.residuals - bx.residuals.mean(axis=-1, keepdims=True)
-    ry = by.residuals - by.residuals.mean(axis=-1, keepdims=True)
-    return BoxMoments(
-        f2_xx=np.einsum("bi,bi->b", rx, rx),
-        f2_yy=np.einsum("bi,bi->b", ry, ry),
-        f2_xy=np.einsum("bi,bi->b", rx, ry),
-        scale=bx.scale,
-    )
 
 
 def _signed_power(values: np.ndarray, q: float) -> np.ndarray:
@@ -230,19 +167,29 @@ def _signed_power(values: np.ndarray, q: float) -> np.ndarray:
     return np.copysign(out, values, out=out)
 
 
-def fluctuation_functions(moments: BoxMoments, q: float) -> FluctuationSet:
-    """Average the q/2-power moments over boxes, keeping the covariance sign."""
-    if not (q > 0):
-        raise ConfigError(f"q must be positive, got {q}")
-    if moments.f2_xx.size == 0:
-        raise ShapeMismatchError("no boxes to average")
-    return FluctuationSet(
-        f_xx=float(np.mean(_signed_power(moments.f2_xx, q))),
-        f_yy=float(np.mean(_signed_power(moments.f2_yy, q))),
-        f_xy=float(np.mean(_signed_power(moments.f2_xy, q))),
-        q=q,
-        scale=moments.scale,
-    )
+def _gram_power(ra: np.ndarray, rb: np.ndarray, q_list, rows=None) -> dict[float, list]:
+    """Box means of the signed q/2 powers of the per-box Grams ra_b @ rb_b^T.
+
+    ``ra`` and ``rb`` are (N, B, s) detrended, box-demeaned residual stacks.
+    Each q maps to [F] with F (N x N), or with ``rows`` (A series indices)
+    to [F[rows, :], F[:, rows]], bit for bit; the rest of F is never summed.
+    Pass the same array twice for a stack against itself: both operands then
+    share one buffer, which lets BLAS use its symmetric A @ A^T product.
+    """
+    n_boxes = ra.shape[1]
+    a = np.ascontiguousarray(ra.transpose(1, 0, 2))
+    b = a if rb is ra else np.ascontiguousarray(rb.transpose(1, 0, 2))
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.intp)
+    # Sums start at +0.0, like np.zeros, so a -0.0 power never survives.
+    acc = {q: [0.0] if rows is None else [0.0, 0.0] for q in q_list}
+    for lo in range(0, n_boxes, _BOX_CHUNK):
+        gram = a[lo : lo + _BOX_CHUNK] @ b[lo : lo + _BOX_CHUNK].transpose(0, 2, 1)
+        parts = (gram,) if rows is None else (gram[:, rows, :], gram[:, :, rows])
+        for q in q_list:
+            for i, part in enumerate(parts):
+                acc[q][i] += _signed_power(part, q).sum(axis=0)
+    return {q: [total / n_boxes for total in acc[q]] for q in q_list}
 
 
 def fluctuation_matrices(
@@ -251,7 +198,6 @@ def fluctuation_matrices(
     poly_order: int,
     q_values,
     labels=None,
-    check_variance: bool = True,
 ) -> dict[float, np.ndarray]:
     """Pairwise fluctuation matrices F(q) for a stack of aligned series.
 
@@ -260,9 +206,8 @@ def fluctuation_matrices(
     per-series fluctuation used as the normalizer.  The per-box Gram
     products are shared across all q values.
 
-    With ``check_variance`` (the default) a ZeroVarianceError is raised for
-    any series whose residuals are pure rounding noise; ``labels`` names the
-    offender in the message.
+    A ZeroVarianceError is raised for any series whose residuals are pure
+    rounding noise; ``labels`` names the offender in the message.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     if values.ndim != 2:
@@ -273,18 +218,9 @@ def fluctuation_matrices(
             raise ConfigError(f"q must be positive, got {q}")
     profiles = _box_profiles(values, scale)
     resid = _detrended_residuals(profiles, scale, poly_order)
-    if check_variance:
-        _check_residual_energy(profiles, resid, scale, labels)
-    del profiles  # the Gram loop reads only resid; free it before the copy
-    n_series, n_boxes, _ = resid.shape
-    boxes_first = np.ascontiguousarray(resid.transpose(1, 0, 2))
-    acc = {q: np.zeros((n_series, n_series)) for q in q_list}
-    for lo in range(0, n_boxes, _BOX_CHUNK):
-        chunk = boxes_first[lo : lo + _BOX_CHUNK]
-        gram = chunk @ chunk.transpose(0, 2, 1)
-        for q in q_list:
-            acc[q] += _signed_power(gram, q).sum(axis=0)
-    return {q: acc[q] / n_boxes for q in q_list}
+    _check_residual_energy(profiles, resid, scale, labels)
+    del profiles  # the kernel reads only resid; free it before its copy
+    return {q: f for q, (f,) in _gram_power(resid, resid, q_list).items()}
 
 
 def _check_residual_energy(profiles, resid, scale, labels):
@@ -325,38 +261,24 @@ def cross_fluctuation_matrices(
         raise ShapeMismatchError(
             f"head/tail shape mismatch: {head.shape} vs {tail.shape}"
         )
-    q_list = [float(q) for q in q_values]
-    rh = _detrended_residuals(
-        _box_profiles(np.ascontiguousarray(head, dtype=np.float64), scale),
-        scale, poly_order,
+    rh, rt = (
+        _detrended_residuals(
+            _box_profiles(np.ascontiguousarray(v, dtype=np.float64), scale),
+            scale, poly_order,
+        )
+        for v in (head, tail)
     )
-    rt = _detrended_residuals(
-        _box_profiles(np.ascontiguousarray(tail, dtype=np.float64), scale),
-        scale, poly_order,
-    )
-    n_boxes = rh.shape[1]
-    hb = np.ascontiguousarray(rh.transpose(1, 0, 2))
-    tb = np.ascontiguousarray(rt.transpose(1, 0, 2))
     diag_head = np.einsum("nbs,nbs->bn", rh, rh)
     diag_tail = np.einsum("nbs,nbs->bn", rt, rt)
-    if rows is not None:
-        rows = np.asarray(rows, dtype=np.intp)
-    # Sums start at +0.0, like np.zeros, so a -0.0 power never survives.
-    acc = {q: [0.0] if rows is None else [0.0, 0.0] for q in q_list}
-    for lo in range(0, n_boxes, _BOX_CHUNK):
-        gram = hb[lo : lo + _BOX_CHUNK] @ tb[lo : lo + _BOX_CHUNK].transpose(0, 2, 1)
-        parts = (gram,) if rows is None else (gram[:, rows, :], gram[:, :, rows])
-        for q in q_list:
-            for i, part in enumerate(parts):
-                acc[q][i] += _signed_power(part, q).sum(axis=0)
-    out = {}
-    for q in q_list:
-        out[q] = (
-            *(total / n_boxes for total in acc[q]),
+    cross = _gram_power(rh, rt, [float(q) for q in q_values], rows)
+    return {
+        q: (
+            *parts,
             _signed_power(diag_head, q).mean(axis=0),
             _signed_power(diag_tail, q).mean(axis=0),
         )
-    return out
+        for q, parts in cross.items()
+    }
 
 
 def _coefficient(f_xy: float, f_xx: float, f_yy: float, q: float,

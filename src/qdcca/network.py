@@ -58,13 +58,6 @@ class SpanningTree:
             deg[e.j] += 1
         return deg
 
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for e in self.edges:
-            adj[e.i].append(e.j)
-            adj[e.j].append(e.i)
-        return adj
-
     def total_weight(self) -> float:
         return float(np.sum(np.sort([e.distance for e in self.edges])))
 

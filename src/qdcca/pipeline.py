@@ -13,7 +13,7 @@ the skip log and the sweep continues.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -166,13 +166,12 @@ def _window_values(returns: ReturnMatrix, start: int, stop: int, cfg: AnalysisCo
     return out
 
 
-def _residual_fields(values, tickers, q, s, cfg, row: SpectralRow, summary):
+def _residual_fields(window_returns: ReturnMatrix, q, s, cfg, row: SpectralRow, summary):
+    values = window_returns.values
     z1 = spectra.eigensignal(values, summary.eigenvectors[:, 0])
     res = spectra.residual_returns(values, z1)
     c_res = spectra.correlation_matrices(
-        ReturnMatrix(tickers=tickers, timestamps=np.arange(res.residuals.shape[1]),
-                     values=res.residuals),
-        s, cfg.poly_order, [q],
+        replace(window_returns, values=res.residuals), s, cfg.poly_order, [q]
     )[q]
     res_summary = spectra.eigendecompose(c_res)
     row.res_lambda1 = float(res_summary.eigenvalues[0])
@@ -247,7 +246,7 @@ def compute_window(
                 summary = spectra.eigendecompose(c)
                 row = _spectral_row(summary)
                 if cfg.residual:
-                    _residual_fields(values, tickers, q, s, cfg, row, summary)
+                    _residual_fields(window_returns, q, s, cfg, row, summary)
                 result.spectral[(q, s)] = row
             if {"topology", "edges"} & set(families):
                 tree = network.minimum_spanning_tree(
@@ -281,14 +280,7 @@ def run_analysis(
     cfg.validate()
     plan = WindowPlan(width=cfg.window, step=cfg.step)
     if cfg.global_norm:
-        values = np.stack([normalize(row) for row in returns.values])
-        returns = ReturnMatrix(
-            tickers=returns.tickers,
-            timestamps=returns.timestamps,
-            values=values,
-            normalized=True,
-            filled=returns.filled,
-        )
+        returns = replace(returns, values=np.stack([normalize(row) for row in returns.values]))
     windows = rolling_windows(returns.n_samples, plan)
     results: list[WindowResult] = []
     skipped: list[tuple[int, str]] = []

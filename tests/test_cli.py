@@ -58,6 +58,16 @@ def test_non_finite_timestamp_is_machine_readable(tmp_path, capsys):
     assert payload["detail"].startswith(f"{tmp_path / 'AAA.csv'}:3: ")
 
 
+def test_non_utf8_quote_file_is_machine_readable(tmp_path, capsys):
+    (tmp_path / "AAA.csv").write_bytes(b"timestamp,price\n0,100\n1,10\xff1\n2,102\n")
+    (tmp_path / "BBB.csv").write_text("timestamp,price\n0,100\n1,101\n2,102\n")
+    code, out, err = _run(capsys, "validate", str(tmp_path))
+    assert code == 2
+    payload = json.loads(err.strip())
+    assert payload["error"] == "QuoteParseError"
+    assert payload["detail"].startswith(f"{tmp_path / 'AAA.csv'}:3: ")
+
+
 def test_synth_output_loads_back_bitwise(tmp_path, capsys):
     code, _, _ = _run(capsys, "synth", "--generator", "factor", "--n", "4", "--t", "500",
                       "--seed", "11", "--response-spread", "3", "--out", str(tmp_path))

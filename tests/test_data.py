@@ -343,6 +343,37 @@ def test_non_finite_or_huge_timestamp_names_its_line(tmp_path, token):
     _assert_case(tmp_path, "wide.csv", f"timestamp,AAA,BBB\n0,1,2\n{token},3,4\n", 3)
 
 
+@pytest.mark.parametrize("raw, line", [
+    (b"timestamp,price\n0,100\n1,10\xff1\n2,102\n", 3),
+    (b"\xef\xbb\xbf0,100\r\n1,101\r\n2,1\xe2\x822\r\n", 3),
+    (b"0,100\r1,\xfe\r2,102\r", 2),
+    (b"\xff,100\n1,101\n", 1),
+], ids=["header and lf", "bom and crlf", "cr only", "first byte"])
+def test_non_utf8_bytes_name_their_line(tmp_path, raw, line):
+    path = tmp_path / "AAA.csv"
+    path.write_bytes(raw)
+    with pytest.raises(QuoteParseError, match="not UTF-8") as exc:
+        load_quotes(str(path))
+    assert exc.value.path == str(path)
+    assert exc.value.line == line
+
+
+@pytest.mark.parametrize("text, line", [
+    # The header read meets the long field first.
+    ("0," + "1" * 200_000 + "\n1,101\n2,102\n", 1),
+    # The bulk parse reads the long price; looking up the line of the bad
+    # row after it re-reads the body with csv and meets the long field.
+    ("timestamp,price\n0,100\n1,1." + "0" * 200_000 + "\n2,102\n3,-1\n", 3),
+], ids=["first row", "before a bad row"])
+def test_field_over_csv_limit_names_its_line(tmp_path, text, line):
+    # csv.reader's default field limit is 131,072 characters.
+    path = tmp_path / "AAA.csv"
+    path.write_text(text)
+    with pytest.raises(QuoteParseError, match="field limit") as exc:
+        load_quotes(str(path))
+    assert (exc.value.path, exc.value.line) == (str(path), line)
+
+
 def test_price_parsing_is_bitwise_python_float(tmp_path):
     # Random bit patterns cover every positive finite double, subnormals included.
     rng = np.random.default_rng(5)

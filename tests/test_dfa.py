@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from qdcca.dfa import (
-    BoxResiduals,
     DetrendConfig,
+    _box_profiles,
+    _detrended_residuals,
     _signed_power,
     box_starts,
-    compute_box_residuals,
     cross_fluctuation_matrices,
-    fluctuation_functions,
     fluctuation_matrices,
-    local_moments,
     rho_q,
     rho_q_lagged,
 )
@@ -39,13 +37,17 @@ def test_config_rejects_bad_parameters():
         DetrendConfig(scale=1)
 
 
+def _box_residuals(x, scale, poly_order):
+    # The estimator kernel's input for one series: (boxes, scale).
+    return _detrended_residuals(_box_profiles(np.asarray(x)[None, :], scale), scale, poly_order)[0]
+
+
 def test_constant_series_has_zero_residuals():
     # Constant samples integrate to a linear profile, which any m >= 1
     # polynomial absorbs entirely.
     x = np.full(100, 0.37)
     for m in (1, 2, 3):
-        bx = compute_box_residuals(x, DetrendConfig(scale=20, poly_order=m))
-        assert np.allclose(bx.residuals, 0.0, atol=1e-10)
+        assert np.allclose(_box_residuals(x, 20, m), 0.0, atol=1e-10)
 
 
 def test_exact_division_gives_coincident_partitions():
@@ -53,11 +55,11 @@ def test_exact_division_gives_coincident_partitions():
     # so every box appears twice and all box averages are unchanged.
     rng = np.random.default_rng(40)
     x = rng.standard_normal(40)
-    bx = compute_box_residuals(x, DetrendConfig(scale=20, poly_order=1))
-    assert bx.box_count == 4
+    resid = _box_residuals(x, 20, 1)
+    assert resid.shape[0] == 4
     assert box_starts(40, 20).tolist() == [0, 20, 20, 0]
-    assert np.array_equal(bx.residuals[0], bx.residuals[3])
-    assert np.array_equal(bx.residuals[1], bx.residuals[2])
+    assert np.array_equal(resid[0], resid[3])
+    assert np.array_equal(resid[1], resid[2])
 
 
 def test_box_layout_t25_s10():
@@ -68,69 +70,63 @@ def test_box_layout_t25_s10():
     assert box_index_ranges(25, 10) == [(1, 10), (11, 20), (16, 25), (6, 15)]
     rng = np.random.default_rng(7)
     x = rng.standard_normal(25)
-    bx = compute_box_residuals(x, DetrendConfig(scale=10, poly_order=1))
-    assert bx.box_count == 4
+    resid = _box_residuals(x, 10, 1)
+    assert resid.shape[0] == 4
     # Residuals of the third box must equal a standalone detrend of samples
     # 16..25 (1-based), independently recomputed.
     seg = x[15:25]
     prof = np.cumsum(seg)
     i = np.arange(1.0, 11.0)
     lit = prof - np.polyval(np.polyfit(i, prof, 1), i)
-    assert np.allclose(bx.residuals[2], lit, atol=1e-12)
+    assert np.allclose(resid[2], lit, atol=1e-12)
 
 
 def test_scale_too_large_and_degenerate_fit():
     x = np.arange(30.0)
+    cfg = DetrendConfig(scale=16, poly_order=1)
     with pytest.raises(ScaleTooLargeError):
-        compute_box_residuals(x, DetrendConfig(scale=16, poly_order=1))
+        rho_q(x, x[::-1], cfg)
+    with pytest.raises(ScaleTooLargeError):
+        rho_q_lagged(x, x[::-1], cfg, 0)
     with pytest.raises(DegenerateFitError):
         DetrendConfig(scale=4, poly_order=3)
 
 
 def test_local_moments_identical_and_negated_inputs():
+    # A series paired with itself gives its own variance moments bit for
+    # bit; paired with its negation, the covariance moments flip sign.
     rng = np.random.default_rng(3)
     x = rng.standard_normal(120)
-    cfg = DetrendConfig(scale=20, poly_order=2)
-    bx = compute_box_residuals(x, cfg)
-    by = compute_box_residuals(-x, cfg)
-    same = local_moments(bx, bx)
-    assert np.array_equal(same.f2_xy, same.f2_xx)
-    assert np.array_equal(same.f2_xx, same.f2_yy)
-    flipped = local_moments(bx, by)
-    assert np.allclose(flipped.f2_xy, -flipped.f2_xx, rtol=0, atol=1e-12)
+    for q in (1.0, 2.0, 4.0):
+        f = fluctuation_matrices(np.stack([x, x, -x]), 20, 2, [q])[q]
+        assert f[0, 1] == f[0, 0] == f[1, 1] == f[2, 2]
+        assert np.isclose(f[0, 2], -f[0, 0], rtol=0, atol=1e-12)
+        assert f[0, 2] == f[2, 0]
 
 
 def test_local_moments_two_point_boxes():
-    bx = BoxResiduals(np.array([[1.0, -1.0]]), scale=2, poly_order=0)
-    by = BoxResiduals(np.array([[2.0, -2.0]]), scale=2, poly_order=0)
-    mom = local_moments(bx, by)
-    assert mom.f2_xx[0] == pytest.approx(2.0)
-    assert mom.f2_yy[0] == pytest.approx(8.0)
-    assert mom.f2_xy[0] == pytest.approx(4.0)
-
-
-def test_local_moments_box_count_mismatch():
-    bx = BoxResiduals(np.zeros((4, 5)), scale=5, poly_order=1)
-    by = BoxResiduals(np.zeros((2, 5)), scale=5, poly_order=1)
-    with pytest.raises(ShapeMismatchError):
-        local_moments(bx, by)
+    # At s = 2, m = 0 a box [a, b] detrends to [-b/2, b/2]: x below gives
+    # residuals [1, -1] in every box, y gives [2, -2], so the per-box
+    # moments are 2 (xx), 8 (yy) and 4 (xy).
+    x = np.array([0.0, -2.0, 0.0, -2.0])
+    f = fluctuation_matrices(np.stack([x, 2.0 * x]), 2, 0, [2.0])[2.0]
+    assert f[0, 0] == pytest.approx(2.0)
+    assert f[1, 1] == pytest.approx(8.0)
+    assert f[0, 1] == pytest.approx(4.0)
+    assert f[1, 0] == pytest.approx(4.0)
 
 
 def test_fluctuation_function_values():
-    from qdcca.dfa import BoxMoments
-
-    mom = BoxMoments(
-        f2_xx=np.array([4.0, 4.0]),
-        f2_yy=np.array([4.0, 4.0]),
-        f2_xy=np.array([4.0, 4.0]),
-        scale=8,
-    )
-    assert fluctuation_functions(mom, 2.0).f_xx == pytest.approx(4.0)
-    assert fluctuation_functions(mom, 4.0).f_xx == pytest.approx(16.0)
-    neg = BoxMoments(
-        f2_xx=np.array([9.0]), f2_yy=np.array([9.0]), f2_xy=np.array([-9.0]), scale=8
-    )
-    assert fluctuation_functions(neg, 2.0).f_xy == pytest.approx(-9.0)
+    # x's two boxes have moments 2 and 8, each counted twice (T = 2s), so
+    # F_q is the mean of the per-box q/2 powers, not a power of their mean.
+    x = np.array([0.0, -2.0, 0.0, -4.0])
+    f = fluctuation_matrices(np.stack([x, -x]), 2, 0, [1.0, 2.0, 4.0])
+    assert f[2.0][0, 0] == pytest.approx(5.0)
+    assert f[4.0][0, 0] == pytest.approx(34.0)
+    assert f[1.0][0, 0] == pytest.approx(1.5 * np.sqrt(2.0))
+    for q in (1.0, 2.0, 4.0):
+        assert f[q][1, 1] == pytest.approx(f[q][0, 0])
+        assert f[q][0, 1] == pytest.approx(-f[q][0, 0])
 
 
 def test_self_and_anti_correlation_exact():
