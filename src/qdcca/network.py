@@ -52,11 +52,8 @@ class SpanningTree:
         return len(self.labels)
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n_nodes, dtype=np.int64)
-        for e in self.edges:
-            deg[e.i] += 1
-            deg[e.j] += 1
-        return deg
+        ends = np.array([(e.i, e.j) for e in self.edges], dtype=np.int64)
+        return np.bincount(ends.ravel(), minlength=self.n_nodes)
 
     def total_weight(self) -> float:
         return float(np.sum(np.sort([e.distance for e in self.edges])))
@@ -131,37 +128,31 @@ def minimum_spanning_tree(
     in_tree = np.zeros(n, dtype=bool)
     in_tree[0] = True
     best_weight = dist[0].copy()
+    best_weight[0] = np.inf  # a node in the tree is never picked again
     best_from = np.zeros(n, dtype=np.int64)
     edges = []
     for _ in range(n - 1):
-        best_key = None
-        best_node = -1
-        for v in range(n):
-            if in_tree[v]:
-                continue
-            u = int(best_from[v])
-            key = (best_weight[v], min(u, v), max(u, v))
-            if best_key is None or key < best_key:
-                best_key = key
-                best_node = v
-        u = int(best_from[best_node])
-        v = best_node
+        v = int(best_weight.argmin())
+        tied = np.nonzero(best_weight == best_weight[v])[0]
+        if tied.size > 1:
+            u = best_from[tied]
+            v = int(tied[np.lexsort((np.maximum(u, tied), np.minimum(u, tied)))[0]])
+        u = int(best_from[v])
         i, j = (u, v) if u < v else (v, u)
         edges.append(TreeEdge(i=i, j=j, distance=float(dist[i, j]), rho=float(rho[i, j])))
         in_tree[v] = True
-        improved = dist[v] < best_weight
+        best_weight[v] = np.inf
+        row = dist[v]
+        improved = (row < best_weight) & ~in_tree
         # Equal weights keep the incumbent only if its (min, max) key is
         # smaller; otherwise the new attachment wins the tie.
-        for w in np.nonzero(dist[v] == best_weight)[0]:
-            if in_tree[w]:
-                continue
-            old_u = int(best_from[w])
-            old_key = (min(old_u, w), max(old_u, w))
-            new_key = (min(v, int(w)), max(v, int(w)))
-            if new_key < old_key:
-                improved[w] = True
-        improved &= ~in_tree
-        best_weight[improved] = dist[v][improved]
+        w = np.nonzero(row == best_weight)[0]
+        if w.size:
+            old_u = best_from[w]
+            lo, old_lo = np.minimum(v, w), np.minimum(old_u, w)
+            hi, old_hi = np.maximum(v, w), np.maximum(old_u, w)
+            improved[w] = (lo < old_lo) | ((lo == old_lo) & (hi < old_hi))
+        best_weight[improved] = row[improved]
         best_from[improved] = v
     return SpanningTree(labels=d.labels, edges=tuple(edges))
 
@@ -204,46 +195,68 @@ def powerlaw_fit(dd: DegreeDistribution) -> tuple[float, float]:
     return float(abs(slope)), stderr
 
 
+def _runs(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run index and position of every element of the concatenated runs
+    first[r], first[r] + 1, ..., first[r] + count[r] - 1."""
+    run = np.repeat(np.arange(count.size), count)
+    return run, np.arange(run.size) + np.repeat(first - np.cumsum(count) + count, count)
+
+
 def mean_path_length(tree: SpanningTree, weighted: bool = False) -> float:
     """Average path length over unordered node pairs.
 
     Path length is the hop count of the unique tree path; with
-    ``weighted`` the edge distances are summed instead.
+    ``weighted`` the edge distances are summed instead.  Raises
+    ShapeMismatchError when the edges contain a cycle.
     """
     n = tree.n_nodes
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for e in tree.edges:
-        w = e.distance if weighted else 1.0
-        adj[e.i].append((e.j, w))
-        adj[e.j].append((e.i, w))
-    total = 0.0
-    for src in range(n):
-        # BFS from src; a tree has a unique path to every node.
-        seen = np.zeros(n, dtype=bool)
-        seen[src] = True
-        frontier = [(src, 0.0)]
-        while frontier:
-            nxt = []
-            for node, acc in frontier:
-                for nbr, w in adj[node]:
-                    if not seen[nbr]:
-                        seen[nbr] = True
-                        if nbr > src:
-                            total += acc + w
-                        nxt.append((nbr, acc + w))
-            frontier = nxt
-    return total / (n * (n - 1) / 2)
+    ends = np.array([(e.i, e.j) for e in tree.edges], dtype=np.int64).reshape(-1, 2)
+    lengths = np.repeat([e.distance if weighted else 1.0 for e in tree.edges], 2)
+    # Arc 2k runs along edge k from i to j, arc 2k + 1 back; each node's
+    # outgoing arcs stay in edge-insertion order.
+    heads, tails = ends.ravel(), ends[:, ::-1].ravel()
+    out = np.argsort(heads, kind="stable")
+    degree = np.bincount(heads, minlength=n)
+    out_start = np.cumsum(degree) - degree
+    # A search that arrives over arc a -> b leaves over b's other arcs.
+    arc, slot = _runs(out_start[tails], degree[tails])
+    succ = out[slot]
+    onward = succ != arc ^ 1
+    succ = succ[onward]
+    succ_count = np.bincount(arc[onward], minlength=heads.size)
+    succ_start = np.cumsum(succ_count) - succ_count
+    # One breadth-first search from every source at once, level by level.
+    # Each level's rows stay sorted by (source, discovery order), so a
+    # stable sort on the source restores the order in which a per-source
+    # search meets the pairs, and the cumulative sum is that left fold.
+    arcs = out
+    src = heads[arcs]
+    acc = 0.0 + lengths[arcs]
+    budget = n * (n - 1)  # a forest meets each (source, node) pair once
+    # The fold starts from 0.0 like a running total; source -1 sorts first.
+    found_src, found_len = [np.array([-1])], [np.zeros(1)]
+    while arcs.size:
+        farther = tails[arcs] > src
+        found_src.append(src[farther])
+        found_len.append(acc[farther])
+        count = succ_count[arcs]
+        budget -= count.sum()
+        if budget < 0:
+            raise ShapeMismatchError("tree edges contain a cycle")
+        row, slot = _runs(succ_start[arcs], count)
+        arcs = succ[slot]
+        src = src[row]
+        acc = acc[row] + lengths[arcs]
+    found = np.concatenate(found_len)[np.argsort(np.concatenate(found_src), kind="stable")]
+    return float(np.cumsum(found)[-1]) / (n * (n - 1) / 2)
 
 
 def _aggregate(weights: np.ndarray, membership: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    ids = np.unique(membership)
-    remap = {c: k for k, c in enumerate(ids)}
-    comm = np.array([remap[c] for c in membership])
+    # bincount adds in index order, the row-major (a, b) order of a loop.
+    ids, comm = np.unique(membership, return_inverse=True)
     k = ids.size
-    agg = np.zeros((k, k))
-    for a in range(weights.shape[0]):
-        for b in range(weights.shape[0]):
-            agg[comm[a], comm[b]] += weights[a, b]
+    cell = (comm[:, None] * k + comm[None, :]).ravel()
+    agg = np.bincount(cell, weights=weights.ravel(), minlength=k * k).reshape(k, k)
     return agg, comm
 
 
@@ -263,10 +276,10 @@ def _local_phase(weights: np.ndarray, two_m: float, resolution: float, rng) -> n
         for u in range(n):
             cu = int(membership[u])
             comm_total[cu] -= strength[u]
-            links = np.zeros(n)
-            for v in range(n):
-                if v != u and weights[u, v] != 0.0:
-                    links[membership[v]] += weights[u, v]
+            # Summed in node order; zero weights add +0.0 and change nothing.
+            row = weights[u].copy()
+            row[u] = 0.0
+            links = np.bincount(membership, weights=row, minlength=n)
             candidates = np.nonzero(links > 0.0)[0]
             gains = links[candidates] - resolution * strength[u] * comm_total[candidates] / two_m
             stay = links[cu] - resolution * strength[u] * comm_total[cu] / two_m
@@ -318,15 +331,12 @@ def louvain(
         history.append(modularity(weights, membership, resolution))
         if no_moves or level_weights.shape[0] == 1:
             break
-    ids: list[int] = []
-    for m in membership:
-        if m not in ids:
-            ids.append(int(m))
-    remap = {cid: k for k, cid in enumerate(ids)}
-    final = {lab: remap[int(membership[i])] for i, lab in enumerate(c.labels)}
+    # Community ids 0..k-1 in order of first appearance.
+    _, first, inverse = np.unique(membership, return_index=True, return_inverse=True)
+    final = np.argsort(np.argsort(first))[inverse]
     return Partition(
-        communities=final,
-        modularity=modularity(weights, membership, resolution),
+        communities=dict(zip(c.labels, final.tolist())),
+        modularity=history[-1],
         phase_modularity=tuple(history),
     )
 
@@ -362,7 +372,5 @@ def cluster_track(
         raise ShapeMismatchError(f"unknown anchor label {anchor!r}")
     raster = np.zeros((len(partitions), len(labels)), dtype=bool)
     for w, p in enumerate(partitions):
-        home = p.communities[anchor]
-        for j, lab in enumerate(labels):
-            raster[w, j] = p.communities[lab] == home
+        raster[w] = np.array([p.communities[lab] for lab in labels]) == p.communities[anchor]
     return labels, raster

@@ -2,7 +2,9 @@
 
 Everything here is written as a direct, slow transcription of the defining
 formulas (explicit per-box loops, np.polyfit, exhaustive enumeration) and
-shares no code with the package under test.
+shares no code with the package under test.  The ``*_loop`` references are
+the network layer's original per-node loops, kept literally: the array
+forms in the package add in the same order, so they must agree bit for bit.
 """
 
 import itertools
@@ -151,3 +153,163 @@ def all_pairs_hops(n, edges):
     for k in range(n):
         dist = np.minimum(dist, dist[:, k : k + 1] + dist[k : k + 1, :])
     return dist
+
+
+def prim_mst_loop(dist, rho):
+    """Prim's algorithm, one Python comparison per candidate node: the
+    (weight, min node, max node) key decides, ties included.  Returns the
+    edges (i, j, distance, rho) in the order they join the tree."""
+    n = dist.shape[0]
+    in_tree = np.zeros(n, dtype=bool)
+    in_tree[0] = True
+    best_weight = dist[0].copy()
+    best_from = np.zeros(n, dtype=np.int64)
+    edges = []
+    for _ in range(n - 1):
+        best_key = None
+        best_node = -1
+        for v in range(n):
+            if in_tree[v]:
+                continue
+            u = int(best_from[v])
+            key = (best_weight[v], min(u, v), max(u, v))
+            if best_key is None or key < best_key:
+                best_key = key
+                best_node = v
+        u = int(best_from[best_node])
+        v = best_node
+        i, j = (u, v) if u < v else (v, u)
+        edges.append((i, j, float(dist[i, j]), float(rho[i, j])))
+        in_tree[v] = True
+        improved = dist[v] < best_weight
+        for w in np.nonzero(dist[v] == best_weight)[0]:
+            if in_tree[w]:
+                continue
+            old_u = int(best_from[w])
+            old_key = (min(old_u, w), max(old_u, w))
+            new_key = (min(v, int(w)), max(v, int(w)))
+            if new_key < old_key:
+                improved[w] = True
+        improved &= ~in_tree
+        best_weight[improved] = dist[v][improved]
+        best_from[improved] = v
+    return edges
+
+
+def mean_path_length_loop(n, edges, weighted=False):
+    """Mean tree path length by one BFS per source; ``edges`` holds
+    (i, j, distance) and contributions are added source by source, level
+    by level, in discovery order."""
+    adj = [[] for _ in range(n)]
+    for i, j, distance in edges:
+        w = distance if weighted else 1.0
+        adj[i].append((j, w))
+        adj[j].append((i, w))
+    total = 0.0
+    for src in range(n):
+        seen = np.zeros(n, dtype=bool)
+        seen[src] = True
+        frontier = [(src, 0.0)]
+        while frontier:
+            nxt = []
+            for node, acc in frontier:
+                for nbr, w in adj[node]:
+                    if not seen[nbr]:
+                        seen[nbr] = True
+                        if nbr > src:
+                            total += acc + w
+                        nxt.append((nbr, acc + w))
+            frontier = nxt
+    return total / (n * (n - 1) / 2)
+
+
+def _modularity_by_community(w, member, resolution):
+    two_m = w.sum()
+    if two_m == 0.0:
+        return 0.0
+    strength = w.sum(axis=1)
+    q = 0.0
+    for cid in np.unique(member):
+        mask = member == cid
+        q += w[np.ix_(mask, mask)].sum() / two_m
+        q -= resolution * (strength[mask].sum() / two_m) ** 2
+    return float(q)
+
+
+def aggregate_loop(weights, membership):
+    ids = np.unique(membership)
+    remap = {c: k for k, c in enumerate(ids)}
+    comm = np.array([remap[c] for c in membership])
+    k = ids.size
+    agg = np.zeros((k, k))
+    for a in range(weights.shape[0]):
+        for b in range(weights.shape[0]):
+            agg[comm[a], comm[b]] += weights[a, b]
+    return agg, comm
+
+
+def local_phase_loop(weights, two_m, resolution, rng):
+    n = weights.shape[0]
+    membership = np.arange(n)
+    strength = weights.sum(axis=1)
+    comm_total = strength.copy()
+    moved = True
+    while moved:
+        moved = False
+        for u in range(n):
+            cu = int(membership[u])
+            comm_total[cu] -= strength[u]
+            links = np.zeros(n)
+            for v in range(n):
+                if v != u and weights[u, v] != 0.0:
+                    links[membership[v]] += weights[u, v]
+            candidates = np.nonzero(links > 0.0)[0]
+            gains = links[candidates] - resolution * strength[u] * comm_total[candidates] / two_m
+            stay = links[cu] - resolution * strength[u] * comm_total[cu] / two_m
+            better = gains > stay + 1e-12
+            if not np.any(better):
+                comm_total[cu] += strength[u]
+                continue
+            top = gains[better].max()
+            tied = candidates[better][gains[better] >= top - 1e-12]
+            target = int(tied[0]) if tied.size == 1 else int(rng.choice(np.sort(tied)))
+            comm_total[target] += strength[u]
+            membership[u] = target
+            moved = True
+    return membership
+
+
+def louvain_loop(rho, resolution=1.0, seed=0):
+    """Two-phase greedy modularity search on max(rho, 0), with a Python
+    loop per node pair in the move and aggregation phases.  Returns the
+    community id of each node (ids 0..k-1 in first-appearance order), the
+    final modularity and the modularity after each level."""
+    n = rho.shape[0]
+    weights = np.maximum(rho, 0.0).astype(np.float64)
+    np.fill_diagonal(weights, 0.0)
+    two_m = weights.sum()
+    if two_m == 0.0:
+        return list(range(n)), 0.0, ()
+    rng = np.random.default_rng(seed)
+    membership = np.arange(n)
+    level_weights = weights
+    history = [_modularity_by_community(weights, membership, resolution)]
+    while True:
+        local = local_phase_loop(level_weights, two_m, resolution, rng)
+        n_groups = np.unique(local).size
+        no_moves = n_groups == level_weights.shape[0]
+        level_weights, compact = aggregate_loop(level_weights, local)
+        membership = compact[membership]
+        history.append(_modularity_by_community(weights, membership, resolution))
+        if no_moves or level_weights.shape[0] == 1:
+            break
+    ids = []
+    for m in membership:
+        if m not in ids:
+            ids.append(int(m))
+    remap = {cid: k for k, cid in enumerate(ids)}
+    return (
+        [remap[int(m)] for m in membership],
+        _modularity_by_community(weights, membership, resolution),
+        tuple(history),
+    )

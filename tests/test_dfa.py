@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,8 @@ from qdcca.errors import (
 )
 
 from oracles import box_index_ranges, rho_q_literal
+
+import qdcca
 
 
 def test_config_rejects_bad_parameters():
@@ -346,3 +352,34 @@ def test_cross_rows_match_full_matrix_bitwise():
             assert np.array_equal(f_cols, f_cross[:, idx])
             assert np.array_equal(p_head, f_head)
             assert np.array_equal(p_tail, f_tail)
+
+
+_RESIDUAL_DIGEST = """
+import hashlib
+import numpy as np
+from qdcca.dfa import _box_profiles, _detrended_residuals
+values = np.random.default_rng(0).standard_normal((80, 6001))
+for s in (60, 180):
+    r = _detrended_residuals(_box_profiles(values, s), s, 2)
+    print(s, hashlib.sha1(r.tobytes()).hexdigest())
+"""
+
+
+def _residual_digests(blas_threads):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
+               OMP_NUM_THREADS=str(blas_threads),
+               PYTHONPATH=str(Path(qdcca.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", _RESIDUAL_DIGEST], env=env,
+                         capture_output=True, text=True, check=True, timeout=300).stdout
+    return dict(line.split() for line in out.splitlines())
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores for two BLAS threads")
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "known defect: _detrended_residuals (profiles @ _residual_projector) gives "
+    "other bits at 2 BLAS threads than at 1 for N = 80, T = 6001, s = 180 "
+    "(s = 60 matches), so outputs at that scale depend on OPENBLAS_NUM_THREADS"))
+def test_residuals_do_not_depend_on_blas_threads():
+    one, two = _residual_digests(1), _residual_digests(2)
+    assert one["60"] == two["60"]
+    assert one["180"] == two["180"]

@@ -1,8 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
 from qdcca.errors import InsufficientSupportError, ShapeMismatchError
 from qdcca.network import (
+    _aggregate,
+    _local_phase,
     DegreeDistribution,
     DistanceMatrix,
     Partition,
@@ -19,7 +23,16 @@ from qdcca.network import (
 )
 from qdcca.spectra import DetrendedCorrelationMatrix
 
-from oracles import all_pairs_hops, best_partition_exhaustive, brute_force_mst
+from oracles import (
+    aggregate_loop,
+    all_pairs_hops,
+    best_partition_exhaustive,
+    brute_force_mst,
+    local_phase_loop,
+    louvain_loop,
+    mean_path_length_loop,
+    prim_mst_loop,
+)
 
 
 def _corr(mat, labels=None):
@@ -48,6 +61,107 @@ def _random_symmetric(rng, n):
     mat = (mat + mat.T) / 2
     np.fill_diagonal(mat, 0.0)
     return mat
+
+
+def _random_correlation(rng, n, rounded):
+    # Factor-model sample correlations; rounding to one decimal forces
+    # weight ties, exact zeros and -0.0 entries.
+    k = int(rng.integers(1, 4))
+    loadings = rng.standard_normal((n, k)) * rng.uniform(0.0, 1.5, k)
+    x = loadings @ rng.standard_normal((k, 120)) + rng.standard_normal((n, 120))
+    rho = np.corrcoef(x)
+    rho = (rho + rho.T) / 2
+    if rounded:
+        rho = np.round(rho, 1)
+    np.fill_diagonal(rho, 1.0)
+    return rho
+
+
+def _bits(values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def test_network_layer_matches_loop_references_bitwise():
+    rng = np.random.default_rng(2024)
+    sizes = [2, 3, 90] + rng.integers(2, 91, size=37).tolist()
+    for case, n in enumerate(sizes):
+        rho = _random_correlation(rng, n, rounded=case % 2 == 1)
+        c = _corr(rho)
+        d = distance_matrix(c)
+        tree = minimum_spanning_tree(d, rho=c.values)
+        expected = prim_mst_loop(d.values, c.values)
+        got = [(e.i, e.j, e.distance, e.rho) for e in tree.edges]
+        assert [e[:2] for e in got] == [e[:2] for e in expected]
+        assert _bits([x for e in got for x in e[2:]]) == _bits(
+            [x for e in expected for x in e[2:]]
+        )
+        loop_edges = [(i, j, dist) for i, j, dist, _ in expected]
+        for weighted in (False, True):
+            assert _bits([mean_path_length(tree, weighted=weighted)]) == _bits(
+                [mean_path_length_loop(n, loop_edges, weighted)]
+            )
+        resolution = (1.0, 0.5, 1.5)[case % 3]
+        part = louvain(c, resolution=resolution, seed=case)
+        members, q, history = louvain_loop(rho, resolution, seed=case)
+        assert [part.communities[lab] for lab in c.labels] == members
+        assert _bits([part.modularity]) == _bits([q])
+        assert _bits(part.phase_modularity) == _bits(history)
+
+
+def test_louvain_phases_match_loop_references_bitwise():
+    # Weights over twelve decades make every change of summation order
+    # visible in the aggregated matrix.
+    rng = np.random.default_rng(77)
+    for case in range(40):
+        n = int(rng.integers(2, 60))
+        weights = rng.uniform(0.0, 1.0, (n, n)) * 10.0 ** rng.uniform(-6, 6, (n, n))
+        weights[rng.uniform(size=(n, n)) < 0.3] = 0.0
+        np.fill_diagonal(weights, 0.0)
+        membership = rng.integers(0, max(1, n // 3), n)
+        agg, comm = _aggregate(weights, membership)
+        ref_agg, ref_comm = aggregate_loop(weights, membership)
+        assert agg.tobytes() == ref_agg.tobytes()
+        assert np.array_equal(comm, ref_comm)
+        sym = np.round((weights + weights.T) / 2e6, case % 3)
+        gen, ref_gen = np.random.default_rng(case), np.random.default_rng(case)
+        two_m = sym.sum()
+        if two_m > 0.0:
+            got = _local_phase(sym, two_m, 1.0, gen)
+            assert np.array_equal(got, local_phase_loop(sym, two_m, 1.0, ref_gen))
+            assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+
+def test_mean_path_length_matches_loop_on_forests():
+    # Edges in random order and orientation, and nodes left unattached:
+    # the per-source loop adds the same terms in the same order.
+    rng = np.random.default_rng(31)
+    for _ in range(60):
+        n = int(rng.integers(2, 40))
+        # Each node after the first in a random order joins an earlier one.
+        order = rng.permutation(n)
+        edges = [
+            (int(order[rng.integers(0, k)]), int(order[k]), float(rng.uniform(0.0, 2.0)))
+            for k in range(1, n)
+            if rng.uniform() < 0.9
+        ]
+        edges = [edges[k] for k in rng.permutation(len(edges))]
+        edges = [(b, a, w) if rng.uniform() < 0.5 else (a, b, w) for a, b, w in edges]
+        tree = SpanningTree(
+            labels=tuple(f"A{i}" for i in range(n)),
+            edges=tuple(TreeEdge(i=a, j=b, distance=w, rho=0.0) for a, b, w in edges),
+        )
+        for weighted in (False, True):
+            assert _bits([mean_path_length(tree, weighted=weighted)]) == _bits(
+                [mean_path_length_loop(n, edges, weighted)]
+            )
+
+
+@pytest.mark.parametrize(
+    "pairs", [[(0, 1), (1, 2), (2, 0)], [(0, 1), (1, 0)], [(0, 1), (2, 2)]]
+)
+def test_mean_path_length_rejects_cycles(pairs):
+    with pytest.raises(ShapeMismatchError):
+        mean_path_length(_tree(4, pairs))
 
 
 def test_distance_reference_points():

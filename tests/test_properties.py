@@ -1,11 +1,22 @@
-"""Property-based checks of the estimator kernel over small random inputs."""
+"""Property-based checks of the estimator kernel and the network layer over
+small random inputs."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qdcca.dfa import cross_fluctuation_matrices, fluctuation_matrices
-from qdcca.spectra import correlation_matrices
+from qdcca.network import (
+    DistanceMatrix,
+    SpanningTree,
+    TreeEdge,
+    louvain,
+    mean_path_length,
+    minimum_spanning_tree,
+)
+from qdcca.spectra import DetrendedCorrelationMatrix, correlation_matrices
+
+from oracles import all_pairs_hops, brute_force_mst, prufer_tree_edges
 
 _Q = st.sampled_from([0.5, 1.0, 2.0, 3.0, 4.0])
 
@@ -69,3 +80,110 @@ def test_self_and_cross_entry_points_agree(stack, q_values):
         assert np.all(np.abs(f_cross - f) <= bound)
         assert np.all(np.abs(f_head - diag) <= 1e-12 * diag)
         assert np.all(np.abs(f_tail - diag) <= 1e-12 * diag)
+
+
+@st.composite
+def _distances(draw, max_n):
+    """Symmetric zero-diagonal distances in [0, 2]; rounded to one decimal
+    about half the time, so that equal weights occur."""
+    n = draw(st.integers(2, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mat = rng.uniform(0.0, 2.0, (n, n))
+    mat = (mat + mat.T) / 2
+    if draw(st.booleans()):
+        mat = np.round(mat, 1)
+    np.fill_diagonal(mat, 0.0)
+    return mat
+
+
+def _mst(mat):
+    labels = tuple(f"A{i}" for i in range(mat.shape[0]))
+    return minimum_spanning_tree(DistanceMatrix(values=mat, labels=labels, q=1.0, scale=10))
+
+
+def _distinct_weights(mat):
+    upper = mat[np.triu_indices(mat.shape[0], 1)]
+    return np.unique(upper).size == upper.size
+
+
+@settings(max_examples=150, deadline=None)
+@given(_distances(7))
+def test_prim_matches_exhaustive_mst(mat):
+    # Every minimum spanning tree has the same sorted weights; the edge set
+    # is unique when the weights are distinct.
+    tree = _mst(mat)
+    weight, edges = brute_force_mst(mat)
+    assert tree.total_weight() == weight
+    if _distinct_weights(mat):
+        assert {(e.i, e.j) for e in tree.edges} == edges
+
+
+@settings(max_examples=100, deadline=None)
+@given(_distances(40), st.integers(0, 2**32 - 1))
+def test_prim_tree_is_invariant_under_increasing_reweighting(mat, seed):
+    # A strictly increasing map of the distinct values keeps every
+    # comparison Prim makes, ties included.
+    values, rank = np.unique(mat, return_inverse=True)
+    steps = np.random.default_rng(seed).uniform(0.01, 5.0, values.size)
+    reweighted = np.cumsum(steps)[rank.reshape(mat.shape)]
+    np.fill_diagonal(reweighted, 0.0)
+    before = [(e.i, e.j) for e in _mst(mat).edges]
+    assert [(e.i, e.j) for e in _mst(reweighted).edges] == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(_distances(40), st.randoms(use_true_random=False))
+def test_prim_tree_follows_relabelling(mat, random):
+    assume(_distinct_weights(mat))
+    perm = list(range(mat.shape[0]))
+    random.shuffle(perm)
+    relabelled = _mst(mat[np.ix_(perm, perm)])
+    mapped = {tuple(sorted((perm[e.i], perm[e.j]))) for e in relabelled.edges}
+    assert mapped == {(e.i, e.j) for e in _mst(mat).edges}
+
+
+@st.composite
+def _correlations(draw):
+    n = draw(st.integers(2, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rho = rng.uniform(-0.3, 1.0, (n, n))
+    rho = (rho + rho.T) / 2
+    if draw(st.booleans()):
+        rho = np.round(rho, 1)
+    np.fill_diagonal(rho, 1.0)
+    labels = tuple(f"A{i}" for i in range(n))
+    return DetrendedCorrelationMatrix(values=rho, labels=labels, q=2.0, scale=10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_correlations(), st.integers(0, 2**32 - 1), st.sampled_from([0.5, 1.0, 2.0]))
+def test_louvain_partition_is_an_exact_cover(c, seed, resolution):
+    part = louvain(c, resolution=resolution, seed=seed)
+    assert list(part.communities) == list(c.labels)
+    ids = [part.communities[lab] for lab in c.labels]
+    assert all(type(cid) is int for cid in ids)
+    # ids are 0..k-1, numbered in order of first appearance
+    assert list(dict.fromkeys(ids)) == list(range(len(set(ids))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_correlations(), st.integers(0, 2**32 - 1))
+def test_louvain_is_reproducible_per_seed(c, seed):
+    first = louvain(c, seed=seed)
+    again = louvain(c, seed=seed)
+    assert again.communities == first.communities
+    assert again.modularity == first.modularity
+    assert again.phase_modularity == first.phase_modularity
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 30), st.integers(0, 2**32 - 1))
+def test_mean_path_length_is_mean_pairwise_hops(n, seed):
+    rng = np.random.default_rng(seed)
+    pairs = prufer_tree_edges(rng.integers(0, n, n - 2).tolist(), n)
+    tree = SpanningTree(
+        labels=tuple(f"A{i}" for i in range(n)),
+        edges=tuple(TreeEdge(i=i, j=j, distance=1.0, rho=0.0) for i, j in pairs),
+    )
+    hops = all_pairs_hops(n, pairs)
+    assert mean_path_length(tree) == hops[np.triu_indices(n, 1)].mean()
