@@ -18,28 +18,28 @@ Implementation notes
   only callers; both stay public under these names because `spectra` and
   `pipeline` call them, and the benchmark's spans (`bench/spans.py`) look
   them up as module attributes there.
-* Detrending is a single projection: the residual projector for abscissa
-  1..s is built once per (s, m) from a QR factorization and applied to all
-  boxes of all series with one matmul, so assembling an N x N coefficient
-  matrix costs one batched Gram product per scale instead of N(N-1)/2
-  independent fits.
-* The box mean is subtracted from the residuals again before the moments
-  are formed, even though the fitted polynomial already contains a
-  constant term.  The extra pass costs nothing and keeps the local
-  moments exactly as defined.
+* Detrending is a low-rank projection: an (s, m+1) orthonormal basis Q of
+  the polynomials on abscissa 1..s is built once per (s, m) by QR, and the
+  residuals of every box of every series are P - (P Q) Q^T, two thin
+  batched products.  Q holds the constant column, so the residuals have
+  zero box mean and no separate demean pass is made.  Assembling an N x N
+  coefficient matrix then costs one batched Gram product per scale instead
+  of N(N-1)/2 independent fits.
 * All reductions run in a fixed order (boxes in partition order, chunks
-  of `_BOX_CHUNK`), so results are bit-identical across runs and across
-  any outer parallelism.
+  of `_BOX_CHUNK`), so results are bit-identical across runs, across any
+  outer parallelism and across BLAS thread counts.  The thread count is
+  checked on a whole run (`tests/test_dfa.py`, 1 against 2 OpenBLAS
+  threads).  Keep the detrending low-rank: an s x s projector product
+  fails that check at s = 180.
 * The signed power sign(g) * |g|**(q/2) is specialized: q = 2 passes the
   Gram through, q = 4 is |g| * g and any other q is
   copysign(|g|**(q/2), g).  Multiplying by a sign is exact, so each form
   gives the same bits as the general formula except that a -0.0 input
   stays -0.0; the box sums start at +0.0, so no sum or output changes.
-* The lagged pass reads only the anchor rows and columns of the head/tail
-  cross fluctuations.  With ``rows`` set, `_gram_power` still forms the
-  full per-box Gram (a rows-only product lets BLAS pick a different
-  accumulation kernel and moves the last bit), but raises only the anchor
-  rows and columns to q/2 and sums only those over boxes.
+* The lagged pass needs only the anchor rows and columns of the head/tail
+  cross fluctuations, so it multiplies the A anchor rows of one stack
+  against all N series of the other, (B, A, s) @ (B, s, N), once each
+  way; the full N x N cross Gram is never formed.
 * q must be positive.  q = 2 is the classic DCCA coefficient and is
   bounded by 1 in magnitude; for other q the raw ratio is returned and a
   CorrelationBoundWarning is emitted when it leaves [-1, 1].
@@ -68,8 +68,8 @@ from .errors import (
 _BOX_CHUNK = 512
 
 # A series whose detrended residual energy falls below this fraction of its
-# raw profile energy is treated as having zero detrended variance: the
-# projector leaves ~1e-16-relative dust on exactly-fitting inputs (constant
+# raw profile energy is treated as having zero detrended variance: the fit
+# leaves ~1e-16-relative dust on exactly-fitting inputs (constant
 # returns, exact polynomials), which must surface as an error rather than a
 # coefficient made of rounding noise.
 _VARIANCE_FLOOR = 1e-24
@@ -118,15 +118,13 @@ def box_starts(n_samples: int, scale: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _residual_projector(scale: int, poly_order: int) -> np.ndarray:
-    # I - Q Q^T with Q an orthonormal basis of the Vandermonde columns on
-    # abscissa 1..s; applying it removes the best-fitting polynomial.
+def _fit_basis(scale: int, poly_order: int) -> np.ndarray:
+    # (s, m+1) orthonormal basis of the Vandermonde columns on abscissa
+    # 1..s; P - (P Q) Q^T removes the best-fitting polynomial from P.
     i = np.arange(1.0, scale + 1.0)
-    vand = np.vander(i, poly_order + 1, increasing=True)
-    q_basis, _ = np.linalg.qr(vand)
-    proj = np.eye(scale) - q_basis @ q_basis.T
-    proj.setflags(write=False)
-    return proj
+    q_basis, _ = np.linalg.qr(np.vander(i, poly_order + 1, increasing=True))
+    q_basis.setflags(write=False)
+    return q_basis
 
 
 def _check_scale(n_samples: int, cfg: DetrendConfig):
@@ -145,11 +143,12 @@ def _box_profiles(values: np.ndarray, scale: int) -> np.ndarray:
 
 
 def _detrended_residuals(profiles: np.ndarray, scale: int, poly_order: int) -> np.ndarray:
-    # Gram-product kernel input: detrended ``profiles`` with the box mean
-    # already removed (demeaning commutes with the moment sums and keeps the
-    # matmul simple).
-    resid = profiles @ _residual_projector(scale, poly_order)
-    resid -= resid.mean(axis=-1, keepdims=True)
+    # Gram-product kernel input: ``profiles`` minus their projection onto
+    # the fit basis.  The basis holds the constant column, so the residuals
+    # of every box already have zero mean.
+    q_basis = _fit_basis(scale, poly_order)
+    resid = (profiles @ q_basis) @ q_basis.T
+    np.subtract(profiles, resid, out=resid)
     return resid
 
 
@@ -167,29 +166,24 @@ def _signed_power(values: np.ndarray, q: float) -> np.ndarray:
     return np.copysign(out, values, out=out)
 
 
-def _gram_power(ra: np.ndarray, rb: np.ndarray, q_list, rows=None) -> dict[float, list]:
+def _gram_power(ra: np.ndarray, rb: np.ndarray, q_list) -> dict[float, np.ndarray]:
     """Box means of the signed q/2 powers of the per-box Grams ra_b @ rb_b^T.
 
-    ``ra`` and ``rb`` are (N, B, s) detrended, box-demeaned residual stacks.
-    Each q maps to [F] with F (N x N), or with ``rows`` (A series indices)
-    to [F[rows, :], F[:, rows]], bit for bit; the rest of F is never summed.
-    Pass the same array twice for a stack against itself: both operands then
-    share one buffer, which lets BLAS use its symmetric A @ A^T product.
+    ``ra`` (A, B, s) and ``rb`` (N, B, s) are detrended residual stacks;
+    each q maps to an (A, N) matrix.  Pass the same array twice for a stack
+    against itself: both operands then share one buffer, which lets BLAS use
+    its symmetric A @ A^T product.
     """
     n_boxes = ra.shape[1]
     a = np.ascontiguousarray(ra.transpose(1, 0, 2))
     b = a if rb is ra else np.ascontiguousarray(rb.transpose(1, 0, 2))
-    if rows is not None:
-        rows = np.asarray(rows, dtype=np.intp)
     # Sums start at +0.0, like np.zeros, so a -0.0 power never survives.
-    acc = {q: [0.0] if rows is None else [0.0, 0.0] for q in q_list}
+    acc = dict.fromkeys(q_list, 0.0)
     for lo in range(0, n_boxes, _BOX_CHUNK):
         gram = a[lo : lo + _BOX_CHUNK] @ b[lo : lo + _BOX_CHUNK].transpose(0, 2, 1)
-        parts = (gram,) if rows is None else (gram[:, rows, :], gram[:, :, rows])
         for q in q_list:
-            for i, part in enumerate(parts):
-                acc[q][i] += _signed_power(part, q).sum(axis=0)
-    return {q: [total / n_boxes for total in acc[q]] for q in q_list}
+            acc[q] += _signed_power(gram, q).sum(axis=0)
+    return {q: total / n_boxes for q, total in acc.items()}
 
 
 def fluctuation_matrices(
@@ -220,7 +214,7 @@ def fluctuation_matrices(
     resid = _detrended_residuals(profiles, scale, poly_order)
     _check_residual_energy(profiles, resid, scale, labels)
     del profiles  # the kernel reads only resid; free it before its copy
-    return {q: f for q, (f,) in _gram_power(resid, resid, q_list).items()}
+    return _gram_power(resid, resid, q_list)
 
 
 def _check_residual_energy(profiles, resid, scale, labels):
@@ -243,19 +237,17 @@ def cross_fluctuation_matrices(
     scale: int,
     poly_order: int,
     q_values,
-    rows=None,
+    rows,
 ) -> dict[float, tuple[np.ndarray, ...]]:
-    """Fluctuations of every ``head`` series against every ``tail`` series.
+    """Fluctuations of the ``rows`` series against every series, both ways.
 
     ``head`` and ``tail`` are (N, T) stacks on the same sample grid (in the
-    lagged setting: the same series truncated at opposite ends).  For each q
-    returns (f_cross, f_head, f_tail): f_cross[i, j] pairs head series i with
-    tail series j; f_head/f_tail are the per-series normalizers.
-
-    With ``rows`` (a sequence of A series indices) each q instead maps to
-    (f_rows, f_cols, f_head, f_tail), where f_rows is f_cross[rows, :]
-    (A x N) and f_cols is f_cross[:, rows] (N x A), bit for bit; the rest
-    of f_cross is never summed.
+    lagged setting: the same series truncated at opposite ends) and ``rows``
+    is a sequence of A series indices.  With f_cross[i, j] the fluctuation
+    of head series i against tail series j, each q maps to
+    (f_rows, f_cols, f_head, f_tail): f_rows is f_cross[rows, :] (A x N),
+    f_cols is f_cross[:, rows] (N x A) and f_head/f_tail are the per-series
+    normalizers.  The rest of f_cross is never formed.
     """
     if head.shape != tail.shape:
         raise ShapeMismatchError(
@@ -268,16 +260,20 @@ def cross_fluctuation_matrices(
         )
         for v in (head, tail)
     )
+    rows = np.asarray(rows, dtype=np.intp)
+    q_list = [float(q) for q in q_values]
+    f_rows = _gram_power(rh[rows], rt, q_list)
+    f_cols = _gram_power(rt[rows], rh, q_list)
     diag_head = np.einsum("nbs,nbs->bn", rh, rh)
     diag_tail = np.einsum("nbs,nbs->bn", rt, rt)
-    cross = _gram_power(rh, rt, [float(q) for q in q_values], rows)
     return {
         q: (
-            *parts,
+            f_rows[q],
+            f_cols[q].T,
             _signed_power(diag_head, q).mean(axis=0),
             _signed_power(diag_tail, q).mean(axis=0),
         )
-        for q, parts in cross.items()
+        for q in q_list
     }
 
 

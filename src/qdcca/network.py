@@ -55,9 +55,6 @@ class SpanningTree:
         ends = np.array([(e.i, e.j) for e in self.edges], dtype=np.int64)
         return np.bincount(ends.ravel(), minlength=self.n_nodes)
 
-    def total_weight(self) -> float:
-        return float(np.sum(np.sort([e.distance for e in self.edges])))
-
 
 @dataclass(frozen=True)
 class DegreeDistribution:
@@ -71,9 +68,6 @@ class DegreeDistribution:
     survival: np.ndarray
     node_degrees: np.ndarray
 
-    def survival_at(self, k: int) -> float:
-        return float(np.mean(self.node_degrees >= k))
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -81,13 +75,6 @@ class Partition:
     modularity: float
     degenerate: bool = False          # all-zero weights: one community per node
     phase_modularity: tuple[float, ...] = field(default_factory=tuple)
-
-    def members(self, community: int) -> list[str]:
-        return [n for n, c in self.communities.items() if c == community]
-
-    @property
-    def n_communities(self) -> int:
-        return len(set(self.communities.values()))
 
 
 def distance_matrix(c: DetrendedCorrelationMatrix) -> DistanceMatrix:

@@ -196,7 +196,9 @@ def residual_returns(returns, z1) -> ResidualReturns:
         )
     z_mean = z.mean()
     zc = z - z_mean
-    var = zc @ zc
+    # Not zc @ zc: OpenBLAS splits a long dot product across its threads,
+    # so its last bits would follow the BLAS thread count.
+    var = np.einsum("t,t->", zc, zc)
     if var == 0.0:
         raise ZeroVarianceError("eigensignal is constant; fit undefined")
     row_means = values.mean(axis=1)

@@ -313,3 +313,19 @@ def louvain_loop(rho, resolution=1.0, seed=0):
         _modularity_by_community(weights, membership, resolution),
         tuple(history),
     )
+
+
+def tree_weight(tree):
+    """Total distance of a spanning tree's edges, summed in sorted order
+    (the same arithmetic as `brute_force_mst`'s weight)."""
+    return float(np.sum(np.sort([e.distance for e in tree.edges])))
+
+
+def survival_at(distribution, k):
+    """Empirical P(degree >= k) of a degree distribution's nodes."""
+    return float(np.mean(distribution.node_degrees >= k))
+
+
+def n_communities(partition):
+    """Number of distinct community ids in a partition."""
+    return len(set(partition.communities.values()))

@@ -16,7 +16,7 @@ from qdcca.network import (
 )
 from qdcca.spectra import DetrendedCorrelationMatrix, correlation_matrices
 
-from oracles import all_pairs_hops, brute_force_mst, prufer_tree_edges
+from oracles import all_pairs_hops, brute_force_mst, prufer_tree_edges, tree_weight
 
 _Q = st.sampled_from([0.5, 1.0, 2.0, 3.0, 4.0])
 
@@ -63,6 +63,23 @@ def test_correlation_matrix_is_permutation_equivariant(stack, q, random):
     assert np.allclose(permuted, rho[np.ix_(perm, perm)], rtol=0, atol=1e-12)
 
 
+@settings(max_examples=80, deadline=None)
+@given(_stacks(), _Q, st.integers(0, 2**32 - 1))
+def test_correlation_matrix_is_affine_invariant(stack, q, seed):
+    # x_i -> a_i x_i + b_i leaves rho_ij unchanged up to sign(a_i a_j) for
+    # m >= 1: the shift adds a linear ramp to every box profile, which the
+    # fit removes.  For m = 0 the ramp stays, so only the scale map applies.
+    values, scale, poly_order = stack
+    rng = np.random.default_rng(seed)
+    n = values.shape[0]
+    a = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    b = rng.uniform(-5.0, 5.0, n) * values.std(axis=1) if poly_order >= 1 else 0.0
+    mapped = a[:, None] * values + np.reshape(b, (-1, 1))
+    rho = _rho(values, scale, poly_order, q)
+    expected = np.outer(np.sign(a), np.sign(a)) * rho
+    assert np.allclose(_rho(mapped, scale, poly_order, q), expected, rtol=0, atol=1e-10)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_stacks(), st.lists(_Q, min_size=1, max_size=3, unique=True))
 def test_self_and_cross_entry_points_agree(stack, q_values):
@@ -71,13 +88,16 @@ def test_self_and_cross_entry_points_agree(stack, q_values):
     # normalizers within 1e-12 of sqrt(F_ii * F_jj), the scale of F_ij.
     values, scale, poly_order = stack
     own = fluctuation_matrices(values, scale, poly_order, q_values)
-    cross = cross_fluctuation_matrices(values, values, scale, poly_order, q_values)
+    cross = cross_fluctuation_matrices(
+        values, values, scale, poly_order, q_values, range(values.shape[0])
+    )
     for q in q_values:
         f = own[q]
-        f_cross, f_head, f_tail = cross[q]
+        f_rows, f_cols, f_head, f_tail = cross[q]
         diag = np.diag(f)
         bound = 1e-12 * np.sqrt(np.outer(diag, diag))
-        assert np.all(np.abs(f_cross - f) <= bound)
+        assert np.all(np.abs(f_rows - f) <= bound)
+        assert np.all(np.abs(f_cols - f) <= bound)
         assert np.all(np.abs(f_head - diag) <= 1e-12 * diag)
         assert np.all(np.abs(f_tail - diag) <= 1e-12 * diag)
 
@@ -113,7 +133,7 @@ def test_prim_matches_exhaustive_mst(mat):
     # is unique when the weights are distinct.
     tree = _mst(mat)
     weight, edges = brute_force_mst(mat)
-    assert tree.total_weight() == weight
+    assert tree_weight(tree) == weight
     if _distinct_weights(mat):
         assert {(e.i, e.j) for e in tree.edges} == edges
 
