@@ -16,7 +16,7 @@ from .config import CONFIG_KEYS, AnalysisConfig, apply_overrides, load_config
 from .data import build_return_matrix, load_quotes
 from .emit import write_outputs
 from .errors import QdccaError
-from .pipeline import ALL_FAMILIES, rolling_windows, run_analysis, WindowPlan
+from .pipeline import ALL_FAMILIES, WindowPlan, gap_fill_skip, rolling_windows, run_analysis
 from .synth import GeneratorSpec, synth_quotes
 
 _FAMILY_OF = {
@@ -169,6 +169,12 @@ def _cmd_validate(args) -> int:
     print(f"samples: {returns.n_samples} on the {cfg.grid} grid "
           f"(gap fills: {report.filled_fraction:.4%})")
     print(f"windows: {len(windows)} of width {cfg.window}, step {cfg.step}")
+    gappy = sum(
+        gap_fill_skip(returns, start, stop, cfg.max_missing) is not None
+        for start, stop in windows
+    )
+    print(f"gap-fill skips: {gappy} of {len(windows)} windows exceed "
+          f"max_missing {cfg.max_missing:.2%}")
     print(f"q: {list(cfg.q)}  s: {list(cfg.s)}  m: {cfg.poly_order}")
     missing = [a for a in cfg.anchors if a not in returns.tickers]
     if missing:

@@ -13,11 +13,21 @@ Implementation notes
 --------------------
 * `_gram_power` is the one estimator kernel: given two residual stacks it
   forms the per-box Gram products, raises them to the signed q/2 power and
-  averages over boxes.  `fluctuation_matrices` (a stack against itself)
-  and `cross_fluctuation_matrices` (head against tail, for lags) are its
-  only callers; both stay public under these names because `spectra` and
+  sums over boxes.  `fluctuation_matrices` (a stack against itself) and
+  `cross_fluctuation_matrices` (head against tail, for lags) are its only
+  callers; both stay public under these names because `spectra` and
   `pipeline` call them, and the benchmark's spans (`bench/spans.py`) look
   them up as module attributes there.
+* The kernel computes each distinct box once.  When s divides T the
+  backward pass repeats the forward boxes, so only the forward tiling is
+  formed (a reshape, no gather) and the box means are taken over T/s
+  boxes; box means are unchanged, only the last bits of the sums move.
+* `fluctuation_matrices` returns additive `BoxSums` (per-q power sums,
+  residual and profile energies, box count) and never raises on data.
+  Sums of consecutive stretches add to the sums of their union, which is
+  how `pipeline.run_analysis` shares box work between overlapping
+  windows; `BoxSums.fluctuations` then applies the zero-variance check to
+  the summed energies and divides once.
 * Detrending is a low-rank projection: an (s, m+1) orthonormal basis Q of
   the polynomials on abscissa 1..s is built once per (s, m) by QR, and the
   residuals of every box of every series are P - (P Q) Q^T, two thin
@@ -142,6 +152,19 @@ def _box_profiles(values: np.ndarray, scale: int) -> np.ndarray:
     return np.cumsum(values[..., idx], axis=-1)
 
 
+def _distinct_box_profiles(values: np.ndarray, scale: int) -> np.ndarray:
+    """The kernel's boxes: `_box_profiles` with each distinct box once.
+
+    When s divides T the backward pass repeats the forward boxes, so the
+    forward tiling alone is formed, straight from a reshape.
+    """
+    n_samples = values.shape[-1]
+    if n_samples % scale:
+        return _box_profiles(values, scale)
+    tiles = values.reshape(*values.shape[:-1], n_samples // scale, scale)
+    return np.cumsum(tiles, axis=-1)
+
+
 def _detrended_residuals(profiles: np.ndarray, scale: int, poly_order: int) -> np.ndarray:
     # Gram-product kernel input: ``profiles`` minus their projection onto
     # the fit basis.  The basis holds the constant column, so the residuals
@@ -167,41 +190,72 @@ def _signed_power(values: np.ndarray, q: float) -> np.ndarray:
 
 
 def _gram_power(ra: np.ndarray, rb: np.ndarray, q_list) -> dict[float, np.ndarray]:
-    """Box means of the signed q/2 powers of the per-box Grams ra_b @ rb_b^T.
+    """Box sums of the signed q/2 powers of the per-box Grams ra_b @ rb_b^T.
 
     ``ra`` (A, B, s) and ``rb`` (N, B, s) are detrended residual stacks;
     each q maps to an (A, N) matrix.  Pass the same array twice for a stack
     against itself: both operands then share one buffer, which lets BLAS use
     its symmetric A @ A^T product.
     """
-    n_boxes = ra.shape[1]
     a = np.ascontiguousarray(ra.transpose(1, 0, 2))
     b = a if rb is ra else np.ascontiguousarray(rb.transpose(1, 0, 2))
     # Sums start at +0.0, like np.zeros, so a -0.0 power never survives.
     acc = dict.fromkeys(q_list, 0.0)
-    for lo in range(0, n_boxes, _BOX_CHUNK):
+    for lo in range(0, a.shape[0], _BOX_CHUNK):
         gram = a[lo : lo + _BOX_CHUNK] @ b[lo : lo + _BOX_CHUNK].transpose(0, 2, 1)
         for q in q_list:
             acc[q] += _signed_power(gram, q).sum(axis=0)
-    return {q: total / n_boxes for q, total in acc.items()}
+    return acc
 
 
-def fluctuation_matrices(
-    values: np.ndarray,
-    scale: int,
-    poly_order: int,
-    q_values,
-    labels=None,
-) -> dict[float, np.ndarray]:
-    """Pairwise fluctuation matrices F(q) for a stack of aligned series.
+@dataclass(frozen=True)
+class BoxSums:
+    """Additive box sums of one stretch of an (N, T) stack at one scale.
 
-    ``values`` has shape (N, T).  For each q the returned (N, N) matrix
-    holds the signed cross fluctuation for every pair; its diagonal is the
-    per-series fluctuation used as the normalizer.  The per-box Gram
-    products are shared across all q values.
+    The sums of consecutive stretches add, in a fixed order, to the sums of
+    their union; `fluctuations` checks and averages a total once.
+    """
 
-    A ZeroVarianceError is raised for any series whose residuals are pure
-    rounding noise; ``labels`` names the offender in the message.
+    power: dict[float, np.ndarray]  # q -> (N, N) sum of signed q/2 Gram powers
+    energy: np.ndarray              # (N,) residual energy
+    reference: np.ndarray           # (N,) energy of the integrated profiles
+    n_boxes: int
+
+    def __add__(self, other: "BoxSums") -> "BoxSums":
+        return BoxSums(
+            power={q: p + other.power[q] for q, p in self.power.items()},
+            energy=self.energy + other.energy,
+            reference=self.reference + other.reference,
+            n_boxes=self.n_boxes + other.n_boxes,
+        )
+
+    def fluctuations(self, scale: int, labels=None) -> dict[float, np.ndarray]:
+        """Fluctuation matrices F(q): the power sums over the box count.
+
+        The diagonal is the per-series fluctuation used as the normalizer.
+        A ZeroVarianceError is raised for any series whose residuals are
+        pure rounding noise; ``labels`` names the offender in the message.
+        """
+        dead = self.energy <= _VARIANCE_FLOOR * self.reference
+        if np.any(dead):
+            i = int(np.argmax(dead))
+            name = labels[i] if labels is not None else f"series {i}"
+            raise ZeroVarianceError(
+                f"{name} has zero detrended variance at scale {scale}; "
+                "correlation undefined",
+                label=str(name),
+            )
+        return {q: total / self.n_boxes for q, total in self.power.items()}
+
+
+def fluctuation_matrices(values: np.ndarray, scale: int, poly_order: int, q_values) -> BoxSums:
+    """Box sums of the pairwise fluctuations of a stack of aligned series.
+
+    ``values`` has shape (N, T).  For each q the (N, N) power sum holds the
+    signed cross fluctuation of every pair summed over the boxes; the
+    per-box Gram products are shared across all q values.  Nothing here
+    depends on a box's neighbours, so the sums of stretches that tile a
+    series (each a multiple of s long) add to the sums of the whole.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     if values.ndim != 2:
@@ -210,25 +264,16 @@ def fluctuation_matrices(
     for q in q_list:
         if not (q > 0):
             raise ConfigError(f"q must be positive, got {q}")
-    profiles = _box_profiles(values, scale)
+    profiles = _distinct_box_profiles(values, scale)
     resid = _detrended_residuals(profiles, scale, poly_order)
-    _check_residual_energy(profiles, resid, scale, labels)
-    del profiles  # the kernel reads only resid; free it before its copy
-    return _gram_power(resid, resid, q_list)
-
-
-def _check_residual_energy(profiles, resid, scale, labels):
     reference = np.einsum("nbs,nbs->n", profiles, profiles)
-    energy = np.einsum("nbs,nbs->n", resid, resid)
-    dead = energy <= _VARIANCE_FLOOR * reference
-    if np.any(dead):
-        i = int(np.argmax(dead))
-        name = labels[i] if labels is not None else f"series {i}"
-        raise ZeroVarianceError(
-            f"{name} has zero detrended variance at scale {scale}; "
-            "correlation undefined",
-            label=str(name),
-        )
+    del profiles  # the kernel reads only resid; free it before its copy
+    return BoxSums(
+        power=_gram_power(resid, resid, q_list),
+        energy=np.einsum("nbs,nbs->n", resid, resid),
+        reference=reference,
+        n_boxes=resid.shape[1],
+    )
 
 
 def cross_fluctuation_matrices(
@@ -255,11 +300,12 @@ def cross_fluctuation_matrices(
         )
     rh, rt = (
         _detrended_residuals(
-            _box_profiles(np.ascontiguousarray(v, dtype=np.float64), scale),
+            _distinct_box_profiles(np.ascontiguousarray(v, dtype=np.float64), scale),
             scale, poly_order,
         )
         for v in (head, tail)
     )
+    n_boxes = rh.shape[1]
     rows = np.asarray(rows, dtype=np.intp)
     q_list = [float(q) for q in q_values]
     f_rows = _gram_power(rh[rows], rt, q_list)
@@ -268,8 +314,8 @@ def cross_fluctuation_matrices(
     diag_tail = np.einsum("nbs,nbs->bn", rt, rt)
     return {
         q: (
-            f_rows[q],
-            f_cols[q].T,
+            f_rows[q] / n_boxes,
+            f_cols[q].T / n_boxes,
             _signed_power(diag_head, q).mean(axis=0),
             _signed_power(diag_tail, q).mean(axis=0),
         )
@@ -307,8 +353,8 @@ def rho_q(x, y, cfg: DetrendConfig) -> float:
         raise ShapeMismatchError(f"length mismatch: {xa.size} vs {ya.size}")
     _check_scale(xa.size, cfg)
     fmat = fluctuation_matrices(
-        np.stack([xa, ya]), cfg.scale, cfg.poly_order, [cfg.q], labels=("x", "y")
-    )[cfg.q]
+        np.stack([xa, ya]), cfg.scale, cfg.poly_order, [cfg.q]
+    ).fluctuations(cfg.scale, labels=("x", "y"))[cfg.q]
     return _coefficient(fmat[0, 1], fmat[0, 0], fmat[1, 1], cfg.q)
 
 

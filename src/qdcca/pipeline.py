@@ -8,10 +8,25 @@ is seeded from (config seed, window index), so a sweep's output is
 byte-identical at any thread count.  A window that fails validation (too
 many gap fills, an asset constant inside the window, ...) is recorded in
 the skip log and the sweep continues.
+
+Overlapping windows share their detrended boxes.  With blk = gcd(step,
+width), every window is a run of whole blk-sample blocks of the return
+matrix.  A scale s is block-eligible when blk % s == 0 and the fit order
+m >= 1: the coefficient is invariant under a per-series affine map for
+m >= 1, so the raw returns can stand in for each window's normalized ones,
+and the window's boxes are exactly the s-tilings of its blocks.  For each
+eligible s the sweep first computes the box sums of every block that some
+window passing the gap-fill check needs (`spectra.fluctuation_matrices`,
+one block at a time, on the same pool, collected in block order); each
+window then adds its blocks in order, and the zero-variance, diagonal and
+bound checks run on the window's totals (`spectra.correlation_matrices`).
+Any other (s, m) is one block per window: the window's normalized values.
+The lagged and residual passes stay per window.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -147,13 +162,20 @@ def _topology_row(tree: SpanningTree, verbose: bool) -> TopologyRow:
     return row
 
 
+def gap_fill_skip(returns: ReturnMatrix, start: int, stop: int, max_missing: float):
+    """Why samples [start, stop) are skipped for gap fills, or None."""
+    if returns.filled is None:
+        return None
+    frac = float(returns.filled[start:stop].mean())
+    if frac > max_missing:
+        return f"{frac:.2%} of samples are gap fills (limit {max_missing:.2%})"
+    return None
+
+
 def _window_values(returns: ReturnMatrix, start: int, stop: int, cfg: AnalysisConfig):
-    if returns.filled is not None:
-        frac = float(returns.filled[start:stop].mean())
-        if frac > cfg.max_missing:
-            raise QdccaError(
-                f"{frac:.2%} of samples are gap fills (limit {cfg.max_missing:.2%})"
-            )
+    reason = gap_fill_skip(returns, start, stop, cfg.max_missing)
+    if reason is not None:
+        raise QdccaError(reason)
     sliced = returns.values[:, start:stop]
     if cfg.global_norm:
         return np.ascontiguousarray(sliced)
@@ -212,6 +234,12 @@ def _lagged_rows(values, anchor_idx, other_mask, q_values, s, cfg):
     return rows
 
 
+def _needs_correlations(cfg: AnalysisConfig, families) -> bool:
+    return bool({"spectra", "topology", "edges", "clusters", "periods"} & set(families)) or (
+        "lagged" in families and 0 in cfg.lags
+    )
+
+
 def compute_window(
     returns: ReturnMatrix,
     start: int,
@@ -219,14 +247,19 @@ def compute_window(
     index: int,
     cfg: AnalysisConfig,
     families,
+    blocks=None,
 ) -> WindowResult:
-    """All requested per-window products; pure function of its arguments."""
+    """All requested per-window products; pure function of its arguments.
+
+    ``blocks`` maps a scale to the window's block sums computed ahead (see
+    the module docstring); a scale without them is one block of the
+    window's normalized values.
+    """
     values = _window_values(returns, start, stop, cfg)
     tickers = returns.tickers
     result = WindowResult(index=index, end_ts=int(returns.timestamps[stop - 1]))
-    need_corr = bool({"spectra", "topology", "edges", "clusters", "periods"} & set(families)) or (
-        "lagged" in families and 0 in cfg.lags
-    )
+    need_corr = _needs_correlations(cfg, families)
+    blocks = blocks or {}
     anchor_idx = {a: tickers.index(a) for a in cfg.anchors if a in tickers}
     other_mask = np.ones(len(tickers), dtype=bool)
     for a in anchor_idx.values():
@@ -236,7 +269,7 @@ def compute_window(
     )
     for s in cfg.s if need_corr else ():
         mats = spectra.correlation_matrices(
-            window_returns, s, cfg.poly_order, cfg.q, window=index
+            window_returns, s, cfg.poly_order, cfg.q, window=index, blocks=blocks.get(s)
         )
         for q in cfg.q:
             c = mats[q]
@@ -284,19 +317,39 @@ def run_analysis(
     windows = rolling_windows(returns.n_samples, plan)
     results: list[WindowResult] = []
     skipped: list[tuple[int, str]] = []
+    blk = math.gcd(cfg.step, cfg.window)
+    shared = [
+        s for s in cfg.s
+        if blk % s == 0 and cfg.poly_order >= 1 and _needs_correlations(cfg, families)
+    ]
+    # The blocks of each window that passes the gap-fill check.
+    spans = {
+        index: range(start // blk, stop // blk)
+        for index, (start, stop) in enumerate(windows)
+        if gap_fill_skip(returns, start, stop, cfg.max_missing) is None
+    }
+    jobs = [(s, b) for s in shared for b in sorted(set().union(*spans.values()))]
+
+    def block_sums(job):
+        s, b = job
+        stretch = np.ascontiguousarray(returns.values[:, b * blk : (b + 1) * blk])
+        return spectra.fluctuation_matrices(stretch, s, cfg.poly_order, cfg.q)
 
     def worker(item):
         index, (start, stop) = item
+        blocks = {}
+        if index in spans:
+            blocks = {s: [sums[s, b] for b in spans[index]] for s in shared}
         try:
-            return compute_window(returns, start, stop, index, cfg, families)
+            return compute_window(returns, start, stop, index, cfg, families, blocks)
         except QdccaError as exc:
             return (index, str(exc))
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            outcomes = list(pool.map(worker, enumerate(windows)))
-    else:
-        outcomes = [worker(item) for item in enumerate(windows)]
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        # At one pool thread the work runs in the calling thread.
+        run = pool.map if cfg.threads > 1 else map
+        sums = dict(zip(jobs, run(block_sums, jobs)))
+        outcomes = list(run(worker, enumerate(windows)))
     for outcome in outcomes:
         if isinstance(outcome, WindowResult):
             results.append(outcome)

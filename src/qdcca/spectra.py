@@ -84,13 +84,24 @@ def correlation_matrices(
     poly_order: int,
     q_values,
     window: int | None = None,
+    blocks=None,
 ) -> dict[float, DetrendedCorrelationMatrix]:
-    """Coefficient matrices for several q values sharing one detrending pass."""
+    """Coefficient matrices for several q values sharing one detrending pass.
+
+    ``blocks``, when given, holds the window's box sums computed ahead: the
+    `fluctuation_matrices` of consecutive stretches that tile its samples,
+    in sample order (`pipeline.run_analysis` shares them between
+    overlapping windows).  Without it the window is one block of its own
+    values.  The blocks are added in order and every check runs once, on
+    the window's totals.
+    """
     values, labels = _unpack(returns)
     if values.shape[0] < 2:
         raise ShapeMismatchError("need at least 2 series")
     _check_scale(values.shape[1], DetrendConfig(scale=scale, poly_order=poly_order))
-    fmats = fluctuation_matrices(values, scale, poly_order, q_values, labels=labels)
+    if blocks is None:
+        blocks = [fluctuation_matrices(values, scale, poly_order, q_values)]
+    fmats = sum(blocks[1:], blocks[0]).fluctuations(scale, labels)
     out = {}
     for q, fmat in fmats.items():
         diag = np.diag(fmat).copy()

@@ -6,7 +6,7 @@ import pytest
 
 from qdcca.cli import main
 from qdcca.config import CONFIG_KEYS
-from qdcca.data import load_quotes
+from qdcca.data import build_return_matrix, load_quotes
 from qdcca.synth import GeneratorSpec, synth_quotes
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "quotes")
@@ -24,6 +24,29 @@ def test_validate_fixture(capsys):
     assert code == 0
     assert "ok" in out
     assert "windows: 3" in out
+
+
+def test_validate_counts_gap_fill_skips(tmp_path, capsys):
+    # 20 missing minutes of one ticker put 2% gap fills into the three
+    # windows that hold them; 5 more missing minutes stay under the 1% limit.
+    data_dir = tmp_path / "data"
+    code, _, _ = _run(capsys, "synth", "--generator", "factor", "--n", "3", "--t", "3000",
+                      "--seed", "5", "--out", str(data_dir))
+    assert code == 0
+    path = data_dir / "SYN01.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    drop = set(range(700, 720)) | set(range(2_100, 2_105))  # line k + 1 holds minute k
+    path.write_text("".join(line for k, line in enumerate(lines) if k - 1 not in drop))
+    code, out, err = _run(capsys, "validate", str(data_dir), "--window", "1000",
+                          "--step", "250", "--s", "10", "--max-missing", "0.01")
+    assert code == 0, err
+    returns, _ = build_return_matrix(load_quotes(str(data_dir)))
+    fills = returns.filled.astype(float)
+    n_windows = (returns.n_samples - 1_000) // 250 + 1
+    expected = sum(fills[k * 250 : k * 250 + 1_000].sum() / 1_000 > 0.01
+                   for k in range(n_windows))
+    assert expected == 3
+    assert f"gap-fill skips: {expected} of {n_windows} windows exceed max_missing 1.00%" in out
 
 
 def test_help_enumerates_every_config_key(capsys):

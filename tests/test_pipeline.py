@@ -1,8 +1,11 @@
+from dataclasses import replace
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from qdcca.config import AnalysisConfig
-from qdcca.data import ReturnMatrix
+from qdcca.data import ReturnMatrix, normalize
 from qdcca.errors import ConfigError, ShapeMismatchError
 from qdcca.pipeline import (
     WindowPlan,
@@ -11,7 +14,10 @@ from qdcca.pipeline import (
     run_analysis,
     threshold_periods,
 )
+from qdcca.spectra import correlation_matrices
 from qdcca.synth import GeneratorSpec, synth_returns
+
+from oracles import rho_q_literal
 
 
 def _factor_matrix(n, t, seed, spread=0):
@@ -219,3 +225,58 @@ def test_epps_buildup_with_asynchronous_factor():
         if rhos[0] < rhos[1] < rhos[2]:
             hits += 1
     assert hits >= 4
+
+
+def test_series_flat_for_one_block_stays_live():
+    # Zero returns for one whole 1,440-sample block leave the series live in
+    # both windows that hold the block: the zero-variance check reads the
+    # window's summed energies, not a block's.  At q >= 2 both windows match
+    # the per-window path on their normalized values.  At q < 2 that path is
+    # the less exact one: the flat block normalizes to a constant whose
+    # residuals are rounding dust (~1e-17), not zero, and the q/2 power
+    # lifts the dust in its cross terms to 1e-11 (q = 1) or 1e-5 (q = 0.5).
+    # So q < 2 is checked against the literal oracle on the raw returns,
+    # where the flat block's residuals are exactly zero.
+    returns = _factor_matrix(4, 4_320, seed=21)
+    values = returns.values.copy()
+    values[2, 1_440:2_880] = 0.0
+    cfg = _small_cfg(q=(0.5, 1.0, 2.0, 4.0), s=(10, 60), window=2_880, step=1_440, lags=(0,))
+    result = run_analysis(cfg, replace(returns, values=values), families=("spectra", "periods"))
+    assert result.skipped == []
+    assert [w.index for w in result.windows] == [0, 1]
+    for w in result.windows:
+        window = values[:, w.index * 1_440 : w.index * 1_440 + 2_880]
+        norm = np.stack([normalize(row) for row in window])
+        for s in cfg.s:
+            per_window = correlation_matrices(norm, s, cfg.poly_order, cfg.q)
+            for q in cfg.q:
+                if q >= 2.0:
+                    rho = per_window[q].values
+                else:
+                    rho = np.eye(4)
+                    for i, j in combinations(range(4), 2):
+                        rho[i, j] = rho[j, i] = rho_q_literal(window[i], window[j], q, s, 2)
+                row = w.spectral[(q, s)]
+                eigenvalues = np.linalg.eigvalsh(rho)[::-1]
+                assert abs(w.mean_rho[(q, s)] - (rho.sum() - 4.0) / 12.0) <= 1e-12
+                assert abs(row.lambda1 - eigenvalues[0]) <= 1e-12
+                assert abs(row.lambda2 - eigenvalues[1]) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "level,reason",
+    [
+        (0.0, "SYN02: cannot normalize a constant series"),
+        (0.37, "SYN02 has zero detrended variance at scale 10; correlation undefined"),
+    ],
+)
+def test_series_constant_over_a_window_skips_it(level, reason):
+    # Constant over all of window 1 (one whole block): the window is skipped
+    # with the per-window message, whichever check catches it first.
+    returns = _factor_matrix(4, 4_320, seed=22)
+    values = returns.values.copy()
+    values[2, 1_440:2_880] = level
+    cfg = _small_cfg(q=(1.0, 4.0), s=(10, 60), window=1_440, step=1_440, lags=(0,))
+    result = run_analysis(cfg, replace(returns, values=values), families=("spectra",))
+    assert result.skipped == [(1, reason)]
+    assert [w.index for w in result.windows] == [0, 2]

@@ -1,10 +1,14 @@
-"""Property-based checks of the estimator kernel and the network layer over
-small random inputs."""
+"""Property-based checks of the estimator kernel, the sweep's window
+arithmetic and the network layer over small random inputs."""
+
+from math import gcd
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qdcca.config import AnalysisConfig
+from qdcca.data import ReturnMatrix, normalize
 from qdcca.dfa import cross_fluctuation_matrices, fluctuation_matrices
 from qdcca.network import (
     DistanceMatrix,
@@ -14,6 +18,7 @@ from qdcca.network import (
     mean_path_length,
     minimum_spanning_tree,
 )
+from qdcca.pipeline import WindowPlan, rolling_windows, run_analysis, threshold_periods
 from qdcca.spectra import DetrendedCorrelationMatrix, correlation_matrices
 
 from oracles import all_pairs_hops, brute_force_mst, prufer_tree_edges, tree_weight
@@ -87,7 +92,7 @@ def test_self_and_cross_entry_points_agree(stack, q_values):
     # same fluctuations as the symmetric one: cross terms and both
     # normalizers within 1e-12 of sqrt(F_ii * F_jj), the scale of F_ij.
     values, scale, poly_order = stack
-    own = fluctuation_matrices(values, scale, poly_order, q_values)
+    own = fluctuation_matrices(values, scale, poly_order, q_values).fluctuations(scale)
     cross = cross_fluctuation_matrices(
         values, values, scale, poly_order, q_values, range(values.shape[0])
     )
@@ -207,3 +212,90 @@ def test_mean_path_length_is_mean_pairwise_hops(n, seed):
     )
     hops = all_pairs_hops(n, pairs)
     assert mean_path_length(tree) == hops[np.triu_indices(n, 1)].mean()
+
+
+# Window plans for the block rule (blk = gcd(step, width)): step = width,
+# step | width, and gcd(step, width) < step.
+_PLANS = st.sampled_from([(60, 60), (120, 30), (120, 50), (100, 40)])
+
+
+@st.composite
+def _block_sweeps(draw):
+    """(returns, cfg) of a sweep whose every scale is block-eligible; each
+    series is mixed, then mapped by its own x -> a x + b."""
+    width, step = draw(_PLANS)
+    blk = gcd(step, width)
+    poly_order = draw(st.integers(1, 3))
+    eligible = [s for s in range(poly_order + 2, width // 2 + 1) if blk % s == 0]
+    scales = draw(st.lists(st.sampled_from(eligible), min_size=1, max_size=2, unique=True))
+    q_values = draw(st.lists(_Q, min_size=1, max_size=2, unique=True))
+    n = draw(st.integers(2, 5))
+    t = width + step * draw(st.integers(0, 3)) + draw(st.integers(0, step - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = (rng.standard_normal((n, n)) + 2.0 * np.eye(n)) @ rng.standard_normal((n, t))
+    a = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    b = rng.uniform(-5.0, 5.0, n) * np.abs(a)
+    returns = ReturnMatrix(
+        tickers=tuple(f"A{i}" for i in range(n)),
+        timestamps=np.arange(t, dtype=np.int64),
+        values=a[:, None] * values + b[:, None],
+    )
+    cfg = AnalysisConfig(q=tuple(q_values), s=tuple(scales), poly_order=poly_order,
+                         window=width, step=step, lags=(0,), anchors=(), threads=1)
+    return returns, cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(_block_sweeps())
+def test_block_sums_match_per_window_matrices(sweep):
+    # The sweep adds shared block sums of the raw returns; the reference is
+    # the one-block path on each window's normalized values.
+    returns, cfg = sweep
+    result = run_analysis(cfg, returns, families=("spectra", "periods"))
+    assert result.skipped == []
+    for w in result.windows:
+        window = returns.values[:, w.index * cfg.step : w.index * cfg.step + cfg.window]
+        norm = np.stack([normalize(row) for row in window])
+        n = norm.shape[0]
+        for s in cfg.s:
+            mats = correlation_matrices(norm, s, cfg.poly_order, cfg.q)
+            for q in cfg.q:
+                rho = mats[q].values
+                eigenvalues = np.linalg.eigvalsh(rho)[::-1]
+                row = w.spectral[(q, s)]
+                assert abs(w.mean_rho[(q, s)] - (rho.sum() - n) / (n * (n - 1))) <= 1e-12
+                assert abs(row.lambda1 - eigenvalues[0]) <= 1e-12
+                assert abs(row.lambda2 - eigenvalues[1]) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 400), st.integers(1, 400), st.integers(0, 2_000))
+def test_rolling_windows_closed_form(width, step, extra):
+    n = width + extra
+    windows = rolling_windows(n, WindowPlan(width=width, step=step))
+    assert len(windows) == (n - width) // step + 1
+    assert windows == [(k * step, k * step + width) for k in range(len(windows))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 5), st.sampled_from([-0.5, 0.0, 0.25, 0.3, 0.9])),
+             max_size=30),
+    st.sampled_from([0.0, 0.25, 0.5]),
+)
+def test_threshold_periods_match_naive_scan(steps, threshold):
+    # Every maximal run [i, j] of values above the threshold, found by
+    # checking each (i, j) against the definition.
+    ts = np.cumsum([gap for gap, _ in steps]).tolist()
+    values = [v for _, v in steps]
+    above = [v > threshold for v in values]
+    n = len(values)
+    expected = [
+        (ts[i], ts[j])
+        for i in range(n)
+        for j in range(i, n)
+        if all(above[i : j + 1])
+        and (i == 0 or not above[i - 1])
+        and (j == n - 1 or not above[j + 1])
+    ]
+    assert threshold_periods(list(zip(ts, values)), threshold) == expected
