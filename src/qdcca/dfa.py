@@ -18,10 +18,15 @@ Implementation notes
   callers; both stay public under these names because `spectra` and
   `pipeline` call them, and the benchmark's spans (`bench/spans.py`) look
   them up as module attributes there.
-* The kernel computes each distinct box once.  When s divides T the
-  backward pass repeats the forward boxes, so only the forward tiling is
-  formed (a reshape, no gather) and the box means are taken over T/s
-  boxes; box means are unchanged, only the last bits of the sums move.
+* One box layout, from reshaped views: the forward tiling values[:, :m*s],
+  then, only when s does not divide T (else it repeats the forward boxes),
+  the backward tiling values[:, T-m*s:] with its last box first.  Nothing
+  is gathered or copied to feed it, so strided views go in as they are.
+  The stack stays series-major, (N, B, s): the batched detrending products
+  then run per series, (B, s) @ (s, m+1), so a series' residuals do not
+  depend on the other series in the stack and the matrix and pairwise
+  paths agree bitwise; a box-major stack makes each product an (N, s)
+  block whose BLAS blocking follows N.
 * `fluctuation_matrices` returns additive `BoxSums` (per-q power sums,
   residual and profile energies, box count) and never raises on data.
   Sums of consecutive stretches add to the sums of their union, which is
@@ -119,14 +124,6 @@ def as_series(x, name: str = "series") -> np.ndarray:
     return arr
 
 
-def box_starts(n_samples: int, scale: int) -> np.ndarray:
-    """Start offsets of the 2*floor(T/s) boxes, forward pass then backward."""
-    m = n_samples // scale
-    fwd = np.arange(m, dtype=np.intp) * scale
-    bwd = n_samples - (np.arange(m, dtype=np.intp) + 1) * scale
-    return np.concatenate([fwd, bwd])
-
-
 @lru_cache(maxsize=64)
 def _fit_basis(scale: int, poly_order: int) -> np.ndarray:
     # (s, m+1) orthonormal basis of the Vandermonde columns on abscissa
@@ -146,22 +143,13 @@ def _check_scale(n_samples: int, cfg: DetrendConfig):
 
 
 def _box_profiles(values: np.ndarray, scale: int) -> np.ndarray:
-    """Integrated box profiles for a (N, T) stack; shape (N, 2*floor(T/s), s)."""
-    starts = box_starts(values.shape[-1], scale)
-    idx = starts[:, None] + np.arange(scale)[None, :]
-    return np.cumsum(values[..., idx], axis=-1)
-
-
-def _distinct_box_profiles(values: np.ndarray, scale: int) -> np.ndarray:
-    """The kernel's boxes: `_box_profiles` with each distinct box once.
-
-    When s divides T the backward pass repeats the forward boxes, so the
-    forward tiling alone is formed, straight from a reshape.
-    """
-    n_samples = values.shape[-1]
-    if n_samples % scale:
-        return _box_profiles(values, scale)
-    tiles = values.reshape(*values.shape[:-1], n_samples // scale, scale)
+    """Integrated box profiles of an (N, T) stack, (N, B, s); see the notes."""
+    n, t = values.shape
+    m = t // scale
+    tiles = values[:, : m * scale].reshape(n, m, scale)
+    if t % scale:
+        back = values[:, t - m * scale :].reshape(n, m, scale)
+        tiles = np.concatenate([tiles, back[:, ::-1]], axis=1)
     return np.cumsum(tiles, axis=-1)
 
 
@@ -208,6 +196,19 @@ def _gram_power(ra: np.ndarray, rb: np.ndarray, q_list) -> dict[float, np.ndarra
     return acc
 
 
+def _check_variance(energy, reference, scale: int, labels):
+    # The zero-variance rule (see _VARIANCE_FLOOR), one check per series.
+    dead = energy <= _VARIANCE_FLOOR * reference
+    if np.any(dead):
+        i = int(np.argmax(dead))
+        name = labels[i] if labels is not None else f"series {i}"
+        raise ZeroVarianceError(
+            f"{name} has zero detrended variance at scale {scale}; "
+            "correlation undefined",
+            label=str(name),
+        )
+
+
 @dataclass(frozen=True)
 class BoxSums:
     """Additive box sums of one stretch of an (N, T) stack at one scale.
@@ -236,15 +237,7 @@ class BoxSums:
         A ZeroVarianceError is raised for any series whose residuals are
         pure rounding noise; ``labels`` names the offender in the message.
         """
-        dead = self.energy <= _VARIANCE_FLOOR * self.reference
-        if np.any(dead):
-            i = int(np.argmax(dead))
-            name = labels[i] if labels is not None else f"series {i}"
-            raise ZeroVarianceError(
-                f"{name} has zero detrended variance at scale {scale}; "
-                "correlation undefined",
-                label=str(name),
-            )
+        _check_variance(self.energy, self.reference, scale, labels)
         return {q: total / self.n_boxes for q, total in self.power.items()}
 
 
@@ -257,14 +250,14 @@ def fluctuation_matrices(values: np.ndarray, scale: int, poly_order: int, q_valu
     depends on a box's neighbours, so the sums of stretches that tile a
     series (each a multiple of s long) add to the sums of the whole.
     """
-    values = np.ascontiguousarray(values, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise ShapeMismatchError(f"expected (N, T) array, got shape {values.shape}")
     q_list = [float(q) for q in q_values]
     for q in q_list:
         if not (q > 0):
             raise ConfigError(f"q must be positive, got {q}")
-    profiles = _distinct_box_profiles(values, scale)
+    profiles = _box_profiles(values, scale)
     resid = _detrended_residuals(profiles, scale, poly_order)
     reference = np.einsum("nbs,nbs->n", profiles, profiles)
     del profiles  # the kernel reads only resid; free it before its copy
@@ -283,6 +276,7 @@ def cross_fluctuation_matrices(
     poly_order: int,
     q_values,
     rows,
+    labels=None,
 ) -> dict[float, tuple[np.ndarray, ...]]:
     """Fluctuations of the ``rows`` series against every series, both ways.
 
@@ -292,26 +286,29 @@ def cross_fluctuation_matrices(
     of head series i against tail series j, each q maps to
     (f_rows, f_cols, f_head, f_tail): f_rows is f_cross[rows, :] (A x N),
     f_cols is f_cross[:, rows] (N x A) and f_head/f_tail are the per-series
-    normalizers.  The rest of f_cross is never formed.
+    normalizers.  The rest of f_cross is never formed.  A ZeroVarianceError
+    is raised when the head or tail of any series is pure rounding noise;
+    ``labels`` names the offender in the message.
     """
     if head.shape != tail.shape:
         raise ShapeMismatchError(
             f"head/tail shape mismatch: {head.shape} vs {tail.shape}"
         )
-    rh, rt = (
-        _detrended_residuals(
-            _distinct_box_profiles(np.ascontiguousarray(v, dtype=np.float64), scale),
-            scale, poly_order,
-        )
-        for v in (head, tail)
-    )
+
+    def residuals(v):
+        profiles = _box_profiles(np.asarray(v, dtype=np.float64), scale)
+        resid = _detrended_residuals(profiles, scale, poly_order)
+        energies = np.einsum("nbs,nbs->bn", resid, resid)
+        reference = np.einsum("nbs,nbs->n", profiles, profiles)
+        _check_variance(energies.sum(axis=0), reference, scale, labels)
+        return resid, energies
+
+    (rh, diag_head), (rt, diag_tail) = residuals(head), residuals(tail)
     n_boxes = rh.shape[1]
     rows = np.asarray(rows, dtype=np.intp)
     q_list = [float(q) for q in q_values]
     f_rows = _gram_power(rh[rows], rt, q_list)
     f_cols = _gram_power(rt[rows], rh, q_list)
-    diag_head = np.einsum("nbs,nbs->bn", rh, rh)
-    diag_tail = np.einsum("nbs,nbs->bn", rt, rt)
     return {
         q: (
             f_rows[q] / n_boxes,

@@ -12,7 +12,7 @@ graph with negative coefficients clamped to zero.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,7 +74,6 @@ class Partition:
     communities: dict[str, int]
     modularity: float
     degenerate: bool = False          # all-zero weights: one community per node
-    phase_modularity: tuple[float, ...] = field(default_factory=tuple)
 
 
 def distance_matrix(c: DetrendedCorrelationMatrix) -> DistanceMatrix:
@@ -308,14 +307,12 @@ def louvain(
     rng = np.random.default_rng(seed)
     membership = np.arange(n)
     level_weights = weights
-    history = [modularity(weights, membership, resolution)]
     while True:
         local = _local_phase(level_weights, two_m, resolution, rng)
         n_groups = np.unique(local).size
         no_moves = n_groups == level_weights.shape[0]
         level_weights, compact = _aggregate(level_weights, local)
         membership = compact[membership]
-        history.append(modularity(weights, membership, resolution))
         if no_moves or level_weights.shape[0] == 1:
             break
     # Community ids 0..k-1 in order of first appearance.
@@ -323,8 +320,7 @@ def louvain(
     final = np.argsort(np.argsort(first))[inverse]
     return Partition(
         communities=dict(zip(c.labels, final.tolist())),
-        modularity=history[-1],
-        phase_modularity=tuple(history),
+        modularity=modularity(weights, membership, resolution),
     )
 
 

@@ -21,7 +21,8 @@ one block at a time, on the same pool, collected in block order); each
 window then adds its blocks in order, and the zero-variance, diagonal and
 bound checks run on the window's totals (`spectra.correlation_matrices`).
 Any other (s, m) is one block per window: the window's normalized values.
-The lagged and residual passes stay per window.
+The lagged and residual passes stay per window; a window where a series'
+lagged overlap has zero detrended variance is skipped, as in the self path.
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ def _window_values(returns: ReturnMatrix, start: int, stop: int, cfg: AnalysisCo
         raise QdccaError(reason)
     sliced = returns.values[:, start:stop]
     if cfg.global_norm:
-        return np.ascontiguousarray(sliced)
+        return sliced
     out = np.empty_like(sliced)
     for k in range(sliced.shape[0]):
         try:
@@ -201,7 +202,7 @@ def _residual_fields(window_returns: ReturnMatrix, q, s, cfg, row: SpectralRow, 
     row.res_v1max = float(res_summary.max_components[0])
 
 
-def _lagged_rows(values, anchor_idx, other_mask, q_values, s, cfg):
+def _lagged_rows(values, tickers, anchor_idx, other_mask, q_values, s, cfg):
     """Mean coefficient of each anchor against all non-anchor assets for
     every non-zero lag, sharing one detrending pass per |tau|.
 
@@ -214,10 +215,9 @@ def _lagged_rows(values, anchor_idx, other_mask, q_values, s, cfg):
     neg = {-t for t in cfg.lags if t < 0}
     rows: dict = {}
     for k in sorted(pos | neg):
-        head = np.ascontiguousarray(values[:, :-k])
-        tail = np.ascontiguousarray(values[:, k:])
         cross = cross_fluctuation_matrices(
-            head, tail, s, cfg.poly_order, q_values, rows=list(anchor_idx.values())
+            values[:, :-k], values[:, k:], s, cfg.poly_order, q_values,
+            rows=list(anchor_idx.values()), labels=tickers,
         )
         for q, (f_rows, f_cols, f_head, f_tail) in cross.items():
             for i, (name, a) in enumerate(anchor_idx.items()):
@@ -298,7 +298,7 @@ def compute_window(
             )
     if "lagged" in families and anchor_idx and any(t != 0 for t in cfg.lags):
         for s in cfg.s:
-            rows = _lagged_rows(values, anchor_idx, other_mask, cfg.q, s, cfg)
+            rows = _lagged_rows(values, tickers, anchor_idx, other_mask, cfg.q, s, cfg)
             for (name, q), taus in rows.items():
                 result.lagged.setdefault((name, q, s), {}).update(taus)
     return result
@@ -332,7 +332,7 @@ def run_analysis(
 
     def block_sums(job):
         s, b = job
-        stretch = np.ascontiguousarray(returns.values[:, b * blk : (b + 1) * blk])
+        stretch = returns.values[:, b * blk : (b + 1) * blk]
         return spectra.fluctuation_matrices(stretch, s, cfg.poly_order, cfg.q)
 
     def worker(item):

@@ -12,7 +12,6 @@ from qdcca.dfa import (
     _box_profiles,
     _detrended_residuals,
     _signed_power,
-    box_starts,
     cross_fluctuation_matrices,
     fluctuation_matrices,
     rho_q,
@@ -58,21 +57,22 @@ def test_constant_series_has_zero_residuals():
 
 def test_exact_division_gives_coincident_partitions():
     # T = 2s: the forward and backward partitions cover the same two boxes,
-    # so every box appears twice and all box averages are unchanged.
+    # so the kernel forms each once and all box averages are unchanged.
     rng = np.random.default_rng(40)
     x = rng.standard_normal(40)
     resid = _box_residuals(x, 20, 1)
-    assert resid.shape[0] == 4
-    assert box_starts(40, 20).tolist() == [0, 20, 20, 0]
-    assert np.array_equal(resid[0], resid[3])
-    assert np.array_equal(resid[1], resid[2])
+    ranges = box_index_ranges(40, 20)
+    assert ranges[2:] == ranges[1::-1]
+    assert resid.shape[0] == 2
+    i = np.arange(1.0, 21.0)
+    for box, (lo, hi) in zip(resid, ranges):
+        prof = np.cumsum(x[lo - 1 : hi])
+        assert np.allclose(box, prof - np.polyval(np.polyfit(i, prof, 1), i), atol=1e-12)
 
 
 def test_box_layout_t25_s10():
     # Forward boxes cover samples 1-10 and 11-20, backward boxes 16-25 and
     # 6-15; the 5-sample remainder per direction joins no box.
-    starts = box_starts(25, 10)
-    assert starts.tolist() == [0, 10, 15, 5]
     assert box_index_ranges(25, 10) == [(1, 10), (11, 20), (16, 25), (6, 15)]
     rng = np.random.default_rng(7)
     x = rng.standard_normal(25)

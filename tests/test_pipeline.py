@@ -6,7 +6,8 @@ import pytest
 
 from qdcca.config import AnalysisConfig
 from qdcca.data import ReturnMatrix, normalize
-from qdcca.errors import ConfigError, ShapeMismatchError
+from qdcca.dfa import DetrendConfig, rho_q_lagged
+from qdcca.errors import ConfigError, ShapeMismatchError, ZeroVarianceError
 from qdcca.pipeline import (
     WindowPlan,
     compute_window,
@@ -280,3 +281,24 @@ def test_series_constant_over_a_window_skips_it(level, reason):
     result = run_analysis(cfg, replace(returns, values=values), families=("spectra",))
     assert result.skipped == [(1, reason)]
     assert [w.index for w in result.windows] == [0, 2]
+
+
+def test_lagged_overlap_with_zero_variance_skips_the_window():
+    # SYN03 is zero except its last return: the window and the tail of every
+    # lag keep that return, but the head of lag 1 drops it, so the tau = -1
+    # coefficient has no detrended variance to divide by.  The pairwise
+    # path raises for that pair, and the sweep skips the window naming the
+    # ticker and scale instead of averaging in a coefficient of rounding
+    # noise.
+    returns = _factor_matrix(4, 2_880, seed=23)
+    values = returns.values.copy()
+    values[3, :-1] = 0.0
+    with pytest.raises(ZeroVarianceError):
+        rho_q_lagged(values[0], values[3], DetrendConfig(scale=10, q=1.0), -1)
+    cfg = _small_cfg(q=(1.0, 2.0), s=(10,), window=2_880, step=2_880,
+                     lags=(-1, 0, 1), anchors=("SYN00",))
+    result = run_analysis(cfg, replace(returns, values=values), families=("lagged",))
+    assert result.windows == []
+    assert result.skipped == [
+        (0, "SYN03 has zero detrended variance at scale 10; correlation undefined")
+    ]
