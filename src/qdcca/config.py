@@ -85,7 +85,7 @@ class AnalysisConfig:
             raise ConfigError(f"step must be >= 1, got {self.step}")
         if self.poly_order < 0:
             raise ConfigError(f"poly_order must be >= 0, got {self.poly_order}")
-        if any(abs(t) >= self.window - 2 * max(self.s) for t in self.lags if t != 0):
+        if any(abs(t) > self.window - 2 * max(self.s) for t in self.lags if t != 0):
             raise ConfigError(
                 f"lags {self.lags} leave too little overlap for window "
                 f"{self.window} at scale {max(self.s)}"

@@ -28,18 +28,24 @@ Implementation notes
   paths agree bitwise; a box-major stack makes each product an (N, s)
   block whose BLAS blocking follows N.
 * `fluctuation_matrices` returns additive `BoxSums` (per-q power sums,
-  residual and profile energies, box count) and never raises on data.
-  Sums of consecutive stretches add to the sums of their union, which is
-  how `pipeline.run_analysis` shares box work between overlapping
-  windows; `BoxSums.fluctuations` then applies the zero-variance check to
-  the summed energies and divides once.
+  residual and profile energies, box count) and
+  `cross_fluctuation_matrices` additive `CrossSums`; neither raises on
+  data.  Sums of whole-box stretches add to the sums of their union,
+  which is how `pipeline.run_analysis` shares box work between
+  overlapping windows; `BoxSums.fluctuations` and
+  `CrossSums.coefficients` then apply the zero-variance check to the
+  summed energies and divide once.
 * Detrending is a low-rank projection: an (s, m+1) orthonormal basis Q of
   the polynomials on abscissa 1..s is built once per (s, m) by QR, and the
   residuals of every box of every series are P - (P Q) Q^T, two thin
   batched products.  Q holds the constant column, so the residuals have
   zero box mean and no separate demean pass is made.  Assembling an N x N
   coefficient matrix then costs one batched Gram product per scale instead
-  of N(N-1)/2 independent fits.
+  of N(N-1)/2 independent fits.  Because Q holds the constant, each
+  profile may start at 0 on its box's first sample (it sums the later
+  samples only) without changing the residuals; a box whose returns are
+  zero after its first sample then has a flat profile and exactly zero
+  residuals, not the rounding dust that the q/2 power lifts at q < 2.
 * All reductions run in a fixed order (boxes in partition order, chunks
   of `_BOX_CHUNK`), so results are bit-identical across runs, across any
   outer parallelism and across BLAS thread counts.  The thread count is
@@ -54,7 +60,9 @@ Implementation notes
 * The lagged pass needs only the anchor rows and columns of the head/tail
   cross fluctuations, so it multiplies the A anchor rows of one stack
   against all N series of the other, (B, A, s) @ (B, s, N), once each
-  way; the full N x N cross Gram is never formed.
+  way; the full N x N cross Gram is never formed.  `pipeline` feeds it
+  whole-box stretches (s divides their length), one per grid of lagged
+  box pairs, so every call is the forward tiling alone.
 * q must be positive.  q = 2 is the classic DCCA coefficient and is
   bounded by 1 in magnitude; for other q the raw ratio is returned and a
   CorrelationBoundWarning is emitted when it leaves [-1, 1].
@@ -150,7 +158,10 @@ def _box_profiles(values: np.ndarray, scale: int) -> np.ndarray:
     if t % scale:
         back = values[:, t - m * scale :].reshape(n, m, scale)
         tiles = np.concatenate([tiles, back[:, ::-1]], axis=1)
-    return np.cumsum(tiles, axis=-1)
+    profiles = np.empty(tiles.shape)
+    profiles[..., 0] = 0.0
+    np.cumsum(tiles[..., 1:], axis=-1, out=profiles[..., 1:])
+    return profiles
 
 
 def _detrended_residuals(profiles: np.ndarray, scale: int, poly_order: int) -> np.ndarray:
@@ -196,14 +207,15 @@ def _gram_power(ra: np.ndarray, rb: np.ndarray, q_list) -> dict[float, np.ndarra
     return acc
 
 
-def _check_variance(energy, reference, scale: int, labels):
-    # The zero-variance rule (see _VARIANCE_FLOOR), one check per series.
+def _check_variance(energy, reference, scale: int, labels, where: str = ""):
+    # The zero-variance rule (see _VARIANCE_FLOOR), one check per series;
+    # ``where`` narrows the message to the stretch that was checked.
     dead = energy <= _VARIANCE_FLOOR * reference
     if np.any(dead):
         i = int(np.argmax(dead))
         name = labels[i] if labels is not None else f"series {i}"
         raise ZeroVarianceError(
-            f"{name} has zero detrended variance at scale {scale}; "
+            f"{name} has zero detrended variance{where} at scale {scale}; "
             "correlation undefined",
             label=str(name),
         )
@@ -269,26 +281,65 @@ def fluctuation_matrices(values: np.ndarray, scale: int, poly_order: int, q_valu
     )
 
 
-def cross_fluctuation_matrices(
-    head: np.ndarray,
-    tail: np.ndarray,
-    scale: int,
-    poly_order: int,
-    q_values,
-    rows,
-    labels=None,
-) -> dict[float, tuple[np.ndarray, ...]]:
-    """Fluctuations of the ``rows`` series against every series, both ways.
+@dataclass(frozen=True)
+class CrossSums:
+    """Additive box sums of the ``rows`` series of a head stack against
+    every series of a tail stack, both ways, at one scale.
+
+    Like `BoxSums`, the sums of stretches add, in a fixed order, to the sums
+    of their union; `coefficients` checks and divides a total once.
+    """
+
+    # q -> (rows (A, N): head rows against tails, cols (N, A): heads against
+    # tail rows, head (N,), tail (N,)): sums of signed q/2 powers
+    power: dict[float, tuple[np.ndarray, ...]]
+    energy: np.ndarray     # (2, N) head and tail residual energy
+    reference: np.ndarray  # (2, N) head and tail profile energy
+
+    def __add__(self, other: "CrossSums") -> "CrossSums":
+        return CrossSums(
+            power={
+                q: tuple(a + b for a, b in zip(p, other.power[q]))
+                for q, p in self.power.items()
+            },
+            energy=self.energy + other.energy,
+            reference=self.reference + other.reference,
+        )
+
+    def coefficients(self, tau: int, rows, cols, scale: int, labels) -> dict[float, np.ndarray]:
+        """rho at lag tau of each ``rows`` series against each ``cols`` series.
+
+        ``rows`` are the kernel's rows, in order; ``cols`` are series
+        indices.  At tau > 0 the rows' heads pair with the cols' tails, at
+        tau < 0 the rows' tails with the cols' heads, and only those series
+        go through the zero-variance rule; ``labels`` names the offender.
+        Each q maps to an (A, C) matrix.
+        """
+        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        x, y = (0, 1) if tau > 0 else (1, 0)
+        for side, idx in ((x, rows), (y, cols)):
+            _check_variance(
+                self.energy[side, idx], self.reference[side, idx], scale,
+                [labels[i] for i in idx],
+                f" in its lag {tau} overlap",
+            )
+        out = {}
+        for q, (f_rows, f_cols, *f_self) in self.power.items():
+            cross = f_rows[:, cols] if tau > 0 else f_cols[cols].T
+            out[q] = cross / np.sqrt(np.outer(f_self[x][rows], f_self[y][cols]))
+        return out
+
+
+def cross_fluctuation_matrices(head, tail, scale: int, poly_order: int, q_values, rows) -> CrossSums:
+    """Box sums of the ``rows`` series against every series, both ways.
 
     ``head`` and ``tail`` are (N, T) stacks on the same sample grid (in the
-    lagged setting: the same series truncated at opposite ends) and ``rows``
-    is a sequence of A series indices.  With f_cross[i, j] the fluctuation
-    of head series i against tail series j, each q maps to
-    (f_rows, f_cols, f_head, f_tail): f_rows is f_cross[rows, :] (A x N),
-    f_cols is f_cross[:, rows] (N x A) and f_head/f_tail are the per-series
-    normalizers.  The rest of f_cross is never formed.  A ZeroVarianceError
-    is raised when the head or tail of any series is pure rounding noise;
-    ``labels`` names the offender in the message.
+    lagged setting: stretches of the series that start |tau| samples
+    apart) and ``rows`` is a sequence of A series indices.  Box b of head
+    series i pairs with box b of tail series j; the sums hold the anchor
+    rows and columns of that cross product, the per-series head and tail
+    normalizers and the energies the zero-variance rule reads.  The rest of
+    the N x N cross product is never formed, and nothing raises on data.
     """
     if head.shape != tail.shape:
         raise ShapeMismatchError(
@@ -299,25 +350,26 @@ def cross_fluctuation_matrices(
         profiles = _box_profiles(np.asarray(v, dtype=np.float64), scale)
         resid = _detrended_residuals(profiles, scale, poly_order)
         energies = np.einsum("nbs,nbs->bn", resid, resid)
-        reference = np.einsum("nbs,nbs->n", profiles, profiles)
-        _check_variance(energies.sum(axis=0), reference, scale, labels)
-        return resid, energies
+        return resid, energies, np.einsum("nbs,nbs->n", profiles, profiles)
 
-    (rh, diag_head), (rt, diag_tail) = residuals(head), residuals(tail)
-    n_boxes = rh.shape[1]
+    (rh, eh, ph), (rt, et, pt) = residuals(head), residuals(tail)
     rows = np.asarray(rows, dtype=np.intp)
     q_list = [float(q) for q in q_values]
     f_rows = _gram_power(rh[rows], rt, q_list)
     f_cols = _gram_power(rt[rows], rh, q_list)
-    return {
-        q: (
-            f_rows[q] / n_boxes,
-            f_cols[q].T / n_boxes,
-            _signed_power(diag_head, q).mean(axis=0),
-            _signed_power(diag_tail, q).mean(axis=0),
-        )
-        for q in q_list
-    }
+    return CrossSums(
+        power={
+            q: (
+                f_rows[q],
+                f_cols[q].T,
+                _signed_power(eh, q).sum(axis=0),
+                _signed_power(et, q).sum(axis=0),
+            )
+            for q in q_list
+        },
+        energy=np.stack([eh.sum(axis=0), et.sum(axis=0)]),
+        reference=np.stack([ph, pt]),
+    )
 
 
 def _coefficient(f_xy: float, f_xx: float, f_yy: float, q: float,

@@ -21,8 +21,22 @@ one block at a time, on the same pool, collected in block order); each
 window then adds its blocks in order, and the zero-variance, diagonal and
 bound checks run on the window's totals (`spectra.correlation_matrices`).
 Any other (s, m) is one block per window: the window's normalized values.
-The lagged and residual passes stay per window; a window where a series'
-lagged overlap has zero detrended variance is skipped, as in the self path.
+
+The lagged pass follows the same rule.  At lag k it pairs series x's box
+at sample r with series y's box at r + k, for r on the block grid (the
+forward half) and, unless s divides k, on the grid shifted by -k (the
+backward half); a window [start, stop) holds every such pair with
+start <= r and r + k + s <= stop, which are the boxes of its head and tail
+stacks.  Each block job sums the pairs whose r lies in its block, one
+whole-box stretch per grid and per block in which the partner box ends
+(`_lag_pieces`); a window adds the pieces whose partner ends inside it, in
+block order (`_lag_totals`).  The zero-variance rule then runs once on the
+window's totals and only on what the requested lags read: the anchors'
+heads and the others' tails at +k, the anchors' tails and the others'
+heads at -k; a window that fails it is skipped with a reason that names
+the signed lag.  A scale that is not eligible runs the same code with the
+window's normalized values as its only block (the backward grid then
+ends at stop - k).  The residual pass stays per window.
 """
 
 from __future__ import annotations
@@ -202,36 +216,68 @@ def _residual_fields(window_returns: ReturnMatrix, q, s, cfg, row: SpectralRow, 
     row.res_v1max = float(res_summary.max_components[0])
 
 
-def _lagged_rows(values, tickers, anchor_idx, other_mask, q_values, s, cfg):
-    """Mean coefficient of each anchor against all non-anchor assets for
-    every non-zero lag, sharing one detrending pass per |tau|.
+def _lag_pieces(values, lo: int, blk: int, s: int, cfg: AnalysisConfig, rows) -> dict:
+    """Lagged box sums of the pairs whose leading box starts in one block.
 
-    The anchor series truncated at the late end pairs with the others
-    truncated at the early end for a positive lag, and the other way
-    around for a negative one, so both signs come out of one head/tail
-    detrending of the window.
+    At lag k a pair is series x's box at sample r against series y's box
+    at r + k.  Pairs with r in [lo, lo + blk) lie on two grids: the forward
+    one from lo and, unless it is the same, the backward one from
+    lo + blk - k.  The pairs of one grid whose partner box ends in the same
+    block form one whole-box stretch and one kernel call.  The result maps
+    (k, d) to the sums of the pairs whose partner ends d blocks after this
+    one; pairs that run past the end of ``values`` are left out.
     """
-    pos = {t for t in cfg.lags if t > 0}
-    neg = {-t for t in cfg.lags if t < 0}
+    pieces = {}
+    for k in sorted({abs(t) for t in cfg.lags if t != 0}):
+        # The forward grid, then the backward one unless it is the same.
+        for offset in dict.fromkeys((0, (blk - k) % s)):
+            starts = np.arange(lo + offset, lo + blk, s)
+            starts = starts[starts + k + s <= values.shape[1]]
+            ends = (starts + k + s - 1 - lo) // blk
+            for d in np.unique(ends).tolist():
+                run = starts[ends == d]
+                a, b = run[0], run[-1] + s
+                part = cross_fluctuation_matrices(
+                    values[:, a:b], values[:, a + k : b + k], s, cfg.poly_order, cfg.q, rows
+                )
+                pieces[k, d] = pieces[k, d] + part if (k, d) in pieces else part
+    return pieces
+
+
+def _lag_totals(blocks) -> dict:
+    """A window's lagged sums per k from its blocks' pieces, in block order:
+    every pair whose partner box ends inside the window."""
+    totals = {}
+    for i, pieces in enumerate(blocks):
+        for (k, d), part in sorted(pieces.items()):
+            if i + d < len(blocks):
+                totals[k] = totals[k] + part if k in totals else part
+    return totals
+
+
+def _lagged_rows(totals, tickers, anchor_idx, other_mask, s, cfg):
+    """Mean coefficient of each anchor against all non-anchor assets for
+    every non-zero lag.
+
+    The anchors' heads pair with the others' tails for a positive lag and
+    the anchors' tails with the others' heads for a negative one, so both
+    signs come out of one set of sums per |tau|.
+    """
+    others = np.flatnonzero(other_mask)
     rows: dict = {}
-    for k in sorted(pos | neg):
-        cross = cross_fluctuation_matrices(
-            values[:, :-k], values[:, k:], s, cfg.poly_order, q_values,
-            rows=list(anchor_idx.values()), labels=tickers,
-        )
-        for q, (f_rows, f_cols, f_head, f_tail) in cross.items():
-            for i, (name, a) in enumerate(anchor_idx.items()):
-                if k in pos:
-                    rho = f_rows[i, other_mask] / np.sqrt(
-                        f_head[a] * f_tail[other_mask]
-                    )
-                    rows.setdefault((name, q), {})[k] = float(rho.mean())
-                if k in neg:
-                    rho = f_cols[other_mask, i] / np.sqrt(
-                        f_tail[a] * f_head[other_mask]
-                    )
-                    rows.setdefault((name, q), {})[-k] = float(rho.mean())
+    for k, total in totals.items():
+        for tau in (k, -k):
+            if tau not in cfg.lags:
+                continue
+            rho = total.coefficients(tau, list(anchor_idx.values()), others, s, tickers)
+            for q, mat in rho.items():
+                for name, row in zip(anchor_idx, mat):
+                    rows.setdefault((name, q), {})[tau] = float(row.mean())
     return rows
+
+
+def _anchors(tickers, cfg: AnalysisConfig) -> dict:
+    return {a: tickers.index(a) for a in cfg.anchors if a in tickers}
 
 
 def _needs_correlations(cfg: AnalysisConfig, families) -> bool:
@@ -248,19 +294,21 @@ def compute_window(
     cfg: AnalysisConfig,
     families,
     blocks=None,
+    lag_blocks=None,
 ) -> WindowResult:
     """All requested per-window products; pure function of its arguments.
 
-    ``blocks`` maps a scale to the window's block sums computed ahead (see
-    the module docstring); a scale without them is one block of the
-    window's normalized values.
+    ``blocks`` and ``lag_blocks`` map a scale to the window's block sums
+    and lagged pieces computed ahead (see the module docstring); a scale
+    without them is one block of the window's normalized values.
     """
     values = _window_values(returns, start, stop, cfg)
     tickers = returns.tickers
     result = WindowResult(index=index, end_ts=int(returns.timestamps[stop - 1]))
     need_corr = _needs_correlations(cfg, families)
     blocks = blocks or {}
-    anchor_idx = {a: tickers.index(a) for a in cfg.anchors if a in tickers}
+    lag_blocks = lag_blocks or {}
+    anchor_idx = _anchors(tickers, cfg)
     other_mask = np.ones(len(tickers), dtype=bool)
     for a in anchor_idx.values():
         other_mask[a] = False
@@ -298,7 +346,10 @@ def compute_window(
             )
     if "lagged" in families and anchor_idx and any(t != 0 for t in cfg.lags):
         for s in cfg.s:
-            rows = _lagged_rows(values, tickers, anchor_idx, other_mask, cfg.q, s, cfg)
+            pieces = lag_blocks.get(s) or [
+                _lag_pieces(values, 0, values.shape[1], s, cfg, list(anchor_idx.values()))
+            ]
+            rows = _lagged_rows(_lag_totals(pieces), tickers, anchor_idx, other_mask, s, cfg)
             for (name, q), taus in rows.items():
                 result.lagged.setdefault((name, q, s), {}).update(taus)
     return result
@@ -318,30 +369,38 @@ def run_analysis(
     results: list[WindowResult] = []
     skipped: list[tuple[int, str]] = []
     blk = math.gcd(cfg.step, cfg.window)
-    shared = [
-        s for s in cfg.s
-        if blk % s == 0 and cfg.poly_order >= 1 and _needs_correlations(cfg, families)
-    ]
+    eligible = [s for s in cfg.s if blk % s == 0 and cfg.poly_order >= 1]
+    shared = eligible if _needs_correlations(cfg, families) else []
+    anchor_rows = list(_anchors(returns.tickers, cfg).values())
+    lagged = "lagged" in families and anchor_rows and any(t != 0 for t in cfg.lags)
+    lag_shared = eligible if lagged else []
     # The blocks of each window that passes the gap-fill check.
     spans = {
         index: range(start // blk, stop // blk)
         for index, (start, stop) in enumerate(windows)
         if gap_fill_skip(returns, start, stop, cfg.max_missing) is None
     }
-    jobs = [(s, b) for s in shared for b in sorted(set().union(*spans.values()))]
+    needed = sorted(set().union(*spans.values()))
+    jobs = [(s, b, False) for s in shared for b in needed]
+    jobs += [(s, b, True) for s in lag_shared for b in needed]
 
     def block_sums(job):
-        s, b = job
+        s, b, lag = job
+        if lag:
+            return _lag_pieces(returns.values, b * blk, blk, s, cfg, anchor_rows)
         stretch = returns.values[:, b * blk : (b + 1) * blk]
         return spectra.fluctuation_matrices(stretch, s, cfg.poly_order, cfg.q)
 
     def worker(item):
         index, (start, stop) = item
-        blocks = {}
+        blocks, lag_blocks = {}, {}
         if index in spans:
-            blocks = {s: [sums[s, b] for b in spans[index]] for s in shared}
+            blocks = {s: [sums[s, b, False] for b in spans[index]] for s in shared}
+            lag_blocks = {s: [sums[s, b, True] for b in spans[index]] for s in lag_shared}
         try:
-            return compute_window(returns, start, stop, index, cfg, families, blocks)
+            return compute_window(
+                returns, start, stop, index, cfg, families, blocks, lag_blocks
+            )
         except QdccaError as exc:
             return (index, str(exc))
 

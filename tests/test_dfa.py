@@ -345,8 +345,8 @@ def test_cross_rows_match_all_rows_and_pairwise_lagged():
         full = cross_fluctuation_matrices(head, tail, s, 2, (1.0, 2.0, 4.0), range(40))
         part = cross_fluctuation_matrices(head, tail, s, 2, (1.0, 2.0, 4.0), idx)
         for q in (1.0, 2.0, 4.0):
-            all_rows, all_cols, f_head, f_tail = full[q]
-            f_rows, f_cols, p_head, p_tail = part[q]
+            all_rows, all_cols, f_head, f_tail = full.power[q]
+            f_rows, f_cols, p_head, p_tail = part.power[q]
             assert f_rows.shape == (2, 40) and f_cols.shape == (40, 2)
             assert np.array_equal(p_head, f_head)
             assert np.array_equal(p_tail, f_tail)

@@ -264,6 +264,33 @@ def test_series_flat_for_one_block_stays_live():
                 assert abs(row.lambda2 - eigenvalues[1]) <= 1e-12
 
 
+def test_series_flat_for_one_block_stays_live_in_the_lagged_files():
+    # The lagged files of the flat-block case above.  Boxes that straddle
+    # the block edge hold one return and zeros: flat profiles, whose
+    # residuals must come out as exact zeros in both paths, or the q/2 power
+    # lifts their rounding dust.  The sweep must match the pairwise lagged
+    # coefficient on the raw window.
+    returns = _factor_matrix(4, 4_320, seed=24)
+    values = returns.values.copy()
+    values[2, 1_440:2_880] = 0.0
+    cfg = _small_cfg(q=(0.5, 1.0), s=(10, 60), window=2_880, step=1_440,
+                     lags=(-1, 0, 1), anchors=("SYN00",))
+    result = run_analysis(cfg, replace(returns, values=values), families=("lagged",))
+    assert result.skipped == []
+    assert [w.index for w in result.windows] == [0, 1]
+    for w in result.windows:
+        window = values[:, w.index * 1_440 : w.index * 1_440 + 2_880]
+        for s in cfg.s:
+            for q in cfg.q:
+                dcfg = DetrendConfig(scale=s, poly_order=cfg.poly_order, q=q)
+                got = w.lagged[("SYN00", q, s)]
+                for tau in (-1, 1):
+                    direct = np.mean(
+                        [rho_q_lagged(window[0], window[j], dcfg, tau) for j in (1, 2, 3)]
+                    )
+                    assert abs(got[tau] - direct) <= 1e-12
+
+
 @pytest.mark.parametrize(
     "level,reason",
     [
@@ -288,8 +315,8 @@ def test_lagged_overlap_with_zero_variance_skips_the_window():
     # lag keep that return, but the head of lag 1 drops it, so the tau = -1
     # coefficient has no detrended variance to divide by.  The pairwise
     # path raises for that pair, and the sweep skips the window naming the
-    # ticker and scale instead of averaging in a coefficient of rounding
-    # noise.
+    # ticker, the signed lag and the scale instead of averaging in a
+    # coefficient of rounding noise.
     returns = _factor_matrix(4, 2_880, seed=23)
     values = returns.values.copy()
     values[3, :-1] = 0.0
@@ -300,5 +327,30 @@ def test_lagged_overlap_with_zero_variance_skips_the_window():
     result = run_analysis(cfg, replace(returns, values=values), families=("lagged",))
     assert result.windows == []
     assert result.skipped == [
-        (0, "SYN03 has zero detrended variance at scale 10; correlation undefined")
+        (0, "SYN03 has zero detrended variance in its lag -1 overlap at scale 10; "
+            "correlation undefined")
     ]
+
+
+def test_lagged_zero_variance_rule_reads_only_the_requested_lags():
+    # The window above with lags 0,1 only: tau = +1 reads the anchor's head
+    # and the others' tails, and SYN03's tail keeps its last return, so the
+    # window is computed and its coefficient is the pairwise one.
+    returns = _factor_matrix(4, 2_880, seed=23)
+    values = returns.values.copy()
+    values[3, :-1] = 0.0
+    cfg = _small_cfg(q=(1.0,), s=(10,), window=2_880, step=2_880,
+                     lags=(0, 1), anchors=("SYN00",))
+    result = run_analysis(cfg, replace(returns, values=values), families=("lagged",))
+    assert result.skipped == []
+    dcfg = DetrendConfig(scale=10, poly_order=cfg.poly_order, q=1.0)
+    direct = np.mean([rho_q_lagged(values[0], values[j], dcfg, 1) for j in (1, 2, 3)])
+    assert abs(result.windows[0].lagged[("SYN00", 1.0, 10)][1] - direct) <= 1e-12
+
+
+def test_lag_limit_leaves_two_boxes():
+    # The lagged overlap may be as short as two boxes of the largest scale,
+    # the pairwise function's own limit.
+    _small_cfg(window=100, s=(10, 20), lags=(-60, 0, 60)).validate()
+    with pytest.raises(ConfigError):
+        _small_cfg(window=100, s=(10, 20), lags=(0, 61)).validate()

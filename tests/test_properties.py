@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from qdcca.config import AnalysisConfig
 from qdcca.data import ReturnMatrix, normalize
-from qdcca.dfa import _box_profiles, cross_fluctuation_matrices, fluctuation_matrices
+from qdcca.dfa import (
+    DetrendConfig,
+    _box_profiles,
+    cross_fluctuation_matrices,
+    fluctuation_matrices,
+    rho_q_lagged,
+)
 from qdcca.network import (
     DistanceMatrix,
     SpanningTree,
@@ -95,16 +101,20 @@ def test_correlation_matrix_is_affine_invariant(stack, q, seed):
 @given(_stacks(), st.lists(_Q, min_size=1, max_size=3, unique=True))
 def test_self_and_cross_entry_points_agree(stack, q_values):
     # A stack against itself through the lagged entry point must give the
-    # same fluctuations as the symmetric one: cross terms and both
-    # normalizers within 1e-12 of sqrt(F_ii * F_jj), the scale of F_ij.
+    # same box sums as the symmetric one: cross terms and both normalizers
+    # within 1e-12 of sqrt(F_ii * F_jj), the scale of F_ij, and energies
+    # within 1e-12 relative (the two sum the boxes in different orders).
     values, scale, poly_order = stack
-    own = fluctuation_matrices(values, scale, poly_order, q_values).fluctuations(scale)
+    own = fluctuation_matrices(values, scale, poly_order, q_values)
     cross = cross_fluctuation_matrices(
         values, values, scale, poly_order, q_values, range(values.shape[0])
     )
+    for side in (0, 1):
+        assert np.allclose(cross.energy[side], own.energy, rtol=1e-12, atol=0)
+        assert np.allclose(cross.reference[side], own.reference, rtol=1e-12, atol=0)
     for q in q_values:
-        f = own[q]
-        f_rows, f_cols, f_head, f_tail = cross[q]
+        f = own.power[q]
+        f_rows, f_cols, f_head, f_tail = cross.power[q]
         diag = np.diag(f)
         bound = 1e-12 * np.sqrt(np.outer(diag, diag))
         assert np.all(np.abs(f_rows - f) <= bound)
@@ -117,9 +127,9 @@ def test_self_and_cross_entry_points_agree(stack, q_values):
 @given(_stacks(), st.integers(1, 3), st.integers(1, 3),
        st.lists(_Q, min_size=1, max_size=3, unique=True))
 def test_box_layout_is_the_literal_one_and_ignores_strides(stack, a, k, q_values):
-    # Each box profile is the running sum over its literal sample range:
-    # forward boxes, then backward ones unless s divides T (they would
-    # repeat the forward boxes).  Row-strided views of a wider stack give
+    # Each box profile is the running sum over its literal sample range,
+    # from 0 at the box's first sample: forward boxes, then backward ones
+    # unless s divides T (they would repeat the forward boxes).  Row-strided views of a wider stack give
     # the same bits as contiguous copies through both entry points.
     values, scale, poly_order = stack
     n, t = values.shape
@@ -129,7 +139,8 @@ def test_box_layout_is_the_literal_one_and_ignores_strides(stack, a, k, q_values
     profiles = _box_profiles(values, scale)
     assert profiles.shape == (n, len(ranges), scale)
     for b, (lo, hi) in enumerate(ranges):
-        assert np.array_equal(profiles[:, b], np.cumsum(values[:, lo - 1 : hi], axis=-1))
+        assert np.all(profiles[:, b, 0] == 0.0)
+        assert np.array_equal(profiles[:, b, 1:], np.cumsum(values[:, lo:hi], axis=-1))
     wide = np.hstack([0.5 * values[:, :a], values, 2.0 * values[:, -k:]])
     view = wide[:, a : a + t]
     own = fluctuation_matrices(view, scale, poly_order, q_values)
@@ -145,8 +156,10 @@ def test_box_layout_is_the_literal_one_and_ignores_strides(stack, a, k, q_values
     copied = cross_fluctuation_matrices(
         head.copy(), tail.copy(), scale, poly_order, q_values, rows
     )
+    for got, want in [(cross.energy, copied.energy), (cross.reference, copied.reference)]:
+        assert np.array_equal(got, want)
     for q in q_values:
-        for got, want in zip(cross[q], copied[q]):
+        for got, want in zip(cross.power[q], copied.power[q]):
             assert np.array_equal(got, want)
 
 
@@ -308,6 +321,65 @@ def test_block_sums_match_per_window_matrices(sweep):
                 assert abs(w.mean_rho[(q, s)] - (rho.sum() - n) / (n * (n - 1))) <= 1e-12
                 assert abs(row.lambda1 - eigenvalues[0]) <= 1e-12
                 assert abs(row.lambda2 - eigenvalues[1]) <= 1e-12
+
+
+@st.composite
+def _lagged_sweeps(draw):
+    """(returns, cfg) of a lagged sweep at one scale, block-eligible or
+    not, with a lag k < s, k = s, k > s or at the overlap limit
+    T - k = 2s; each series is mixed, then mapped by its own x -> a x + b."""
+    width, step = draw(_PLANS)
+    blk = gcd(step, width)
+    poly_order = draw(st.integers(1, 3))
+    scales = range(poly_order + 2, (width - 1) // 2 + 1)  # the limit lag is >= 1
+    eligible = draw(st.booleans())
+    scale = draw(st.sampled_from([s for s in scales if (blk % s == 0) == eligible]))
+    limit = width - 2 * scale
+    lags = {draw(st.integers(1, scale - 1)), scale, limit}
+    if limit > scale:
+        lags.add(draw(st.integers(scale + 1, limit)))
+    k = draw(st.sampled_from(sorted(lag for lag in lags if lag <= limit)))
+    q_values = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 4.0]), min_size=1, max_size=2,
+                             unique=True))
+    n = draw(st.integers(2, 4))
+    t = width + step * draw(st.integers(0, 2)) + draw(st.integers(0, step - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = (rng.standard_normal((n, n)) + 2.0 * np.eye(n)) @ rng.standard_normal((n, t))
+    a = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    b = rng.uniform(-5.0, 5.0, n) * np.abs(a)
+    returns = ReturnMatrix(
+        tickers=tuple(f"A{i}" for i in range(n)),
+        timestamps=np.arange(t, dtype=np.int64),
+        values=a[:, None] * values + b[:, None],
+    )
+    cfg = AnalysisConfig(q=tuple(q_values), s=(scale,), poly_order=poly_order,
+                         window=width, step=step, lags=(-k, k), anchors=("A0",),
+                         threads=1)
+    return returns, cfg
+
+
+@settings(max_examples=80, deadline=None)
+@given(_lagged_sweeps())
+def test_lagged_means_match_pairwise_per_window(sweep):
+    # The sweep's lagged pass (shared block pieces of the raw returns when
+    # s divides gcd(step, width), the window's own values otherwise) must
+    # give each window the mean pairwise lagged coefficient of its anchor.
+    returns, cfg = sweep
+    result = run_analysis(cfg, returns, families=("lagged",))
+    assert result.skipped == []
+    (s,) = cfg.s
+    for w in result.windows:
+        window = returns.values[:, w.index * cfg.step : w.index * cfg.step + cfg.window]
+        for q in cfg.q:
+            dcfg = DetrendConfig(scale=s, poly_order=cfg.poly_order, q=q)
+            got = w.lagged[("A0", q, s)]
+            assert sorted(got) == sorted(cfg.lags)
+            for tau in cfg.lags:
+                direct = np.mean([
+                    rho_q_lagged(window[0], window[j], dcfg, tau)
+                    for j in range(1, window.shape[0])
+                ])
+                assert abs(got[tau] - direct) <= 1e-12
 
 
 @settings(max_examples=200, deadline=None)
