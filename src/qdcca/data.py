@@ -135,12 +135,26 @@ def _rows(text: str, first_line: int, path: str):
         raise QuoteParseError(f"unreadable row: {exc}", path, first_line + rows.line_num - 1) from exc
 
 
+def _may_hold_long_field(body: str) -> bool:
+    """Whether a field of ``body`` may exceed csv's field limit L.
+
+    A field the bulk pass reads holds no comma, so one longer than L covers
+    a whole comma-free chunk [k*h, (k+1)*h) with h = L // 2.  `str.find`
+    stops at a chunk's first comma, so the check reads a few characters per
+    chunk and at worst each character once.
+    """
+    h = max(1, csv.field_size_limit() // 2)
+    return any(body.find(",", lo, lo + h) < 0 for lo in range(0, len(body) - h + 1, h))
+
+
 def _bulk_parse(body: str, width: int, wide: bool) -> np.ndarray | None:
     """Every row as one (T, width) table of epoch seconds and prices, or
     None when only the per-token parse reads the body as the rules say."""
-    # numpy strips the separators \x1c-\x1f around a number; float() does not.
+    # numpy strips the separators \x1c-\x1f around a number; float() does
+    # not; and numpy reads a field that csv rejects as too long.
     if (not body.strip("\r\n") or any(c in body for c in "\x1c\x1d\x1e\x1f") or (
-            any(h in body for h in _ISO_HINTS) and _ISO_IN_FIRST_FIELD.search("\n" + body))):
+            any(h in body for h in _ISO_HINTS) and _ISO_IN_FIRST_FIELD.search("\n" + body))
+            or _may_hold_long_field(body)):
         return None
     try:
         table = np.loadtxt(io.StringIO(body, newline=""), delimiter=",", dtype=np.float64,

@@ -9,34 +9,27 @@ byte-identical at any thread count.  A window that fails validation (too
 many gap fills, an asset constant inside the window, ...) is recorded in
 the skip log and the sweep continues.
 
-Overlapping windows share their detrended boxes.  With blk = gcd(step,
-width), every window is a run of whole blk-sample blocks of the return
-matrix.  A scale s is block-eligible when blk % s == 0 and the fit order
-m >= 1: the coefficient is invariant under a per-series affine map for
-m >= 1, so the raw returns can stand in for each window's normalized ones,
-and the window's boxes are exactly the s-tilings of its blocks.  For each
-eligible s the sweep first computes the box sums of every block that some
-window passing the gap-fill check needs (`spectra.fluctuation_matrices`,
-one block at a time, on the same pool, collected in block order); each
-window then adds its blocks in order, and the zero-variance, diagonal and
-bound checks run on the window's totals (`spectra.correlation_matrices`).
-Any other (s, m) is one block per window: the window's normalized values.
+Every coefficient is summed from the returns as given (after `global_norm`,
+if set) by one function, `_stretch_sums`: the box sums of a stretch of
+samples and its lagged pieces.  With blk = gcd(step, width), every window
+is a run of whole blk-sample blocks; for each scale with blk % s == 0 the
+sweep first sums every block that some window passing the gap-fill check
+needs, on the same pool, and each window adds its blocks in order.  Any
+other scale sums the window itself as its one stretch.  The zero-variance,
+diagonal and bound checks run once, on the window's totals
+(`spectra.correlation_matrices`, `dfa.CrossSums.coefficients`).
 
-The lagged pass follows the same rule.  At lag k it pairs series x's box
-at sample r with series y's box at r + k, for r on the block grid (the
-forward half) and, unless s divides k, on the grid shifted by -k (the
-backward half); a window [start, stop) holds every such pair with
-start <= r and r + k + s <= stop, which are the boxes of its head and tail
-stacks.  Each block job sums the pairs whose r lies in its block, one
-whole-box stretch per grid and per block in which the partner box ends
-(`_lag_pieces`); a window adds the pieces whose partner ends inside it, in
-block order (`_lag_totals`).  The zero-variance rule then runs once on the
-window's totals and only on what the requested lags read: the anchors'
-heads and the others' tails at +k, the anchors' tails and the others'
-heads at -k; a window that fails it is skipped with a reason that names
-the signed lag.  A scale that is not eligible runs the same code with the
-window's normalized values as its only block (the backward grid then
-ends at stop - k).  The residual pass stays per window.
+At lag k a lagged pair is series x's box at sample r against series y's
+box at r + k, for r on the stretch's grid (the forward half) and, unless
+s divides k, on the grid shifted by -k (the backward half); a window
+[start, stop) holds every pair with start <= r and r + k + s <= stop.  A
+stretch sums the pairs whose r lies in it, one whole-box kernel call per
+grid and per block in which the partner box ends (`_lag_pieces`); a window
+adds the pieces whose partner ends inside it, in block order
+(`_lag_totals`).  The zero-variance rule reads only what the requested
+lags read, and a window that fails it is skipped with a reason that names
+the signed lag.  Normalization runs per window only to feed the residual
+pass, the one result it changes.
 """
 
 from __future__ import annotations
@@ -187,20 +180,14 @@ def gap_fill_skip(returns: ReturnMatrix, start: int, stop: int, max_missing: flo
     return None
 
 
-def _window_values(returns: ReturnMatrix, start: int, stop: int, cfg: AnalysisConfig):
-    reason = gap_fill_skip(returns, start, stop, cfg.max_missing)
-    if reason is not None:
-        raise QdccaError(reason)
-    sliced = returns.values[:, start:stop]
-    if cfg.global_norm:
-        return sliced
-    out = np.empty_like(sliced)
-    for k in range(sliced.shape[0]):
+def _normalized(window_returns: ReturnMatrix) -> ReturnMatrix:
+    out = np.empty_like(window_returns.values)
+    for k, row in enumerate(window_returns.values):
         try:
-            out[k] = normalize(sliced[k])
+            out[k] = normalize(row)
         except QdccaError as exc:
-            raise QdccaError(f"{returns.tickers[k]}: {exc}") from exc
-    return out
+            raise QdccaError(f"{window_returns.tickers[k]}: {exc}") from exc
+    return replace(window_returns, values=out)
 
 
 def _residual_fields(window_returns: ReturnMatrix, q, s, cfg, row: SpectralRow, summary):
@@ -217,15 +204,15 @@ def _residual_fields(window_returns: ReturnMatrix, q, s, cfg, row: SpectralRow, 
 
 
 def _lag_pieces(values, lo: int, blk: int, s: int, cfg: AnalysisConfig, rows) -> dict:
-    """Lagged box sums of the pairs whose leading box starts in one block.
+    """Lagged box sums of the pairs whose leading box starts in one stretch.
 
     At lag k a pair is series x's box at sample r against series y's box
     at r + k.  Pairs with r in [lo, lo + blk) lie on two grids: the forward
     one from lo and, unless it is the same, the backward one from
     lo + blk - k.  The pairs of one grid whose partner box ends in the same
-    block form one whole-box stretch and one kernel call.  The result maps
-    (k, d) to the sums of the pairs whose partner ends d blocks after this
-    one; pairs that run past the end of ``values`` are left out.
+    blk-sample block form one whole-box stretch and one kernel call.  The
+    result maps (k, d) to the sums of the pairs whose partner ends d blocks
+    after this one; pairs that run past the end of ``values`` are left out.
     """
     pieces = {}
     for k in sorted({abs(t) for t in cfg.lags if t != 0}):
@@ -242,6 +229,16 @@ def _lag_pieces(values, lo: int, blk: int, s: int, cfg: AnalysisConfig, rows) ->
                 )
                 pieces[k, d] = pieces[k, d] + part if (k, d) in pieces else part
     return pieces
+
+
+def _stretch_sums(values, lo: int, hi: int, s: int, cfg: AnalysisConfig, corr: bool, rows):
+    """The box sums of samples [lo, hi) of ``values`` at scale s (None
+    unless ``corr``) and their lagged pieces against the ``rows`` anchors
+    (see `_lag_pieces`; empty without rows)."""
+    sums = None
+    if corr:
+        sums = spectra.fluctuation_matrices(values[:, lo:hi], s, cfg.poly_order, cfg.q)
+    return sums, _lag_pieces(values, lo, hi - lo, s, cfg, rows) if rows else {}
 
 
 def _lag_totals(blocks) -> dict:
@@ -280,6 +277,13 @@ def _anchors(tickers, cfg: AnalysisConfig) -> dict:
     return {a: tickers.index(a) for a in cfg.anchors if a in tickers}
 
 
+def _lag_rows(tickers, cfg: AnalysisConfig, families) -> list:
+    """The anchors' rows for the non-zero lags, or [] when none are asked for."""
+    if "lagged" in families and any(t != 0 for t in cfg.lags):
+        return list(_anchors(tickers, cfg).values())
+    return []
+
+
 def _needs_correlations(cfg: AnalysisConfig, families) -> bool:
     return bool({"spectra", "topology", "edges", "clusters", "periods"} & set(families)) or (
         "lagged" in families and 0 in cfg.lags
@@ -293,31 +297,42 @@ def compute_window(
     index: int,
     cfg: AnalysisConfig,
     families,
-    blocks=None,
-    lag_blocks=None,
+    shared=None,
 ) -> WindowResult:
     """All requested per-window products; pure function of its arguments.
 
-    ``blocks`` and ``lag_blocks`` map a scale to the window's block sums
-    and lagged pieces computed ahead (see the module docstring); a scale
-    without them is one block of the window's normalized values.
+    ``shared`` maps a scale to the `_stretch_sums` of the window's blocks,
+    computed ahead (see the module docstring); a scale without them sums
+    the window itself as one stretch.
     """
-    values = _window_values(returns, start, stop, cfg)
+    reason = gap_fill_skip(returns, start, stop, cfg.max_missing)
+    if reason is not None:
+        raise QdccaError(reason)
     tickers = returns.tickers
+    window_returns = ReturnMatrix(
+        tickers=tickers, timestamps=returns.timestamps[start:stop],
+        values=returns.values[:, start:stop],
+    )
     result = WindowResult(index=index, end_ts=int(returns.timestamps[stop - 1]))
     need_corr = _needs_correlations(cfg, families)
-    blocks = blocks or {}
-    lag_blocks = lag_blocks or {}
+    rows = _lag_rows(tickers, cfg, families)
     anchor_idx = _anchors(tickers, cfg)
     other_mask = np.ones(len(tickers), dtype=bool)
     for a in anchor_idx.values():
         other_mask[a] = False
-    window_returns = ReturnMatrix(
-        tickers=tickers, timestamps=returns.timestamps[start:stop], values=values
-    )
+    residual_input = None
+    if cfg.residual and "spectra" in families:
+        residual_input = window_returns if cfg.global_norm else _normalized(window_returns)
+    shared = shared or {}
+    parts = {
+        s: shared.get(s)
+        or [_stretch_sums(window_returns.values, 0, stop - start, s, cfg, need_corr, rows)]
+        for s in cfg.s
+    }
     for s in cfg.s if need_corr else ():
         mats = spectra.correlation_matrices(
-            window_returns, s, cfg.poly_order, cfg.q, window=index, blocks=blocks.get(s)
+            window_returns, s, cfg.poly_order, cfg.q, window=index,
+            blocks=[sums for sums, _ in parts[s]],
         )
         for q in cfg.q:
             c = mats[q]
@@ -326,8 +341,8 @@ def compute_window(
             if "spectra" in families:
                 summary = spectra.eigendecompose(c)
                 row = _spectral_row(summary)
-                if cfg.residual:
-                    _residual_fields(window_returns, q, s, cfg, row, summary)
+                if residual_input is not None:
+                    _residual_fields(residual_input, q, s, cfg, row, summary)
                 result.spectral[(q, s)] = row
             if {"topology", "edges"} & set(families):
                 tree = network.minimum_spanning_tree(
@@ -344,14 +359,11 @@ def compute_window(
             result.partitions[s] = network.louvain(
                 mats[cfg.q[0]], resolution=cfg.resolution, seed=int(seed)
             )
-    if "lagged" in families and anchor_idx and any(t != 0 for t in cfg.lags):
-        for s in cfg.s:
-            pieces = lag_blocks.get(s) or [
-                _lag_pieces(values, 0, values.shape[1], s, cfg, list(anchor_idx.values()))
-            ]
-            rows = _lagged_rows(_lag_totals(pieces), tickers, anchor_idx, other_mask, s, cfg)
-            for (name, q), taus in rows.items():
-                result.lagged.setdefault((name, q, s), {}).update(taus)
+    for s in cfg.s if rows else ():
+        totals = _lag_totals([pieces for _, pieces in parts[s]])
+        lagged = _lagged_rows(totals, tickers, anchor_idx, other_mask, s, cfg)
+        for (name, q), taus in lagged.items():
+            result.lagged.setdefault((name, q, s), {}).update(taus)
     return result
 
 
@@ -369,38 +381,26 @@ def run_analysis(
     results: list[WindowResult] = []
     skipped: list[tuple[int, str]] = []
     blk = math.gcd(cfg.step, cfg.window)
-    eligible = [s for s in cfg.s if blk % s == 0 and cfg.poly_order >= 1]
-    shared = eligible if _needs_correlations(cfg, families) else []
-    anchor_rows = list(_anchors(returns.tickers, cfg).values())
-    lagged = "lagged" in families and anchor_rows and any(t != 0 for t in cfg.lags)
-    lag_shared = eligible if lagged else []
+    need_corr = _needs_correlations(cfg, families)
+    rows = _lag_rows(returns.tickers, cfg, families)
+    shared = [s for s in cfg.s if blk % s == 0]
     # The blocks of each window that passes the gap-fill check.
     spans = {
         index: range(start // blk, stop // blk)
         for index, (start, stop) in enumerate(windows)
         if gap_fill_skip(returns, start, stop, cfg.max_missing) is None
     }
-    needed = sorted(set().union(*spans.values()))
-    jobs = [(s, b, False) for s in shared for b in needed]
-    jobs += [(s, b, True) for s in lag_shared for b in needed]
+    jobs = [(s, b) for s in shared for b in sorted(set().union(*spans.values()))]
 
     def block_sums(job):
-        s, b, lag = job
-        if lag:
-            return _lag_pieces(returns.values, b * blk, blk, s, cfg, anchor_rows)
-        stretch = returns.values[:, b * blk : (b + 1) * blk]
-        return spectra.fluctuation_matrices(stretch, s, cfg.poly_order, cfg.q)
+        s, b = job
+        return _stretch_sums(returns.values, b * blk, (b + 1) * blk, s, cfg, need_corr, rows)
 
     def worker(item):
         index, (start, stop) = item
-        blocks, lag_blocks = {}, {}
-        if index in spans:
-            blocks = {s: [sums[s, b, False] for b in spans[index]] for s in shared}
-            lag_blocks = {s: [sums[s, b, True] for b in spans[index]] for s in lag_shared}
+        blocks = {s: [sums[s, b] for b in spans[index]] for s in shared} if index in spans else {}
         try:
-            return compute_window(
-                returns, start, stop, index, cfg, families, blocks, lag_blocks
-            )
+            return compute_window(returns, start, stop, index, cfg, families, blocks)
         except QdccaError as exc:
             return (index, str(exc))
 

@@ -364,7 +364,9 @@ def test_non_utf8_bytes_name_their_line(tmp_path, raw, line):
     # The bulk parse reads the long price; looking up the line of the bad
     # row after it re-reads the body with csv and meets the long field.
     ("timestamp,price\n0,100\n1,1." + "0" * 200_000 + "\n2,102\n3,-1\n", 3),
-], ids=["first row", "before a bad row"])
+    # A clean file: the bulk parse alone would read the long price.
+    ("timestamp,price\n0,100\n1,1." + "0" * 200_000 + "\n2,102\n", 3),
+], ids=["first row", "before a bad row", "clean file"])
 def test_field_over_csv_limit_names_its_line(tmp_path, text, line):
     # csv.reader's default field limit is 131,072 characters.
     path = tmp_path / "AAA.csv"
@@ -372,6 +374,14 @@ def test_field_over_csv_limit_names_its_line(tmp_path, text, line):
     with pytest.raises(QuoteParseError, match="field limit") as exc:
         load_quotes(str(path))
     assert (exc.value.path, exc.value.line) == (str(path), line)
+
+
+def test_field_at_csv_limit_loads(tmp_path):
+    # 131,072 characters is still within the limit, quoted or not.
+    price = "1." + "0" * 131_070
+    text = f'timestamp,price\n0,100\n1,{price}\n2,"{price}"\n3,102\n'
+    (qs,) = _load_case(tmp_path, "AAA.csv", text)
+    assert qs.prices.tolist() == [100.0, 1.0, 1.0, 102.0]
 
 
 def test_price_parsing_is_bitwise_python_float(tmp_path):

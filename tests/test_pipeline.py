@@ -199,10 +199,34 @@ def test_run_analysis_gap_fill_skip():
 
 
 def test_global_normalization_flag():
+    # The coefficient reads the returns as given and is affine-invariant at
+    # m >= 1, so normalizing once over the full series instead of per
+    # window changes only the residual pass, which regresses on the
+    # normalized values.
     returns = _factor_matrix(3, 2_000, seed=7)
-    cfg = _small_cfg(global_norm=True, lags=(0,))
-    result = run_analysis(cfg, returns, families=("spectra", "periods"))
-    assert len(result.windows) == 3
+    per_window, whole = (
+        run_analysis(_small_cfg(global_norm=flag, residual=True), returns,
+                     families=("spectra", "lagged", "periods"))
+        for flag in (False, True)
+    )
+    assert [w.index for w in whole.windows] == [w.index for w in per_window.windows] == [0, 1, 2]
+    res_gap = 0.0
+    for a, b in zip(per_window.windows, whole.windows):
+        assert a.spectral.keys() == b.spectral.keys() and a.lagged.keys() == b.lagged.keys()
+        for key, row in a.spectral.items():
+            other = b.spectral[key]
+            assert row.degenerate == other.degenerate
+            for name in ("lambda1", "lambda2", "h1", "h2", "v1max", "v2max"):
+                assert abs(getattr(row, name) - getattr(other, name)) <= 1e-12
+            for name in ("res_lambda1", "res_h1", "res_v1max"):
+                res_gap = max(res_gap, abs(getattr(row, name) - getattr(other, name)))
+        for key, value in a.mean_rho.items():
+            assert abs(value - b.mean_rho[key]) <= 1e-12
+        for key, taus in a.lagged.items():
+            assert taus.keys() == b.lagged[key].keys()
+            for tau, value in taus.items():
+                assert abs(value - b.lagged[key][tau]) <= 1e-12
+    assert res_gap > 1e-6
 
 
 def test_compute_window_end_timestamp_label():
@@ -231,17 +255,20 @@ def test_epps_buildup_with_asynchronous_factor():
 def test_series_flat_for_one_block_stays_live():
     # Zero returns for one whole 1,440-sample block leave the series live in
     # both windows that hold the block: the zero-variance check reads the
-    # window's summed energies, not a block's.  At q >= 2 both windows match
-    # the per-window path on their normalized values.  At q < 2 that path is
-    # the less exact one: the flat block normalizes to a constant whose
-    # residuals are rounding dust (~1e-17), not zero, and the q/2 power
-    # lifts the dust in its cross terms to 1e-11 (q = 1) or 1e-5 (q = 0.5).
-    # So q < 2 is checked against the literal oracle on the raw returns,
-    # where the flat block's residuals are exactly zero.
+    # window's summed energies, not a block's.  s = 70 is not shared (it
+    # does not divide the block), so the window is summed as one stretch.
+    # At q >= 2 both windows match the per-window path on their normalized
+    # values.  At q < 2 that path is the less exact one: the flat block
+    # normalizes to a constant whose residuals are rounding dust (~1e-17),
+    # not zero, and the q/2 power lifts the dust in its cross terms to 1e-11
+    # (q = 1) or 1e-5 (q = 0.5).  So q < 2 is checked against the literal
+    # oracle on the raw returns, where the flat block's residuals are
+    # exactly zero.
     returns = _factor_matrix(4, 4_320, seed=21)
     values = returns.values.copy()
     values[2, 1_440:2_880] = 0.0
-    cfg = _small_cfg(q=(0.5, 1.0, 2.0, 4.0), s=(10, 60), window=2_880, step=1_440, lags=(0,))
+    cfg = _small_cfg(q=(0.5, 1.0, 2.0, 4.0), s=(10, 60, 70), window=2_880, step=1_440,
+                     lags=(0,))
     result = run_analysis(cfg, replace(returns, values=values), families=("spectra", "periods"))
     assert result.skipped == []
     assert [w.index for w in result.windows] == [0, 1]
@@ -269,11 +296,11 @@ def test_series_flat_for_one_block_stays_live_in_the_lagged_files():
     # the block edge hold one return and zeros: flat profiles, whose
     # residuals must come out as exact zeros in both paths, or the q/2 power
     # lifts their rounding dust.  The sweep must match the pairwise lagged
-    # coefficient on the raw window.
+    # coefficient on the raw window, at the shared scales and at s = 70.
     returns = _factor_matrix(4, 4_320, seed=24)
     values = returns.values.copy()
     values[2, 1_440:2_880] = 0.0
-    cfg = _small_cfg(q=(0.5, 1.0), s=(10, 60), window=2_880, step=1_440,
+    cfg = _small_cfg(q=(0.5, 1.0), s=(10, 60, 70), window=2_880, step=1_440,
                      lags=(-1, 0, 1), anchors=("SYN00",))
     result = run_analysis(cfg, replace(returns, values=values), families=("lagged",))
     assert result.skipped == []
@@ -294,13 +321,13 @@ def test_series_flat_for_one_block_stays_live_in_the_lagged_files():
 @pytest.mark.parametrize(
     "level,reason",
     [
-        (0.0, "SYN02: cannot normalize a constant series"),
+        (0.0, "SYN02 has zero detrended variance at scale 10; correlation undefined"),
         (0.37, "SYN02 has zero detrended variance at scale 10; correlation undefined"),
     ],
 )
 def test_series_constant_over_a_window_skips_it(level, reason):
     # Constant over all of window 1 (one whole block): the window is skipped
-    # with the per-window message, whichever check catches it first.
+    # by the zero-variance check on the window's summed energies.
     returns = _factor_matrix(4, 4_320, seed=22)
     values = returns.values.copy()
     values[2, 1_440:2_880] = level

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qdcca.config import AnalysisConfig
-from qdcca.data import ReturnMatrix, normalize
+from qdcca.data import ReturnMatrix
 from qdcca.dfa import (
     DetrendConfig,
     _box_profiles,
@@ -276,11 +276,11 @@ _PLANS = st.sampled_from([(60, 60), (120, 30), (120, 50), (100, 40)])
 
 @st.composite
 def _block_sweeps(draw):
-    """(returns, cfg) of a sweep whose every scale is block-eligible; each
-    series is mixed, then mapped by its own x -> a x + b."""
+    """(returns, cfg) of a sweep whose every scale is shared; each series is
+    mixed, then mapped by its own x -> a x + b."""
     width, step = draw(_PLANS)
     blk = gcd(step, width)
-    poly_order = draw(st.integers(1, 3))
+    poly_order = draw(st.integers(0, 3))
     eligible = [s for s in range(poly_order + 2, width // 2 + 1) if blk % s == 0]
     scales = draw(st.lists(st.sampled_from(eligible), min_size=1, max_size=2, unique=True))
     q_values = draw(st.lists(_Q, min_size=1, max_size=2, unique=True))
@@ -303,17 +303,16 @@ def _block_sweeps(draw):
 @settings(max_examples=60, deadline=None)
 @given(_block_sweeps())
 def test_block_sums_match_per_window_matrices(sweep):
-    # The sweep adds shared block sums of the raw returns; the reference is
-    # the one-block path on each window's normalized values.
+    # The sweep adds shared block sums of the returns; the reference is the
+    # one-block path on each window's returns, at every fit order.
     returns, cfg = sweep
     result = run_analysis(cfg, returns, families=("spectra", "periods"))
     assert result.skipped == []
     for w in result.windows:
         window = returns.values[:, w.index * cfg.step : w.index * cfg.step + cfg.window]
-        norm = np.stack([normalize(row) for row in window])
-        n = norm.shape[0]
+        n = window.shape[0]
         for s in cfg.s:
-            mats = correlation_matrices(norm, s, cfg.poly_order, cfg.q)
+            mats = correlation_matrices(window, s, cfg.poly_order, cfg.q)
             for q in cfg.q:
                 rho = mats[q].values
                 eigenvalues = np.linalg.eigvalsh(rho)[::-1]
@@ -325,12 +324,12 @@ def test_block_sums_match_per_window_matrices(sweep):
 
 @st.composite
 def _lagged_sweeps(draw):
-    """(returns, cfg) of a lagged sweep at one scale, block-eligible or
-    not, with a lag k < s, k = s, k > s or at the overlap limit
-    T - k = 2s; each series is mixed, then mapped by its own x -> a x + b."""
+    """(returns, cfg) of a lagged sweep at one scale, shared or not, with a
+    lag k < s, k = s, k > s or at the overlap limit T - k = 2s; each series
+    is mixed, then mapped by its own x -> a x + b."""
     width, step = draw(_PLANS)
     blk = gcd(step, width)
-    poly_order = draw(st.integers(1, 3))
+    poly_order = draw(st.integers(0, 3))
     scales = range(poly_order + 2, (width - 1) // 2 + 1)  # the limit lag is >= 1
     eligible = draw(st.booleans())
     scale = draw(st.sampled_from([s for s in scales if (blk % s == 0) == eligible]))
@@ -361,9 +360,9 @@ def _lagged_sweeps(draw):
 @settings(max_examples=80, deadline=None)
 @given(_lagged_sweeps())
 def test_lagged_means_match_pairwise_per_window(sweep):
-    # The sweep's lagged pass (shared block pieces of the raw returns when
-    # s divides gcd(step, width), the window's own values otherwise) must
-    # give each window the mean pairwise lagged coefficient of its anchor.
+    # The sweep's lagged pass (shared block pieces when s divides
+    # gcd(step, width), the window as one stretch otherwise) must give each
+    # window the mean pairwise lagged coefficient of its anchor.
     returns, cfg = sweep
     result = run_analysis(cfg, returns, families=("lagged",))
     assert result.skipped == []
