@@ -127,10 +127,15 @@ def _is_header(row: list[str]) -> bool:
 
 
 def _rows(text: str, first_line: int, path: str):
-    """The non-empty CSV rows of ``text`` with their 1-based file lines."""
+    """The non-empty CSV rows of ``text`` with the 1-based file line each
+    starts on (a quoted field may span line breaks)."""
     rows = csv.reader(io.StringIO(text, newline=""))
+    start = first_line
     try:
-        yield from ((line_no, row) for line_no, row in enumerate(rows, first_line) if row)
+        for row in rows:
+            if row:
+                yield start, row
+            start = first_line + rows.line_num
     except csv.Error as exc:  # e.g. a field over csv's 131,072-character limit
         raise QuoteParseError(f"unreadable row: {exc}", path, first_line + rows.line_num - 1) from exc
 

@@ -4,7 +4,10 @@ Distances follow d = sqrt(2(1 - rho)), so perfectly correlated assets sit
 at distance 0 and perfectly anticorrelated ones at distance 2.  The
 minimum spanning tree is built with Prim's algorithm using lexicographic
 (weight, min node, max node) comparisons, which makes the edge set unique
-and invariant under any strictly increasing reweighting.  Community
+and invariant under any strictly increasing reweighting.  The mean path
+length sums over edge cuts: an edge that splits its component of c nodes
+into n and c - n lies on the paths of n (c - n) pairs (Wiener, 1947), so
+one walk that sizes every subtree gives all pairs at once.  Community
 detection is a two-phase greedy modularity search on the complete weighted
 graph with negative coefficients clamped to zero.
 """
@@ -181,13 +184,6 @@ def powerlaw_fit(dd: DegreeDistribution) -> tuple[float, float]:
     return float(abs(slope)), stderr
 
 
-def _runs(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Run index and position of every element of the concatenated runs
-    first[r], first[r] + 1, ..., first[r] + count[r] - 1."""
-    run = np.repeat(np.arange(count.size), count)
-    return run, np.arange(run.size) + np.repeat(first - np.cumsum(count) + count, count)
-
-
 def mean_path_length(tree: SpanningTree, weighted: bool = False) -> float:
     """Average path length over unordered node pairs.
 
@@ -196,45 +192,40 @@ def mean_path_length(tree: SpanningTree, weighted: bool = False) -> float:
     ShapeMismatchError when the edges contain a cycle.
     """
     n = tree.n_nodes
-    ends = np.array([(e.i, e.j) for e in tree.edges], dtype=np.int64).reshape(-1, 2)
-    lengths = np.repeat([e.distance if weighted else 1.0 for e in tree.edges], 2)
-    # Arc 2k runs along edge k from i to j, arc 2k + 1 back; each node's
-    # outgoing arcs stay in edge-insertion order.
-    heads, tails = ends.ravel(), ends[:, ::-1].ravel()
-    out = np.argsort(heads, kind="stable")
-    degree = np.bincount(heads, minlength=n)
-    out_start = np.cumsum(degree) - degree
-    # A search that arrives over arc a -> b leaves over b's other arcs.
-    arc, slot = _runs(out_start[tails], degree[tails])
-    succ = out[slot]
-    onward = succ != arc ^ 1
-    succ = succ[onward]
-    succ_count = np.bincount(arc[onward], minlength=heads.size)
-    succ_start = np.cumsum(succ_count) - succ_count
-    # One breadth-first search from every source at once, level by level.
-    # Each level's rows stay sorted by (source, discovery order), so a
-    # stable sort on the source restores the order in which a per-source
-    # search meets the pairs, and the cumulative sum is that left fold.
-    arcs = out
-    src = heads[arcs]
-    acc = 0.0 + lengths[arcs]
-    budget = n * (n - 1)  # a forest meets each (source, node) pair once
-    # The fold starts from 0.0 like a running total; source -1 sorts first.
-    found_src, found_len = [np.array([-1])], [np.zeros(1)]
-    while arcs.size:
-        farther = tails[arcs] > src
-        found_src.append(src[farther])
-        found_len.append(acc[farther])
-        count = succ_count[arcs]
-        budget -= count.sum()
-        if budget < 0:
-            raise ShapeMismatchError("tree edges contain a cycle")
-        row, slot = _runs(succ_start[arcs], count)
-        arcs = succ[slot]
-        src = src[row]
-        acc = acc[row] + lengths[arcs]
-    found = np.concatenate(found_len)[np.argsort(np.concatenate(found_src), kind="stable")]
-    return float(np.cumsum(found)[-1]) / (n * (n - 1) / 2)
+    incident = [[] for _ in range(n)]
+    for k, e in enumerate(tree.edges):
+        incident[e.i].append((k, e.j))
+        incident[e.j].append((k, e.i))
+    # Walk each component from its lowest node.  A node is reached once,
+    # over its parent edge; any other edge to a reached node closes a cycle.
+    root, parent_edge, reached = [-1] * n, [-1] * n, []
+    for start in range(n):
+        if root[start] >= 0:
+            continue
+        root[start], stack = start, [start]
+        while stack:
+            u = stack.pop()
+            for k, v in incident[u]:
+                if k == parent_edge[u]:
+                    continue
+                if root[v] >= 0:
+                    raise ShapeMismatchError("tree edges contain a cycle")
+                root[v], parent_edge[v] = start, k
+                reached.append((v, u))
+                stack.append(v)
+    # A node is reached after its parent, so in reverse order every subtree
+    # size is final before it is added to the parent's.
+    size = [1] * n
+    for v, u in reversed(reached):
+        size[u] += size[v]
+    # Edge e lies on the paths of the n_e * (c_e - n_e) pairs it separates,
+    # with n_e the size of the subtree below it and c_e its component's.
+    total = 0.0
+    for k, e in enumerate(tree.edges):
+        below = e.j if parent_edge[e.j] == k else e.i
+        n_e = size[below]
+        total += (e.distance if weighted else 1.0) * (n_e * (size[root[below]] - n_e))
+    return total / (n * (n - 1) / 2)
 
 
 def _aggregate(weights: np.ndarray, membership: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -105,10 +105,13 @@ def correlation_matrices(
     out = {}
     for q, fmat in fmats.items():
         diag = np.diag(fmat).copy()
+        # `fluctuations` has passed every energy, so a zero here is the
+        # q/2 power underflowing on tiny residuals.
         if np.any(diag <= 0):
             bad = labels[int(np.argmax(diag <= 0))]
             raise ZeroVarianceError(
-                f"{bad} has zero detrended variance at scale {scale}", label=bad
+                f"{bad} has a fluctuation function that underflows to 0 at q={q:g}, "
+                f"scale {scale}; correlation undefined", label=bad,
             )
         rho = fmat / np.sqrt(np.outer(diag, diag))
         np.fill_diagonal(rho, 1.0)

@@ -5,6 +5,11 @@ formulas (explicit per-box loops, np.polyfit, exhaustive enumeration) and
 shares no code with the package under test.  The ``*_loop`` references are
 the network layer's original per-node loops, kept literally: the array
 forms in the package add in the same order, so they must agree bit for bit.
+The one exception is ``mean_path_length_loop``: the package sums path
+lengths over edge cuts, so the per-source loop agrees bit for bit on hop
+counts (every partial sum is an exact integer) and only to rounding on
+distances; ``mean_path_length_cut_loop`` adds the weighted terms in the
+package's order.
 """
 
 import itertools
@@ -220,6 +225,37 @@ def mean_path_length_loop(n, edges, weighted=False):
                             total += acc + w
                         nxt.append((nbr, acc + w))
             frontier = nxt
+    return total / (n * (n - 1) / 2)
+
+
+def mean_path_length_cut_loop(n, edges, weighted=False):
+    """Mean tree path length as a sum over edge cuts, each found on its own:
+    without edge e the search from e's first end reaches n_e nodes, with it
+    c_e, and e lies on the paths of the n_e * (c_e - n_e) pairs it splits.
+    ``edges`` holds (i, j, distance); terms are added in edge order."""
+
+    def reached(start, kept):
+        adj = [[] for _ in range(n)]
+        for i, j, _ in kept:
+            adj[i].append(j)
+            adj[j].append(i)
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for node in frontier:
+                for nbr in adj[node]:
+                    if nbr not in seen:
+                        seen.add(nbr)
+                        nxt.append(nbr)
+            frontier = nxt
+        return len(seen)
+
+    total = 0.0
+    for k, (i, _, distance) in enumerate(edges):
+        n_e = reached(i, edges[:k] + edges[k + 1:])
+        c_e = reached(i, edges)
+        total += (distance if weighted else 1.0) * (n_e * (c_e - n_e))
     return total / (n * (n - 1) / 2)
 
 

@@ -243,6 +243,7 @@ NARROW_CASES = [
     ("crlf", "timestamp,price\r\n0,100\r\n1,101\r\n", ([0, 1], [100.0, 101.0])),
     ("blank lines", "timestamp,price\n\n0,100\n\n\n1,101\n\n", ([0, 1], [100.0, 101.0])),
     ("bad price after blank lines", "timestamp,price\n\n0,100\n\n1,0\n", 5),
+    ("bad price after a quoted line break", 'timestamp,price\n0,"100\n"\n1,101\n2,-1\n', 5),
     ("underscored digits", "1_000,1_00\n1_001,101\n", ([1000, 1001], [100.0, 101.0])),
     ("hex timestamp", "0,100\n0x10,101\n", 2),
     ("hex price", "0,100\n1,0x10\n", 2),
@@ -435,7 +436,10 @@ def _reference_load(text):
     when the file as a whole is at fault)."""
     seen, stamps, prices, lines = set(), [], [], []
     rows = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
-    for line, row in enumerate(rows, start=1):
+    start = 1
+    for row in rows:
+        # A row's line is the one its record starts on.
+        line, start = start, 1 + rows.line_num
         if not row:
             continue
         if (line == 1 and _reference_seconds(row[0]) is None
@@ -467,7 +471,7 @@ def _reference_load(text):
 
 _TOKENS = ["0", "1", "2", "7", "99999999", "100000020", "1577836860", "-5", "-0",
            "1e-5", "10e-1", "1_0", "0x10", "nan", "inf", "INFINITY", " 3 ", '"4"',
-           '"5,6"', "2.5", "1e400", "", "abc", "5\x1c", "5\xa0",
+           '"5,6"', '"7\n"', "2.5", "1e400", "", "abc", "5\x1c", "5\xa0",
            "2020-01-01T00:01:00Z", "1970-01-01T00:03", "1970-01-01T00:02:00+00:00"]
 
 

@@ -30,6 +30,7 @@ from oracles import (
     brute_force_mst,
     local_phase_loop,
     louvain_loop,
+    mean_path_length_cut_loop,
     mean_path_length_loop,
     n_communities,
     prim_mst_loop,
@@ -84,6 +85,18 @@ def _bits(values):
     return struct.pack(f"<{len(values)}d", *values)
 
 
+def _assert_path_lengths_match(tree, n, edges):
+    # Hop counts sum exact integers, so any order gives the per-source
+    # loop's bits.  Distances are added in edge order like the cut loop,
+    # and agree with the per-source loop to rounding.
+    hops = mean_path_length(tree)
+    assert _bits([hops]) == _bits([mean_path_length_loop(n, edges)])
+    assert _bits([hops]) == _bits([mean_path_length_cut_loop(n, edges)])
+    weighted = mean_path_length(tree, weighted=True)
+    assert _bits([weighted]) == _bits([mean_path_length_cut_loop(n, edges, True)])
+    assert weighted == pytest.approx(mean_path_length_loop(n, edges, True), rel=1e-13, abs=0.0)
+
+
 def test_network_layer_matches_loop_references_bitwise():
     rng = np.random.default_rng(2024)
     sizes = [2, 3, 90] + rng.integers(2, 91, size=37).tolist()
@@ -99,10 +112,7 @@ def test_network_layer_matches_loop_references_bitwise():
             [x for e in expected for x in e[2:]]
         )
         loop_edges = [(i, j, dist) for i, j, dist, _ in expected]
-        for weighted in (False, True):
-            assert _bits([mean_path_length(tree, weighted=weighted)]) == _bits(
-                [mean_path_length_loop(n, loop_edges, weighted)]
-            )
+        _assert_path_lengths_match(tree, n, loop_edges)
         resolution = (1.0, 0.5, 1.5)[case % 3]
         part = louvain(c, resolution=resolution, seed=case)
         members, q, _ = louvain_loop(rho, resolution, seed=case)
@@ -152,10 +162,7 @@ def test_mean_path_length_matches_loop_on_forests():
             labels=tuple(f"A{i}" for i in range(n)),
             edges=tuple(TreeEdge(i=a, j=b, distance=w, rho=0.0) for a, b, w in edges),
         )
-        for weighted in (False, True):
-            assert _bits([mean_path_length(tree, weighted=weighted)]) == _bits(
-                [mean_path_length_loop(n, edges, weighted)]
-            )
+        _assert_path_lengths_match(tree, n, edges)
 
 
 @pytest.mark.parametrize(

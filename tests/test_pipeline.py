@@ -1,3 +1,4 @@
+import csv
 from dataclasses import replace
 from itertools import combinations
 
@@ -7,8 +8,10 @@ import pytest
 from qdcca.config import AnalysisConfig
 from qdcca.data import ReturnMatrix, normalize
 from qdcca.dfa import DetrendConfig, rho_q_lagged
+from qdcca.emit import write_outputs
 from qdcca.errors import ConfigError, ShapeMismatchError, ZeroVarianceError
 from qdcca.pipeline import (
+    ALL_FAMILIES,
     WindowPlan,
     compute_window,
     rolling_windows,
@@ -335,6 +338,52 @@ def test_series_constant_over_a_window_skips_it(level, reason):
     result = run_analysis(cfg, replace(returns, values=values), families=("spectra",))
     assert result.skipped == [(1, reason)]
     assert [w.index for w in result.windows] == [0, 2]
+
+
+def test_run_that_skips_every_window_writes_headers_only(tmp_path):
+    # Window 0 is all gap fills; SYN02 is constant from window 1 on.
+    returns = _factor_matrix(4, 4_320, seed=3)
+    values = returns.values.copy()
+    values[2, 1_440:] = 0.0
+    filled = np.zeros(4_320, dtype=bool)
+    filled[:1_440] = True
+    cfg = _small_cfg(q=(1.0, 4.0), s=(10, 60), window=1_440, step=1_440)
+    result = run_analysis(cfg, replace(returns, values=values, filled=filled))
+    manifest = write_outputs(result, cfg, str(tmp_path), ALL_FAMILIES)
+    dead = "SYN02 has zero detrended variance at scale 10; correlation undefined"
+    assert (manifest["n_windows_planned"], manifest["n_windows_done"]) == (3, 0)
+    assert manifest["skipped"] == [
+        [0, "100.00% of samples are gap fills (limit 1.00%)"], [1, dead], [2, dead],
+    ]
+    assert manifest["outputs"]
+    for name in manifest["outputs"]:
+        with open(tmp_path / name, newline="") as fh:
+            assert len(list(csv.reader(fh))) == 1, name
+
+
+@pytest.mark.parametrize(
+    "n, t, kw",
+    [
+        (2, 2_000, dict(s=(10, 60), window=1_000, step=500, anchors=("SYN00",))),
+        (5, 400, dict(s=(10, 50), window=100, step=50, lags=(0,))),
+    ],
+    ids=["two series", "window of two boxes"],
+)
+def test_edge_shapes_sweep_every_family(tmp_path, n, t, kw):
+    cfg = _small_cfg(q=(1.0, 4.0), verbose=True, **kw)
+    result = run_analysis(cfg, _factor_matrix(n, t, seed=4))
+    manifest = write_outputs(result, cfg, str(tmp_path), ALL_FAMILIES)
+    assert result.skipped == []
+    assert len(result.windows) == result.n_windows_planned > 1
+    keys = {(q, s) for q in cfg.q for s in cfg.s}
+    for w in result.windows:
+        assert set(w.topology) == set(w.spectral) == keys
+        assert set(w.partitions) == set(cfg.s)
+        assert {key[1:] for key in w.lagged} == keys
+        assert all(np.isfinite(v) for taus in w.lagged.values() for v in taus.values())
+    with open(tmp_path / "topology_1_10.csv", newline="") as fh:
+        assert len(list(csv.reader(fh))) == 1 + len(result.windows)
+    assert manifest["n_windows_done"] == len(result.windows)
 
 
 def test_lagged_overlap_with_zero_variance_skips_the_window():

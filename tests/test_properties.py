@@ -269,6 +269,24 @@ def test_mean_path_length_is_mean_pairwise_hops(n, seed):
     assert mean_path_length(tree) == hops[np.triu_indices(n, 1)].mean()
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 30), st.integers(0, 2**32 - 1))
+def test_mean_path_length_ignores_edge_order_and_orientation(n, seed):
+    rng = np.random.default_rng(seed)
+    pairs = prufer_tree_edges(rng.integers(0, n, n - 2).tolist(), n)
+    shuffled = [pairs[k] for k in rng.permutation(len(pairs))]
+    shuffled = [(j, i) if flip else (i, j) for (i, j), flip in
+                zip(shuffled, rng.integers(0, 2, len(shuffled)))]
+
+    def mean(edges):
+        return mean_path_length(SpanningTree(
+            labels=tuple(f"A{i}" for i in range(n)),
+            edges=tuple(TreeEdge(i=i, j=j, distance=1.0, rho=0.0) for i, j in edges),
+        ))
+
+    assert np.float64(mean(shuffled)).tobytes() == np.float64(mean(pairs)).tobytes()
+
+
 # Window plans for the block rule (blk = gcd(step, width)): step = width,
 # step | width, and gcd(step, width) < step.
 _PLANS = st.sampled_from([(60, 60), (120, 30), (120, 50), (100, 40)])

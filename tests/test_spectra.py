@@ -61,6 +61,20 @@ def test_zero_variance_propagates_label():
     assert "1" in str(exc.value)
 
 
+def test_underflowing_fluctuation_names_q():
+    # Residual energies near 1e-300 pass the relative energy floor, but
+    # their square (the q = 4 power) underflows to 0.
+    values = np.random.default_rng(3).standard_normal((3, 300)) * 1e-150
+    assert np.all(np.isfinite(correlation_matrices(values, 20, 2, [1.0])[1.0].values))
+    with pytest.raises(ZeroVarianceError) as exc:
+        correlation_matrices(values, 20, 2, [1.0, 4.0])
+    assert str(exc.value) == (
+        "0 has a fluctuation function that underflows to 0 at q=4, scale 20; "
+        "correlation undefined"
+    )
+    assert exc.value.label == "0"
+
+
 def test_equicorrelation_spectrum():
     summary = eigendecompose(_equicorrelation(4, 0.5))
     assert np.allclose(summary.eigenvalues, [2.5, 0.5, 0.5, 0.5], atol=1e-12)
