@@ -76,10 +76,6 @@ class ReturnMatrix:
     filled: np.ndarray | None = None  # bool (T,), True where zero-filled
 
     @property
-    def n_assets(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def n_samples(self) -> int:
         return self.values.shape[1]
 
@@ -360,18 +356,9 @@ def build_return_matrix(
     report.excluded = excluded
     report.grid = grid
     tickers = tuple(qs.ticker for qs in kept)
-    if grid == "intersection":
-        returns = np.diff(np.log(prices), axis=1)
-        return (
-            ReturnMatrix(
-                tickers=tickers,
-                timestamps=timestamps[1:],
-                values=returns,
-                filled=np.zeros(timestamps.size - 1, dtype=bool),
-            ),
-            report,
-        )
-    full = np.arange(timestamps[0], timestamps[-1] + 1, dtype=np.int64)
+    full = timestamps  # the intersection grid: every return a sample, no fills
+    if grid == "uniform":
+        full = np.arange(timestamps[0], timestamps[-1] + 1, dtype=np.int64)
     raw = np.diff(np.log(prices), axis=1)
     values = np.zeros((len(kept), full.size - 1))
     pos = np.searchsorted(full, timestamps[1:])

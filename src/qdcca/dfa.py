@@ -32,7 +32,7 @@ Implementation notes
   `cross_fluctuation_matrices` additive `CrossSums`; neither raises on
   data.  Sums of whole-box stretches add to the sums of their union,
   which is how `pipeline.run_analysis` shares box work between
-  overlapping windows; `BoxSums.fluctuations` and
+  overlapping windows; `BoxSums.coefficients` and
   `CrossSums.coefficients` then apply the zero-variance check to the
   summed energies and divide once.
 * Detrending is a low-rank projection: an (s, m+1) orthonormal basis Q of
@@ -63,9 +63,13 @@ Implementation notes
   way; the full N x N cross Gram is never formed.  `pipeline` feeds it
   whole-box stretches (s divides their length), one per grid of lagged
   box pairs, so every call is the forward tiling alone.
-* q must be positive.  q = 2 is the classic DCCA coefficient and is
-  bounded by 1 in magnitude; for other q the raw ratio is returned and a
-  CorrelationBoundWarning is emitted when it leaves [-1, 1].
+* q must be positive.  Every coefficient (pair, matrix or lagged) is
+  divided by `_coefficients`, which raises a ZeroVarianceError naming the
+  series, q, the scale, any lag and whether it under- or overflows when a
+  normalizer or a product of two is not a normal finite float (q = 4 on
+  returns near 1e-150, 1e150, 2**-200 or 2**200).  q = 2 is the classic
+  DCCA coefficient, bounded by 1 in magnitude; for other q the raw ratio is
+  kept and a CorrelationBoundWarning is emitted when it leaves [-1, 1].
 """
 
 from __future__ import annotations
@@ -96,6 +100,14 @@ _BOX_CHUNK = 512
 # returns, exact polynomials), which must surface as an error rather than a
 # coefficient made of rounding noise.
 _VARIANCE_FLOOR = 1e-24
+
+# A normalizer, or a product of two, below the smallest normal float has
+# lost precision to underflow.
+_TINY = np.finfo(np.float64).tiny
+
+# `_coefficients` reports what leaves the float range, so numpy's warnings
+# are off where it is formed; a decorator only (it cannot be entered twice).
+_beyond_range = np.errstate(over="ignore", invalid="ignore")
 
 
 @dataclass(frozen=True)
@@ -188,6 +200,7 @@ def _signed_power(values: np.ndarray, q: float) -> np.ndarray:
     return np.copysign(out, values, out=out)
 
 
+@_beyond_range
 def _gram_power(ra: np.ndarray, rb: np.ndarray, q_list) -> dict[float, np.ndarray]:
     """Box sums of the signed q/2 powers of the per-box Grams ra_b @ rb_b^T.
 
@@ -221,6 +234,43 @@ def _check_variance(energy, reference, scale: int, labels, where: str = ""):
         )
 
 
+def _fault(value: float) -> str:
+    return "underflows to 0" if value == 0 else "underflows" if value < _TINY else "overflows"
+
+
+@_beyond_range
+def _coefficients(cross, f_x, f_y, q: float, scale: int, x_labels, y_labels, lag=None):
+    """rho = cross (A, C) / sqrt(outer(f_x (A,), f_y (C,))) and whether an
+    entry left [-1, 1] (a warning at q != 2); see the implementation notes.
+    """
+    at = "at " if lag is None else f"at lag {lag}, "
+    prod = np.outer(f_x, f_y)
+    for f, names in ((f_x, x_labels), (f_y, y_labels)):
+        bad = ~((f >= _TINY) & (f < np.inf))
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise ZeroVarianceError(
+                f"{names[i]} has a fluctuation function that {_fault(f[i])} "
+                f"{at}q={q:g}, scale {scale}; correlation undefined", label=names[i],
+            )
+    bad = ~((prod >= _TINY) & (prod < np.inf))
+    if np.any(bad):
+        i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        x, y = x_labels[i], y_labels[j]
+        who = (f"{x} has a fluctuation function whose square" if x == y else
+               f"{x} and {y} have fluctuation functions whose product")
+        raise ZeroVarianceError(
+            f"{who} {_fault(prod[i, j])} {at}q={q:g}, scale {scale}; "
+            "correlation undefined", label=x,
+        )
+    rho = cross / np.sqrt(prod)
+    exceeded = bool(np.any(np.abs(rho) > 1.0))
+    if exceeded and q != 2.0:
+        warnings.warn(f"rho_q at q={q:g}, scale {scale} has entries outside [-1, 1]; "
+                      "raw values kept", CorrelationBoundWarning, stacklevel=3)
+    return rho, exceeded
+
+
 @dataclass(frozen=True)
 class BoxSums:
     """Additive box sums of one stretch of an (N, T) stack at one scale.
@@ -234,6 +284,7 @@ class BoxSums:
     reference: np.ndarray           # (N,) energy of the integrated profiles
     n_boxes: int
 
+    @_beyond_range
     def __add__(self, other: "BoxSums") -> "BoxSums":
         return BoxSums(
             power={q: p + other.power[q] for q, p in self.power.items()},
@@ -251,6 +302,17 @@ class BoxSums:
         """
         _check_variance(self.energy, self.reference, scale, labels)
         return {q: total / self.n_boxes for q, total in self.power.items()}
+
+    def coefficients(self, scale: int, labels, lag=None) -> dict[float, tuple[np.ndarray, bool]]:
+        """Per q the (N, N) `_coefficients` with a unit diagonal and whether
+        an entry left [-1, 1]; errors name ``lag`` when it is given."""
+        out = {}
+        for q, fmat in self.fluctuations(scale, labels).items():
+            diag = np.diag(fmat)
+            rho, exceeded = _coefficients(fmat, diag, diag, q, scale, labels, labels, lag)
+            np.fill_diagonal(rho, 1.0)
+            out[q] = rho, exceeded
+        return out
 
 
 def fluctuation_matrices(values: np.ndarray, scale: int, poly_order: int, q_values) -> BoxSums:
@@ -296,6 +358,7 @@ class CrossSums:
     energy: np.ndarray     # (2, N) head and tail residual energy
     reference: np.ndarray  # (2, N) head and tail profile energy
 
+    @_beyond_range
     def __add__(self, other: "CrossSums") -> "CrossSums":
         return CrossSums(
             power={
@@ -312,24 +375,27 @@ class CrossSums:
         ``rows`` are the kernel's rows, in order; ``cols`` are series
         indices.  At tau > 0 the rows' heads pair with the cols' tails, at
         tau < 0 the rows' tails with the cols' heads, and only those series
-        go through the zero-variance rule; ``labels`` names the offender.
-        Each q maps to an (A, C) matrix.
+        go through the zero-variance and coefficient rules; ``labels``
+        names the offender.  Each q maps to an (A, C) matrix.
         """
         rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        names = [labels[i] for i in rows], [labels[i] for i in cols]
         x, y = (0, 1) if tau > 0 else (1, 0)
-        for side, idx in ((x, rows), (y, cols)):
+        for side, idx, idx_names in ((x, rows, names[0]), (y, cols, names[1])):
             _check_variance(
                 self.energy[side, idx], self.reference[side, idx], scale,
-                [labels[i] for i in idx],
-                f" in its lag {tau} overlap",
+                idx_names, f" in its lag {tau} overlap",
             )
         out = {}
         for q, (f_rows, f_cols, *f_self) in self.power.items():
             cross = f_rows[:, cols] if tau > 0 else f_cols[cols].T
-            out[q] = cross / np.sqrt(np.outer(f_self[x][rows], f_self[y][cols]))
+            out[q], _ = _coefficients(
+                cross, f_self[x][rows], f_self[y][cols], q, scale, *names, lag=tau
+            )
         return out
 
 
+@_beyond_range
 def cross_fluctuation_matrices(head, tail, scale: int, poly_order: int, q_values, rows) -> CrossSums:
     """Box sums of the ``rows`` series against every series, both ways.
 
@@ -372,60 +438,32 @@ def cross_fluctuation_matrices(head, tail, scale: int, poly_order: int, q_values
     )
 
 
-def _coefficient(f_xy: float, f_xx: float, f_yy: float, q: float,
-                 x_label: str = "x", y_label: str = "y") -> float:
-    if f_xx <= 0.0:
-        raise ZeroVarianceError(
-            f"{x_label} has zero detrended variance at this scale; "
-            "correlation undefined", label=x_label,
-        )
-    if f_yy <= 0.0:
-        raise ZeroVarianceError(
-            f"{y_label} has zero detrended variance at this scale; "
-            "correlation undefined", label=y_label,
-        )
-    rho = f_xy / np.sqrt(f_xx * f_yy)
-    if q != 2.0 and abs(rho) > 1.0:
-        warnings.warn(
-            f"|rho_q| = {abs(rho):.6g} exceeds 1 for q = {q}; raw value kept",
-            CorrelationBoundWarning,
-            stacklevel=3,
-        )
-    return float(rho)
-
-
 def rho_q(x, y, cfg: DetrendConfig) -> float:
     """Detrended cross-correlation coefficient of order q for one pair."""
-    xa = as_series(x, "x")
-    ya = as_series(y, "y")
-    if xa.size != ya.size:
-        raise ShapeMismatchError(f"length mismatch: {xa.size} vs {ya.size}")
-    _check_scale(xa.size, cfg)
-    fmat = fluctuation_matrices(
-        np.stack([xa, ya]), cfg.scale, cfg.poly_order, [cfg.q]
-    ).fluctuations(cfg.scale, labels=("x", "y"))[cfg.q]
-    return _coefficient(fmat[0, 1], fmat[0, 0], fmat[1, 1], cfg.q)
+    return rho_q_lagged(x, y, cfg, 0)
 
 
 def rho_q_lagged(x, y, cfg: DetrendConfig, tau: int) -> float:
     """rho_q with x shifted by tau samples against y.
 
     tau < 0 advances x (x leads y); tau > 0 lags it.  The pair is truncated
-    to the overlapping range before the coefficient is computed, so tau = 0
-    is exactly rho_q.
+    to the overlapping range before the coefficient is computed; tau = 0
+    is rho_q.
     """
-    if tau == 0:
-        return rho_q(x, y, cfg)
     xa = as_series(x, "x")
     ya = as_series(y, "y")
     if xa.size != ya.size:
         raise ShapeMismatchError(f"length mismatch: {xa.size} vs {ya.size}")
-    k = abs(int(tau))
-    if xa.size - k < 2 * cfg.scale:
+    n, k = xa.size, abs(int(tau))
+    if k == 0:
+        _check_scale(n, cfg)
+    elif n - k < 2 * cfg.scale:
         raise ScaleTooLargeError(
-            f"overlap of {xa.size - k} samples after shifting by {tau} is too "
+            f"overlap of {n - k} samples after shifting by {tau} is too "
             f"short for scale {cfg.scale}: need at least {2 * cfg.scale}"
         )
-    if tau > 0:
-        return rho_q(xa[:-k], ya[k:], cfg)
-    return rho_q(xa[k:], ya[:-k], cfg)
+    pair = [xa[: n - k], ya[k:]] if tau > 0 else [xa[k:], ya[: n - k]]
+    rho, _ = fluctuation_matrices(
+        np.stack(pair), cfg.scale, cfg.poly_order, [cfg.q]
+    ).coefficients(cfg.scale, ("x", "y"), lag=tau or None)[cfg.q]
+    return float(rho[0, 1])

@@ -15,9 +15,9 @@ samples and its lagged pieces.  With blk = gcd(step, width), every window
 is a run of whole blk-sample blocks; for each scale with blk % s == 0 the
 sweep first sums every block that some window passing the gap-fill check
 needs, on the same pool, and each window adds its blocks in order.  Any
-other scale sums the window itself as its one stretch.  The zero-variance,
-diagonal and bound checks run once, on the window's totals
-(`spectra.correlation_matrices`, `dfa.CrossSums.coefficients`).
+other scale sums the window itself as its one stretch.  The zero-variance
+and coefficient rules run once, on the window's totals
+(`dfa.BoxSums.coefficients`, `dfa.CrossSums.coefficients`).
 
 At lag k a lagged pair is series x's box at sample r against series y's
 box at r + k, for r on the stretch's grid (the forward half) and, unless
@@ -252,25 +252,12 @@ def _lag_totals(blocks) -> dict:
     return totals
 
 
-def _lagged_rows(totals, tickers, anchor_idx, other_mask, s, cfg):
-    """Mean coefficient of each anchor against all non-anchor assets for
-    every non-zero lag.
-
-    The anchors' heads pair with the others' tails for a positive lag and
-    the anchors' tails with the others' heads for a negative one, so both
-    signs come out of one set of sums per |tau|.
-    """
-    others = np.flatnonzero(other_mask)
-    rows: dict = {}
-    for k, total in totals.items():
-        for tau in (k, -k):
-            if tau not in cfg.lags:
-                continue
-            rho = total.coefficients(tau, list(anchor_idx.values()), others, s, tickers)
-            for q, mat in rho.items():
-                for name, row in zip(anchor_idx, mat):
-                    rows.setdefault((name, q), {})[tau] = float(row.mean())
-    return rows
+def _anchor_means(lagged: dict, tau: int, s: int, anchors, mats):
+    """Record, per q, the mean of each anchor's row of ``mats[q]`` (the
+    anchors' coefficients against the other series at lag tau)."""
+    for q, mat in mats.items():
+        for name, row in zip(anchors, mat):
+            lagged.setdefault((name, q, s), {})[tau] = float(row.mean())
 
 
 def _anchors(tickers, cfg: AnalysisConfig) -> dict:
@@ -316,10 +303,10 @@ def compute_window(
     result = WindowResult(index=index, end_ts=int(returns.timestamps[stop - 1]))
     need_corr = _needs_correlations(cfg, families)
     rows = _lag_rows(tickers, cfg, families)
-    anchor_idx = _anchors(tickers, cfg)
-    other_mask = np.ones(len(tickers), dtype=bool)
-    for a in anchor_idx.values():
-        other_mask[a] = False
+    # The lagged family's anchors and the series they are averaged against.
+    anchor_idx = _anchors(tickers, cfg) if "lagged" in families else {}
+    anchor_rows = list(anchor_idx.values())
+    others = np.setdiff1d(np.arange(len(tickers)), anchor_rows)
     residual_input = None
     if cfg.residual and "spectra" in families:
         residual_input = window_returns if cfg.global_norm else _normalized(window_returns)
@@ -350,20 +337,23 @@ def compute_window(
                 )
                 result.trees[(q, s)] = tree
                 result.topology[(q, s)] = _topology_row(tree, cfg.verbose)
-            if "lagged" in families and 0 in cfg.lags and anchor_idx:
-                for name, a in anchor_idx.items():
-                    rho_row = c.values[a, other_mask]
-                    result.lagged.setdefault((name, q, s), {})[0] = float(rho_row.mean())
+            if 0 in cfg.lags and anchor_idx:
+                _anchor_means(result.lagged, 0, s, anchor_idx,
+                              {q: c.values[np.ix_(anchor_rows, others)]})
         if "clusters" in families:
             seed = np.random.default_rng([cfg.seed, index, int(s)]).integers(2**31)
             result.partitions[s] = network.louvain(
                 mats[cfg.q[0]], resolution=cfg.resolution, seed=int(seed)
             )
     for s in cfg.s if rows else ():
-        totals = _lag_totals([pieces for _, pieces in parts[s]])
-        lagged = _lagged_rows(totals, tickers, anchor_idx, other_mask, s, cfg)
-        for (name, q), taus in lagged.items():
-            result.lagged.setdefault((name, q, s), {}).update(taus)
+        # The anchors' heads pair with the others' tails for a positive lag
+        # and their tails with the others' heads for a negative one, so both
+        # signs come out of one set of sums per |tau|.
+        for k, total in _lag_totals([pieces for _, pieces in parts[s]]).items():
+            for tau in (k, -k):
+                if tau in cfg.lags:
+                    _anchor_means(result.lagged, tau, s, anchor_idx,
+                                  total.coefficients(tau, rows, others, s, tickers))
     return result
 
 

@@ -5,6 +5,9 @@ decomposes it, measures eigenvector localization through the Shannon
 entropy of squared components, and removes the leading mode's fitted
 contribution from every series to produce residual returns.
 
+The coefficients and their checks (underflow, overflow, entries outside
+[-1, 1]) are `dfa.BoxSums.coefficients`; this module adds none.
+
 Eigenvalue/eigenvector conventions: eigenvalues are sorted descending and
 each eigenvector is oriented so that its largest-magnitude component is
 positive.  For q != 2 the matrix need not be positive semidefinite;
@@ -15,19 +18,13 @@ solver-dependent and excluded from cross-run determinism guarantees.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import ReturnMatrix
 from .dfa import DetrendConfig, _check_scale, fluctuation_matrices
-from .errors import (
-    CorrelationBoundWarning,
-    EigensolverError,
-    ShapeMismatchError,
-    ZeroVarianceError,
-)
+from .errors import EigensolverError, ShapeMismatchError, ZeroVarianceError
 
 _DEGENERATE_GAP = 1e-8
 
@@ -101,32 +98,14 @@ def correlation_matrices(
     _check_scale(values.shape[1], DetrendConfig(scale=scale, poly_order=poly_order))
     if blocks is None:
         blocks = [fluctuation_matrices(values, scale, poly_order, q_values)]
-    fmats = sum(blocks[1:], blocks[0]).fluctuations(scale, labels)
-    out = {}
-    for q, fmat in fmats.items():
-        diag = np.diag(fmat).copy()
-        # `fluctuations` has passed every energy, so a zero here is the
-        # q/2 power underflowing on tiny residuals.
-        if np.any(diag <= 0):
-            bad = labels[int(np.argmax(diag <= 0))]
-            raise ZeroVarianceError(
-                f"{bad} has a fluctuation function that underflows to 0 at q={q:g}, "
-                f"scale {scale}; correlation undefined", label=bad,
-            )
-        rho = fmat / np.sqrt(np.outer(diag, diag))
-        np.fill_diagonal(rho, 1.0)
-        exceeded = bool(np.any(np.abs(rho) > 1.0))
-        if exceeded and q != 2.0:
-            warnings.warn(
-                f"correlation matrix at q={q}, s={scale} has entries outside [-1, 1]",
-                CorrelationBoundWarning,
-                stacklevel=2,
-            )
-        out[q] = DetrendedCorrelationMatrix(
+    rhos = sum(blocks[1:], blocks[0]).coefficients(scale, labels)
+    return {
+        q: DetrendedCorrelationMatrix(
             values=rho, labels=labels, q=q, scale=scale,
             window=window, bound_exceeded=exceeded,
         )
-    return out
+        for q, (rho, exceeded) in rhos.items()
+    }
 
 
 def correlation_matrix(returns, cfg: DetrendConfig, window: int | None = None) -> DetrendedCorrelationMatrix:

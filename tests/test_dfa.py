@@ -230,15 +230,19 @@ def test_matches_literal_oracle():
 def test_bound_warning_flag_for_q_not_2():
     # Per-box Cauchy-Schwarz keeps |rho_q| <= 1 mathematically for every
     # q > 0, so the out-of-range branch can only fire on floating-point
-    # overshoot; exercise it directly through the ratio helper.
-    from qdcca.dfa import _coefficient
+    # overshoot; exercise it directly through the coefficient rule.
+    from qdcca.dfa import _coefficients
+
+    def rule(q):
+        return _coefficients(np.array([[3.0]]), np.array([2.0]), np.array([2.0]),
+                             q, 10, ["x"], ["y"])
 
     with pytest.warns(CorrelationBoundWarning):
-        r = _coefficient(3.0, 2.0, 2.0, q=1.0)
-    assert r == pytest.approx(1.5)
+        rho, exceeded = rule(1.0)
+    assert rho[0, 0] == pytest.approx(1.5) and exceeded
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _coefficient(3.0, 2.0, 2.0, q=2.0)
+        assert rule(2.0)[1]
 
 
 def test_lagged_zero_shift_is_bit_exact():

@@ -1,6 +1,8 @@
 """Property-based checks of the estimator kernel, the sweep's window
 arithmetic and the network layer over small random inputs."""
 
+import os
+import tempfile
 from math import gcd
 
 import numpy as np
@@ -16,6 +18,7 @@ from qdcca.dfa import (
     fluctuation_matrices,
     rho_q_lagged,
 )
+from qdcca.emit import write_outputs
 from qdcca.network import (
     DistanceMatrix,
     SpanningTree,
@@ -24,7 +27,13 @@ from qdcca.network import (
     mean_path_length,
     minimum_spanning_tree,
 )
-from qdcca.pipeline import WindowPlan, rolling_windows, run_analysis, threshold_periods
+from qdcca.pipeline import (
+    ALL_FAMILIES,
+    WindowPlan,
+    rolling_windows,
+    run_analysis,
+    threshold_periods,
+)
 from qdcca.spectra import DetrendedCorrelationMatrix, correlation_matrices
 
 from oracles import (
@@ -397,6 +406,30 @@ def test_lagged_means_match_pairwise_per_window(sweep):
                     for j in range(1, window.shape[0])
                 ])
                 assert abs(got[tau] - direct) <= 1e-12
+
+
+def _emitted(cfg, values) -> dict:
+    """Every file a full sweep of ``values`` writes, by name."""
+    returns = ReturnMatrix(tickers=tuple(f"A{i}" for i in range(values.shape[0])),
+                           timestamps=np.arange(values.shape[1], dtype=np.int64),
+                           values=values)
+    result = run_analysis(cfg, returns)
+    with tempfile.TemporaryDirectory() as out:
+        write_outputs(result, cfg, out, ALL_FAMILIES)
+        return {name: open(os.path.join(out, name)).read() for name in os.listdir(out)}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(-64, 64), st.integers(0, 2**32 - 1))
+def test_power_of_two_scaling_leaves_every_output_bitwise_unchanged(k, seed):
+    # Scaling by 2**k is exact, and so is every step after it at q = 1, 2, 4
+    # (a square root, a pass-through and a square of exactly scaled Grams),
+    # as long as nothing under- or overflows.
+    rng = np.random.default_rng(seed)
+    values = (rng.standard_normal((4, 4)) + 2.0 * np.eye(4)) @ rng.standard_normal((4, 240))
+    cfg = AnalysisConfig(q=(1.0, 2.0, 4.0), s=(10, 20), window=120, step=60,
+                         lags=(-2, 0, 1), anchors=("A0",), residual=True, threads=1)
+    assert _emitted(cfg, values * 2.0**k) == _emitted(cfg, values)
 
 
 @settings(max_examples=200, deadline=None)
