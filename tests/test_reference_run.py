@@ -1,13 +1,16 @@
 """Reference run: every emitted value checked against a committed run.
 
-Two small analyses are regenerated from their `synth` seeds and compared
+Three small analyses are regenerated from their `synth` seeds and compared
 with `fixtures/reference_run.json`:
 
 * ``c15``: the criterion-15 shape (8 factor series, 30,000 minutes, q = 1, 4,
   s = 10, 60, lags -1, 0, 1, two anchors, four windows);
 * ``n80_s180``: one window of 80 series in four correlated blocks (so the
   partition has more than one community) at s = 180 with q = 1, 2, 4 and
-  lags -1, 0, 1.
+  lags -1, 0, 1;
+* ``c15_residual_verbose``: the ``c15`` data at q = 2, s = 60 over two
+  windows with ``residual`` and ``verbose`` on, so the ``res_*`` spectra
+  columns and both extra path-length columns are checked too.
 
 Every float in every file must lie within the oracle bound of 1e-10 of the
 reference, every other field (indices, timestamps, hubs, 0/1 flags,
@@ -18,7 +21,10 @@ with -s or -rP to see it).
 
 The fixture is rewritten by
 
-    PYTHONPATH=src python tests/test_reference_run.py
+    PYTHONPATH=src python tests/test_reference_run.py [CASE ...]
+
+which regenerates the named cases (all of them when none is named) and
+keeps the other entries as they are.
 """
 
 import csv
@@ -48,6 +54,12 @@ CASES = {
          "--sizes", "20,20,20,20", "--within", "0.4", "--across", "0.1"],
         AnalysisConfig(q=(1.0, 2.0, 4.0), s=(180,), window=10_080, step=1_440,
                        lags=(-1, 0, 1), anchors=("SYN00", "SYN01"), seed=3),
+    ),
+    "c15_residual_verbose": (
+        ["--generator", "factor", "--n", "8", "--t", "30000", "--seed", "42"],
+        AnalysisConfig(q=(2.0,), s=(60,), window=10_080, step=10_080,
+                       lags=(-1, 0, 1), anchors=("SYN00", "SYN01"), seed=9,
+                       residual=True, verbose=True),
     ),
 }
 
@@ -165,8 +177,12 @@ def test_reference_run_within_oracle_bound(tmp_path):
 if __name__ == "__main__":
     import tempfile
 
+    runs = {}
+    if os.path.exists(FIXTURE):
+        with open(FIXTURE) as fh:
+            runs = json.load(fh)
     with tempfile.TemporaryDirectory() as tmp:
-        runs = {name: run_case(name, tmp) for name in CASES}
+        runs.update({name: run_case(name, tmp) for name in sys.argv[1:] or CASES})
     with open(FIXTURE, "w") as fh:
         json.dump(runs, fh, indent=0, sort_keys=True)
         fh.write("\n")
