@@ -70,6 +70,10 @@ Implementation notes
   returns near 1e-150, 1e150, 2**-200 or 2**200).  q = 2 is the classic
   DCCA coefficient, bounded by 1 in magnitude; for other q the raw ratio is
   kept and a CorrelationBoundWarning is emitted when it leaves [-1, 1].
+  The zero-variance rule runs first and reads the box energies, which
+  overflow before any q/2 power (returns near 1e155); it raises a
+  ZeroVarianceError that says so.  An energy that underflows to exactly 0
+  cannot be told from a flat series and gets the flat series' reason.
 """
 
 from __future__ import annotations
@@ -221,17 +225,21 @@ def _gram_power(ra: np.ndarray, rb: np.ndarray, q_list) -> dict[float, np.ndarra
 
 
 def _check_variance(energy, reference, scale: int, labels, where: str = ""):
-    # The zero-variance rule (see _VARIANCE_FLOOR), one check per series;
-    # ``where`` narrows the message to the stretch that was checked.
-    dead = energy <= _VARIANCE_FLOOR * reference
-    if np.any(dead):
-        i = int(np.argmax(dead))
-        name = labels[i] if labels is not None else f"series {i}"
-        raise ZeroVarianceError(
-            f"{name} has zero detrended variance{where} at scale {scale}; "
-            "correlation undefined",
-            label=str(name),
-        )
+    # The zero-variance rule (see _VARIANCE_FLOOR), one check per series,
+    # after a check that both energies are finite (`inf <= floor * inf`
+    # holds); ``where`` narrows the message to the stretch that was checked.
+    # An energy that underflows to 0 cannot be told from a flat series.
+    for dead, what in (
+        (~(np.isfinite(energy) & np.isfinite(reference)), "a box energy that overflows"),
+        (energy <= _VARIANCE_FLOOR * reference, "zero detrended variance"),
+    ):
+        if np.any(dead):
+            i = int(np.argmax(dead))
+            name = labels[i] if labels is not None else f"series {i}"
+            raise ZeroVarianceError(
+                f"{name} has {what}{where} at scale {scale}; correlation undefined",
+                label=str(name),
+            )
 
 
 def _fault(value: float) -> str:
@@ -293,21 +301,23 @@ class BoxSums:
             n_boxes=self.n_boxes + other.n_boxes,
         )
 
-    def fluctuations(self, scale: int, labels=None) -> dict[float, np.ndarray]:
+    def fluctuations(self, scale: int, labels=None, where: str = "") -> dict[float, np.ndarray]:
         """Fluctuation matrices F(q): the power sums over the box count.
 
         The diagonal is the per-series fluctuation used as the normalizer.
         A ZeroVarianceError is raised for any series whose residuals are
-        pure rounding noise; ``labels`` names the offender in the message.
+        pure rounding noise or whose energies overflow; ``labels`` names the
+        offender in the message and ``where`` the stretch.
         """
-        _check_variance(self.energy, self.reference, scale, labels)
+        _check_variance(self.energy, self.reference, scale, labels, where)
         return {q: total / self.n_boxes for q, total in self.power.items()}
 
     def coefficients(self, scale: int, labels, lag=None) -> dict[float, tuple[np.ndarray, bool]]:
         """Per q the (N, N) `_coefficients` with a unit diagonal and whether
         an entry left [-1, 1]; errors name ``lag`` when it is given."""
         out = {}
-        for q, fmat in self.fluctuations(scale, labels).items():
+        where = "" if lag is None else f" in its lag {lag} overlap"
+        for q, fmat in self.fluctuations(scale, labels, where).items():
             diag = np.diag(fmat)
             rho, exceeded = _coefficients(fmat, diag, diag, q, scale, labels, labels, lag)
             np.fill_diagonal(rho, 1.0)

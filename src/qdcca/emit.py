@@ -1,7 +1,9 @@
 """CSV and manifest emission for sweep results.
 
 One directory per run.  Floats are written with shortest round-trip
-formatting, booleans as 0/1, missing values as empty fields.  The JSON
+formatting, booleans as 0/1, missing values as empty fields.  The row
+types in `pipeline` (`SpectralRow`, `TopologyRow`) declare the spectra and
+topology columns; every file goes through one table writer.  The JSON
 manifest lists every file written plus the semantic config and its hash;
 re-running with the same config, seed and data reproduces every byte.
 """
@@ -14,7 +16,7 @@ import os
 
 from .config import AnalysisConfig
 from .network import cluster_track
-from .pipeline import SweepResult, threshold_periods
+from .pipeline import SpectralRow, SweepResult, TopologyRow, threshold_periods
 
 MANIFEST_NAME = "run_manifest.json"
 
@@ -42,77 +44,57 @@ def _write_csv(path: str, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
-def _spectra_files(result: SweepResult, cfg: AnalysisConfig, out_dir: str):
-    written = []
+def _table(out_dir: str, name: str, header, rows) -> str:
+    """Write one CSV file and return its name."""
+    _write_csv(os.path.join(out_dir, name), header, rows)
+    return name
+
+
+def _row_files(result: SweepResult, cfg: AnalysisConfig, out_dir: str, family: str,
+               table: str, row_type, extra: bool, lead):
+    """One ``<family>_<q>_<s>.csv`` per (q, s), with a row for each window
+    whose ``table`` (a `WindowResult` field) holds one.  The header is the
+    ``lead`` columns, then the row type's fields, the defaulted ones only
+    when ``extra``."""
+    fields = [f for f in row_type._fields if extra or f not in row_type._field_defaults]
     for q in cfg.q:
         for s in cfg.s:
-            name = f"spectra_{_tag(q)}_{s}.csv"
-            header = [
-                "window", "end_ts", "q", "s",
-                "lambda1", "lambda2", "h1", "h2", "v1max", "v2max", "degenerate",
-            ]
-            if cfg.residual:
-                header += ["res_lambda1", "res_h1", "res_v1max"]
             rows = []
             for w in result.windows:
-                row = w.spectral.get((q, s))
+                row = getattr(w, table).get((q, s))
                 if row is None:
                     continue
-                out = [w.index, w.end_ts, _tag(q), s,
-                       row.lambda1, row.lambda2, row.h1, row.h2,
-                       row.v1max, row.v2max, row.degenerate]
-                if cfg.residual:
-                    out += [row.res_lambda1, row.res_h1, row.res_v1max]
-                rows.append(out)
-            _write_csv(os.path.join(out_dir, name), header, rows)
-            written.append(name)
-    return written
+                values = {"window": w.index, "end_ts": w.end_ts, "q": _tag(q), "s": s}
+                rows.append([values[c] for c in lead] + list(row[: len(fields)]))
+            yield _table(out_dir, f"{family}_{_tag(q)}_{s}.csv", [*lead, *fields], rows)
+
+
+def _spectra_files(result: SweepResult, cfg: AnalysisConfig, out_dir: str):
+    return _row_files(result, cfg, out_dir, "spectra", "spectral", SpectralRow,
+                      cfg.residual, ("window", "end_ts", "q", "s"))
 
 
 def _topology_files(result: SweepResult, cfg: AnalysisConfig, out_dir: str):
-    written = []
-    header = ["window", "end_ts", "k_max", "hub", "mean_path_length", "gamma", "gamma_se"]
-    if cfg.verbose:
-        header += ["mean_path_length_paper_norm", "mean_path_length_weighted"]
-    for q in cfg.q:
-        for s in cfg.s:
-            name = f"topology_{_tag(q)}_{s}.csv"
-            rows = []
-            for w in result.windows:
-                row = w.topology.get((q, s))
-                if row is None:
-                    continue
-                out = [w.index, w.end_ts, row.k_max, row.hub,
-                       row.mean_path, row.gamma, row.gamma_se]
-                if cfg.verbose:
-                    out += [row.mean_path_paper, row.mean_path_weighted]
-                rows.append(out)
-            _write_csv(os.path.join(out_dir, name), header, rows)
-            written.append(name)
-    return written
+    return _row_files(result, cfg, out_dir, "topology", "topology", TopologyRow,
+                      cfg.verbose, ("window", "end_ts"))
 
 
 def _edge_files(result: SweepResult, cfg: AnalysisConfig, out_dir: str):
-    written = []
-    header = ["i", "j", "d", "rho"]
     for q in cfg.q:
         for s in cfg.s:
             for w in result.windows:
                 tree = w.trees.get((q, s))
                 if tree is None:
                     continue
-                name = f"edges_{_tag(q)}_{s}_{w.index:05d}.csv"
                 rows = [
                     [tree.labels[e.i], tree.labels[e.j], e.distance, e.rho]
                     for e in tree.edges
                 ]
-                _write_csv(os.path.join(out_dir, name), header, rows)
-                written.append(name)
-    return written
+                name = f"edges_{_tag(q)}_{s}_{w.index:05d}.csv"
+                yield _table(out_dir, name, ["i", "j", "d", "rho"], rows)
 
 
 def _cluster_files(result: SweepResult, cfg: AnalysisConfig, out_dir: str):
-    written = []
     anchors = [a for a in cfg.anchors if a in result.tickers]
     for s in cfg.s:
         windows = [w for w in result.windows if s in w.partitions]
@@ -121,24 +103,19 @@ def _cluster_files(result: SweepResult, cfg: AnalysisConfig, out_dir: str):
         partitions = [w.partitions[s] for w in windows]
         for anchor in anchors:
             labels, raster = cluster_track(partitions, anchor)
-            name = f"clusters_{anchor}_{s}.csv"
-            header = ["window", "end_ts", *labels]
             rows = [
                 [w.index, w.end_ts, *raster[k].astype(int).tolist()]
                 for k, w in enumerate(windows)
             ]
-            _write_csv(os.path.join(out_dir, name), header, rows)
-            written.append(name)
-    return written
+            yield _table(out_dir, f"clusters_{anchor}_{s}.csv",
+                         ["window", "end_ts", *labels], rows)
 
 
 def _lagged_files(result: SweepResult, cfg: AnalysisConfig, out_dir: str):
-    written = []
     anchors = [a for a in cfg.anchors if a in result.tickers]
     for anchor in anchors:
         for q in cfg.q:
             for s in cfg.s:
-                name = f"lagged_{anchor}_{_tag(q)}_{s}.csv"
                 rows = []
                 for w in result.windows:
                     taus = w.lagged.get((anchor, q, s))
@@ -146,17 +123,11 @@ def _lagged_files(result: SweepResult, cfg: AnalysisConfig, out_dir: str):
                         continue
                     for tau in sorted(taus):
                         rows.append([w.index, w.end_ts, tau, taus[tau]])
-                _write_csv(
-                    os.path.join(out_dir, name),
-                    ["window", "end_ts", "tau", "mean_rho"],
-                    rows,
-                )
-                written.append(name)
-    return written
+                yield _table(out_dir, f"lagged_{anchor}_{_tag(q)}_{s}.csv",
+                             ["window", "end_ts", "tau", "mean_rho"], rows)
 
 
 def _period_files(result: SweepResult, cfg: AnalysisConfig, out_dir: str):
-    written = []
     for q in cfg.q:
         for s in cfg.s:
             points = [
@@ -165,10 +136,8 @@ def _period_files(result: SweepResult, cfg: AnalysisConfig, out_dir: str):
                 if (q, s) in w.mean_rho
             ]
             intervals = threshold_periods(points, cfg.threshold)
-            name = f"periods_{_tag(q)}_{s}.csv"
-            _write_csv(os.path.join(out_dir, name), ["start_ts", "end_ts"], intervals)
-            written.append(name)
-    return written
+            yield _table(out_dir, f"periods_{_tag(q)}_{s}.csv", ["start_ts", "end_ts"],
+                         intervals)
 
 
 _WRITERS = {

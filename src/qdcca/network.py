@@ -29,7 +29,6 @@ class DistanceMatrix:
     labels: tuple[str, ...]
     q: float
     scale: int
-    window: int | None = None
     clipped: bool = False  # True when rho > 1 entries were clamped to d = 0
 
     @property
@@ -92,8 +91,7 @@ def distance_matrix(c: DetrendedCorrelationMatrix) -> DistanceMatrix:
     dist = np.sqrt(radicand)
     np.fill_diagonal(dist, 0.0)
     return DistanceMatrix(
-        values=dist, labels=c.labels, q=c.q, scale=c.scale,
-        window=c.window, clipped=clipped,
+        values=dist, labels=c.labels, q=c.q, scale=c.scale, clipped=clipped
     )
 
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,8 +91,11 @@ def threshold_periods(points, threshold: float) -> list[tuple[int, int]]:
     return periods
 
 
-@dataclass
-class SpectralRow:
+class SpectralRow(NamedTuple):
+    """A window's row of its (q, s) spectra file.  The field names are the
+    file's columns after window, end_ts, q and s; the fields with a default
+    are the columns that `residual` adds."""
+
     lambda1: float
     lambda2: float
     h1: float
@@ -104,15 +108,18 @@ class SpectralRow:
     res_v1max: float | None = None
 
 
-@dataclass
-class TopologyRow:
+class TopologyRow(NamedTuple):
+    """A window's row of its (q, s) topology file.  The field names are the
+    file's columns after window and end_ts; the fields with a default are
+    the columns that `verbose` adds."""
+
     k_max: int
     hub: str
-    mean_path: float
+    mean_path_length: float
     gamma: float | None
     gamma_se: float | None
-    mean_path_paper: float | None = None
-    mean_path_weighted: float | None = None
+    mean_path_length_paper_norm: float | None = None
+    mean_path_length_weighted: float | None = None
 
 
 @dataclass
@@ -140,7 +147,16 @@ def _mean_offdiagonal(c: DetrendedCorrelationMatrix) -> float:
     return float((c.values.sum() - np.trace(c.values)) / (n * (n - 1)))
 
 
-def _spectral_row(summary: spectra.SpectralSummary) -> SpectralRow:
+def _spectral_row(summary: spectra.SpectralSummary, res) -> SpectralRow:
+    """The spectra row of a summary; ``res`` is the residual pass's summary,
+    or None without one."""
+    residual = {}
+    if res is not None:
+        residual = dict(
+            res_lambda1=float(res.eigenvalues[0]),
+            res_h1=float(res.entropies[0]),
+            res_v1max=float(res.max_components[0]),
+        )
     return SpectralRow(
         lambda1=float(summary.eigenvalues[0]),
         lambda2=float(summary.eigenvalues[1]),
@@ -149,25 +165,27 @@ def _spectral_row(summary: spectra.SpectralSummary) -> SpectralRow:
         v1max=float(summary.max_components[0]),
         v2max=float(summary.max_components[1]),
         degenerate=summary.degenerate,
+        **residual,
     )
 
 
 def _topology_row(tree: SpanningTree, verbose: bool) -> TopologyRow:
     degrees = tree.degrees()
-    k_max = int(degrees.max())
-    hub = tree.labels[int(np.argmax(degrees))]
     mean_path = network.mean_path_length(tree)
     try:
         gamma, se = network.powerlaw_fit(network.degree_distribution(tree))
     except network.InsufficientSupportError:
         gamma, se = None, None
-    row = TopologyRow(
-        k_max=k_max, hub=hub, mean_path=mean_path, gamma=gamma, gamma_se=se
-    )
+    extra = {}
     if verbose:
-        row.mean_path_paper = mean_path / 2.0
-        row.mean_path_weighted = network.mean_path_length(tree, weighted=True)
-    return row
+        extra = dict(
+            mean_path_length_paper_norm=mean_path / 2.0,
+            mean_path_length_weighted=network.mean_path_length(tree, weighted=True),
+        )
+    return TopologyRow(
+        k_max=int(degrees.max()), hub=tree.labels[int(np.argmax(degrees))],
+        mean_path_length=mean_path, gamma=gamma, gamma_se=se, **extra,
+    )
 
 
 def gap_fill_skip(returns: ReturnMatrix, start: int, stop: int, max_missing: float):
@@ -190,17 +208,16 @@ def _normalized(window_returns: ReturnMatrix) -> ReturnMatrix:
     return replace(window_returns, values=out)
 
 
-def _residual_fields(window_returns: ReturnMatrix, q, s, cfg, row: SpectralRow, summary):
+def _residual_spectrum(window_returns: ReturnMatrix, q, s, cfg, summary):
+    """The spectrum of the residual returns once the leading eigensignal is
+    regressed out of every series."""
     values = window_returns.values
     z1 = spectra.eigensignal(values, summary.eigenvectors[:, 0])
     res = spectra.residual_returns(values, z1)
     c_res = spectra.correlation_matrices(
         replace(window_returns, values=res.residuals), s, cfg.poly_order, [q]
     )[q]
-    res_summary = spectra.eigendecompose(c_res)
-    row.res_lambda1 = float(res_summary.eigenvalues[0])
-    row.res_h1 = float(res_summary.entropies[0])
-    row.res_v1max = float(res_summary.max_components[0])
+    return spectra.eigendecompose(c_res)
 
 
 def _lag_pieces(values, lo: int, blk: int, s: int, cfg: AnalysisConfig, rows) -> dict:
@@ -318,7 +335,7 @@ def compute_window(
     }
     for s in cfg.s if need_corr else ():
         mats = spectra.correlation_matrices(
-            window_returns, s, cfg.poly_order, cfg.q, window=index,
+            window_returns, s, cfg.poly_order, cfg.q,
             blocks=[sums for sums, _ in parts[s]],
         )
         for q in cfg.q:
@@ -327,10 +344,10 @@ def compute_window(
                 result.mean_rho[(q, s)] = _mean_offdiagonal(c)
             if "spectra" in families:
                 summary = spectra.eigendecompose(c)
-                row = _spectral_row(summary)
+                res = None
                 if residual_input is not None:
-                    _residual_fields(residual_input, q, s, cfg, row, summary)
-                result.spectral[(q, s)] = row
+                    res = _residual_spectrum(residual_input, q, s, cfg, summary)
+                result.spectral[(q, s)] = _spectral_row(summary, res)
             if {"topology", "edges"} & set(families):
                 tree = network.minimum_spanning_tree(
                     network.distance_matrix(c), rho=c.values

@@ -37,7 +37,6 @@ class DetrendedCorrelationMatrix:
     labels: tuple[str, ...]
     q: float
     scale: int
-    window: int | None = None
     bound_exceeded: bool = False
 
     @property
@@ -80,7 +79,6 @@ def correlation_matrices(
     scale: int,
     poly_order: int,
     q_values,
-    window: int | None = None,
     blocks=None,
 ) -> dict[float, DetrendedCorrelationMatrix]:
     """Coefficient matrices for several q values sharing one detrending pass.
@@ -101,18 +99,15 @@ def correlation_matrices(
     rhos = sum(blocks[1:], blocks[0]).coefficients(scale, labels)
     return {
         q: DetrendedCorrelationMatrix(
-            values=rho, labels=labels, q=q, scale=scale,
-            window=window, bound_exceeded=exceeded,
+            values=rho, labels=labels, q=q, scale=scale, bound_exceeded=exceeded
         )
         for q, (rho, exceeded) in rhos.items()
     }
 
 
-def correlation_matrix(returns, cfg: DetrendConfig, window: int | None = None) -> DetrendedCorrelationMatrix:
+def correlation_matrix(returns, cfg: DetrendConfig) -> DetrendedCorrelationMatrix:
     """Coefficient matrix for all unordered pairs of a return window."""
-    return correlation_matrices(
-        returns, cfg.scale, cfg.poly_order, [cfg.q], window=window
-    )[cfg.q]
+    return correlation_matrices(returns, cfg.scale, cfg.poly_order, [cfg.q])[cfg.q]
 
 
 def eigendecompose(c: DetrendedCorrelationMatrix) -> SpectralSummary:

@@ -2,9 +2,11 @@
 
 At 1e-150 and 1e150 the q = 4 fluctuation functions themselves leave the
 float range; at 2**-200 and 2**200 they stay inside it, but the product
-under the coefficient's root does not.  Every path must end with a reason
-that names the series, q, the scale and, on a lagged path, the signed lag,
-and no coefficient may come out as nan or as a silent 0.0.
+under the coefficient's root does not.  At 1e160 the box energies that the
+zero-variance rule reads overflow before any power is taken.  Every path
+must end with a reason that names the series, the scale, q (unless the
+energies overflow, which no q enters) and, on a lagged path, the signed
+lag, and no coefficient may come out as nan or as a silent 0.0.
 """
 
 import csv
@@ -21,12 +23,14 @@ from qdcca.errors import ZeroVarianceError
 from qdcca.pipeline import ALL_FAMILIES, run_analysis
 from qdcca.spectra import correlation_matrix
 
-# The returns' factor, and how the coefficient rule describes its fault.
+# The returns' factor, and how the coefficient rule describes its fault
+# ("box energy": the zero-variance rule's overflow reason instead).
 _HOSTILE = [
     (1e-150, "underflows to 0"),
     (1e150, "overflows"),
     (2.0**-200, "underflows to 0"),
     (2.0**200, "overflows"),
+    (1e160, "box energy"),
 ]
 _CFG = DetrendConfig(scale=10, q=4.0)
 
@@ -38,9 +42,14 @@ def _returns(factor):
 
 
 def _assert_named(reason, series, fault, lag=None):
-    at = "" if lag is None else f"lag {lag}, "
     assert reason.startswith(f"{series} "), reason
-    assert reason.endswith(f" {fault} at {at}q=4, scale 10; correlation undefined"), reason
+    if fault == "box energy":
+        where = "" if lag is None else f" in its lag {lag} overlap"
+        tail = f" has a box energy that overflows{where} at scale 10"
+    else:
+        at = "" if lag is None else f"lag {lag}, "
+        tail = f" {fault} at {at}q=4, scale 10"
+    assert reason.endswith(f"{tail}; correlation undefined"), reason
 
 
 @pytest.mark.parametrize("factor, fault", _HOSTILE)
