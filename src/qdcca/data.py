@@ -10,6 +10,11 @@ floats are bitwise those of ``float()``); the row checks run on the arrays.
 Tokens are parsed one by one only for an ISO timestamp column and for a
 file the bulk pass rejects or would misread; that pass names the first bad
 token's line.
+
+Alignment is one ``np.bincount`` of the stamps in the common span [lo, hi]
+(latest first stamp, earliest last one): a minute is common when all N series
+quote it.  The count holds 8 bytes per minute of the span, where the default
+uniform grid already holds 8N.
 """
 
 from __future__ import annotations
@@ -276,40 +281,45 @@ def normalize(x) -> np.ndarray:
     return (arr - mean) / std
 
 
+def _common_minutes(series: list[QuoteSeries]) -> tuple[np.ndarray, np.ndarray]:
+    """The minutes every series quotes and the (N, T) prices at them, found
+    by one count over the common span (see the module docstring)."""
+    # An empty series leaves hi < lo, an empty span.
+    lo = max(int(qs.timestamps[0]) if len(qs) else 0 for qs in series)
+    hi = min(int(qs.timestamps[-1]) if len(qs) else -1 for qs in series)
+    cuts = [slice(np.searchsorted(qs.timestamps, lo), np.searchsorted(qs.timestamps, hi, "right"))
+            for qs in series]
+    offsets = np.concatenate([qs.timestamps[cut] for qs, cut in zip(series, cuts)])
+    offsets -= lo
+    in_all = np.bincount(offsets, minlength=max(hi - lo + 1, 0)) == len(series)
+    del offsets  # freed before the prices are gathered
+    common = lo + np.flatnonzero(in_all)
+    prices = np.empty((len(series), common.size))
+    for row, qs, cut in zip(prices, series, cuts):
+        row[:] = qs.prices[cut][in_all[qs.timestamps[cut] - lo]]
+    return common, prices
+
+
 def rebase_prices(alt: QuoteSeries, base: QuoteSeries) -> QuoteSeries:
     """Re-express ``alt`` in units of ``base`` on their common timestamps."""
-    common, ia, ib = np.intersect1d(
-        alt.timestamps, base.timestamps, assume_unique=True, return_indices=True
-    )
+    common, (alt_prices, base_prices) = _common_minutes([alt, base])
     if common.size == 0:
-        raise EmptyIntersectionError(
-            f"{alt.ticker} and {base.ticker} share no timestamps"
-        )
-    return QuoteSeries(
-        ticker=alt.ticker,
-        timestamps=common,
-        prices=alt.prices[ia] / base.prices[ib],
-    )
+        raise EmptyIntersectionError(f"{alt.ticker} and {base.ticker} share no timestamps")
+    return QuoteSeries(ticker=alt.ticker, timestamps=common, prices=alt_prices / base_prices)
 
 
 def align_series(series: list[QuoteSeries]) -> tuple[np.ndarray, np.ndarray, AlignmentReport]:
-    """Restrict every series to the intersection of all timestamp grids.
+    """Restrict every series to the minutes all of them quote, found by one
+    count over their common span (see the module docstring).
 
     Returns (timestamps, prices (N, T), report with per-series retention).
     """
     if len(series) < 2:
         raise ShapeMismatchError("need at least 2 series to align")
-    common = series[0].timestamps
-    for qs in series[1:]:
-        common = np.intersect1d(common, qs.timestamps, assume_unique=True)
+    common, prices = _common_minutes(series)
     if common.size == 0:
         raise EmptyIntersectionError("series share no common timestamps")
-    report = AlignmentReport()
-    prices = np.empty((len(series), common.size))
-    for k, qs in enumerate(series):
-        idx = np.searchsorted(qs.timestamps, common)
-        prices[k] = qs.prices[idx]
-        report.retention[qs.ticker] = common.size / len(qs)
+    report = AlignmentReport(retention={qs.ticker: common.size / len(qs) for qs in series})
     return common, prices, report
 
 
@@ -353,25 +363,24 @@ def build_return_matrix(
     if len(kept) < 2:
         raise ShapeMismatchError("fewer than 2 series left after exclusions")
     timestamps, prices, report = align_series(kept)
+    if timestamps.size < 2:
+        raise EmptyIntersectionError(
+            "series share one timestamp; fewer than two common timestamps leave no return")
     report.excluded = excluded
     report.grid = grid
-    tickers = tuple(qs.ticker for qs in kept)
     full = timestamps  # the intersection grid: every return a sample, no fills
     if grid == "uniform":
         full = np.arange(timestamps[0], timestamps[-1] + 1, dtype=np.int64)
-    raw = np.diff(np.log(prices), axis=1)
-    values = np.zeros((len(kept), full.size - 1))
-    pos = np.searchsorted(full, timestamps[1:])
-    values[:, pos - 1] = raw
-    filled = np.ones(full.size - 1, dtype=bool)
-    filled[pos - 1] = False
+    logs = np.log(prices, out=prices)
+    values = np.zeros((len(prices), full.size - 1))
+    gaps = full.size > timestamps.size  # only the uniform grid has any
+    filled = np.full(full.size - 1, gaps)
+    if gaps:  # the return ending at minute m sits in column m - full[0] - 1
+        pos = timestamps[1:] - (full[0] + 1)
+        filled[pos] = False
+        for row, log_row in zip(values, logs):
+            row[pos] = log_row[1:] - log_row[:-1]
+    else:
+        np.subtract(logs[:, 1:], logs[:, :-1], out=values)
     report.filled_fraction = float(filled.mean())
-    return (
-        ReturnMatrix(
-            tickers=tickers,
-            timestamps=full[1:],
-            values=values,
-            filled=filled,
-        ),
-        report,
-    )
+    return ReturnMatrix(tuple(qs.ticker for qs in kept), full[1:], values, filled), report

@@ -71,7 +71,7 @@ def _unpack(returns) -> tuple[np.ndarray, tuple[str, ...]]:
     values = np.ascontiguousarray(returns, dtype=np.float64)
     if values.ndim != 2:
         raise ShapeMismatchError(f"expected (N, T) returns, got shape {values.shape}")
-    return values, tuple(str(i) for i in range(values.shape[0]))
+    return values, tuple(f"series {i}" for i in range(values.shape[0]))
 
 
 def correlation_matrices(

@@ -365,3 +365,100 @@ def survival_at(distribution, k):
 def n_communities(partition):
     """Number of distinct community ids in a partition."""
     return len(set(partition.communities.values()))
+
+
+# The input stage's original pairwise-intersection alignment and re-basing,
+# kept literally (plus the return-matrix construction that used them): the
+# package now counts minutes instead, and must agree bit for bit.  These
+# build the package's own result types, so they import them.
+from qdcca.data import AlignmentReport, QuoteSeries, ReturnMatrix, log_returns  # noqa: E402
+from qdcca.errors import EmptyIntersectionError, ShapeMismatchError  # noqa: E402
+
+
+def rebase_prices_pairwise(alt, base):
+    """Re-express ``alt`` in units of ``base`` on their common timestamps."""
+    common, ia, ib = np.intersect1d(
+        alt.timestamps, base.timestamps, assume_unique=True, return_indices=True
+    )
+    if common.size == 0:
+        raise EmptyIntersectionError(
+            f"{alt.ticker} and {base.ticker} share no timestamps"
+        )
+    return QuoteSeries(
+        ticker=alt.ticker,
+        timestamps=common,
+        prices=alt.prices[ia] / base.prices[ib],
+    )
+
+
+def align_series_pairwise(series):
+    """Restrict every series to the intersection of all timestamp grids.
+
+    Returns (timestamps, prices (N, T), report with per-series retention).
+    """
+    if len(series) < 2:
+        raise ShapeMismatchError("need at least 2 series to align")
+    common = series[0].timestamps
+    for qs in series[1:]:
+        common = np.intersect1d(common, qs.timestamps, assume_unique=True)
+    if common.size == 0:
+        raise EmptyIntersectionError("series share no common timestamps")
+    report = AlignmentReport()
+    prices = np.empty((len(series), common.size))
+    for k, qs in enumerate(series):
+        idx = np.searchsorted(qs.timestamps, common)
+        prices[k] = qs.prices[idx]
+        report.retention[qs.ticker] = common.size / len(qs)
+    return common, prices, report
+
+
+def build_return_matrix_pairwise(series, *, base=None, grid="uniform", stable_threshold=1e-6):
+    """The full ingestion path on `align_series_pairwise` and
+    `rebase_prices_pairwise`, with the returns scattered by `searchsorted`
+    on the full grid.  With fewer than two common timestamps it returns an
+    (N, 0) matrix (and numpy warns about the mean of an empty slice)."""
+    if grid not in ("uniform", "intersection"):
+        raise ShapeMismatchError(f"unknown grid policy {grid!r}")
+    excluded = {}
+    kept = []
+    for qs in series:
+        if log_returns(qs).std() < stable_threshold:
+            excluded[qs.ticker] = "near-zero return variance (pegged to quote currency)"
+        else:
+            kept.append(qs)
+    if base is not None:
+        base_series = next((s for s in series if s.ticker == base), None)
+        if base_series is None:
+            raise ShapeMismatchError(f"base ticker {base!r} not among inputs")
+        rebased = []
+        for qs in kept:
+            if qs.ticker == base:
+                excluded[qs.ticker] = "base asset of the re-based universe"
+                continue
+            rebased.append(rebase_prices_pairwise(qs, base_series))
+        kept = rebased
+    if len(kept) < 2:
+        raise ShapeMismatchError("fewer than 2 series left after exclusions")
+    timestamps, prices, report = align_series_pairwise(kept)
+    report.excluded = excluded
+    report.grid = grid
+    tickers = tuple(qs.ticker for qs in kept)
+    full = timestamps  # the intersection grid: every return a sample, no fills
+    if grid == "uniform":
+        full = np.arange(timestamps[0], timestamps[-1] + 1, dtype=np.int64)
+    raw = np.diff(np.log(prices), axis=1)
+    values = np.zeros((len(kept), full.size - 1))
+    pos = np.searchsorted(full, timestamps[1:])
+    values[:, pos - 1] = raw
+    filled = np.ones(full.size - 1, dtype=bool)
+    filled[pos - 1] = False
+    report.filled_fraction = float(filled.mean())
+    return (
+        ReturnMatrix(
+            tickers=tickers,
+            timestamps=full[1:],
+            values=values,
+            filled=filled,
+        ),
+        report,
+    )

@@ -3,6 +3,7 @@ import io
 import math
 import os
 import tempfile
+import tracemalloc
 from datetime import datetime, timezone
 
 import numpy as np
@@ -218,6 +219,33 @@ def test_build_return_matrix_intersection_mode():
     rm, report = build_return_matrix([a, b], grid="intersection")
     assert rm.n_samples == 15  # 16 common samples -> 15 returns
     assert not rm.filled.any()
+
+
+@pytest.mark.parametrize("grid", ["uniform", "intersection"])
+def test_one_common_minute_leaves_no_return(grid):
+    a = _quotes("A", [0, 1, 2], [1.0, 2.0, 3.0])
+    b = _quotes("B", [2, 3, 4], [4.0, 6.0, 5.0])
+    assert align_series([a, b])[0].tolist() == [2]
+    with pytest.raises(EmptyIntersectionError, match="fewer than two common timestamps leave no return"):
+        build_return_matrix([a, b], grid=grid)
+
+
+def test_return_matrix_peak_memory_is_about_prices_plus_returns():
+    # The aligned prices are turned into log prices in place and differenced
+    # straight into the returns, so at the peak the input stage holds about
+    # two return-sized arrays.
+    rng = np.random.default_rng(6)
+    stamps = np.arange(20_000)
+    quotes = [_quotes(f"S{k:02d}", stamps, np.exp(rng.standard_normal(20_000).cumsum() * 1e-3))
+              for k in range(40)]
+    tracemalloc.start()
+    try:
+        rm, _ = build_return_matrix(quotes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not rm.filled.any()
+    assert peak <= 2.1 * rm.values.nbytes, peak / rm.values.nbytes
 
 
 def test_build_return_matrix_base_and_stable_exclusion():

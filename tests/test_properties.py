@@ -1,8 +1,9 @@
-"""Property-based checks of the estimator kernel, the sweep's window
-arithmetic and the network layer over small random inputs."""
+"""Property-based checks of the input stage, the estimator kernel, the
+sweep's window arithmetic and the network layer over small random inputs."""
 
 import os
 import tempfile
+import warnings
 from math import gcd
 
 import numpy as np
@@ -10,7 +11,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qdcca.config import AnalysisConfig
-from qdcca.data import ReturnMatrix
+from qdcca.data import (
+    QuoteSeries,
+    ReturnMatrix,
+    align_series,
+    build_return_matrix,
+    rebase_prices,
+)
 from qdcca.dfa import (
     DetrendConfig,
     _box_profiles,
@@ -19,6 +26,7 @@ from qdcca.dfa import (
     rho_q_lagged,
 )
 from qdcca.emit import write_outputs
+from qdcca.errors import EmptyIntersectionError, QdccaError
 from qdcca.network import (
     DistanceMatrix,
     SpanningTree,
@@ -37,14 +45,98 @@ from qdcca.pipeline import (
 from qdcca.spectra import DetrendedCorrelationMatrix, correlation_matrices
 
 from oracles import (
+    align_series_pairwise,
     all_pairs_hops,
     box_index_ranges,
     brute_force_mst,
+    build_return_matrix_pairwise,
     prufer_tree_edges,
+    rebase_prices_pairwise,
     tree_weight,
 )
 
 _Q = st.sampled_from([0.5, 1.0, 2.0, 3.0, 4.0])
+
+
+@st.composite
+def _quote_grids(draw):
+    """2-5 quote series whose minute grids lie in a 49-minute span placed
+    anywhere from -2^40 to 2^40, in one of five layouts: independent,
+    identical, each a subset of the first, touching at exactly one minute
+    (the first ends where the second begins), or disjoint."""
+    origin = draw(st.sampled_from([0, -1_000, -(2**40), 2**40 - 48, 2**40]))
+    n = draw(st.integers(2, 5))
+    layout = draw(st.sampled_from(["any", "identical", "subset", "touching", "disjoint"]))
+    minutes = st.lists(st.integers(0, 48), min_size=1, max_size=40, unique=True)
+    if layout == "any":
+        grids = [draw(st.lists(st.integers(0, 48), max_size=40, unique=True)) for _ in range(n)]
+    elif layout == "identical":
+        grids = [draw(minutes)] * n
+    elif layout == "subset":
+        first = draw(minutes)
+        grids = [first] + [draw(st.lists(st.sampled_from(first), unique=True)) for _ in range(n - 1)]
+    elif layout == "touching":
+        m = draw(st.integers(0, 48))
+        grids = [[t for t in draw(minutes) if t < m] + [m], [m] + [t for t in draw(minutes) if t > m]]
+        grids += [draw(minutes) + [m] for _ in range(n - 2)]
+    else:
+        grids = [draw(st.lists(st.integers(0, 23), min_size=1, unique=True)),
+                 draw(st.lists(st.integers(24, 48), min_size=1, unique=True))]
+        grids += [draw(minutes) for _ in range(n - 2)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    quotes = []
+    for k, grid in enumerate(grids):
+        stamps = origin + np.array(sorted(set(grid)), dtype=np.int64)
+        prices = np.exp(rng.standard_normal(stamps.size) * 0.01) * 10.0 ** rng.uniform(-3, 3)
+        quotes.append(QuoteSeries(f"T{k}", stamps, prices))
+    return quotes
+
+
+def _outcome(call):
+    """What ``call`` returns, or the type of the package error it raises."""
+    try:
+        return call()
+    except QdccaError as exc:
+        return type(exc)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_quote_grids())
+def test_minute_count_matches_pairwise_intersection_bitwise(quotes):
+    want, got = _outcome(lambda: align_series_pairwise(quotes)), _outcome(lambda: align_series(quotes))
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+        assert list(got[2].retention.items()) == list(want[2].retention.items())
+    for alt in quotes[1:]:
+        want = _outcome(lambda: rebase_prices_pairwise(alt, quotes[0]))
+        got = _outcome(lambda: rebase_prices(alt, quotes[0]))
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert got.ticker == want.ticker
+            assert _same_bits(got.timestamps, want.timestamps)
+            assert _same_bits(got.prices, want.prices)
+    for grid in ("uniform", "intersection"):
+        for base in (None, "T0"):
+            with warnings.catch_warnings():  # the mean of no returns
+                warnings.simplefilter("ignore", RuntimeWarning)
+                want = _outcome(lambda: build_return_matrix_pairwise(quotes, base=base, grid=grid))
+            got = _outcome(lambda: build_return_matrix(quotes, base=base, grid=grid))
+            if isinstance(want, type) or want[0].n_samples == 0:
+                # One common minute: the pairwise path returned no returns.
+                assert got is (want if isinstance(want, type) else EmptyIntersectionError)
+                continue
+            (rm, report), (rm_want, report_want) = got, want
+            assert rm.tickers == rm_want.tickers
+            for field in ("timestamps", "values", "filled"):
+                assert _same_bits(getattr(rm, field), getattr(rm_want, field)), field
+            assert report == report_want
 
 
 @st.composite

@@ -69,10 +69,10 @@ def test_underflowing_fluctuation_names_q():
     with pytest.raises(ZeroVarianceError) as exc:
         correlation_matrices(values, 20, 2, [1.0, 4.0])
     assert str(exc.value) == (
-        "0 has a fluctuation function that underflows to 0 at q=4, scale 20; "
+        "series 0 has a fluctuation function that underflows to 0 at q=4, scale 20; "
         "correlation undefined"
     )
-    assert exc.value.label == "0"
+    assert exc.value.label == "series 0"
 
 
 def test_equicorrelation_spectrum():
