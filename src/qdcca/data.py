@@ -14,7 +14,8 @@ token's line.
 Alignment is one ``np.bincount`` of the stamps in the common span [lo, hi]
 (latest first stamp, earliest last one): a minute is common when all N series
 quote it.  The count holds 8 bytes per minute of the span, where the default
-uniform grid already holds 8N.
+uniform grid already holds 8N.  A gap-free matrix is differenced in place, so
+its returns are a view into the (N, T + 1) buffer of aligned log prices.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ class ReturnMatrix:
 
     tickers: tuple[str, ...]
     timestamps: np.ndarray  # int64 epoch minutes, length T
-    values: np.ndarray      # float64 (N, T)
+    values: np.ndarray      # float64 (N, T); gap-free: a view of (N, T + 1) logs
     filled: np.ndarray | None = None  # bool (T,), True where zero-filled
 
     @property
@@ -372,15 +373,17 @@ def build_return_matrix(
     if grid == "uniform":
         full = np.arange(timestamps[0], timestamps[-1] + 1, dtype=np.int64)
     logs = np.log(prices, out=prices)
-    values = np.zeros((len(prices), full.size - 1))
     gaps = full.size > timestamps.size  # only the uniform grid has any
     filled = np.full(full.size - 1, gaps)
     if gaps:  # the return ending at minute m sits in column m - full[0] - 1
+        values = np.zeros((len(prices), full.size - 1))
         pos = timestamps[1:] - (full[0] + 1)
         filled[pos] = False
         for row, log_row in zip(values, logs):
             row[pos] = log_row[1:] - log_row[:-1]
-    else:
-        np.subtract(logs[:, 1:], logs[:, :-1], out=values)
+    else:  # in place; numpy buffers the overlapping shifted operand
+        for row in logs:
+            np.subtract(row[1:], row[:-1], out=row[1:])
+        values = logs[:, 1:]
     report.filled_fraction = float(filled.mean())
     return ReturnMatrix(tuple(qs.ticker for qs in kept), full[1:], values, filled), report

@@ -12,12 +12,13 @@ fluctuation functions whose ratio is the correlation coefficient.
 Implementation notes
 --------------------
 * `_gram_power` is the one estimator kernel: given two residual stacks it
-  forms the per-box Gram products, raises them to the signed q/2 power and
-  sums over boxes.  `fluctuation_matrices` (a stack against itself) and
-  `cross_fluctuation_matrices` (head against tail, for lags) are its only
-  callers; both stay public under these names because `spectra` and
-  `pipeline` call them, and the benchmark's spans (`bench/spans.py`) look
-  them up as module attributes there.
+  sums the signed q/2 powers of the per-box Gram products over boxes.  At
+  q = 2 (classic DCCA) that sum is one (A, B*s) @ (B*s, N) product; per-box
+  Grams are formed only for other q.  `fluctuation_matrices` (a stack
+  against itself) and `cross_fluctuation_matrices` (head against tail, for
+  lags) are its only callers; both stay public under these names because
+  `spectra` and `pipeline` call them, and the benchmark's spans
+  (`bench/spans.py`) look them up as module attributes there.
 * One box layout, from reshaped views: the forward tiling values[:, :m*s],
   then, only when s does not divide T (else it repeats the forward boxes),
   the backward tiling values[:, T-m*s:] with its last box first.  Nothing
@@ -47,13 +48,14 @@ Implementation notes
   zero after its first sample then has a flat profile and exactly zero
   residuals, not the rounding dust that the q/2 power lifts at q < 2.
 * All reductions run in a fixed order (boxes in partition order, chunks
-  of `_BOX_CHUNK`), so results are bit-identical across runs, across any
-  outer parallelism and across BLAS thread counts.  The thread count is
-  checked on a whole run (`tests/test_dfa.py`, 1 against 2 OpenBLAS
-  threads).  Keep the detrending low-rank: an s x s projector product
-  fails that check at s = 180.
-* The signed power sign(g) * |g|**(q/2) is specialized: q = 2 passes the
-  Gram through, q = 4 is |g| * g and any other q is
+  of `_BOX_CHUNK`; at q = 2 one product's sum over the B*s samples, which
+  BLAS threads do not split), so results are bit-identical across runs,
+  across any outer parallelism and across BLAS thread counts.  The thread
+  count is checked on a whole run (`tests/test_dfa.py`, 1 against 2
+  OpenBLAS threads).  Keep the detrending low-rank: an s x s projector
+  product fails that check at s = 180.
+* The signed power sign(g) * |g|**(q/2) is specialized: q = 2 (the lagged
+  pass's box energies) passes through, q = 4 is |g| * g and any other q is
   copysign(|g|**(q/2), g).  Multiplying by a sign is exact, so each form
   gives the same bits as the general formula except that a -0.0 input
   stays -0.0; the box sums start at +0.0, so no sum or output changes.
@@ -211,12 +213,18 @@ def _gram_power(ra: np.ndarray, rb: np.ndarray, q_list) -> dict[float, np.ndarra
     ``ra`` (A, B, s) and ``rb`` (N, B, s) are detrended residual stacks;
     each q maps to an (A, N) matrix.  Pass the same array twice for a stack
     against itself: both operands then share one buffer, which lets BLAS use
-    its symmetric A @ A^T product.
+    its symmetric A @ A^T product.  At q = 2 the box sum is one product.
     """
-    a = np.ascontiguousarray(ra.transpose(1, 0, 2))
-    b = a if rb is ra else np.ascontiguousarray(rb.transpose(1, 0, 2))
     # Sums start at +0.0, like np.zeros, so a -0.0 power never survives.
     acc = dict.fromkeys(q_list, 0.0)
+    if 2.0 in acc:  # the stacks are contiguous, so the reshapes are views
+        fa = ra.reshape(len(ra), -1)
+        acc[2.0] = fa @ (fa if rb is ra else rb.reshape(len(rb), -1)).T
+    q_list = [q for q in q_list if q != 2.0]
+    if not q_list:
+        return acc
+    a = np.ascontiguousarray(ra.transpose(1, 0, 2))
+    b = a if rb is ra else np.ascontiguousarray(rb.transpose(1, 0, 2))
     for lo in range(0, a.shape[0], _BOX_CHUNK):
         gram = a[lo : lo + _BOX_CHUNK] @ b[lo : lo + _BOX_CHUNK].transpose(0, 2, 1)
         for q in q_list:
@@ -330,7 +338,7 @@ def fluctuation_matrices(values: np.ndarray, scale: int, poly_order: int, q_valu
 
     ``values`` has shape (N, T).  For each q the (N, N) power sum holds the
     signed cross fluctuation of every pair summed over the boxes; the
-    per-box Gram products are shared across all q values.  Nothing here
+    per-box Gram products are shared across all q values but 2.  Nothing here
     depends on a box's neighbours, so the sums of stretches that tile a
     series (each a multiple of s long) add to the sums of the whole.
     """

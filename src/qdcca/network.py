@@ -245,6 +245,9 @@ def _local_phase(weights: np.ndarray, two_m: float, resolution: float, rng) -> n
     membership = np.arange(n)
     strength = weights.sum(axis=1)  # self-loop mass included
     comm_total = strength.copy()
+    pull = resolution * strength
+    links_of = weights.copy()  # a node's links to others leave its self-loop out
+    np.fill_diagonal(links_of, 0.0)
     moved = True
     while moved:
         moved = False
@@ -252,18 +255,14 @@ def _local_phase(weights: np.ndarray, two_m: float, resolution: float, rng) -> n
             cu = int(membership[u])
             comm_total[cu] -= strength[u]
             # Summed in node order; zero weights add +0.0 and change nothing.
-            row = weights[u].copy()
-            row[u] = 0.0
-            links = np.bincount(membership, weights=row, minlength=n)
-            candidates = np.nonzero(links > 0.0)[0]
-            gains = links[candidates] - resolution * strength[u] * comm_total[candidates] / two_m
-            stay = links[cu] - resolution * strength[u] * comm_total[cu] / two_m
-            better = gains > stay + 1e-12
-            if not np.any(better):
+            links = np.bincount(membership, weights=links_of[u], minlength=n)
+            gains = links - pull[u] * comm_total / two_m
+            better = (gains > gains[cu] + 1e-12) & (links > 0.0)
+            if not better.any():
                 comm_total[cu] += strength[u]
                 continue
             top = gains[better].max()
-            tied = candidates[better][gains[better] >= top - 1e-12]
+            tied = np.flatnonzero(better & (gains >= top - 1e-12))
             target = int(tied[0]) if tied.size == 1 else int(rng.choice(np.sort(tied)))
             comm_total[target] += strength[u]
             membership[u] = target

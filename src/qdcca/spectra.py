@@ -130,13 +130,15 @@ def eigendecompose(c: DetrendedCorrelationMatrix) -> SpectralSummary:
     order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]
-    for i in range(eigvecs.shape[1]):
-        col = eigvecs[:, i]
-        if col[int(np.argmax(np.abs(col)))] < 0:
-            eigvecs[:, i] = -col
+    peak = eigvecs[np.abs(eigvecs).argmax(axis=0), np.arange(eigvecs.shape[1])]
+    eigvecs *= np.where(peak < 0, -1.0, 1.0)
     squared = eigvecs**2
     max_components = squared.max(axis=0)
-    entropies = np.array([_entropy_of_squares(squared[:, i]) for i in range(squared.shape[1])])
+    rows = np.ascontiguousarray(squared.T)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        entropies = -(rows * np.log(rows)).sum(axis=1)
+    for i in np.flatnonzero((rows == 0.0).any(axis=1)):  # 0 * log 0 is nan: skip the zeros
+        entropies[i] = _entropy_of_squares(rows[i])
     gaps = -np.diff(eigvals)
     return SpectralSummary(
         eigenvalues=eigvals,

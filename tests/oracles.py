@@ -462,3 +462,42 @@ def build_return_matrix_pairwise(series, *, base=None, grid="uniform", stable_th
         ),
         report,
     )
+
+
+# The estimator kernel's original per-box Gram loop, kept literally (with
+# the signed power and chunk size it used): at q = 2 the package now sums
+# the boxes as one product, which agrees with this loop to rounding.
+_BOX_CHUNK = 512
+
+
+def _signed_power(values, q):
+    # sign(g) * |g|**(q/2), specialized; see the implementation notes.  The
+    # result is built in one buffer: fresh Gram-sized temporaries cost more
+    # than the arithmetic.
+    if q == 2.0:
+        return values
+    out = np.abs(values)
+    if q == 4.0:
+        out *= values
+        return out
+    out **= q / 2.0
+    return np.copysign(out, values, out=out)
+
+
+def gram_power_box_loop(ra, rb, q_list):
+    """Box sums of the signed q/2 powers of the per-box Grams ra_b @ rb_b^T.
+
+    ``ra`` (A, B, s) and ``rb`` (N, B, s) are detrended residual stacks;
+    each q maps to an (A, N) matrix.  Pass the same array twice for a stack
+    against itself: both operands then share one buffer, which lets BLAS use
+    its symmetric A @ A^T product.
+    """
+    a = np.ascontiguousarray(ra.transpose(1, 0, 2))
+    b = a if rb is ra else np.ascontiguousarray(rb.transpose(1, 0, 2))
+    # Sums start at +0.0, like np.zeros, so a -0.0 power never survives.
+    acc = dict.fromkeys(q_list, 0.0)
+    for lo in range(0, a.shape[0], _BOX_CHUNK):
+        gram = a[lo : lo + _BOX_CHUNK] @ b[lo : lo + _BOX_CHUNK].transpose(0, 2, 1)
+        for q in q_list:
+            acc[q] += _signed_power(gram, q).sum(axis=0)
+    return acc

@@ -231,9 +231,9 @@ def test_one_common_minute_leaves_no_return(grid):
 
 
 def test_return_matrix_peak_memory_is_about_prices_plus_returns():
-    # The aligned prices are turned into log prices in place and differenced
-    # straight into the returns, so at the peak the input stage holds about
-    # two return-sized arrays.
+    # The aligned prices are turned into log prices and differenced in place,
+    # so the returns are a view into that one buffer: at the peak the input
+    # stage holds about one return-sized array.
     rng = np.random.default_rng(6)
     stamps = np.arange(20_000)
     quotes = [_quotes(f"S{k:02d}", stamps, np.exp(rng.standard_normal(20_000).cumsum() * 1e-3))
@@ -245,7 +245,7 @@ def test_return_matrix_peak_memory_is_about_prices_plus_returns():
     finally:
         tracemalloc.stop()
     assert not rm.filled.any()
-    assert peak <= 2.1 * rm.values.nbytes, peak / rm.values.nbytes
+    assert peak <= 1.2 * rm.values.nbytes, peak / rm.values.nbytes
 
 
 def test_build_return_matrix_base_and_stable_exclusion():

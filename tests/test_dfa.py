@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from qdcca.errors import (
     ZeroVarianceError,
 )
 
-from oracles import box_index_ranges, rho_q_literal
+from oracles import box_index_ranges, gram_power_box_loop, rho_q_literal
 
 import qdcca
 
@@ -368,6 +369,63 @@ def test_cross_rows_match_all_rows_and_pairwise_lagged():
                     assert abs(ahead - rho_q_lagged(values[a], values[j], cfg, 2)) < 1e-12
                     assert abs(behind - rho_q_lagged(values[a], values[j], cfg, -2)) < 1e-12
 
+
+
+def test_q2_product_matches_per_box_loop():
+    # At q = 2 the kernel sums the boxes as one (A, B*s) @ (B*s, N)
+    # product.  The literal per-box loop adds in another order, so the two
+    # agree to rounding, relative to sqrt(e_a e_b) (the Cauchy-Schwarz bound
+    # of an entry, with e the residual energies), on the self path and on
+    # the lagged rows path, with s dividing T (1,200) and not (1,213).
+    rng = np.random.default_rng(21)
+    s, idx = 30, [3, 7]
+    for t in (1_200, 1_213):
+        values = rng.standard_normal((12, t)) * rng.uniform(0.5, 2.0, (12, 1))
+        head, tail = values[:, :-2], values[:, 2:]
+        resid, rh, rt = (_detrended_residuals(_box_profiles(v, s), s, 2)
+                         for v in (values, head, tail))
+        cross = cross_fluctuation_matrices(head, tail, s, 2, [2.0], idx).power[2.0]
+        for got, ra, rb in (
+            (fluctuation_matrices(values, s, 2, [2.0]).power[2.0], resid, resid),
+            (cross[0], rh[idx], rt),
+            (cross[1].T, rt[idx], rh),
+        ):
+            want = gram_power_box_loop(ra, rb, [2.0])[2.0]
+            energy = (np.einsum("nbs,nbs->n", r, r) for r in (ra, rb))
+            assert np.all(np.abs(got - want) <= 1e-12 * np.sqrt(np.outer(*energy)))
+
+
+def test_q2_sums_do_not_depend_on_other_q():
+    # The q = 2 product is the same bits whether q = 2 is asked alone or
+    # with other q, and those keep the per-box loop's bits.
+    rng = np.random.default_rng(22)
+    values = rng.standard_normal((10, 1_213))
+    head, tail = values[:, :-1], values[:, 1:]
+    for s in (10, 30):
+        alone = fluctuation_matrices(values, s, 2, [2.0]).power
+        mixed = fluctuation_matrices(values, s, 2, [1.0, 2.0, 4.0]).power
+        assert np.array_equal(alone[2.0], mixed[2.0])
+        resid = _detrended_residuals(_box_profiles(values, s), s, 2)
+        loop = gram_power_box_loop(resid, resid, [1.0, 4.0])
+        for q in (1.0, 4.0):
+            assert np.array_equal(mixed[q], loop[q])
+        alone = cross_fluctuation_matrices(head, tail, s, 2, [2.0], [0, 4]).power[2.0]
+        mixed = cross_fluctuation_matrices(head, tail, s, 2, [1.0, 2.0, 4.0], [0, 4]).power[2.0]
+        for a, b in zip(alone, mixed):
+            assert np.array_equal(a, b)
+
+
+def test_q2_fluctuations_peak_memory_is_a_few_inputs():
+    # No (B, N, N) stack of per-box Grams at q = 2: at N = 250, T = 1,440,
+    # s = 30 that stack alone is 8.3x the input's bytes.
+    values = np.random.default_rng(23).standard_normal((250, 1_440))
+    tracemalloc.start()
+    try:
+        fluctuation_matrices(values, 30, 2, [2.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * values.nbytes, peak / values.nbytes
 
 # Residuals at s = 60 and 180, then the sha1 of every file of a small
 # sweep80-shaped run (N = 80, 14,400 minutes, four windows, q = 1, 2, 4,
