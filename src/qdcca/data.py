@@ -301,6 +301,20 @@ def _common_minutes(series: list[QuoteSeries]) -> tuple[np.ndarray, np.ndarray]:
     return common, prices
 
 
+def _minutes_shared_with(base: QuoteSeries, series: list[QuoteSeries]) -> list[int]:
+    """How many of each series' minutes the base also quotes: one mark per
+    minute of the base's span, looked up by every series."""
+    lo, hi = int(base.timestamps[0]), int(base.timestamps[-1])
+    quoted = np.zeros(hi - lo + 1, dtype=bool)
+    quoted[base.timestamps - lo] = True
+    counts = []
+    for qs in series:
+        stamps = qs.timestamps
+        inside = stamps[np.searchsorted(stamps, lo) : np.searchsorted(stamps, hi, "right")]
+        counts.append(int(np.count_nonzero(quoted[inside - lo])))
+    return counts
+
+
 def rebase_prices(alt: QuoteSeries, base: QuoteSeries) -> QuoteSeries:
     """Re-express ``alt`` in units of ``base`` on their common timestamps."""
     common, (alt_prices, base_prices) = _common_minutes([alt, base])
@@ -350,20 +364,32 @@ def build_return_matrix(
             excluded[qs.ticker] = "near-zero return variance (pegged to quote currency)"
         else:
             kept.append(qs)
+    # A series' length once re-based: the minutes it shares with the base.
+    lengths = [len(qs) for qs in kept]
     if base is not None:
         base_series = next((s for s in series if s.ticker == base), None)
         if base_series is None:
             raise ShapeMismatchError(f"base ticker {base!r} not among inputs")
-        rebased = []
-        for qs in kept:
-            if qs.ticker == base:
-                excluded[qs.ticker] = "base asset of the re-based universe"
-                continue
-            rebased.append(rebase_prices(qs, base_series))
-        kept = rebased
+        if any(qs.ticker == base for qs in kept):
+            excluded[base] = "base asset of the re-based universe"
+        kept = [qs for qs in kept if qs.ticker != base]
+        lengths = _minutes_shared_with(base_series, kept)
+        for qs, n in zip(kept, lengths):
+            if n == 0:
+                raise EmptyIntersectionError(f"{qs.ticker} and {base} share no timestamps")
     if len(kept) < 2:
         raise ShapeMismatchError("fewer than 2 series left after exclusions")
-    timestamps, prices, report = align_series(kept)
+    # Re-based series are aligned with their base in the same count, and
+    # divided by it on the common minutes (the minutes of their re-based
+    # copies that they all share).
+    timestamps, prices = _common_minutes(kept if base is None else kept + [base_series])
+    if timestamps.size == 0:
+        raise EmptyIntersectionError("series share no common timestamps")
+    if base is not None:
+        prices = np.divide(prices[:-1], prices[-1], out=prices[:-1])
+    report = AlignmentReport(
+        retention={qs.ticker: timestamps.size / n for qs, n in zip(kept, lengths)}
+    )
     if timestamps.size < 2:
         raise EmptyIntersectionError(
             "series share one timestamp; fewer than two common timestamps leave no return")

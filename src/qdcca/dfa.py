@@ -11,14 +11,15 @@ fluctuation functions whose ratio is the correlation coefficient.
 
 Implementation notes
 --------------------
-* `_gram_power` is the one estimator kernel: given two residual stacks it
-  sums the signed q/2 powers of the per-box Gram products over boxes.  At
-  q = 2 (classic DCCA) that sum is one (A, B*s) @ (B*s, N) product; per-box
-  Grams are formed only for other q.  `fluctuation_matrices` (a stack
-  against itself) and `cross_fluctuation_matrices` (head against tail, for
-  lags) are its only callers; both stay public under these names because
-  `spectra` and `pipeline` call them, and the benchmark's spans
-  (`bench/spans.py`) look them up as module attributes there.
+* Two kernels sum signed q/2 powers of per-box Gram products over boxes.
+  `_gram_power` takes a stack against itself (`fluctuation_matrices`): at
+  q = 2 (classic DCCA) the sum is one (N, B*s) @ (B*s, N) product, and for
+  other q the Grams are formed and powered `_SUB_CHUNK` boxes at a time.
+  `cross_fluctuation_matrices` (lagged pairs) forms only the anchors'
+  (A, N) rows of each box's Gram, both ways, and sums their powers over box
+  ranges.  Both stay public under these names because `spectra` and
+  `pipeline` call them, and the benchmark's spans (`bench/spans.py`) look
+  them up as module attributes there.
 * One box layout, from reshaped views: the forward tiling values[:, :m*s],
   then, only when s does not divide T (else it repeats the forward boxes),
   the backward tiling values[:, T-m*s:] with its last box first.  Nothing
@@ -47,24 +48,33 @@ Implementation notes
   samples only) without changing the residuals; a box whose returns are
   zero after its first sample then has a flat profile and exactly zero
   residuals, not the rounding dust that the q/2 power lifts at q < 2.
-* All reductions run in a fixed order (boxes in partition order, chunks
-  of `_BOX_CHUNK`; at q = 2 one product's sum over the B*s samples, which
-  BLAS threads do not split), so results are bit-identical across runs,
-  across any outer parallelism and across BLAS thread counts.  The thread
-  count is checked on a whole run (`tests/test_dfa.py`, 1 against 2
-  OpenBLAS threads).  Keep the detrending low-rank: an s x s projector
-  product fails that check at s = 180.
-* The signed power sign(g) * |g|**(q/2) is specialized: q = 2 (the lagged
-  pass's box energies) passes through, q = 4 is |g| * g and any other q is
-  copysign(|g|**(q/2), g).  Multiplying by a sign is exact, so each form
-  gives the same bits as the general formula except that a -0.0 input
-  stays -0.0; the box sums start at +0.0, so no sum or output changes.
-* The lagged pass needs only the anchor rows and columns of the head/tail
-  cross fluctuations, so it multiplies the A anchor rows of one stack
-  against all N series of the other, (B, A, s) @ (B, s, N), once each
-  way; the full N x N cross Gram is never formed.  `pipeline` feeds it
-  whole-box stretches (s divides their length), one per grid of lagged
-  box pairs, so every call is the forward tiling alone.
+* All reductions run in a fixed order, so results are bit-identical
+  across runs, across any outer parallelism and across BLAS thread counts.
+  Boxes add in partition order within chunks of `_BOX_CHUNK`: each
+  sub-chunk's first box takes the running total and sum(axis=0) adds along
+  the boxes, so the sub-chunk size never changes a bit.  At q = 2 the self
+  sum is one product's sum over the B*s samples, which BLAS threads do not
+  split.  The thread count is checked on a whole run (`tests/test_dfa.py`,
+  1 against 2 OpenBLAS threads).  Keep the detrending low-rank: an s x s
+  projector product fails that check at s = 180.
+* A stack's own per-box Grams are exactly symmetric (with one operand
+  buffer BLAS fills one triangle and numpy mirrors it), so `_gram_power`
+  powers and sums their upper triangles only and mirrors the sums.
+* The signed power sign(g) * |g|**(q/2) is specialized: q = 2 passes
+  through, q = 4 is |g| * g, q = 1 is copysign(sqrt|g|, g) and any other q
+  is copysign(|g|**(q/2), g), with |g| taken once for all q.  Multiplying by
+  a sign is exact and sqrt is |g|**0.5 to the bit, so each form gives the
+  same bits as the general formula except that a -0.0 input stays -0.0;
+  the box sums start at +0.0, so no sum or output changes.
+* At shift k the lagged pairs of a stretch [0, span) lie on box grids
+  with start offsets 0, k and -k (mod s), plus span mod s when s does not
+  divide span.  `cross_fluctuation_matrices` detrends each grid once for
+  every shift, and takes the grid from 0 from the self pass when
+  `pipeline` hands it over (`fluctuation_matrices(..., return_boxes=True)`).
+  It forms each box's anchor rows (A, s) @ (s, N) and powers them, keeps
+  the per-box energies and their powers, and sums each run of boxes whose
+  partner box ends in the same block; the full N x N cross Gram is never
+  formed.
 * q must be positive.  Every coefficient (pair, matrix or lagged) is
   divided by `_coefficients`, which raises a ZeroVarianceError naming the
   series, q, the scale, any lag and whether it under- or overflows when a
@@ -83,6 +93,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,6 +110,12 @@ from .errors import (
 # batched Gram product; the size is a constant so summation order never
 # depends on the environment.
 _BOX_CHUNK = 512
+
+# Inside a chunk, per-box Grams are formed and powered this many boxes at a
+# time, so they stay in cache from the product to the box sum (16 Grams of
+# 80 x 80 are 0.8 MB).  It divides _BOX_CHUNK and, like it, is a constant,
+# although the box sums add in the same order at any sub-chunk size.
+_SUB_CHUNK = 16
 
 # A series whose detrended residual energy falls below this fraction of its
 # raw profile energy is treated as having zero detrended variance: the fit
@@ -192,43 +209,80 @@ def _detrended_residuals(profiles: np.ndarray, scale: int, poly_order: int) -> n
     return resid
 
 
-def _signed_power(values: np.ndarray, q: float) -> np.ndarray:
-    # sign(g) * |g|**(q/2), specialized; see the implementation notes.  The
-    # result is built in one buffer: fresh Gram-sized temporaries cost more
-    # than the arithmetic.
+def _signed_power(values: np.ndarray, q: float, magnitude=None, out=None) -> np.ndarray:
+    # sign(g) * |g|**(q/2), specialized; see the implementation notes.
+    # ``magnitude`` is np.abs(values) when the caller already has it and
+    # ``out`` the buffer to write; without them the result is built in one
+    # fresh buffer, since Gram-sized temporaries cost more than the arithmetic.
     if q == 2.0:
         return values
-    out = np.abs(values)
+    if magnitude is None:
+        magnitude = out = np.abs(values)
     if q == 4.0:
-        out *= values
-        return out
-    out **= q / 2.0
+        return np.multiply(magnitude, values, out=out)
+    out = np.sqrt(magnitude, out=out) if q == 1.0 else np.power(magnitude, q / 2.0, out=out)
     return np.copysign(out, values, out=out)
 
 
-@_beyond_range
-def _gram_power(ra: np.ndarray, rb: np.ndarray, q_list) -> dict[float, np.ndarray]:
-    """Box sums of the signed q/2 powers of the per-box Grams ra_b @ rb_b^T.
+def _powers(values: np.ndarray, q_list) -> list[np.ndarray]:
+    # The signed q/2 powers of ``values`` for every q, each in its own
+    # buffer; |values| is taken once, and the last q writes over it.
+    magnitude = np.abs(values)
+    last = len(q_list) - 1
+    return [_signed_power(values, q, magnitude, magnitude if i == last else None)
+            for i, q in enumerate(q_list)]
 
-    ``ra`` (A, B, s) and ``rb`` (N, B, s) are detrended residual stacks;
-    each q maps to an (A, N) matrix.  Pass the same array twice for a stack
-    against itself: both operands then share one buffer, which lets BLAS use
-    its symmetric A @ A^T product.  At q = 2 the box sum is one product.
+
+@lru_cache(maxsize=16)
+def _triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # Flat indices of the upper triangle (diagonal included) of an n x n
+    # matrix and of its mirror image.
+    rows, cols = np.triu_indices(n)
+    upper, mirror = rows * n + cols, cols * n + rows
+    upper.setflags(write=False)
+    mirror.setflags(write=False)
+    return upper, mirror
+
+
+@_beyond_range
+def _gram_power(resid: np.ndarray, q_list) -> dict[float, np.ndarray]:
+    """Box sums of the signed q/2 powers of the per-box Grams r_b @ r_b^T
+    of an (N, B, s) residual stack; each q maps to an (N, N) matrix.
+
+    At q = 2 the box sum is one product.  For other q the Grams are formed
+    and powered `_SUB_CHUNK` boxes at a time; within each `_BOX_CHUNK` the
+    boxes add in order (each sub-chunk's first box takes the running
+    total, and sum(axis=0) adds along the boxes), and the chunk totals add
+    to a sum that starts at +0.0, so a -0.0 power never survives.
     """
-    # Sums start at +0.0, like np.zeros, so a -0.0 power never survives.
     acc = dict.fromkeys(q_list, 0.0)
-    if 2.0 in acc:  # the stacks are contiguous, so the reshapes are views
-        fa = ra.reshape(len(ra), -1)
-        acc[2.0] = fa @ (fa if rb is ra else rb.reshape(len(rb), -1)).T
+    if 2.0 in acc:
+        flat = resid.reshape(len(resid), -1)  # a view: the stack is contiguous
+        acc[2.0] = flat @ flat.T
     q_list = [q for q in q_list if q != 2.0]
     if not q_list:
         return acc
-    a = np.ascontiguousarray(ra.transpose(1, 0, 2))
-    b = a if rb is ra else np.ascontiguousarray(rb.transpose(1, 0, 2))
-    for lo in range(0, a.shape[0], _BOX_CHUNK):
-        gram = a[lo : lo + _BOX_CHUNK] @ b[lo : lo + _BOX_CHUNK].transpose(0, 2, 1)
-        for q in q_list:
-            acc[q] += _signed_power(gram, q).sum(axis=0)
+    n = len(resid)
+    boxes = np.ascontiguousarray(resid.transpose(1, 0, 2))
+    # Each Gram is exactly symmetric (one operand buffer lets BLAS fill one
+    # triangle, which numpy mirrors), so only upper triangles are powered.
+    upper, mirror = _triangle(n)
+    for lo in range(0, len(boxes), _BOX_CHUNK):
+        carry = None
+        for sub in range(lo, min(lo + _BOX_CHUNK, len(boxes)), _SUB_CHUNK):
+            chunk = boxes[sub : sub + _SUB_CHUNK]
+            gram = chunk @ chunk.transpose(0, 2, 1)
+            powers = _powers(gram.reshape(len(chunk), -1).take(upper, axis=1), q_list)
+            if carry is not None:
+                for power, running in zip(powers, carry):
+                    power[0] += running
+            carry = [power.sum(axis=0) for power in powers]
+        for q, running in zip(q_list, carry):
+            acc[q] += running
+    for q in q_list:
+        full = np.empty(n * n)
+        full[upper] = full[mirror] = acc[q]
+        acc[q] = full.reshape(n, n)
     return acc
 
 
@@ -333,14 +387,32 @@ class BoxSums:
         return out
 
 
-def fluctuation_matrices(values: np.ndarray, scale: int, poly_order: int, q_values) -> BoxSums:
+def _box_energies(resid: np.ndarray, profiles: np.ndarray):
+    # Per-box residual and profile energies, (B, N) each.
+    return np.einsum("nbs,nbs->bn", resid, resid), np.einsum("nbs,nbs->bn", profiles, profiles)
+
+
+def _detrended_boxes(values: np.ndarray, scale: int, poly_order: int):
+    """The residuals (N, B, s) of the boxes of an (N, T) stack (see the
+    notes) and their `_box_energies`: the boxes that `fluctuation_matrices`
+    returns on request."""
+    profiles = _box_profiles(values, scale)
+    resid = _detrended_residuals(profiles, scale, poly_order)
+    return resid, *_box_energies(resid, profiles)
+
+
+def fluctuation_matrices(
+    values: np.ndarray, scale: int, poly_order: int, q_values, return_boxes: bool = False
+) -> BoxSums | tuple[BoxSums, tuple]:
     """Box sums of the pairwise fluctuations of a stack of aligned series.
 
     ``values`` has shape (N, T).  For each q the (N, N) power sum holds the
     signed cross fluctuation of every pair summed over the boxes; the
     per-box Gram products are shared across all q values but 2.  Nothing here
     depends on a box's neighbours, so the sums of stretches that tile a
-    series (each a multiple of s long) add to the sums of the whole.
+    series (each a multiple of s long) add to the sums of the whole.  With
+    ``return_boxes`` the result is (sums, boxes), where boxes are the
+    detrended boxes that `cross_fluctuation_matrices` can reuse.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
@@ -352,37 +424,41 @@ def fluctuation_matrices(values: np.ndarray, scale: int, poly_order: int, q_valu
     profiles = _box_profiles(values, scale)
     resid = _detrended_residuals(profiles, scale, poly_order)
     reference = np.einsum("nbs,nbs->n", profiles, profiles)
+    boxes = (resid, *_box_energies(resid, profiles)) if return_boxes else None
     del profiles  # the kernel reads only resid; free it before its copy
-    return BoxSums(
-        power=_gram_power(resid, resid, q_list),
+    sums = BoxSums(
+        power=_gram_power(resid, q_list),
         energy=np.einsum("nbs,nbs->n", resid, resid),
         reference=reference,
         n_boxes=resid.shape[1],
     )
+    return (sums, boxes) if return_boxes else sums
 
 
 @dataclass(frozen=True)
 class CrossSums:
-    """Additive box sums of the ``rows`` series of a head stack against
-    every series of a tail stack, both ways, at one scale.
+    """Additive box sums of a set of lagged box pairs at one scale: the
+    ``rows`` series' leading (head) boxes against every series' partner
+    (tail) boxes, and their tails against every head.
 
-    Like `BoxSums`, the sums of stretches add, in a fixed order, to the sums
-    of their union; `coefficients` checks and divides a total once.
+    Every array is stacked by side, [0] heads and [1] tails, then by q in
+    the order of ``q``.  Like `BoxSums`, the sums of pair sets add, in a
+    fixed order, to the sums of their union; `coefficients` checks and
+    divides a total once.
     """
 
-    # q -> (rows (A, N): head rows against tails, cols (N, A): heads against
-    # tail rows, head (N,), tail (N,)): sums of signed q/2 powers
-    power: dict[float, tuple[np.ndarray, ...]]
+    q: tuple[float, ...]
+    cross: np.ndarray      # (2, Q, A, N): row heads x tails, row tails x heads
+    own: np.ndarray        # (2, Q, N) head and tail self powers
     energy: np.ndarray     # (2, N) head and tail residual energy
     reference: np.ndarray  # (2, N) head and tail profile energy
 
     @_beyond_range
     def __add__(self, other: "CrossSums") -> "CrossSums":
         return CrossSums(
-            power={
-                q: tuple(a + b for a, b in zip(p, other.power[q]))
-                for q, p in self.power.items()
-            },
+            q=self.q,
+            cross=self.cross + other.cross,
+            own=self.own + other.own,
             energy=self.energy + other.energy,
             reference=self.reference + other.reference,
         )
@@ -404,56 +480,130 @@ class CrossSums:
                 self.energy[side, idx], self.reference[side, idx], scale,
                 idx_names, f" in its lag {tau} overlap",
             )
-        out = {}
-        for q, (f_rows, f_cols, *f_self) in self.power.items():
-            cross = f_rows[:, cols] if tau > 0 else f_cols[cols].T
-            out[q], _ = _coefficients(
-                cross, f_self[x][rows], f_self[y][cols], q, scale, *names, lag=tau
-            )
-        return out
+        return {
+            q: _coefficients(self.cross[x, i][:, cols], self.own[x, i][rows],
+                             self.own[y, i][cols], q, scale, *names, lag=tau)[0]
+            for i, q in enumerate(self.q)
+        }
+
+
+def _pair_grids(shifts, scale: int, span: int, n_samples: int):
+    """(k, head starts) of every grid of lagged pairs; see
+    `cross_fluctuation_matrices`.  Per shift the forward grid comes first,
+    then the backward one unless it is the same."""
+    grids = []
+    for k in shifts:
+        for offset in dict.fromkeys((0, (span - k) % scale)):
+            starts = np.arange(offset, span, scale)
+            starts = starts[starts + k + scale <= n_samples]
+            if starts.size:
+                grids.append((k, starts))
+    return grids
+
+
+class _Grid(NamedTuple):
+    """The detrended boxes of one box grid, from its first box."""
+
+    resid: np.ndarray    # (N, B, s) residuals
+    anchors: np.ndarray  # (A, B, s) the rows' residuals
+    stats: np.ndarray    # (B, 2 + Q, N) residual and profile energies, then
+                         # the energies' signed q/2 powers
+
+    def run(self, j: int, n: int) -> "_Grid":
+        """Boxes j to j + n - 1."""
+        cut = slice(j, j + n)
+        return _Grid(self.resid[:, cut], self.anchors[:, cut], self.stats[cut])
+
+
+def _grid(parts, rows, q_list) -> _Grid:
+    # ``parts`` are consecutive `_detrended_boxes` results.
+    resid, energy, reference = parts[0]
+    if len(parts) > 1:  # the residuals' boxes run along axis 1, the energies' along 0
+        resid = np.concatenate([r for r, _, _ in parts], axis=1)
+        energy = np.concatenate([e for _, e, _ in parts])
+        reference = np.concatenate([p for _, _, p in parts])
+    return _Grid(
+        resid=resid,
+        anchors=resid[rows],
+        stats=np.stack([energy, reference, *_powers(energy, q_list)], axis=1),
+    )
 
 
 @_beyond_range
-def cross_fluctuation_matrices(head, tail, scale: int, poly_order: int, q_values, rows) -> CrossSums:
-    """Box sums of the ``rows`` series against every series, both ways.
+def cross_fluctuation_matrices(
+    values, shifts, scale: int, poly_order: int, q_values, rows, span=None, boxes=None
+) -> dict[tuple[int, int], CrossSums]:
+    """Box sums of the lagged box pairs of an (N, T) stack, per shift.
 
-    ``head`` and ``tail`` are (N, T) stacks on the same sample grid (in the
-    lagged setting: stretches of the series that start |tau| samples
-    apart) and ``rows`` is a sequence of A series indices.  Box b of head
-    series i pairs with box b of tail series j; the sums hold the anchor
-    rows and columns of that cross product, the per-series head and tail
-    normalizers and the energies the zero-variance rule reads.  The rest of
-    the N x N cross product is never formed, and nothing raises on data.
+    At shift k >= 0 a pair is box [r, r + s) of a head series against box
+    [r + k, r + k + s) of a tail series.  The pairs whose head starts in
+    [0, span) (``span`` defaults to T) lie on two grids: the forward one
+    from 0 and, unless it is the same, the backward one from
+    (span - k) mod s; pairs that run past T are left out.  With span = T
+    these are the boxes of `rho_q_lagged` at lag k.  Every box grid (start
+    residue mod s) is detrended once, over the boxes the shifts use, and
+    shared by every shift and both sides.  ``boxes``, when given, are the
+    detrended boxes of values[:, :span] from `fluctuation_matrices` (s must
+    divide span); the grid from 0 then reuses them.
+
+    The result maps (k, d) to the `CrossSums` of the pairs whose tail box
+    ends in [d * span, (d + 1) * span): of the ``rows`` series (a sequence
+    of A series indices) against every series, both ways, with the
+    per-series normalizers and the energies the zero-variance rule reads.
+    Each pair's signed powers are formed per box and summed in box order.
+    The rest of the N x N cross product is never formed, and nothing raises
+    on data.
     """
-    if head.shape != tail.shape:
-        raise ShapeMismatchError(
-            f"head/tail shape mismatch: {head.shape} vs {tail.shape}"
-        )
-
-    def residuals(v):
-        profiles = _box_profiles(np.asarray(v, dtype=np.float64), scale)
-        resid = _detrended_residuals(profiles, scale, poly_order)
-        energies = np.einsum("nbs,nbs->bn", resid, resid)
-        return resid, energies, np.einsum("nbs,nbs->n", profiles, profiles)
-
-    (rh, eh, ph), (rt, et, pt) = residuals(head), residuals(tail)
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2:
+        raise ShapeMismatchError(f"expected (N, T) array, got shape {values.shape}")
+    span = values.shape[1] if span is None else span
+    if boxes is not None and boxes[0].shape != (len(values), span // scale, scale):
+        raise ShapeMismatchError(f"boxes of shape {boxes[0].shape} do not tile span {span}")
     rows = np.asarray(rows, dtype=np.intp)
     q_list = [float(q) for q in q_values]
-    f_rows = _gram_power(rh[rows], rt, q_list)
-    f_cols = _gram_power(rt[rows], rh, q_list)
-    return CrossSums(
-        power={
-            q: (
-                f_rows[q],
-                f_cols[q].T,
-                _signed_power(eh, q).sum(axis=0),
-                _signed_power(et, q).sum(axis=0),
+    pair_grids = _pair_grids(shifts, scale, span, values.shape[1])
+    # The first and last box start each grid needs, over heads and tails.
+    used = {}
+    for k, starts in pair_grids:
+        for first, last in ((starts[0], starts[-1]), (starts[0] + k, starts[-1] + k)):
+            lo, hi = used.get(first % scale, (first, last))
+            used[first % scale] = min(lo, first), max(hi, last)
+    grids = {}
+    for res, (lo, hi) in used.items():
+        origin, parts = lo, []
+        if res == 0 and boxes is not None:
+            origin, lo, parts = 0, span, [boxes]
+        if lo <= hi:
+            parts.append(_detrended_boxes(values[:, lo : hi + scale], scale, poly_order))
+        grids[res] = origin, _grid(parts, rows, q_list)
+    pieces = {}
+    for k, starts in pair_grids:
+        sides = []
+        for first in (starts[0], starts[0] + k):
+            origin, grid = grids[first % scale]
+            sides.append(grid.run((first - origin) // scale, starts.size))
+        head, tail = sides
+        # Per box, (A, s) @ (s, N) on views of the series-major stacks: the
+        # rows' heads against the tails, then the rows' tails against the heads.
+        powers = [_powers(a.anchors.transpose(1, 0, 2) @ b.resid.transpose(1, 2, 0), q_list)
+                  for a, b in ((head, tail), (tail, head))]
+        # Pairs whose tail ends in the same block d are one run of boxes.
+        ends = (starts + k + scale - 1) // span
+        for d in np.unique(ends).tolist():
+            run = slice(np.searchsorted(ends, d), np.searchsorted(ends, d, "right"))
+            # The power sums start at +0.0, so no -0.0 survives.
+            cross = [[p[run].sum(axis=0, initial=0.0) for p in side] for side in powers]
+            stats = np.array([head.stats[run].sum(axis=0), tail.stats[run].sum(axis=0)])
+            part = CrossSums(
+                q=tuple(q_list),
+                cross=np.array(cross),
+                own=stats[:, 2:],
+                energy=stats[:, 0],
+                reference=stats[:, 1],
             )
-            for q in q_list
-        },
-        energy=np.stack([eh.sum(axis=0), et.sum(axis=0)]),
-        reference=np.stack([ph, pt]),
-    )
+            pieces[k, d] = pieces[k, d] + part if (k, d) in pieces else part
+    return pieces
 
 
 def rho_q(x, y, cfg: DetrendConfig) -> float:

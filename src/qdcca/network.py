@@ -257,8 +257,10 @@ def _local_phase(weights: np.ndarray, two_m: float, resolution: float, rng) -> n
             # Summed in node order; zero weights add +0.0 and change nothing.
             links = np.bincount(membership, weights=links_of[u], minlength=n)
             gains = links - pull[u] * comm_total / two_m
-            better = (gains > gains[cu] + 1e-12) & (links > 0.0)
-            if not better.any():
+            stay = gains[cu] + 1e-12
+            # Most visits move nothing; the max alone rejects them, cheaper than the mask.
+            better = (gains > stay) & (links > 0.0) if gains.max() > stay else None
+            if better is None or not better.any():
                 comm_total[cu] += strength[u]
                 continue
             top = gains[better].max()

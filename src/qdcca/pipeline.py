@@ -23,9 +23,11 @@ At lag k a lagged pair is series x's box at sample r against series y's
 box at r + k, for r on the stretch's grid (the forward half) and, unless
 s divides k, on the grid shifted by -k (the backward half); a window
 [start, stop) holds every pair with start <= r and r + k + s <= stop.  A
-stretch sums the pairs whose r lies in it, one whole-box kernel call per
-grid and per block in which the partner box ends (`_lag_pieces`); a window
-adds the pieces whose partner ends inside it, in block order
+stretch sums the pairs whose r lies in it with one kernel call for all
+lags (`dfa.cross_fluctuation_matrices`), which detrends each box grid
+once, reuses the self pass's boxes for the grid from the stretch's
+start, and splits the sums by the block in which the partner box ends;
+a window adds the pieces whose partner ends inside it, in block order
 (`_lag_totals`).  The zero-variance rule reads only what the requested
 lags read, and a window that fails it is skipped with a reason that names
 the signed lag.  Normalization runs per window only to feed the residual
@@ -220,42 +222,27 @@ def _residual_spectrum(window_returns: ReturnMatrix, q, s, cfg, summary):
     return spectra.eigendecompose(c_res)
 
 
-def _lag_pieces(values, lo: int, blk: int, s: int, cfg: AnalysisConfig, rows) -> dict:
-    """Lagged box sums of the pairs whose leading box starts in one stretch.
-
-    At lag k a pair is series x's box at sample r against series y's box
-    at r + k.  Pairs with r in [lo, lo + blk) lie on two grids: the forward
-    one from lo and, unless it is the same, the backward one from
-    lo + blk - k.  The pairs of one grid whose partner box ends in the same
-    blk-sample block form one whole-box stretch and one kernel call.  The
-    result maps (k, d) to the sums of the pairs whose partner ends d blocks
-    after this one; pairs that run past the end of ``values`` are left out.
-    """
-    pieces = {}
-    for k in sorted({abs(t) for t in cfg.lags if t != 0}):
-        # The forward grid, then the backward one unless it is the same.
-        for offset in dict.fromkeys((0, (blk - k) % s)):
-            starts = np.arange(lo + offset, lo + blk, s)
-            starts = starts[starts + k + s <= values.shape[1]]
-            ends = (starts + k + s - 1 - lo) // blk
-            for d in np.unique(ends).tolist():
-                run = starts[ends == d]
-                a, b = run[0], run[-1] + s
-                part = cross_fluctuation_matrices(
-                    values[:, a:b], values[:, a + k : b + k], s, cfg.poly_order, cfg.q, rows
-                )
-                pieces[k, d] = pieces[k, d] + part if (k, d) in pieces else part
-    return pieces
-
-
 def _stretch_sums(values, lo: int, hi: int, s: int, cfg: AnalysisConfig, corr: bool, rows):
     """The box sums of samples [lo, hi) of ``values`` at scale s (None
-    unless ``corr``) and their lagged pieces against the ``rows`` anchors
-    (see `_lag_pieces`; empty without rows)."""
-    sums = None
+    unless ``corr``) and the lagged pieces of the pairs whose leading box
+    starts there, against the ``rows`` anchors (empty without rows)."""
+    sums = boxes = None
     if corr:
-        sums = spectra.fluctuation_matrices(values[:, lo:hi], s, cfg.poly_order, cfg.q)
-    return sums, _lag_pieces(values, lo, hi - lo, s, cfg, rows) if rows else {}
+        sums = spectra.fluctuation_matrices(
+            values[:, lo:hi], s, cfg.poly_order, cfg.q, return_boxes=bool(rows)
+        )
+    if not rows:
+        return sums, {}
+    if corr:
+        sums, boxes = sums
+    if (hi - lo) % s:
+        boxes = None  # they also tile the stretch backwards
+    shifts = sorted({abs(t) for t in cfg.lags if t != 0})
+    # A pair that starts in the stretch ends at most max(k) + s - 1 samples past it.
+    reach = values[:, lo : hi + shifts[-1] + s - 1]
+    return sums, cross_fluctuation_matrices(
+        reach, shifts, s, cfg.poly_order, cfg.q, rows, hi - lo, boxes
+    )
 
 
 def _lag_totals(blocks) -> dict:

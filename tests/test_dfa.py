@@ -12,6 +12,7 @@ from qdcca.dfa import (
     DetrendConfig,
     _box_profiles,
     _detrended_residuals,
+    _gram_power,
     _signed_power,
     cross_fluctuation_matrices,
     fluctuation_matrices,
@@ -343,15 +344,15 @@ def test_cross_rows_match_all_rows_and_pairwise_lagged():
     # within 1e-12 (of sqrt(F_ii F_jj) for fluctuations), not bitwise.
     rng = np.random.default_rng(19)
     values = rng.standard_normal((40, 1_203)) * rng.uniform(0.5, 2.0, (40, 1))
-    head = np.ascontiguousarray(values[:, :-2])
-    tail = np.ascontiguousarray(values[:, 2:])
     idx = [3, 17]
     for s in (10, 60):
-        full = cross_fluctuation_matrices(head, tail, s, 2, (1.0, 2.0, 4.0), range(40))
-        part = cross_fluctuation_matrices(head, tail, s, 2, (1.0, 2.0, 4.0), idx)
-        for q in (1.0, 2.0, 4.0):
-            all_rows, all_cols, f_head, f_tail = full.power[q]
-            f_rows, f_cols, p_head, p_tail = part.power[q]
+        full = cross_fluctuation_matrices(values, [2], s, 2, (1.0, 2.0, 4.0), range(40))[2, 0]
+        part = cross_fluctuation_matrices(values, [2], s, 2, (1.0, 2.0, 4.0), idx)[2, 0]
+        for i, q in enumerate(full.q):
+            # [0] is the rows' heads against tails, [1] their tails against heads
+            all_rows, all_cols = full.cross[0, i], full.cross[1, i].T
+            f_rows, f_cols = part.cross[0, i], part.cross[1, i].T
+            (f_head, f_tail), (p_head, p_tail) = full.own[:, i], part.own[:, i]
             assert f_rows.shape == (2, 40) and f_cols.shape == (40, 2)
             assert np.array_equal(p_head, f_head)
             assert np.array_equal(p_tail, f_tail)
@@ -384,11 +385,11 @@ def test_q2_product_matches_per_box_loop():
         head, tail = values[:, :-2], values[:, 2:]
         resid, rh, rt = (_detrended_residuals(_box_profiles(v, s), s, 2)
                          for v in (values, head, tail))
-        cross = cross_fluctuation_matrices(head, tail, s, 2, [2.0], idx).power[2.0]
+        cross = cross_fluctuation_matrices(values, [2], s, 2, [2.0], idx)[2, 0].cross[:, 0]
         for got, ra, rb in (
             (fluctuation_matrices(values, s, 2, [2.0]).power[2.0], resid, resid),
             (cross[0], rh[idx], rt),
-            (cross[1].T, rt[idx], rh),
+            (cross[1], rt[idx], rh),
         ):
             want = gram_power_box_loop(ra, rb, [2.0])[2.0]
             energy = (np.einsum("nbs,nbs->n", r, r) for r in (ra, rb))
@@ -400,7 +401,6 @@ def test_q2_sums_do_not_depend_on_other_q():
     # with other q, and those keep the per-box loop's bits.
     rng = np.random.default_rng(22)
     values = rng.standard_normal((10, 1_213))
-    head, tail = values[:, :-1], values[:, 1:]
     for s in (10, 30):
         alone = fluctuation_matrices(values, s, 2, [2.0]).power
         mixed = fluctuation_matrices(values, s, 2, [1.0, 2.0, 4.0]).power
@@ -409,10 +409,27 @@ def test_q2_sums_do_not_depend_on_other_q():
         loop = gram_power_box_loop(resid, resid, [1.0, 4.0])
         for q in (1.0, 4.0):
             assert np.array_equal(mixed[q], loop[q])
-        alone = cross_fluctuation_matrices(head, tail, s, 2, [2.0], [0, 4]).power[2.0]
-        mixed = cross_fluctuation_matrices(head, tail, s, 2, [1.0, 2.0, 4.0], [0, 4]).power[2.0]
-        for a, b in zip(alone, mixed):
-            assert np.array_equal(a, b)
+        alone = cross_fluctuation_matrices(values, [1], s, 2, [2.0], [0, 4])[1, 0]
+        mixed = cross_fluctuation_matrices(values, [1], s, 2, [1.0, 2.0, 4.0], [0, 4])[1, 0]
+        assert np.array_equal(alone.cross[:, 0], mixed.cross[:, 1])
+        assert np.array_equal(alone.own[:, 0], mixed.own[:, 1])
+
+
+def test_sub_chunked_powers_keep_the_chunked_kernels_bits():
+    # The kernel powers 16 boxes at a time, the upper triangles only, with
+    # |g| shared by every q, and carries the running total into each
+    # sub-chunk's first box; the sums must keep the bits of the per-q
+    # kernel that summed whole 512-box chunks (kept in tests/oracles.py).
+    # B = 144 is nine sub-chunks, 37 is not a multiple of 16 and 1,008 spans
+    # two 512-box chunks, where the running total restarts.
+    rng = np.random.default_rng(24)
+    for n, b, s in ((80, 144, 10), (12, 37, 10), (9, 1_008, 6)):
+        values = rng.standard_normal((n, b * s)) * rng.uniform(0.5, 2.0, (n, 1))
+        resid = _detrended_residuals(_box_profiles(values, s), s, 2)
+        got = _gram_power(resid, [0.5, 1.0, 4.0])
+        want = gram_power_box_loop(resid, resid, [0.5, 1.0, 4.0])
+        for q in (0.5, 1.0, 4.0):
+            assert got[q].tobytes() == want[q].tobytes(), (b, q)
 
 
 def test_q2_fluctuations_peak_memory_is_a_few_inputs():

@@ -16,12 +16,13 @@ import numpy as np
 import pytest
 
 from qdcca.config import AnalysisConfig
-from qdcca.data import ReturnMatrix
+from qdcca.data import QuoteSeries, ReturnMatrix, build_return_matrix
 from qdcca.dfa import DetrendConfig, rho_q, rho_q_lagged
 from qdcca.emit import write_outputs
 from qdcca.errors import ZeroVarianceError
 from qdcca.pipeline import ALL_FAMILIES, run_analysis
-from qdcca.spectra import correlation_matrix
+from qdcca.spectra import correlation_matrices, correlation_matrix
+from qdcca.synth import GeneratorSpec, synth_quotes
 
 # The returns' factor, and how the coefficient rule describes its fault
 # ("box energy": the zero-variance rule's overflow reason instead).
@@ -102,3 +103,21 @@ def test_q_inside_the_float_range_is_still_computed():
         for key, taus in w.lagged.items():
             for tau, v in taus.items():
                 assert abs(v - ref.lagged[key][tau]) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_price_scale_moves_rho_q_by_rounding_only(seed):
+    # A common price factor cancels in the log differences except for the
+    # rounding of the logs, whose absolute error grows with |log price|
+    # (about 1.1e-13 near log(1e300) = 691, or 1e-10 of a 1e-3 minute
+    # return).  Over one paper window of 10,080 minutes the coefficients
+    # move by at most 1.1e-13 at 1e-8 and 7.6e-12 at 1e+-300 (seeds 1-6);
+    # windows of 2,880 minutes reach 1.5e-11 at 1e300.
+    spec = GeneratorSpec("factor", 8, 10_080, {"beta": 1.0, "sigma": 1.0, "response_spread": 30})
+    quotes = synth_quotes(spec, seed)
+    want = correlation_matrices(build_return_matrix(quotes)[0], 10, 2, (1.0, 4.0))
+    for factor in (1e-8, 1e-300, 1e300):
+        scaled = [QuoteSeries(q.ticker, q.timestamps, q.prices * factor) for q in quotes]
+        got = correlation_matrices(build_return_matrix(scaled)[0], 10, 2, (1.0, 4.0))
+        for q in (1.0, 4.0):
+            assert np.max(np.abs(got[q].values - want[q].values)) <= 1e-11, (factor, q)

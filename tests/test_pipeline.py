@@ -172,6 +172,36 @@ def test_run_analysis_lagged_two_anchors_q_not_2():
                 assert got[tau] == pytest.approx(direct, abs=1e-12)
 
 
+@pytest.mark.parametrize("s", [20, 30])
+@pytest.mark.parametrize("lag_set", ["around s", "past s"])
+def test_lagged_means_with_box_grids_shared_across_lags(s, lag_set):
+    # Lags 1, s - 1, s and s + 1 put their boxes on the grids at offsets 0,
+    # 1 and s - 1 from a stretch's start, each grid read by several lags;
+    # s + 1 and 2s - 1 alone make a larger lag reach a grid's earliest box.
+    # At s = 20 the windows add shared 200-sample blocks; 30 does not divide
+    # 200, so each window is its own stretch.  Every lagged mean of both
+    # anchors must be the mean of the pairwise lagged coefficients.
+    returns = _factor_matrix(5, 1_001, seed=13, spread=5)
+    shifts = {"around s": (1, s - 1, s, s + 1), "past s": (s + 1, 2 * s - 1)}[lag_set]
+    cfg = _small_cfg(window=600, step=200, q=(1.0, 2.0, 4.0), s=(s,),
+                     anchors=("SYN00", "SYN03"),
+                     lags=tuple(sorted({0, *shifts, *(-k for k in shifts)})))
+    result = run_analysis(cfg, returns, families=("lagged",))
+    assert result.skipped == [] and len(result.windows) == 3
+    others = (1, 2, 4)
+    for w in result.windows:
+        window = returns.values[:, w.index * cfg.step : w.index * cfg.step + cfg.window]
+        for a, name in ((0, "SYN00"), (3, "SYN03")):
+            for q in cfg.q:
+                dcfg = DetrendConfig(scale=s, poly_order=cfg.poly_order, q=q)
+                got = w.lagged[(name, q, s)]
+                assert sorted(got) == list(cfg.lags)
+                for tau in cfg.lags:
+                    direct = np.mean([rho_q_lagged(window[a], window[j], dcfg, tau)
+                                      for j in others])
+                    assert abs(got[tau] - direct) <= 1e-12, (name, q, tau)
+
+
 def test_run_analysis_skips_bad_window_and_continues():
     returns = _factor_matrix(4, 2_000, seed=4)
     values = returns.values.copy()

@@ -207,21 +207,20 @@ def test_self_and_cross_entry_points_agree(stack, q_values):
     # within 1e-12 relative (the two sum the boxes in different orders).
     values, scale, poly_order = stack
     own = fluctuation_matrices(values, scale, poly_order, q_values)
-    cross = cross_fluctuation_matrices(
-        values, values, scale, poly_order, q_values, range(values.shape[0])
-    )
+    (cross,) = cross_fluctuation_matrices(
+        values, [0], scale, poly_order, q_values, range(values.shape[0])
+    ).values()
     for side in (0, 1):
         assert np.allclose(cross.energy[side], own.energy, rtol=1e-12, atol=0)
         assert np.allclose(cross.reference[side], own.reference, rtol=1e-12, atol=0)
-    for q in q_values:
+    for i, q in enumerate(cross.q):
         f = own.power[q]
-        f_rows, f_cols, f_head, f_tail = cross.power[q]
         diag = np.diag(f)
         bound = 1e-12 * np.sqrt(np.outer(diag, diag))
-        assert np.all(np.abs(f_rows - f) <= bound)
-        assert np.all(np.abs(f_cols - f) <= bound)
-        assert np.all(np.abs(f_head - diag) <= 1e-12 * diag)
-        assert np.all(np.abs(f_tail - diag) <= 1e-12 * diag)
+        for f_side in cross.cross[:, i]:
+            assert np.all(np.abs(f_side - f) <= bound)
+        for f_self in cross.own[:, i]:
+            assert np.all(np.abs(f_self - diag) <= 1e-12 * diag)
 
 
 @settings(max_examples=60, deadline=None)
@@ -251,17 +250,13 @@ def test_box_layout_is_the_literal_one_and_ignores_strides(stack, a, k, q_values
         (own.power[q], copy.power[q]) for q in q_values
     ]:
         assert np.array_equal(got, want)
-    head, tail = wide[:, :-k], wide[:, k:]
-    rows = range(0, n, 2)
-    cross = cross_fluctuation_matrices(head, tail, scale, poly_order, q_values, rows)
-    copied = cross_fluctuation_matrices(
-        head.copy(), tail.copy(), scale, poly_order, q_values, rows
-    )
-    for got, want in [(cross.energy, copied.energy), (cross.reference, copied.reference)]:
-        assert np.array_equal(got, want)
-    for q in q_values:
-        for got, want in zip(cross.power[q], copied.power[q]):
-            assert np.array_equal(got, want)
+    stretch, rows = wide[:, :-k], range(0, n, 2)
+    cross = cross_fluctuation_matrices(stretch, [k], scale, poly_order, q_values, rows)
+    copied = cross_fluctuation_matrices(stretch.copy(), [k], scale, poly_order, q_values, rows)
+    assert cross.keys() == copied.keys() == {(k, 0)}
+    cross, copied = cross[k, 0], copied[k, 0]
+    for field in ("cross", "own", "energy", "reference"):
+        assert np.array_equal(getattr(cross, field), getattr(copied, field)), field
 
 
 @st.composite
