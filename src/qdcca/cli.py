@@ -3,7 +3,8 @@
 Subcommands: analyze (full sweep), spectra / mst / clusters / lagged /
 periods (single output family), synth (test-data generation), validate
 (input and config checks, no computation).  Every config-file key has an
-identically named flag; flags win over the file.
+identically named flag, both read from the `AnalysisConfig` fields (a
+boolean's flag also has a ``--no-`` form); flags win over the file.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, replace
 
-from .config import CONFIG_KEYS, AnalysisConfig, apply_overrides, load_config
+from .config import CONFIG_KEYS, AnalysisConfig, comma_list, load_config
 from .data import build_return_matrix, load_quotes
 from .emit import write_outputs
 from .errors import QdccaError
@@ -29,44 +31,17 @@ _FAMILY_OF = {
 }
 
 
-def _comma_list(conv):
-    def parse(raw):
-        return tuple(conv(tok.strip()) for tok in raw.split(",") if tok.strip())
-
-    return parse
-
-
 def _add_config_flags(sub):
     sub.add_argument("--config", help="INI config file; flags override its keys")
     sub.add_argument("--out", default="qdcca_out", help="output directory")
-    sub.add_argument("--q", type=_comma_list(float), help="comma list of q exponents")
-    sub.add_argument("--s", type=_comma_list(int), help="comma list of scales (minutes)")
-    sub.add_argument("--poly-order", dest="poly_order", type=int,
-                     help="detrending polynomial order")
-    sub.add_argument("--window", type=int, help="window width in samples")
-    sub.add_argument("--step", type=int, help="window step in samples")
-    sub.add_argument("--base", help="re-base prices to this ticker (e.g. BTC)")
-    sub.add_argument("--residual", action="store_const", const=True, default=None,
-                     help="also compute the residual pass (leading mode removed)")
-    sub.add_argument("--lags", type=_comma_list(int), help="comma list of lags in samples")
-    sub.add_argument("--threshold", type=float, help="threshold for period detection")
-    sub.add_argument("--anchors", type=_comma_list(str),
-                     help="comma list of anchor tickers for lag and cluster outputs")
-    sub.add_argument("--resolution", type=float, help="community detection resolution")
-    sub.add_argument("--grid", choices=("uniform", "intersection"),
-                     help="gap policy: uniform minute grid with zero fills, or "
-                          "contiguous re-indexing of the common samples")
-    sub.add_argument("--stable-threshold", dest="stable_threshold", type=float,
-                     help="exclude assets whose return std is below this")
-    sub.add_argument("--max-missing", dest="max_missing", type=float,
-                     help="skip windows with a larger gap-fill fraction")
-    sub.add_argument("--global-norm", dest="global_norm", action="store_const",
-                     const=True, default=None,
-                     help="normalize once over the full series instead of per window")
-    sub.add_argument("--seed", type=int, help="seed for all seeded choices")
-    sub.add_argument("--threads", type=int, help="worker threads over windows")
-    sub.add_argument("--verbose", action="store_const", const=True, default=None,
-                     help="emit extra columns (both path-length conventions)")
+    # A flag that is not given leaves no attribute, so the file's value stands.
+    for f in fields(AnalysisConfig):
+        if isinstance(f.default, bool):
+            how = {"action": argparse.BooleanOptionalAction}
+        else:
+            how = {"type": f.metadata["parse"]}
+        sub.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, help=f.metadata["help"],
+                         default=argparse.SUPPRESS, **how)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -101,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="max factor response delay in samples (factor kind)")
     synth.add_argument("--pearson", type=float, default=0.7,
                        help="common off-diagonal correlation (correlated kind)")
-    synth.add_argument("--sizes", type=_comma_list(int), default=None,
+    synth.add_argument("--sizes", type=comma_list(int), default=None,
                        help="block sizes (blocks kind)")
     synth.add_argument("--within", type=float, default=0.8, help="within-block correlation")
     synth.add_argument("--across", type=float, default=0.0, help="across-block correlation")
@@ -113,8 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> AnalysisConfig:
     cfg = load_config(args.config) if args.config else AnalysisConfig()
-    overrides = {key: getattr(args, key) for key in CONFIG_KEYS}
-    return apply_overrides(cfg, overrides).validate()
+    flags = {key: getattr(args, key) for key in CONFIG_KEYS if hasattr(args, key)}
+    return replace(cfg, **flags).validate()
 
 
 def _synth_spec(args) -> GeneratorSpec:

@@ -1,7 +1,17 @@
 """Analysis configuration: defaults, file parsing and validation.
 
-The config file is INI-style; keys are grouped into sections but every key
-name matches its CLI flag one-to-one, so either source can set any value.
+Each setting is declared once, as an `AnalysisConfig` field: its default,
+the parser that both its INI value and its CLI argument go through, and its
+``--help`` text.  `load_config` and the CLI read those fields, so every key
+name matches its flag one-to-one (``poly_order`` is ``--poly-order``) and
+either source can set any value; flags override the file.  A boolean's flag
+comes in two forms, ``--residual`` and ``--no-residual``, so a flag can also
+undo a file's ``true``.  Lists are comma-separated, and ``q``, ``s``,
+``lags`` and ``anchors`` reject a repeated value.  An empty ``base`` means no
+re-basing.
+
+The config file is INI-style; keys are grouped into sections, which are
+only for the reader (any key may sit in any section):
 
     [analysis]
     q = 1, 4
@@ -35,7 +45,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 
@@ -48,26 +58,56 @@ _BOOL_FALSE = {"0", "false", "no", "off"}
 _EXECUTION_KEYS = ("threads",)
 
 
+def _parse_bool(raw: str) -> bool:
+    low = raw.strip().lower()
+    if low in _BOOL_TRUE:
+        return True
+    if low in _BOOL_FALSE:
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+def comma_list(conv):
+    """A parser of comma-separated ``conv`` values; blank items are skipped."""
+
+    def parse(raw: str) -> tuple:
+        return tuple(conv(tok.strip()) for tok in raw.split(",") if tok.strip())
+
+    return parse
+
+
+def _setting(default, parse, help_text: str):
+    return field(default=default, metadata={"parse": parse, "help": help_text})
+
+
 @dataclass(frozen=True)
 class AnalysisConfig:
-    q: tuple[float, ...] = (1.0, 4.0)
-    s: tuple[int, ...] = (10, 60, 180, 360)
-    poly_order: int = 2
-    window: int = 10_080
-    step: int = 1_440
-    base: str | None = None
-    residual: bool = False
-    lags: tuple[int, ...] = (-1, 0, 1)
-    threshold: float = 0.25
-    anchors: tuple[str, ...] = ("BTC", "ETH")
-    resolution: float = 1.0
-    grid: str = "uniform"
-    stable_threshold: float = 1e-6
-    max_missing: float = 0.01
-    global_norm: bool = False
-    seed: int = 0
-    threads: int = 1
-    verbose: bool = False
+    q: tuple[float, ...] = _setting((1.0, 4.0), comma_list(float), "comma list of q exponents")
+    s: tuple[int, ...] = _setting((10, 60, 180, 360), comma_list(int),
+                                  "comma list of scales (minutes)")
+    poly_order: int = _setting(2, int, "detrending polynomial order")
+    window: int = _setting(10_080, int, "window width in samples")
+    step: int = _setting(1_440, int, "window step in samples")
+    base: str | None = _setting(None, lambda raw: raw.strip() or None,
+                                "re-base prices to this ticker (e.g. BTC)")
+    residual: bool = _setting(False, _parse_bool,
+                              "also compute the residual pass (leading mode removed)")
+    lags: tuple[int, ...] = _setting((-1, 0, 1), comma_list(int), "comma list of lags in samples")
+    threshold: float = _setting(0.25, float, "threshold for period detection")
+    anchors: tuple[str, ...] = _setting(("BTC", "ETH"), comma_list(str),
+                                        "comma list of anchor tickers for lag and cluster outputs")
+    resolution: float = _setting(1.0, float, "community detection resolution")
+    grid: str = _setting("uniform", str.strip,
+                         "gap policy: 'uniform' (minute grid with zero fills) or "
+                         "'intersection' (contiguous re-indexing of the common samples)")
+    stable_threshold: float = _setting(1e-6, float, "exclude assets whose return std is below this")
+    max_missing: float = _setting(0.01, float, "skip windows with a larger gap-fill fraction")
+    global_norm: bool = _setting(False, _parse_bool,
+                                 "normalize once over the full series instead of per window")
+    seed: int = _setting(0, int, "seed for all seeded choices")
+    threads: int = _setting(1, int, "worker threads over windows")
+    verbose: bool = _setting(False, _parse_bool,
+                             "emit extra columns (both path-length conventions)")
 
     def validate(self) -> "AnalysisConfig":
         if not self.q or any(not (qv > 0) for qv in self.q):
@@ -98,6 +138,10 @@ class AnalysisConfig:
             raise ConfigError(f"resolution must be positive, got {self.resolution}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        for key in ("q", "s", "lags", "anchors"):
+            values = getattr(self, key)
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{key} repeats a value: {values}")
         return self
 
     def semantic_dict(self) -> dict:
@@ -115,67 +159,32 @@ class AnalysisConfig:
         return hashlib.sha256(blob).hexdigest()
 
 
-def _parse_bool(key: str, raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in _BOOL_TRUE:
-        return True
-    if low in _BOOL_FALSE:
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-
-
-def _parse_list(raw: str, conv):
-    return tuple(conv(tok.strip()) for tok in raw.split(",") if tok.strip())
-
-
-_PARSERS = {
-    "q": lambda v: _parse_list(v, float),
-    "s": lambda v: _parse_list(v, int),
-    "poly_order": int,
-    "window": int,
-    "step": int,
-    "base": lambda v: v.strip() or None,
-    "residual": lambda v: _parse_bool("residual", v),
-    "lags": lambda v: _parse_list(v, int),
-    "threshold": float,
-    "anchors": lambda v: _parse_list(v, str),
-    "resolution": float,
-    "grid": str.strip,
-    "stable_threshold": float,
-    "max_missing": float,
-    "global_norm": lambda v: _parse_bool("global_norm", v),
-    "seed": int,
-    "threads": int,
-    "verbose": lambda v: _parse_bool("verbose", v),
-}
-
-CONFIG_KEYS = tuple(_PARSERS)
+CONFIG_KEYS = tuple(f.name for f in fields(AnalysisConfig))
 
 
 def load_config(path: str) -> AnalysisConfig:
     """Parse an INI config file; unknown keys are rejected."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except configparser.Error as exc:  # its message names the file and line
+        raise ConfigError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    if parser.defaults():  # they would be ignored alone and repeat into every section
+        raise ConfigError(f"{path}: keys under [{parser.default_section}] are not supported")
+    parse = {f.name: f.metadata["parse"] for f in fields(AnalysisConfig)}
     values: dict = {}
     for section in parser.sections():
         for key, raw in parser.items(section):
-            if key not in _PARSERS:
-                raise ConfigError(f"unknown config key {key!r} in [{section}]")
+            if key not in parse:
+                raise ConfigError(f"{path}: unknown config key {key!r} in [{section}]")
             if key in values:
-                raise ConfigError(f"config key {key!r} set more than once")
+                raise ConfigError(f"{path}: config key {key!r} set more than once")
             try:
-                values[key] = _PARSERS[key](raw)
+                values[key] = parse[key](raw)
             except (ValueError, TypeError) as exc:
-                raise ConfigError(f"{key}: {exc}") from exc
+                raise ConfigError(f"{path}: {key}: {exc}") from exc
     return AnalysisConfig(**values)
-
-
-def apply_overrides(cfg: AnalysisConfig, overrides: dict) -> AnalysisConfig:
-    """Overlay non-None CLI values onto a config."""
-    clean = {k: v for k, v in overrides.items() if v is not None}
-    unknown = set(clean) - set(CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return replace(cfg, **clean)

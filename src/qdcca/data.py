@@ -315,29 +315,6 @@ def _minutes_shared_with(base: QuoteSeries, series: list[QuoteSeries]) -> list[i
     return counts
 
 
-def rebase_prices(alt: QuoteSeries, base: QuoteSeries) -> QuoteSeries:
-    """Re-express ``alt`` in units of ``base`` on their common timestamps."""
-    common, (alt_prices, base_prices) = _common_minutes([alt, base])
-    if common.size == 0:
-        raise EmptyIntersectionError(f"{alt.ticker} and {base.ticker} share no timestamps")
-    return QuoteSeries(ticker=alt.ticker, timestamps=common, prices=alt_prices / base_prices)
-
-
-def align_series(series: list[QuoteSeries]) -> tuple[np.ndarray, np.ndarray, AlignmentReport]:
-    """Restrict every series to the minutes all of them quote, found by one
-    count over their common span (see the module docstring).
-
-    Returns (timestamps, prices (N, T), report with per-series retention).
-    """
-    if len(series) < 2:
-        raise ShapeMismatchError("need at least 2 series to align")
-    common, prices = _common_minutes(series)
-    if common.size == 0:
-        raise EmptyIntersectionError("series share no common timestamps")
-    report = AlignmentReport(retention={qs.ticker: common.size / len(qs) for qs in series})
-    return common, prices, report
-
-
 def build_return_matrix(
     series: list[QuoteSeries],
     *,

@@ -418,9 +418,11 @@ def fluctuation_matrices(
     if values.ndim != 2:
         raise ShapeMismatchError(f"expected (N, T) array, got shape {values.shape}")
     q_list = [float(q) for q in q_values]
-    for q in q_list:
+    for k, q in enumerate(q_list):
         if not (q > 0):
             raise ConfigError(f"q must be positive, got {q}")
+        if q in q_list[:k]:
+            raise ConfigError(f"q = {q} is given more than once")
     profiles = _box_profiles(values, scale)
     resid = _detrended_residuals(profiles, scale, poly_order)
     reference = np.einsum("nbs,nbs->n", profiles, profiles)

@@ -4,8 +4,8 @@ import os
 
 import pytest
 
-from qdcca.cli import main
-from qdcca.config import CONFIG_KEYS
+from qdcca.cli import _build_parser, _config_from_args, main
+from qdcca.config import CONFIG_KEYS, load_config
 from qdcca.data import build_return_matrix, load_quotes
 from qdcca.synth import GeneratorSpec, synth_quotes
 
@@ -222,3 +222,84 @@ def test_config_file_roundtrip(tmp_path, capsys):
     manifest = json.loads((out_dir / "run_manifest.json").read_text())
     assert manifest["config"]["seed"] == 11
     assert manifest["config"]["window"] == 400
+
+
+# Every key once, as INI text; the two settings differ in each boolean and in
+# base (one empty), and lists carry stray spaces.
+_SETTINGS = [
+    {"q": " 1, 4 ,2", "s": "10 , 20", "poly_order": "1", "window": "500", "step": "50",
+     "base": "", "residual": "true", "lags": "-2, 0 ,2", "threshold": "0.3",
+     "anchors": " BTC , ETH", "resolution": "1.5", "grid": "intersection",
+     "stable_threshold": "1e-7", "max_missing": "0.05", "global_norm": "false",
+     "seed": "7", "threads": "2", "verbose": "true"},
+    {"q": "0.5", "s": "12", "poly_order": "3", "window": "400", "step": "100",
+     "base": "BTC", "residual": "false", "lags": "0", "threshold": "0.1",
+     "anchors": "XRP", "resolution": "0.5", "grid": "uniform",
+     "stable_threshold": "0", "max_missing": "1", "global_norm": "true",
+     "seed": "0", "threads": "1", "verbose": "false"},
+]
+
+
+def _ini(tmp_path, setting, name="run.ini"):
+    path = tmp_path / name
+    path.write_text("[analysis]\n" + "".join(f"{k} = {v}\n" for k, v in setting.items()))
+    return str(path)
+
+
+def _flags(setting):
+    out = []
+    for key, raw in setting.items():
+        flag = key.replace("_", "-")
+        if raw in ("true", "false"):
+            out.append(f"--{flag}" if raw == "true" else f"--no-{flag}")
+        else:
+            out.append(f"--{flag}={raw}")
+    return out
+
+
+def _config_from_argv(*argv):
+    return _config_from_args(_build_parser().parse_args(["validate", FIXTURE, *argv]))
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_every_key_parses_alike_from_file_and_flag(tmp_path, which):
+    setting, other = _SETTINGS[which], _SETTINGS[1 - which]
+    assert set(setting) == set(CONFIG_KEYS)
+    want = load_config(_ini(tmp_path, setting)).validate()
+    assert _config_from_argv(*_flags(setting)) == want
+    # Flags override every key of a file, booleans and an empty base included.
+    assert _config_from_argv("--config", _ini(tmp_path, other, "other.ini"),
+                             *_flags(setting)) == want
+
+
+@pytest.mark.parametrize("flag, key", [
+    ("--q=1,1", "q"), ("--s=10,20,10", "s"), ("--lags=0,1,0", "lags"),
+    ("--anchors=BTC,BTC", "anchors"),
+])
+def test_repeated_list_value_is_machine_readable(tmp_path, capsys, flag, key):
+    code, _, err = _run(capsys, "analyze", FIXTURE, "--out", str(tmp_path / "run"),
+                        "--window", "400", "--step", "100", "--s", "10,20", flag)
+    assert code == 2
+    payload = json.loads(err.strip())
+    assert payload["error"] == "ConfigError"
+    assert payload["detail"].startswith(f"{key} repeats a value")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("text, detail", [
+    (b"q = 1\n", "line: 1"),
+    (b"[analysis]\nq = 1\ns = 10\nq = 2\n", "[line  4]: option 'q'"),
+    (b"[analysis]\nq = 1\n[window]\nstep = 10\n[analysis]\ns = 10\n",
+     "[line  5]: section 'analysis'"),
+    (b"[analysis]\nthreshold = 25%\n", "threshold: could not convert"),
+    (b"[run]\nseed = 1\xff\n", "not UTF-8 text"),
+    (b"[DEFAULT]\nwindow = 400\n", "keys under [DEFAULT] are not supported"),
+])
+def test_malformed_config_file_is_machine_readable(tmp_path, capsys, text, detail):
+    path = tmp_path / "bad.ini"
+    path.write_bytes(text)
+    code, _, err = _run(capsys, "validate", FIXTURE, "--config", str(path))
+    assert code == 2
+    payload = json.loads(err.strip())
+    assert payload["error"] == "ConfigError"
+    assert str(path) in payload["detail"] and detail in payload["detail"]

@@ -13,12 +13,10 @@ from hypothesis import strategies as st
 
 from qdcca.data import (
     QuoteSeries,
-    align_series,
     build_return_matrix,
     load_quotes,
     log_returns,
     normalize,
-    rebase_prices,
 )
 from qdcca.errors import (
     EmptyIntersectionError,
@@ -133,37 +131,54 @@ def test_normalize_reference_cases():
 
 
 def test_rebase_prices():
-    alt = _quotes("ALT", [0, 1], [300.0, 330.0])
-    base = _quotes("BTC", [0, 1], [60_000.0, 66_000.0])
-    rb = rebase_prices(alt, base)
-    assert rb.prices[0] == pytest.approx(0.005, abs=1e-15)
-    with pytest.raises(EmptyIntersectionError):
-        rebase_prices(_quotes("A", [0, 1], [1.0, 2.0]), _quotes("B", [5, 6], [1.0, 2.0]))
+    # Re-basing divides each alt's prices by the base's on their common
+    # minutes; the returns are the log differences of those ratios.
+    alt = _quotes("ALT", [0, 1, 2], [300.0, 330.0, 320.0])
+    other = _quotes("OTH", [0, 1, 2], [5.0, 4.0, 6.0])
+    base = _quotes("BTC", [0, 1, 2], [60_000.0, 66_000.0, 61_000.0])
+    rm, report = build_return_matrix([alt, other, base], base="BTC")
+    assert rm.tickers == ("ALT", "OTH")
+    ratio = alt.prices / base.prices
+    assert ratio[0] == pytest.approx(0.005, abs=1e-15)
+    assert rm.values[0].tobytes() == np.diff(np.log(ratio)).tobytes()
+    with pytest.raises(EmptyIntersectionError, match="ALT and BTC share no timestamps"):
+        build_return_matrix([alt, other, _quotes("BTC", [5, 6, 7], [1.0, 2.0, 1.5])],
+                            base="BTC")
 
 
 def test_rebase_consistency_roundtrip():
     rng = np.random.default_rng(1)
     ts = np.arange(50)
-    alt = _quotes("ALT", ts, np.exp(rng.standard_normal(50).cumsum() * 0.01) * 20)
+    alts = [_quotes(f"ALT{k}", ts, np.exp(rng.standard_normal(50).cumsum() * 0.01) * 20)
+            for k in range(2)]
     base = _quotes("BTC", ts[5:], np.exp(rng.standard_normal(45).cumsum() * 0.01) * 9)
-    rb = rebase_prices(alt, base)
-    # One division and one multiplication: round-trip holds to 1 ulp.
-    np.testing.assert_allclose(rb.prices * base.prices, alt.prices[5:], rtol=3e-16)
+    rm, report = build_return_matrix(alts + [base], base="BTC")
+    assert rm.timestamps.tolist() == ts[6:].tolist()
+    # Retention counts the minutes of each re-based series, all shared here.
+    assert report.retention == {"ALT0": 1.0, "ALT1": 1.0}
+    # Re-based returns plus the base's returns give back the alt's returns.
+    base_returns = np.diff(np.log(base.prices))
+    for alt, row in zip(alts, rm.values):
+        np.testing.assert_allclose(row + base_returns, np.diff(np.log(alt.prices[5:])),
+                                   rtol=1e-12, atol=1e-15)
 
 
 def test_self_rebase_is_constant_then_rejected_by_normalize():
     base = _quotes("BTC", [0, 1, 2], [10.0, 11.0, 12.0])
-    rb = rebase_prices(base, base)
-    assert np.allclose(rb.prices, 1.0)
+    twin = _quotes("TWIN", [0, 1, 2], [10.0, 11.0, 12.0])
+    alt = _quotes("ALT", [0, 1, 2], [3.0, 2.0, 4.0])
+    rm, _ = build_return_matrix([twin, alt, base], base="BTC")
+    assert rm.tickers == ("TWIN", "ALT")
+    assert not rm.values[0].any()  # every ratio is exactly 1
     with pytest.raises(ZeroVarianceError):
-        normalize(log_returns(rb))
+        normalize(rm.values[0])
 
 
 def test_align_identical_grids():
     a = _quotes("A", [0, 1, 2], [1.0, 2.0, 3.0])
-    b = _quotes("B", [0, 1, 2], [4.0, 5.0, 6.0])
-    ts, prices, report = align_series([a, b])
-    assert ts.tolist() == [0, 1, 2]
+    b = _quotes("B", [0, 1, 2], [4.0, 5.0, 7.0])
+    rm, report = build_return_matrix([a, b], grid="intersection")
+    assert rm.timestamps.tolist() == [1, 2]
     assert report.retention == {"A": 1.0, "B": 1.0}
 
 
@@ -173,8 +188,8 @@ def test_align_weekday_style_intersection():
     weekday = full[full % 7 < 5]
     a = _quotes("A", full, np.linspace(1, 2, 70))
     b = _quotes("B", weekday, np.linspace(3, 4, weekday.size))
-    ts, _, report = align_series([a, b])
-    assert np.array_equal(ts, weekday)
+    rm, report = build_return_matrix([a, b], grid="intersection")
+    assert np.array_equal(rm.timestamps, weekday[1:])
     assert report.retention["B"] == 1.0
     assert report.retention["A"] == pytest.approx(weekday.size / 70)
 
@@ -188,13 +203,14 @@ def test_align_staggered_fixture():
     ts_b = np.array([t for t in grid if t not in holes_b])
     ts_c = np.array([t for t in grid if t not in holes_c])
     expected = sorted(set(grid) - holes_a - holes_b - holes_c)
-    a = _quotes("A", ts_a, np.full(ts_a.size, 2.0))
-    b = _quotes("B", ts_b, np.full(ts_b.size, 3.0))
-    c = _quotes("C", ts_c, np.full(ts_c.size, 4.0))
-    ts, _, _ = align_series([a, b, c])
-    assert ts.tolist() == expected
-    with pytest.raises(EmptyIntersectionError):
-        align_series([_quotes("A", [0], [1.0]), _quotes("B", [9], [1.0])])
+    a = _quotes("A", ts_a, np.linspace(2, 3, ts_a.size))
+    b = _quotes("B", ts_b, np.linspace(3, 4, ts_b.size))
+    c = _quotes("C", ts_c, np.linspace(4, 5, ts_c.size))
+    rm, _ = build_return_matrix([a, b, c], grid="intersection")
+    assert rm.timestamps.tolist() == expected[1:]
+    disjoint = [_quotes("A", [0, 1, 2], [1.0, 2.0, 1.5]), _quotes("B", [7, 8, 9], [1.0, 2.0, 1.5])]
+    with pytest.raises(EmptyIntersectionError, match="series share no common timestamps"):
+        build_return_matrix(disjoint)
 
 
 def test_build_return_matrix_uniform_fill_and_mask():
@@ -225,7 +241,6 @@ def test_build_return_matrix_intersection_mode():
 def test_one_common_minute_leaves_no_return(grid):
     a = _quotes("A", [0, 1, 2], [1.0, 2.0, 3.0])
     b = _quotes("B", [2, 3, 4], [4.0, 6.0, 5.0])
-    assert align_series([a, b])[0].tolist() == [2]
     with pytest.raises(EmptyIntersectionError, match="fewer than two common timestamps leave no return"):
         build_return_matrix([a, b], grid=grid)
 

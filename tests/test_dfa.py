@@ -44,6 +44,12 @@ def test_config_rejects_bad_parameters():
         DetrendConfig(scale=1)
 
 
+def test_fluctuation_matrices_reject_a_repeated_q():
+    values = np.random.default_rng(0).standard_normal((3, 60))
+    with pytest.raises(ConfigError, match="more than once"):
+        fluctuation_matrices(values, 10, 2, [1.0, 4.0, 1])
+
+
 def _box_residuals(x, scale, poly_order):
     # The estimator kernel's input for one series: (boxes, scale).
     return _detrended_residuals(_box_profiles(np.asarray(x)[None, :], scale), scale, poly_order)[0]

@@ -11,13 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qdcca.config import AnalysisConfig
-from qdcca.data import (
-    QuoteSeries,
-    ReturnMatrix,
-    align_series,
-    build_return_matrix,
-    rebase_prices,
-)
+from qdcca.data import QuoteSeries, ReturnMatrix, _common_minutes, build_return_matrix
 from qdcca.dfa import (
     DetrendConfig,
     _box_profiles,
@@ -51,7 +45,6 @@ from oracles import (
     brute_force_mst,
     build_return_matrix_pairwise,
     prufer_tree_edges,
-    rebase_prices_pairwise,
     tree_weight,
 )
 
@@ -107,21 +100,12 @@ def _same_bits(a, b):
 @settings(max_examples=300, deadline=None)
 @given(_quote_grids())
 def test_minute_count_matches_pairwise_intersection_bitwise(quotes):
-    want, got = _outcome(lambda: align_series_pairwise(quotes)), _outcome(lambda: align_series(quotes))
+    common, prices = _common_minutes(quotes)
+    want = _outcome(lambda: align_series_pairwise(quotes))
     if isinstance(want, type):
-        assert got is want
+        assert want is EmptyIntersectionError and common.size == 0
     else:
-        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
-        assert list(got[2].retention.items()) == list(want[2].retention.items())
-    for alt in quotes[1:]:
-        want = _outcome(lambda: rebase_prices_pairwise(alt, quotes[0]))
-        got = _outcome(lambda: rebase_prices(alt, quotes[0]))
-        if isinstance(want, type):
-            assert got is want
-        else:
-            assert got.ticker == want.ticker
-            assert _same_bits(got.timestamps, want.timestamps)
-            assert _same_bits(got.prices, want.prices)
+        assert _same_bits(common, want[0]) and _same_bits(prices, want[1])
     for grid in ("uniform", "intersection"):
         for base in (None, "T0"):
             with warnings.catch_warnings():  # the mean of no returns
