@@ -49,9 +49,6 @@ from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 
-_BOOL_TRUE = {"1", "true", "yes", "on"}
-_BOOL_FALSE = {"0", "false", "no", "off"}
-
 # Execution-only knobs: they never change results, so they stay out of the
 # manifest and its hash (outputs must be byte-identical at any thread count).
 # verbose stays in: it widens the topology schema.
@@ -59,12 +56,10 @@ _EXECUTION_KEYS = ("threads",)
 
 
 def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in _BOOL_TRUE:
-        return True
-    if low in _BOOL_FALSE:
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValueError(f"expected a boolean, got {raw!r}") from None
 
 
 def comma_list(conv):

@@ -1,13 +1,14 @@
 """Detrended cross-correlation coefficient of order q.
 
-The estimator splits two equally long series into 2*floor(T/s) boxes of
-length s (floor(T/s) boxes counted from each end of the series, so with
-T mod s != 0 the two passes overlap in the middle and each skips its own
-trailing remainder).  Inside every box the samples are integrated into a
-profile, a least-squares polynomial of order m is removed, and the box's
-residual variances and covariance are collected.  Averaging those local
-moments raised to the power q/2 (with the covariance sign kept) gives the
-fluctuation functions whose ratio is the correlation coefficient.
+The estimator splits two equally long series into boxes of length s: the
+T/s forward boxes when s divides T, else 2*floor(T/s) boxes (floor(T/s)
+counted from each end of the series, so the two passes overlap in the
+middle and each skips its own trailing remainder).  Inside every box the
+samples are integrated into a profile, a least-squares polynomial of order
+m is removed, and the box's residual variances and covariance are
+collected.  Averaging those local moments raised to the power q/2 (with
+the covariance sign kept) gives the fluctuation functions whose ratio is
+the correlation coefficient.
 
 Implementation notes
 --------------------
@@ -50,13 +51,14 @@ Implementation notes
   residuals, not the rounding dust that the q/2 power lifts at q < 2.
 * All reductions run in a fixed order, so results are bit-identical
   across runs, across any outer parallelism and across BLAS thread counts.
-  Boxes add in partition order within chunks of `_BOX_CHUNK`: each
-  sub-chunk's first box takes the running total and sum(axis=0) adds along
-  the boxes, so the sub-chunk size never changes a bit.  At q = 2 the self
-  sum is one product's sum over the B*s samples, which BLAS threads do not
-  split.  The thread count is checked on a whole run (`tests/test_dfa.py`,
-  1 against 2 OpenBLAS threads).  Keep the detrending low-rank: an s x s
-  projector product fails that check at s = 180.
+  For q != 2 every box sum is the in-order sum from +0.0 over all boxes:
+  each sub-chunk's first box takes the running total and sum(axis=0) adds
+  along the boxes, so the sub-chunk size never changes a bit.  At q = 2
+  the self sum is one product's sum over the B*s samples, which BLAS
+  threads do not split.  The thread count is checked on a whole run
+  (`tests/test_dfa.py`, 1 against 2 OpenBLAS threads).  Keep the
+  detrending low-rank: an s x s projector product fails that check at
+  s = 180.
 * A stack's own per-box Grams are exactly symmetric (with one operand
   buffer BLAS fills one triangle and numpy mirrors it), so `_gram_power`
   powers and sums their upper triangles only and mirrors the sums.
@@ -79,9 +81,12 @@ Implementation notes
   divided by `_coefficients`, which raises a ZeroVarianceError naming the
   series, q, the scale, any lag and whether it under- or overflows when a
   normalizer or a product of two is not a normal finite float (q = 4 on
-  returns near 1e-150, 1e150, 2**-200 or 2**200).  q = 2 is the classic
-  DCCA coefficient, bounded by 1 in magnitude; for other q the raw ratio is
-  kept and a CorrelationBoundWarning is emitted when it leaves [-1, 1].
+  returns near 1e-150, 1e150, 2**-200 or 2**200).  |rho_q| <= 1 for every
+  q > 0, lagged pairs included: per box |f2_xy| <= sqrt(f2_xx f2_yy)
+  (Cauchy-Schwarz), so sum_b |f2_xy|**(q/2) <= sum_b (f2_xx f2_yy)**(q/4),
+  which Cauchy-Schwarz over the boxes bounds by
+  sqrt(sum_b f2_xx**(q/2) * sum_b f2_yy**(q/2)).  An entry past 1 is
+  rounding; it is kept raw, and at q != 2 a CorrelationBoundWarning says so.
   The zero-variance rule runs first and reads the box energies, which
   overflow before any q/2 power (returns near 1e155); it raises a
   ZeroVarianceError that says so.  An energy that underflows to exactly 0
@@ -106,15 +111,9 @@ from .errors import (
     ZeroVarianceError,
 )
 
-# Boxes are processed in fixed-size chunks to bound the memory of the
-# batched Gram product; the size is a constant so summation order never
-# depends on the environment.
-_BOX_CHUNK = 512
-
-# Inside a chunk, per-box Grams are formed and powered this many boxes at a
-# time, so they stay in cache from the product to the box sum (16 Grams of
-# 80 x 80 are 0.8 MB).  It divides _BOX_CHUNK and, like it, is a constant,
-# although the box sums add in the same order at any sub-chunk size.
+# Per-box Grams are formed and powered this many boxes at a time, so they
+# stay in cache from the product to the box sum (16 Grams of 80 x 80 are
+# 0.8 MB); the box sums add in the same order at any sub-chunk size.
 _SUB_CHUNK = 16
 
 # A series whose detrended residual energy falls below this fraction of its
@@ -209,15 +208,12 @@ def _detrended_residuals(profiles: np.ndarray, scale: int, poly_order: int) -> n
     return resid
 
 
-def _signed_power(values: np.ndarray, q: float, magnitude=None, out=None) -> np.ndarray:
+def _signed_power(values: np.ndarray, q: float, magnitude: np.ndarray, out=None) -> np.ndarray:
     # sign(g) * |g|**(q/2), specialized; see the implementation notes.
-    # ``magnitude`` is np.abs(values) when the caller already has it and
-    # ``out`` the buffer to write; without them the result is built in one
-    # fresh buffer, since Gram-sized temporaries cost more than the arithmetic.
+    # ``magnitude`` is np.abs(values) and ``out`` the buffer to write (a
+    # fresh one when None).
     if q == 2.0:
         return values
-    if magnitude is None:
-        magnitude = out = np.abs(values)
     if q == 4.0:
         return np.multiply(magnitude, values, out=out)
     out = np.sqrt(magnitude, out=out) if q == 1.0 else np.power(magnitude, q / 2.0, out=out)
@@ -250,10 +246,10 @@ def _gram_power(resid: np.ndarray, q_list) -> dict[float, np.ndarray]:
     of an (N, B, s) residual stack; each q maps to an (N, N) matrix.
 
     At q = 2 the box sum is one product.  For other q the Grams are formed
-    and powered `_SUB_CHUNK` boxes at a time; within each `_BOX_CHUNK` the
-    boxes add in order (each sub-chunk's first box takes the running
-    total, and sum(axis=0) adds along the boxes), and the chunk totals add
-    to a sum that starts at +0.0, so a -0.0 power never survives.
+    and powered `_SUB_CHUNK` boxes at a time and the boxes add in order to
+    a running total that starts at +0.0 (each sub-chunk's first box takes
+    it, and sum(axis=0) adds along the boxes), so a -0.0 power never
+    survives.
     """
     acc = dict.fromkeys(q_list, 0.0)
     if 2.0 in acc:
@@ -267,21 +263,17 @@ def _gram_power(resid: np.ndarray, q_list) -> dict[float, np.ndarray]:
     # Each Gram is exactly symmetric (one operand buffer lets BLAS fill one
     # triangle, which numpy mirrors), so only upper triangles are powered.
     upper, mirror = _triangle(n)
-    for lo in range(0, len(boxes), _BOX_CHUNK):
-        carry = None
-        for sub in range(lo, min(lo + _BOX_CHUNK, len(boxes)), _SUB_CHUNK):
-            chunk = boxes[sub : sub + _SUB_CHUNK]
-            gram = chunk @ chunk.transpose(0, 2, 1)
-            powers = _powers(gram.reshape(len(chunk), -1).take(upper, axis=1), q_list)
-            if carry is not None:
-                for power, running in zip(powers, carry):
-                    power[0] += running
-            carry = [power.sum(axis=0) for power in powers]
-        for q, running in zip(q_list, carry):
-            acc[q] += running
-    for q in q_list:
+    carry = [0.0] * len(q_list)
+    for lo in range(0, len(boxes), _SUB_CHUNK):
+        chunk = boxes[lo : lo + _SUB_CHUNK]
+        gram = chunk @ chunk.transpose(0, 2, 1)
+        powers = _powers(gram.reshape(len(chunk), -1).take(upper, axis=1), q_list)
+        for power, running in zip(powers, carry):
+            power[0] += running
+        carry = [power.sum(axis=0) for power in powers]
+    for q, running in zip(q_list, carry):
         full = np.empty(n * n)
-        full[upper] = full[mirror] = acc[q]
+        full[upper] = full[mirror] = running
         acc[q] = full.reshape(n, n)
     return acc
 
@@ -310,8 +302,10 @@ def _fault(value: float) -> str:
 
 @_beyond_range
 def _coefficients(cross, f_x, f_y, q: float, scale: int, x_labels, y_labels, lag=None):
-    """rho = cross (A, C) / sqrt(outer(f_x (A,), f_y (C,))) and whether an
-    entry left [-1, 1] (a warning at q != 2); see the implementation notes.
+    """rho = cross (A, C) / sqrt(outer(f_x (A,), f_y (C,))); see the
+    implementation notes.  |rho| <= 1 holds in exact arithmetic for every
+    q > 0, so an entry past 1 is rounding: it is kept raw, with a
+    CorrelationBoundWarning at q != 2.
     """
     at = "at " if lag is None else f"at lag {lag}, "
     prod = np.outer(f_x, f_y)
@@ -334,11 +328,10 @@ def _coefficients(cross, f_x, f_y, q: float, scale: int, x_labels, y_labels, lag
             "correlation undefined", label=x,
         )
     rho = cross / np.sqrt(prod)
-    exceeded = bool(np.any(np.abs(rho) > 1.0))
-    if exceeded and q != 2.0:
+    if q != 2.0 and np.any(np.abs(rho) > 1.0):
         warnings.warn(f"rho_q at q={q:g}, scale {scale} has entries outside [-1, 1]; "
                       "raw values kept", CorrelationBoundWarning, stacklevel=3)
-    return rho, exceeded
+    return rho
 
 
 @dataclass(frozen=True)
@@ -374,31 +367,26 @@ class BoxSums:
         _check_variance(self.energy, self.reference, scale, labels, where)
         return {q: total / self.n_boxes for q, total in self.power.items()}
 
-    def coefficients(self, scale: int, labels, lag=None) -> dict[float, tuple[np.ndarray, bool]]:
-        """Per q the (N, N) `_coefficients` with a unit diagonal and whether
-        an entry left [-1, 1]; errors name ``lag`` when it is given."""
+    def coefficients(self, scale: int, labels, lag=None) -> dict[float, np.ndarray]:
+        """Per q the (N, N) `_coefficients` with a unit diagonal; errors
+        name ``lag`` when it is given."""
         out = {}
         where = "" if lag is None else f" in its lag {lag} overlap"
         for q, fmat in self.fluctuations(scale, labels, where).items():
             diag = np.diag(fmat)
-            rho, exceeded = _coefficients(fmat, diag, diag, q, scale, labels, labels, lag)
-            np.fill_diagonal(rho, 1.0)
-            out[q] = rho, exceeded
+            out[q] = _coefficients(fmat, diag, diag, q, scale, labels, labels, lag)
+            np.fill_diagonal(out[q], 1.0)
         return out
-
-
-def _box_energies(resid: np.ndarray, profiles: np.ndarray):
-    # Per-box residual and profile energies, (B, N) each.
-    return np.einsum("nbs,nbs->bn", resid, resid), np.einsum("nbs,nbs->bn", profiles, profiles)
 
 
 def _detrended_boxes(values: np.ndarray, scale: int, poly_order: int):
     """The residuals (N, B, s) of the boxes of an (N, T) stack (see the
-    notes) and their `_box_energies`: the boxes that `fluctuation_matrices`
-    returns on request."""
+    notes) and their per-box residual and profile energies, (B, N) each:
+    the boxes that `fluctuation_matrices` sums and returns on request."""
     profiles = _box_profiles(values, scale)
     resid = _detrended_residuals(profiles, scale, poly_order)
-    return resid, *_box_energies(resid, profiles)
+    return (resid, np.einsum("nbs,nbs->bn", resid, resid),
+            np.einsum("nbs,nbs->bn", profiles, profiles))
 
 
 def fluctuation_matrices(
@@ -423,15 +411,12 @@ def fluctuation_matrices(
             raise ConfigError(f"q must be positive, got {q}")
         if q in q_list[:k]:
             raise ConfigError(f"q = {q} is given more than once")
-    profiles = _box_profiles(values, scale)
-    resid = _detrended_residuals(profiles, scale, poly_order)
-    reference = np.einsum("nbs,nbs->n", profiles, profiles)
-    boxes = (resid, *_box_energies(resid, profiles)) if return_boxes else None
-    del profiles  # the kernel reads only resid; free it before its copy
+    boxes = _detrended_boxes(values, scale, poly_order)
+    resid, energy, reference = boxes
     sums = BoxSums(
         power=_gram_power(resid, q_list),
-        energy=np.einsum("nbs,nbs->n", resid, resid),
-        reference=reference,
+        energy=energy.sum(axis=0),
+        reference=reference.sum(axis=0),
         n_boxes=resid.shape[1],
     )
     return (sums, boxes) if return_boxes else sums
@@ -484,7 +469,7 @@ class CrossSums:
             )
         return {
             q: _coefficients(self.cross[x, i][:, cols], self.own[x, i][rows],
-                             self.own[y, i][cols], q, scale, *names, lag=tau)[0]
+                             self.own[y, i][cols], q, scale, *names, lag=tau)
             for i, q in enumerate(self.q)
         }
 
@@ -633,7 +618,7 @@ def rho_q_lagged(x, y, cfg: DetrendConfig, tau: int) -> float:
             f"short for scale {cfg.scale}: need at least {2 * cfg.scale}"
         )
     pair = [xa[: n - k], ya[k:]] if tau > 0 else [xa[k:], ya[: n - k]]
-    rho, _ = fluctuation_matrices(
+    rho = fluctuation_matrices(
         np.stack(pair), cfg.scale, cfg.poly_order, [cfg.q]
     ).coefficients(cfg.scale, ("x", "y"), lag=tau or None)[cfg.q]
     return float(rho[0, 1])

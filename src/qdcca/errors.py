@@ -55,4 +55,6 @@ class QuoteParseError(QdccaError, ValueError):
 
 
 class CorrelationBoundWarning(UserWarning):
-    """|rho_q| exceeded 1 for q != 2; reported raw, not clamped."""
+    """|rho_q| exceeded 1 for q != 2, which only rounding can cause (the
+    bound holds in exact arithmetic for every q > 0); reported raw, not
+    clamped."""

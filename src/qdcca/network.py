@@ -285,7 +285,7 @@ def louvain(
     n = c.dim
     if n < 2:
         raise ShapeMismatchError("need at least 2 nodes")
-    weights = np.maximum(c.values, 0.0).astype(np.float64)
+    weights = np.maximum(c.values, 0.0, dtype=np.float64)
     np.fill_diagonal(weights, 0.0)
     two_m = weights.sum()
     if two_m == 0.0:

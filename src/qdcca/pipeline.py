@@ -47,7 +47,7 @@ from . import network, spectra
 from .config import AnalysisConfig
 from .data import ReturnMatrix, normalize
 from .dfa import cross_fluctuation_matrices
-from .errors import ConfigError, QdccaError, ShapeMismatchError
+from .errors import ConfigError, QdccaError, ShapeMismatchError, ZeroVarianceError
 from .network import SpanningTree
 from .spectra import DetrendedCorrelationMatrix
 
@@ -200,14 +200,17 @@ def gap_fill_skip(returns: ReturnMatrix, start: int, stop: int, max_missing: flo
     return None
 
 
-def _normalized(window_returns: ReturnMatrix) -> ReturnMatrix:
-    out = np.empty_like(window_returns.values)
-    for k, row in enumerate(window_returns.values):
+def _normalized(returns: ReturnMatrix) -> ReturnMatrix:
+    """Every series at zero mean and unit variance; a constant one raises a
+    ZeroVarianceError that names it."""
+    out = np.empty_like(returns.values)
+    for k, row in enumerate(returns.values):
         try:
             out[k] = normalize(row)
-        except QdccaError as exc:
-            raise QdccaError(f"{window_returns.tickers[k]}: {exc}") from exc
-    return replace(window_returns, values=out)
+        except ZeroVarianceError as exc:
+            name = returns.tickers[k]
+            raise ZeroVarianceError(f"{name}: {exc}", label=name) from exc
+    return replace(returns, values=out)
 
 
 def _residual_spectrum(window_returns: ReturnMatrix, q, s, cfg, summary):
@@ -370,7 +373,7 @@ def run_analysis(
     cfg.validate()
     plan = WindowPlan(width=cfg.window, step=cfg.step)
     if cfg.global_norm:
-        returns = replace(returns, values=np.stack([normalize(row) for row in returns.values]))
+        returns = _normalized(returns)
     windows = rolling_windows(returns.n_samples, plan)
     results: list[WindowResult] = []
     skipped: list[tuple[int, str]] = []

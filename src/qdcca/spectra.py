@@ -37,7 +37,6 @@ class DetrendedCorrelationMatrix:
     labels: tuple[str, ...]
     q: float
     scale: int
-    bound_exceeded: bool = False
 
     @property
     def dim(self) -> int:
@@ -98,10 +97,8 @@ def correlation_matrices(
         blocks = [fluctuation_matrices(values, scale, poly_order, q_values)]
     rhos = sum(blocks[1:], blocks[0]).coefficients(scale, labels)
     return {
-        q: DetrendedCorrelationMatrix(
-            values=rho, labels=labels, q=q, scale=scale, bound_exceeded=exceeded
-        )
-        for q, (rho, exceeded) in rhos.items()
+        q: DetrendedCorrelationMatrix(values=rho, labels=labels, q=q, scale=scale)
+        for q, rho in rhos.items()
     }
 
 

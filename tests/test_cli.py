@@ -292,6 +292,7 @@ def test_repeated_list_value_is_machine_readable(tmp_path, capsys, flag, key):
     (b"[analysis]\nq = 1\n[window]\nstep = 10\n[analysis]\ns = 10\n",
      "[line  5]: section 'analysis'"),
     (b"[analysis]\nthreshold = 25%\n", "threshold: could not convert"),
+    (b"[run]\nverbose = maybe\n", "verbose: expected a boolean"),
     (b"[run]\nseed = 1\xff\n", "not UTF-8 text"),
     (b"[DEFAULT]\nwindow = 400\n", "keys under [DEFAULT] are not supported"),
 ])

@@ -262,6 +262,22 @@ def test_global_normalization_flag():
     assert res_gap > 1e-6
 
 
+def test_global_normalization_names_a_constant_series():
+    # Normalizing once over the full series fails on a series that is flat
+    # throughout; the error names it and sets its label, as the per-window
+    # residual pass's skip reason names it.
+    returns = _factor_matrix(3, 2_000, seed=8)
+    values = returns.values.copy()
+    values[1] = 0.0
+    flat = replace(returns, values=values)
+    reason = "SYN01: cannot normalize a constant series"
+    with pytest.raises(ZeroVarianceError) as err:
+        run_analysis(_small_cfg(global_norm=True, residual=True), flat, families=("spectra",))
+    assert str(err.value) == reason and err.value.label == "SYN01"
+    per_window = run_analysis(_small_cfg(residual=True), flat, families=("spectra",))
+    assert per_window.skipped == [(0, reason), (1, reason), (2, reason)]
+
+
 def test_compute_window_end_timestamp_label():
     returns = _factor_matrix(3, 1_200, seed=8)
     cfg = _small_cfg(window=1_000, step=200, lags=(0,))

@@ -20,7 +20,7 @@ from qdcca.dfa import (
     rho_q_lagged,
 )
 from qdcca.emit import write_outputs
-from qdcca.errors import EmptyIntersectionError, QdccaError
+from qdcca.errors import CorrelationBoundWarning, EmptyIntersectionError, QdccaError
 from qdcca.network import (
     DistanceMatrix,
     SpanningTree,
@@ -150,7 +150,29 @@ def test_correlation_matrix_is_symmetric_with_unit_diagonal(stack, q):
     assert np.array_equal(rho, rho.T)
     assert np.all(np.diag(rho) == 1.0)
     assert np.all(np.isfinite(rho))
-    if q == 2.0:
+    # Cauchy-Schwarz per box and then over the boxes bounds |rho_q| by 1
+    # for every q > 0 (see the dfa notes); only rounding may overshoot.
+    assert np.all(np.abs(rho) <= 1.0 + 1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.3, 1.0, 4.0, 8.0]), st.integers(1, 9))
+def test_heavy_tailed_collinear_coefficients_stay_within_one(seed, q, k):
+    # The bound is a theorem for every q > 0 and every lag (see the dfa
+    # notes), so only rounding may take |rho_q| past 1, even on Student-t
+    # (nu = 1.5) series that share one factor up to noise of 1e-8 to 1.
+    rng = np.random.default_rng(seed)
+    n, scale, t = 5, 10, 300
+    noise = 10.0 ** rng.uniform(-8.0, 0.0, (n, 1)) * rng.standard_t(1.5, (n, t))
+    values = rng.choice([-1.0, 1.0], (n, 1)) * rng.standard_t(1.5, t) + noise
+    labels = tuple(f"series {i}" for i in range(n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CorrelationBoundWarning)
+        rhos = [_rho(values, scale, 2, q)]
+        (lagged,) = cross_fluctuation_matrices(values, [k], scale, 2, [q], range(n)).values()
+        rhos += [lagged.coefficients(tau, range(n), range(n), scale, labels)[q]
+                 for tau in (k, -k)]
+    for rho in rhos:
         assert np.all(np.abs(rho) <= 1.0 + 1e-12)
 
 
