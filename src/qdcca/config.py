@@ -7,8 +7,9 @@ name matches its flag one-to-one (``poly_order`` is ``--poly-order``) and
 either source can set any value; flags override the file.  A boolean's flag
 comes in two forms, ``--residual`` and ``--no-residual``, so a flag can also
 undo a file's ``true``.  Lists are comma-separated, and ``q``, ``s``,
-``lags`` and ``anchors`` reject a repeated value.  An empty ``base`` means no
-re-basing.
+``lags`` and ``anchors`` reject a repeated value.  Float settings reject
+nan and inf, which would otherwise run silently (a nan threshold finds no
+period).  An empty ``base`` means no re-basing.
 
 The config file is INI-style; keys are grouped into sections, which are
 only for the reader (any key may sit in any section):
@@ -45,6 +46,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
@@ -62,6 +64,14 @@ def _parse_bool(raw: str) -> bool:
         raise ValueError(f"expected a boolean, got {raw!r}") from None
 
 
+def finite_float(raw: str) -> float:
+    """A float setting: nan and inf are rejected, not read as numbers."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {raw.strip()}")
+    return value
+
+
 def comma_list(conv):
     """A parser of comma-separated ``conv`` values; blank items are skipped."""
 
@@ -77,7 +87,8 @@ def _setting(default, parse, help_text: str):
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    q: tuple[float, ...] = _setting((1.0, 4.0), comma_list(float), "comma list of q exponents")
+    q: tuple[float, ...] = _setting((1.0, 4.0), comma_list(finite_float),
+                                    "comma list of q exponents")
     s: tuple[int, ...] = _setting((10, 60, 180, 360), comma_list(int),
                                   "comma list of scales (minutes)")
     poly_order: int = _setting(2, int, "detrending polynomial order")
@@ -88,15 +99,17 @@ class AnalysisConfig:
     residual: bool = _setting(False, _parse_bool,
                               "also compute the residual pass (leading mode removed)")
     lags: tuple[int, ...] = _setting((-1, 0, 1), comma_list(int), "comma list of lags in samples")
-    threshold: float = _setting(0.25, float, "threshold for period detection")
+    threshold: float = _setting(0.25, finite_float, "threshold for period detection")
     anchors: tuple[str, ...] = _setting(("BTC", "ETH"), comma_list(str),
                                         "comma list of anchor tickers for lag and cluster outputs")
-    resolution: float = _setting(1.0, float, "community detection resolution")
+    resolution: float = _setting(1.0, finite_float, "community detection resolution")
     grid: str = _setting("uniform", str.strip,
                          "gap policy: 'uniform' (minute grid with zero fills) or "
                          "'intersection' (contiguous re-indexing of the common samples)")
-    stable_threshold: float = _setting(1e-6, float, "exclude assets whose return std is below this")
-    max_missing: float = _setting(0.01, float, "skip windows with a larger gap-fill fraction")
+    stable_threshold: float = _setting(1e-6, finite_float,
+                                       "exclude assets whose return std is below this")
+    max_missing: float = _setting(0.01, finite_float,
+                                  "skip windows with a larger gap-fill fraction")
     global_norm: bool = _setting(False, _parse_bool,
                                  "normalize once over the full series instead of per window")
     seed: int = _setting(0, int, "seed for all seeded choices")
@@ -105,6 +118,11 @@ class AnalysisConfig:
                              "emit extra columns (both path-length conventions)")
 
     def validate(self) -> "AnalysisConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            items = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if not self.q or any(not (qv > 0) for qv in self.q):
             raise ConfigError(f"q values must be positive, got {self.q}")
         if not self.s or any(sv < self.poly_order + 2 for sv in self.s):

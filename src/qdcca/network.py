@@ -9,17 +9,46 @@ length sums over edge cuts: an edge that splits its component of c nodes
 into n and c - n lies on the paths of n (c - n) pairs (Wiener, 1947), so
 one walk that sizes every subtree gives all pairs at once.  Community
 detection is a two-phase greedy modularity search on the complete weighted
-graph with negative coefficients clamped to zero.
+graph with negative coefficients clamped to zero (Blondel et al., 2008).
+
+After the first sweep of a phase almost no visit moves a node, so from the
+second sweep on a screen skips the visits that provably cannot.  At the
+start of each sweep one product builds an approximate table of every
+node's links to the k non-empty communities; a move from a to b updates
+only columns a and b, and re-screens the nodes after the mover.  A node of
+strength S and pull P = resolution * S is cleared when its stay gain beats
+every other non-empty community's gain, as the table scores them, by more
+than 12 (n + 2) (e (S + P T / two_m) + eta): n is the level's node count,
+e = 2**-53 the unit roundoff, eta the smallest subnormal and T the largest
+community total.  The margin bounds the gap between the screen's slack
+and the exact visit's, to first order in e.  The links of each gain carry
+at most n e S from the visit's in-order sum, n e S from the product and
+n e S from the column updates, one per move of the sweep.  A replayed round
+trip moves a total by at most 2 e T, and at most n of them fall between a
+screen and a visit, since a move re-screens.  The other products,
+quotients and differences add fewer than 20 roundings of at most
+e (S + P T / two_m) each.  Over the two gains compared that is at most
+(6 n + 7) e S + (4 n + 18) e P T / two_m, and each of the fewer than
+12 (n + 2) operations adds at most eta under gradual underflow.  The
+exact visit moves only on a gain above fl(stay + 1e-12) >= stay, so a
+cleared node stays put.  The screen never picks a move, so the product's
+summation order cannot reach any output.  A cleared visit still replays
+the exact visit's ``comm_total[c] -= S; comm_total[c] += S``: that round
+trip need not return the same float, and later gains read its bits.
+Every other node gets the exact visit, so partitions, modularities and
+generator draws are bit-identical to visiting every node.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientSupportError, ShapeMismatchError
+from .errors import ConfigError, InsufficientSupportError, ShapeMismatchError
 from .spectra import DetrendedCorrelationMatrix
 
 
@@ -235,12 +264,17 @@ def _aggregate(weights: np.ndarray, membership: np.ndarray) -> tuple[np.ndarray,
     return agg, comm
 
 
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+_UNDERFLOW = np.finfo(np.float64).smallest_subnormal  # bounds one op's absolute error
+
+
 def _local_phase(weights: np.ndarray, two_m: float, resolution: float, rng) -> np.ndarray:
     # One sweep phase of greedy moves.  Gains are compared in the scaled
     # form links - resolution * k_u * total_D / two_m (the true gain times
     # two_m / 2), which preserves the argmax.  A node moves only on a
     # strictly positive improvement over staying put, so modularity rises
-    # with every move and the phase terminates.
+    # with every move and the phase terminates.  From the second sweep on,
+    # a screen clears the visits that cannot move a node (module notes).
     n = weights.shape[0]
     membership = np.arange(n)
     strength = weights.sum(axis=1)  # self-loop mass included
@@ -248,28 +282,89 @@ def _local_phase(weights: np.ndarray, two_m: float, resolution: float, rng) -> n
     pull = resolution * strength
     links_of = weights.copy()  # a node's links to others leave its self-loop out
     np.fill_diagonal(links_of, 0.0)
-    moved = True
-    while moved:
+    strengths = strength.tolist()
+    for sweep in itertools.count():
+        # The first sweep starts from singletons: nothing to screen.
+        screen = _Screen(membership, links_of, strength, pull, two_m) if sweep else None
+        cleared = screen.cleared(comm_total, 0).tolist() if sweep else [False] * n
         moved = False
-        for u in range(n):
-            cu = int(membership[u])
-            comm_total[cu] -= strength[u]
+        # Only node u's own visit moves it, so the snapshot is current at u.
+        for u, cu in enumerate(membership.tolist()):
+            s = strengths[u]
+            if cleared[u]:
+                # Replay the visit's round trip: later gains read its bits.
+                comm_total[cu] = (comm_total.item(cu) - s) + s
+                continue
+            comm_total[cu] -= s
             # Summed in node order; zero weights add +0.0 and change nothing.
             links = np.bincount(membership, weights=links_of[u], minlength=n)
             gains = links - pull[u] * comm_total / two_m
-            stay = gains[cu] + 1e-12
-            # Most visits move nothing; the max alone rejects them, cheaper than the mask.
-            better = (gains > stay) & (links > 0.0) if gains.max() > stay else None
-            if better is None or not better.any():
-                comm_total[cu] += strength[u]
+            stay = float(gains[cu]) + 1e-12
+            # Most visits move nothing; the max alone rejects them.
+            top = gains.max()
+            if top > stay:
+                gains[links <= 0.0] = -np.inf  # only a linked community can gain
+                top = gains.max()
+            if top <= stay:
+                comm_total[cu] += s
                 continue
-            top = gains[better].max()
-            tied = np.flatnonzero(better & (gains >= top - 1e-12))
-            target = int(tied[0]) if tied.size == 1 else int(rng.choice(np.sort(tied)))
-            comm_total[target] += strength[u]
+            # gains > stay is gains >= nextafter(stay); indices come sorted.
+            floor = max(float(top) - 1e-12, math.nextafter(stay, math.inf))
+            tied = (gains >= floor).nonzero()[0]
+            target = int(tied[0]) if tied.size == 1 else int(rng.choice(tied))
+            comm_total[target] += s
             membership[u] = target
             moved = True
-    return membership
+            if screen is not None:
+                screen.move(u, target)
+                cleared[u + 1:] = screen.cleared(comm_total, u + 1).tolist()
+        if not moved:
+            return membership
+
+
+class _Screen:
+    """Approximate node-to-community links for one sweep (module notes).
+
+    ``table[c, v]`` is node v's link weight to the c-th non-empty community,
+    built by one product and kept by column updates on each move.  It only
+    clears a visit whose exact outcome its margin bounds; it never picks a move.
+    """
+
+    def __init__(self, membership, links_of, strength, pull, two_m):
+        self.ids, self.col = np.unique(membership, return_inverse=True)
+        onehot = np.zeros((self.ids.size, membership.size))
+        onehot[self.col, np.arange(membership.size)] = 1.0
+        self.table = onehot @ links_of.T
+        self.size = np.bincount(self.col)
+        self.at = np.arange(membership.size)
+        self.links_of, self.strength = links_of, strength
+        self.rate = pull / two_m  # gain lost per unit of a community's total
+        # The margin 12 (n + 2) (e (S + P T / two_m) + eta), split into the
+        # part fixed per node and the part per unit of the largest total T.
+        units = 12 * (membership.size + 2)
+        self.margin_fixed = units * (_UNIT_ROUNDOFF * strength + _UNDERFLOW)
+        self.margin_per_total = units * _UNIT_ROUNDOFF * self.rate
+
+    def move(self, u, target):
+        a, b = self.col[u], np.searchsorted(self.ids, target)
+        self.table[a] -= self.links_of[:, u]  # every node's link to u
+        self.table[b] += self.links_of[:, u]
+        self.col[u] = b
+        self.size[a] -= 1
+        self.size[b] += 1
+        if self.size[a] == 0:  # no visit can pick it: a target has members
+            self.table[a] = -np.inf
+
+    def cleared(self, comm_total, start):
+        """Which of nodes start.. are bound to stay put at their visit."""
+        own, rate = self.col[start:], self.rate[start:]
+        at = self.at[:own.size]
+        totals = comm_total[self.ids]
+        gains = self.table[:, start:] - totals[:, None] * rate
+        stay = gains[own, at] + self.strength[start:] * rate  # a visit leaves its own total
+        gains[own, at] = -np.inf
+        margin = self.margin_fixed[start:] + self.margin_per_total[start:] * totals.max()
+        return stay - gains.max(axis=0) > margin
 
 
 def louvain(
@@ -280,11 +375,14 @@ def louvain(
     Node sweeps run in label order; equal-gain moves are settled by the
     seeded generator, so a given seed always yields the same partition.
     When every coefficient is non-positive the graph has no edges and the
-    trivial one-node-per-community partition is returned, flagged.
+    trivial one-node-per-community partition is returned, flagged.  A
+    resolution that is not finite and positive raises ConfigError.
     """
     n = c.dim
     if n < 2:
         raise ShapeMismatchError("need at least 2 nodes")
+    if not (0.0 < resolution < math.inf):
+        raise ConfigError(f"resolution must be finite and positive, got {resolution}")
     weights = np.maximum(c.values, 0.0, dtype=np.float64)
     np.fill_diagonal(weights, 0.0)
     two_m = weights.sum()

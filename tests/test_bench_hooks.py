@@ -3,18 +3,27 @@
 ``bench/spans.py`` wraps package functions through the module attributes
 their callers look up, and computes each dfa kernel call's work from its
 positional arguments (a 2-D stack first, the scale second for
-``dfa.fluct`` and third for ``dfa.cross``).  A sweep that stops calling a
-wrapped name records nothing, and one that changes those arguments breaks
-the work count; both would only show when the benchmark runs.
+``dfa.fluct`` and third for ``dfa.cross``).  It counts Louvain levels as
+the calls of ``network._local_phase``, which ``network.louvain`` must look
+up on the module once per level.  A sweep that stops calling a wrapped
+name records nothing, and one that changes those arguments breaks the work
+count; both would only show when the benchmark runs.
 """
 
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from qdcca import network
 from qdcca.config import AnalysisConfig
 from qdcca.pipeline import run_analysis
+from qdcca.spectra import DetrendedCorrelationMatrix
 from qdcca.synth import GeneratorSpec, synth_returns
+
+from oracles import louvain_loop
 
 
 def _spans_module():
@@ -42,3 +51,32 @@ def test_lagged_sweep_records_both_dfa_spans_and_their_work():
     tracer.require(["dfa.fluct", "dfa.cross"])
     for name in ("dfa.fluct", "dfa.cross"):
         assert tracer.stats[name].flops > 0, name
+
+
+def test_louvain_calls_local_phase_once_per_level_through_the_module(monkeypatch):
+    # network.louvain_levels counts the calls of the wrapped module
+    # attribute, so louvain must look _local_phase up there on every level.
+    assert list(inspect.signature(network.louvain).parameters) == ["c", "resolution", "seed"]
+    assert list(inspect.signature(network._local_phase).parameters) == [
+        "weights", "two_m", "resolution", "rng"]
+    sizes, real = [], network._local_phase
+
+    def counting(weights, two_m, resolution, rng):
+        sizes.append(weights.shape[0])
+        return real(weights, two_m, resolution, rng)
+
+    monkeypatch.setattr(network, "_local_phase", counting)
+    rng = np.random.default_rng(8)
+    for seed in range(6):
+        n = 30
+        block = rng.integers(0, 4, n)
+        rho = np.where(block[:, None] == block[None, :], 0.5, 0.05)
+        rho = np.round(rho + rng.normal(0.0, 0.1, (n, n)), 2)
+        rho = np.triu(rho, 1) + np.triu(rho, 1).T + np.eye(n)
+        sizes.clear()
+        c = DetrendedCorrelationMatrix(values=rho, labels=tuple(f"A{i}" for i in range(n)),
+                                       q=2.0, scale=10)
+        network.louvain(c, resolution=1.0, seed=seed)
+        _, _, history = louvain_loop(rho, 1.0, seed=seed)
+        assert len(sizes) == len(history) - 1 >= 2
+        assert sizes[0] == n and sizes == sorted(sizes, reverse=True)

@@ -1,12 +1,14 @@
 import csv
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
 from qdcca.cli import _build_parser, _config_from_args, main
-from qdcca.config import CONFIG_KEYS, load_config
+from qdcca.config import CONFIG_KEYS, AnalysisConfig, load_config
 from qdcca.data import build_return_matrix, load_quotes
+from qdcca.errors import ConfigError
 from qdcca.synth import GeneratorSpec, synth_quotes
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "quotes")
@@ -295,6 +297,11 @@ def test_repeated_list_value_is_machine_readable(tmp_path, capsys, flag, key):
     (b"[run]\nverbose = maybe\n", "verbose: expected a boolean"),
     (b"[run]\nseed = 1\xff\n", "not UTF-8 text"),
     (b"[DEFAULT]\nwindow = 400\n", "keys under [DEFAULT] are not supported"),
+    (b"[analysis]\nresolution = nan\n", "resolution: must be finite, got nan"),
+    (b"[analysis]\nresolution = inf\n", "resolution: must be finite, got inf"),
+    (b"[analysis]\nthreshold = nan\n", "threshold: must be finite, got nan"),
+    (b"[data]\nstable_threshold = nan\n", "stable_threshold: must be finite, got nan"),
+    (b"[analysis]\nq = 1, inf\n", "q: must be finite, got inf"),
 ])
 def test_malformed_config_file_is_machine_readable(tmp_path, capsys, text, detail):
     path = tmp_path / "bad.ini"
@@ -304,3 +311,15 @@ def test_malformed_config_file_is_machine_readable(tmp_path, capsys, text, detai
     payload = json.loads(err.strip())
     assert payload["error"] == "ConfigError"
     assert str(path) in payload["detail"] and detail in payload["detail"]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("resolution", float("nan")), ("resolution", float("inf")), ("threshold", float("nan")),
+    ("stable_threshold", float("nan")), ("max_missing", float("nan")), ("q", (1.0, float("inf"))),
+])
+def test_validate_rejects_non_finite_float_settings(key, value):
+    # Each would otherwise run: nan resolution leaves every node alone with
+    # modularity nan, nan threshold finds no period, nan stable_threshold
+    # keeps pegs.  Flags and files reject them earlier, when parsed.
+    with pytest.raises(ConfigError, match=f"^{key} must be finite"):
+        replace(AnalysisConfig(), **{key: value}).validate()

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from qdcca.errors import InsufficientSupportError, ShapeMismatchError
+from qdcca.errors import ConfigError, InsufficientSupportError, ShapeMismatchError
 from qdcca.network import (
     _aggregate,
     _local_phase,
@@ -141,6 +141,21 @@ def test_louvain_phases_match_loop_references_bitwise():
             got = _local_phase(sym, two_m, 1.0, gen)
             assert np.array_equal(got, local_phase_loop(sym, two_m, 1.0, ref_gen))
             assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+
+def test_screened_visits_replay_the_round_trip():
+    # Weights of 0.7e7 times small integers make the community totals
+    # inexact, and gains near 1e7 put the 1e-12 stay tolerance below one
+    # ulp.  A cleared visit's (t - s) + s moves a total by an ulp, which
+    # decides node 1's later tie: skipping it sends node 1 to community 3.
+    ints = np.array([[0, 3, 3, 3, 0], [3, 0, 3, 3, 3], [3, 3, 0, 2, 3],
+                     [3, 3, 2, 0, 2], [0, 3, 3, 2, 0]])
+    weights = ints * 0.7 * 1e7
+    gen, ref_gen = np.random.default_rng(5), np.random.default_rng(5)
+    got = _local_phase(weights, weights.sum(), 1.0, gen)
+    assert got.tolist() == [3, 4, 4, 3, 4]
+    assert np.array_equal(got, local_phase_loop(weights, weights.sum(), 1.0, ref_gen))
+    assert gen.bit_generator.state == ref_gen.bit_generator.state
 
 
 def test_mean_path_length_matches_loop_on_forests():
@@ -402,6 +417,16 @@ def test_louvain_all_nonpositive_weights_flagged():
     assert part.degenerate
     assert n_communities(part) == 4
     assert part.modularity == 0.0
+
+
+@pytest.mark.parametrize("resolution", [float("nan"), float("inf"), 0.0, -1.0])
+def test_louvain_rejects_a_resolution_that_is_not_finite_and_positive(resolution):
+    # nan used to leave every node alone with modularity nan, and inf gave
+    # modularity -inf with a RuntimeWarning.
+    mat = np.full((4, 4), 0.5)
+    np.fill_diagonal(mat, 1.0)
+    with pytest.raises(ConfigError, match="resolution must be finite and positive"):
+        louvain(_corr(mat), resolution=resolution)
 
 
 def test_louvain_modularity_monotone_and_beats_singletons():

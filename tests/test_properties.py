@@ -25,6 +25,8 @@ from qdcca.network import (
     DistanceMatrix,
     SpanningTree,
     TreeEdge,
+    _aggregate,
+    _local_phase,
     louvain,
     mean_path_length,
     minimum_spanning_tree,
@@ -39,11 +41,14 @@ from qdcca.pipeline import (
 from qdcca.spectra import DetrendedCorrelationMatrix, correlation_matrices
 
 from oracles import (
+    aggregate_loop,
     align_series_pairwise,
     all_pairs_hops,
     box_index_ranges,
     brute_force_mst,
     build_return_matrix_pairwise,
+    local_phase_loop,
+    louvain_loop,
     prufer_tree_edges,
     tree_weight,
 )
@@ -356,6 +361,54 @@ def test_louvain_is_reproducible_per_seed(c, seed):
     again = louvain(c, seed=seed)
     assert again.communities == first.communities
     assert again.modularity == first.modularity
+
+
+@st.composite
+def _tie_forcing_correlations(draw):
+    """Planted blocks plus noise, rounded to 1 or 2 decimals so that equal
+    gains are common.  Half the draws scale each pair by a power of ten
+    from 1e-6 to 1e6, so the aggregated levels sum weights over decades."""
+    n = draw(st.integers(2, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    block = rng.integers(0, draw(st.integers(1, 6)), n)
+    within = draw(st.sampled_from([0.3, 0.5, 0.8]))
+    noise = rng.normal(0.0, draw(st.sampled_from([0.05, 0.2])), (n, n))
+    rho = np.where(block[:, None] == block[None, :], within, 0.1) + noise
+    rho = np.round(rho, draw(st.sampled_from([1, 2])))
+    if draw(st.booleans()):
+        rho = rho * 10.0 ** rng.integers(-6, 7, (n, n))
+    upper = np.triu(rho, 1)
+    return upper + upper.T + np.eye(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tie_forcing_correlations(), st.sampled_from([0.5, 1.0, 1.5]),
+       st.integers(0, 2**32 - 1))
+def test_louvain_matches_the_loop_oracle_bitwise(rho, resolution, seed):
+    # The screen may skip only visits that cannot move a node, so every
+    # level's membership and generator state, and the final partition and
+    # modularity bits, are the literal per-node loop's.
+    labels = tuple(f"A{i}" for i in range(rho.shape[0]))
+    c = DetrendedCorrelationMatrix(values=rho, labels=labels, q=2.0, scale=10)
+    part = louvain(c, resolution=resolution, seed=seed)
+    members, q, _ = louvain_loop(rho, resolution, seed=seed)
+    assert [part.communities[lab] for lab in labels] == members
+    assert np.float64(part.modularity).tobytes() == np.float64(q).tobytes()
+    weights = np.maximum(rho, 0.0)
+    np.fill_diagonal(weights, 0.0)
+    two_m = weights.sum()
+    assume(two_m > 0.0)
+    gen, ref_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+    level = ref_level = weights
+    while True:
+        got = _local_phase(level, two_m, resolution, gen)
+        want = local_phase_loop(ref_level, two_m, resolution, ref_gen)
+        assert np.array_equal(got, want)
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+        if np.unique(got).size in (1, level.shape[0]):
+            break
+        level, _ = _aggregate(level, got)
+        ref_level, _ = aggregate_loop(ref_level, want)
 
 
 @settings(max_examples=150, deadline=None)
