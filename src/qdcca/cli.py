@@ -14,7 +14,7 @@ import json
 import sys
 from dataclasses import fields, replace
 
-from .config import CONFIG_KEYS, AnalysisConfig, comma_list, load_config
+from .config import CONFIG_KEYS, AnalysisConfig, comma_list, load_config, parse_setting
 from .data import build_return_matrix, load_quotes
 from .emit import write_outputs
 from .errors import QdccaError
@@ -34,14 +34,16 @@ _FAMILY_OF = {
 def _add_config_flags(sub):
     sub.add_argument("--config", help="INI config file; flags override its keys")
     sub.add_argument("--out", default="qdcca_out", help="output directory")
-    # A flag that is not given leaves no attribute, so the file's value stands.
+    # A flag that is not given leaves no attribute, so the file's value stands;
+    # `_config_from_args` parses a given value as it parses a file's.
     for f in fields(AnalysisConfig):
-        if isinstance(f.default, bool):
-            how = {"action": argparse.BooleanOptionalAction}
-        else:
-            how = {"type": f.metadata["parse"]}
-        sub.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, help=f.metadata["help"],
+        how = {"action": argparse.BooleanOptionalAction} if isinstance(f.default, bool) else {}
+        sub.add_argument(_flag(f.name), dest=f.name, help=f.metadata["help"],
                          default=argparse.SUPPRESS, **how)
+
+
+def _flag(key: str) -> str:
+    return f"--{key.replace('_', '-')}"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,7 +90,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> AnalysisConfig:
     cfg = load_config(args.config) if args.config else AnalysisConfig()
-    flags = {key: getattr(args, key) for key in CONFIG_KEYS if hasattr(args, key)}
+    given = {key: getattr(args, key) for key in CONFIG_KEYS if hasattr(args, key)}
+    # A boolean flag's action has set its value; every other flag is text.
+    flags = {key: value if isinstance(value, bool) else parse_setting(key, value, _flag(key))
+             for key, value in given.items()}
     return replace(cfg, **flags).validate()
 
 

@@ -9,7 +9,8 @@ comes in two forms, ``--residual`` and ``--no-residual``, so a flag can also
 undo a file's ``true``.  Lists are comma-separated, and ``q``, ``s``,
 ``lags`` and ``anchors`` reject a repeated value.  Float settings reject
 nan and inf, which would otherwise run silently (a nan threshold finds no
-period).  An empty ``base`` means no re-basing.
+period).  ``stable_threshold`` may not be negative, which would keep every
+series just as 0 does.  An empty ``base`` means no re-basing.
 
 The config file is INI-style; keys are grouped into sections, which are
 only for the reader (any key may sit in any section):
@@ -145,6 +146,8 @@ class AnalysisConfig:
             )
         if self.grid not in ("uniform", "intersection"):
             raise ConfigError(f"grid must be 'uniform' or 'intersection', got {self.grid!r}")
+        if self.stable_threshold < 0:
+            raise ConfigError(f"stable_threshold must be >= 0, got {self.stable_threshold}")
         if not (0.0 <= self.max_missing <= 1.0):
             raise ConfigError(f"max_missing must be in [0, 1], got {self.max_missing}")
         if self.resolution <= 0:
@@ -173,6 +176,16 @@ class AnalysisConfig:
 
 
 CONFIG_KEYS = tuple(f.name for f in fields(AnalysisConfig))
+_PARSE = {f.name: f.metadata["parse"] for f in fields(AnalysisConfig)}
+
+
+def parse_setting(key: str, raw: str, source: str):
+    """The value of setting ``key`` from its text; a value its parser rejects
+    raises `ConfigError` naming ``source`` (a file's key or a flag)."""
+    try:
+        return _PARSE[key](raw)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
 
 
 def load_config(path: str) -> AnalysisConfig:
@@ -188,16 +201,12 @@ def load_config(path: str) -> AnalysisConfig:
         raise ConfigError(f"config file not found: {path}")
     if parser.defaults():  # they would be ignored alone and repeat into every section
         raise ConfigError(f"{path}: keys under [{parser.default_section}] are not supported")
-    parse = {f.name: f.metadata["parse"] for f in fields(AnalysisConfig)}
     values: dict = {}
     for section in parser.sections():
         for key, raw in parser.items(section):
-            if key not in parse:
+            if key not in _PARSE:
                 raise ConfigError(f"{path}: unknown config key {key!r} in [{section}]")
             if key in values:
                 raise ConfigError(f"{path}: config key {key!r} set more than once")
-            try:
-                values[key] = parse[key](raw)
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(f"{path}: {key}: {exc}") from exc
+            values[key] = parse_setting(key, raw, f"{path}: {key}")
     return AnalysisConfig(**values)

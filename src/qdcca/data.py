@@ -11,11 +11,22 @@ Tokens are parsed one by one only for an ISO timestamp column and for a
 file the bulk pass rejects or would misread; that pass names the first bad
 token's line.
 
-Alignment is one ``np.bincount`` of the stamps in the common span [lo, hi]
-(latest first stamp, earliest last one): a minute is common when all N series
-quote it.  The count holds 8 bytes per minute of the span, where the default
-uniform grid already holds 8N.  A gap-free matrix is differenced in place, so
-its returns are a view into the (N, T + 1) buffer of aligned log prices.
+A series is excluded as a peg when the population std of its T log returns
+is below ``stable_threshold``.  Any two returns satisfy
+(r_i - r_j)^2 <= 2 T std^2, so a series whose first ``_PEG_SCREEN`` returns
+already spread wider than sqrt(2T) times the threshold (plus a rounding
+margin, derived at `_volatile_head`) is kept without its full log, diff
+and std; every other series goes through the exact rule.  The screen only
+ever keeps a series, and only one the exact rule keeps too.
+
+Alignment works on the common span [lo, hi] (latest first stamp, earliest
+last one).  When every series holds hi - lo + 1 stamps there, each quotes
+every minute of it: the common minutes are the span and each row is a plain
+copy.  Otherwise one ``np.bincount`` of the stamps in the span finds the
+minutes all N series quote; the count holds 8 bytes per minute of the span,
+where the default uniform grid already holds 8N.  A gap-free matrix is
+differenced in place, so its returns are a view into the (N, T + 1) buffer
+of aligned log prices.
 """
 
 from __future__ import annotations
@@ -23,6 +34,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -95,6 +107,9 @@ class AlignmentReport:
     filled_fraction: float = 0.0
     grid: str = "intersection"
 
+
+# Returns of a series' start that the peg screen reads (see `_volatile_head`).
+_PEG_SCREEN = 256
 
 _ISO_HINTS = ("-", ":", "T")
 # Some line's first field (the timestamp column) holds one of the hints.
@@ -283,13 +298,21 @@ def normalize(x) -> np.ndarray:
 
 
 def _common_minutes(series: list[QuoteSeries]) -> tuple[np.ndarray, np.ndarray]:
-    """The minutes every series quotes and the (N, T) prices at them, found
-    by one count over the common span (see the module docstring)."""
+    """The minutes every series quotes and the (N, T) prices at them: the
+    whole common span when every series quotes all of it, else found by one
+    count over the span (see the module docstring)."""
     # An empty series leaves hi < lo, an empty span.
     lo = max(int(qs.timestamps[0]) if len(qs) else 0 for qs in series)
     hi = min(int(qs.timestamps[-1]) if len(qs) else -1 for qs in series)
     cuts = [slice(np.searchsorted(qs.timestamps, lo), np.searchsorted(qs.timestamps, hi, "right"))
             for qs in series]
+    if all(cut.stop - cut.start == hi - lo + 1 for cut in cuts):
+        # Strictly increasing whole minutes: hi - lo + 1 of them in [lo, hi]
+        # are every minute of the span.
+        prices = np.empty((len(series), hi - lo + 1))
+        for row, qs, cut in zip(prices, series, cuts):
+            row[:] = qs.prices[cut]
+        return np.arange(lo, hi + 1, dtype=np.int64), prices
     offsets = np.concatenate([qs.timestamps[cut] for qs, cut in zip(series, cuts)])
     offsets -= lo
     in_all = np.bincount(offsets, minlength=max(hi - lo + 1, 0)) == len(series)
@@ -299,6 +322,36 @@ def _common_minutes(series: list[QuoteSeries]) -> tuple[np.ndarray, np.ndarray]:
     for row, qs, cut in zip(prices, series, cuts):
         row[:] = qs.prices[cut][in_all[qs.timestamps[cut] - lo]]
     return common, prices
+
+
+def _volatile_head(quotes: QuoteSeries, threshold: float) -> bool:
+    """Whether the first ``_PEG_SCREEN`` returns spread so wide that the peg
+    rule ``log_returns(quotes).std() < threshold`` is proven False.
+
+    Bound: with mean m and sigma the exact population std of all T returns,
+    (r_i - r_j)^2 <= 2 ((r_i - m)^2 + (r_j - m)^2) <= 2 T sigma^2, so the
+    spread D (max - min) of any of them is at most sqrt(2T) sigma.  The
+    head's returns are the floats `log_returns` makes (ufuncs work element by
+    element).
+
+    Margin, with unit roundoff u = 2^-53: ``np.std`` is sqrt(fl(S / T)), S
+    the rounded sum of T rounded squares of rounded deviations from a rounded
+    mean.  The exact S about any mean is at least T sigma^2, and in any
+    summation order a square passes at most T - 1 additions, so the computed
+    std is at least sigma (1 - u)^((T + 5) / 2).  The computed spread is at
+    most D (1 + u) and the computed bound at least the exact one times
+    (1 - u)^4.  So clearing D > sqrt(2T) c (1 + mu) with mu = 2 (T + 16) u
+    gives std >= c (1 + mu) (1 - (T + 16) u / 2) > c.  The limit c is the
+    threshold raised to 2^-400 (c >= threshold, so std >= c still rules the
+    series in): then S >= D^2 / 2 > T 2^-800, and squares that underflow move
+    S by at most T 2^-1075, a relative 2^-275, inside the margin.
+    """
+    t = len(quotes) - 1
+    if t < 2:  # one return has no spread, and no return makes `log_returns` raise
+        return False
+    head = np.diff(np.log(quotes.prices[: _PEG_SCREEN + 1]))
+    limit = max(threshold, 2.0**-400)
+    return head.max() - head.min() > math.sqrt(2 * t) * limit * (1 + (t + 16) * 2.0**-52)
 
 
 def _minutes_shared_with(base: QuoteSeries, series: list[QuoteSeries]) -> list[int]:
@@ -337,7 +390,9 @@ def build_return_matrix(
     # pegged asset is just the inverse of the base and looks volatile.
     kept = []
     for qs in series:
-        if log_returns(qs).std() < stable_threshold:
+        pegged = (not _volatile_head(qs, stable_threshold)
+                  and log_returns(qs).std() < stable_threshold)
+        if pegged:
             excluded[qs.ticker] = "near-zero return variance (pegged to quote currency)"
         else:
             kept.append(qs)

@@ -67,6 +67,29 @@ def test_invalid_config_is_machine_readable(capsys):
     assert payload["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("flags, detail", [
+    (["--resolution", "nan"], "--resolution: must be finite, got nan"),
+    (["--threshold", "25%"], "--threshold: could not convert string to float: '25%'"),
+    (["--window", "10k"], "--window: invalid literal for int() with base 10: '10k'"),
+    (["--s", "10,x"], "--s: invalid literal for int() with base 10: 'x'"),
+    (["--q", "1,inf"], "--q: must be finite, got inf"),
+])
+def test_unparsable_flag_value_is_machine_readable(capsys, flags, detail):
+    # The same parse and message as a config file's value, with the flag
+    # in place of the file and key.
+    code, out, err = _run(capsys, "validate", FIXTURE, *flags)
+    assert code == 2 and not out
+    assert json.loads(err.strip()) == {"error": "ConfigError", "detail": detail}
+
+
+@pytest.mark.parametrize("argv", [["--bogus", "1"], ["--window"]])
+def test_unknown_flag_or_missing_value_stays_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", FIXTURE, *argv])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
 def test_missing_input_reports_error(capsys):
     code, out, err = _run(capsys, "analyze", "/nonexistent/path")
     assert code == 2
@@ -311,6 +334,13 @@ def test_malformed_config_file_is_machine_readable(tmp_path, capsys, text, detai
     payload = json.loads(err.strip())
     assert payload["error"] == "ConfigError"
     assert str(path) in payload["detail"] and detail in payload["detail"]
+
+
+def test_validate_rejects_a_negative_stable_threshold():
+    # It would keep every series, as 0 does; 0 stays allowed.
+    with pytest.raises(ConfigError, match="^stable_threshold must be >= 0, got -1e-06"):
+        replace(AnalysisConfig(), stable_threshold=-1e-6).validate()
+    assert replace(AnalysisConfig(), stable_threshold=0.0).validate().stable_threshold == 0.0
 
 
 @pytest.mark.parametrize("key, value", [

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from qdcca.data import (
     QuoteSeries,
+    _common_minutes,
+    _volatile_head,
     build_return_matrix,
     load_quotes,
     log_returns,
@@ -211,6 +213,49 @@ def test_align_staggered_fixture():
     disjoint = [_quotes("A", [0, 1, 2], [1.0, 2.0, 1.5]), _quotes("B", [7, 8, 9], [1.0, 2.0, 1.5])]
     with pytest.raises(EmptyIntersectionError, match="series share no common timestamps"):
         build_return_matrix(disjoint)
+
+
+@pytest.mark.parametrize("hole", [None, 5])
+def test_common_minutes_of_fully_quoted_spans_and_of_one_missing_minute(hole):
+    # A quotes minutes 0-9, B 2-11 and C 1-8, each every minute: the common
+    # span 2-8 is the answer without a count.  With B's interior minute 5
+    # missing, the minute count runs and drops it.
+    b_stamps = [m for m in range(2, 12) if m != hole]
+    a = _quotes("A", np.arange(10), 100.0 + np.arange(10))
+    b = _quotes("B", b_stamps, 200.0 + np.array(b_stamps))
+    c = _quotes("C", np.arange(1, 9), 300.0 + np.arange(1, 9))
+    want = [m for m in range(2, 9) if m != hole]
+    common, prices = _common_minutes([a, b, c])
+    assert common.dtype == np.int64 and common.tolist() == want
+    assert prices.tolist() == [[base + m for m in want] for base in (100.0, 200.0, 300.0)]
+    rm, report = build_return_matrix([a, b, c])
+    assert rm.timestamps.tolist() == list(range(3, 9))
+    assert rm.filled.tolist() == [m == hole for m in range(3, 9)]
+    assert report.retention == {"A": len(want) / 10, "B": len(want) / len(b_stamps),
+                                "C": len(want) / 8}
+
+
+@pytest.mark.parametrize("t, threshold, price", [
+    (185, 0.0981687892330412, 2.5706458783947603),
+    (584, 0.05730977882397601, 2.662618214416482),
+])
+def test_peg_screen_margin_covers_the_rounding_of_std(t, threshold, price):
+    # One spike, returns ln(price) and -ln(price): their spread is exactly
+    # sqrt(2t) times the std, the bound's extreme case.  Here the spread just
+    # passes sqrt(2t) * threshold, yet np.std rounds below the threshold, so
+    # only the screen's rounding margin keeps it from clearing a peg.
+    prices = np.ones(t + 1)
+    prices[1] = price
+    spike = _quotes("SPIKE", np.arange(t + 1), prices)
+    returns = log_returns(spike)
+    assert returns.max() - returns.min() > math.sqrt(2 * t) * threshold
+    assert returns.std() < threshold
+    assert not _volatile_head(spike, threshold)
+    rng = np.random.default_rng(4)
+    walks = [_quotes(f"W{k}", np.arange(t + 1), np.exp(rng.standard_normal(t + 1).cumsum()))
+             for k in range(2)]
+    rm, report = build_return_matrix([spike, *walks], stable_threshold=threshold)
+    assert rm.tickers == ("W0", "W1") and set(report.excluded) == {"SPIKE"}
 
 
 def test_build_return_matrix_uniform_fill_and_mask():

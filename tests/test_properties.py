@@ -11,7 +11,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qdcca.config import AnalysisConfig
-from qdcca.data import QuoteSeries, ReturnMatrix, _common_minutes, build_return_matrix
+from qdcca.data import (
+    _PEG_SCREEN,
+    QuoteSeries,
+    ReturnMatrix,
+    _common_minutes,
+    _volatile_head,
+    build_return_matrix,
+    log_returns,
+)
 from qdcca.dfa import (
     DetrendConfig,
     _box_profiles,
@@ -59,12 +67,14 @@ _Q = st.sampled_from([0.5, 1.0, 2.0, 3.0, 4.0])
 @st.composite
 def _quote_grids(draw):
     """2-5 quote series whose minute grids lie in a 49-minute span placed
-    anywhere from -2^40 to 2^40, in one of five layouts: independent,
+    anywhere from -2^40 to 2^40, in one of six layouts: independent,
     identical, each a subset of the first, touching at exactly one minute
-    (the first ends where the second begins), or disjoint."""
+    (the first ends where the second begins), disjoint, or fully quoted
+    (every minute of a span that differs per series, so every series quotes
+    all of the common span)."""
     origin = draw(st.sampled_from([0, -1_000, -(2**40), 2**40 - 48, 2**40]))
     n = draw(st.integers(2, 5))
-    layout = draw(st.sampled_from(["any", "identical", "subset", "touching", "disjoint"]))
+    layout = draw(st.sampled_from(["any", "identical", "subset", "touching", "disjoint", "full"]))
     minutes = st.lists(st.integers(0, 48), min_size=1, max_size=40, unique=True)
     if layout == "any":
         grids = [draw(st.lists(st.integers(0, 48), max_size=40, unique=True)) for _ in range(n)]
@@ -77,6 +87,9 @@ def _quote_grids(draw):
         m = draw(st.integers(0, 48))
         grids = [[t for t in draw(minutes) if t < m] + [m], [m] + [t for t in draw(minutes) if t > m]]
         grids += [draw(minutes) + [m] for _ in range(n - 2)]
+    elif layout == "full":
+        grids = [list(range(draw(st.integers(0, 24)), draw(st.integers(24, 48)) + 1))
+                 for _ in range(n)]
     else:
         grids = [draw(st.lists(st.integers(0, 23), min_size=1, unique=True)),
                  draw(st.lists(st.integers(24, 48), min_size=1, unique=True))]
@@ -126,6 +139,80 @@ def test_minute_count_matches_pairwise_intersection_bitwise(quotes):
             for field in ("timestamps", "values", "filled"):
                 assert _same_bits(getattr(rm, field), getattr(rm_want, field)), field
             assert report == report_want
+
+
+def _spike(t, price, at):
+    """t + 1 prices of 1.0 but one, ``price`` at index ``at``: the returns
+    ln(price) and -ln(price) in a row, the extreme case of the peg screen's
+    bound (their spread is exactly sqrt(2t) times the std)."""
+    prices = np.ones(t + 1)
+    prices[at] = price
+    return prices
+
+
+def _screen_edge(t, threshold, at):
+    """The least spike price above 1 that the peg screen clears, found by
+    bisecting the bit patterns of the floats in (1, 1e300]."""
+    lo, hi = (int(bits) for bits in np.array([1.0, 1e300]).view(np.int64))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        price = float(np.int64(mid).view(np.float64))
+        quotes = QuoteSeries("S", np.arange(t + 1), _spike(t, price, at))
+        lo, hi = (lo, mid) if _volatile_head(quotes, threshold) else (mid, hi)
+    return float(np.int64(hi).view(np.float64))
+
+
+@st.composite
+def _peg_candidates(draw):
+    """(quotes, threshold): 2-4 series of t returns on one minute grid, with
+    t = 2, 3, _PEG_SCREEN - 1, _PEG_SCREEN, _PEG_SCREEN + 1 or up to
+    4 _PEG_SCREEN and the threshold 0, 1e-300, the default or drawn, each
+    series one of: a random walk whose step sits anywhere from far below to
+    far above the threshold; a flat head of at least _PEG_SCREEN returns,
+    then a volatile tail; or a flat series with one spike in the head, its
+    spread the nearest float below or at the screen's bound."""
+    t = draw(st.sampled_from([2, 3, _PEG_SCREEN - 1, _PEG_SCREEN, _PEG_SCREEN + 1])
+             | st.integers(_PEG_SCREEN + 2, 4 * _PEG_SCREEN))
+    threshold = draw(st.sampled_from([0.0, 1e-300, 1e-6]) | st.floats(-9, 0).map(lambda e: 10**e))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    quotes = []
+    for k in range(draw(st.integers(2, 4))):
+        kind = draw(st.sampled_from(["walk", "flat_head", "spike"]))
+        if kind == "walk":
+            step = min(max(threshold, 1e-6) * 10.0 ** draw(st.floats(-3, 3)), 0.1)
+            prices = np.exp(rng.standard_normal(t + 1).cumsum() * step)
+        elif kind == "flat_head":
+            head = draw(st.integers(_PEG_SCREEN, max(_PEG_SCREEN, t)))
+            returns = rng.standard_normal(t) * 1e-3
+            returns[:head] = 0.0
+            prices = np.exp(np.concatenate([[0.0], returns.cumsum()]))
+        else:
+            at = draw(st.integers(1, min(t, _PEG_SCREEN) - 1))
+            price = _screen_edge(t, threshold, at)
+            if draw(st.booleans()):
+                price = float(np.nextafter(price, 0.0))
+            prices = _spike(t, price, at)
+        prices *= 10.0 ** rng.uniform(-3, 3)
+        quotes.append(QuoteSeries(f"T{k}", np.arange(t + 1), prices))
+    return quotes, threshold
+
+
+@settings(max_examples=200, deadline=None)
+@given(_peg_candidates())
+def test_peg_screen_keeps_only_series_the_exact_rule_keeps(case):
+    quotes, threshold = case
+    for qs in quotes:
+        if _volatile_head(qs, threshold):
+            assert log_returns(qs).std() >= threshold
+    want = _outcome(lambda: build_return_matrix_pairwise(quotes, stable_threshold=threshold))
+    got = _outcome(lambda: build_return_matrix(quotes, stable_threshold=threshold))
+    if isinstance(want, type):
+        assert got is want
+        return
+    (rm, report), (rm_want, report_want) = got, want
+    assert rm.tickers == rm_want.tickers and report == report_want
+    for field in ("timestamps", "values", "filled"):
+        assert _same_bits(getattr(rm, field), getattr(rm_want, field)), field
 
 
 @st.composite
