@@ -105,7 +105,6 @@ class AlignmentReport:
     retention: dict[str, float] = field(default_factory=dict)
     excluded: dict[str, str] = field(default_factory=dict)
     filled_fraction: float = 0.0
-    grid: str = "intersection"
 
 
 # Returns of a series' start that the peg screen reads (see `_volatile_head`).
@@ -426,7 +425,6 @@ def build_return_matrix(
         raise EmptyIntersectionError(
             "series share one timestamp; fewer than two common timestamps leave no return")
     report.excluded = excluded
-    report.grid = grid
     full = timestamps  # the intersection grid: every return a sample, no fills
     if grid == "uniform":
         full = np.arange(timestamps[0], timestamps[-1] + 1, dtype=np.int64)

@@ -86,9 +86,11 @@ def _edge_files(result: SweepResult, cfg: AnalysisConfig, out_dir: str):
                 tree = w.trees.get((q, s))
                 if tree is None:
                     continue
+                labels = tree.labels
                 rows = [
-                    [tree.labels[e.i], tree.labels[e.j], e.distance, e.rho]
-                    for e in tree.edges
+                    [labels[i], labels[j], d, rho]
+                    for i, j, d, rho in zip(tree.i.tolist(), tree.j.tolist(),
+                                            tree.distance.tolist(), tree.rho.tolist())
                 ]
                 name = f"edges_{_tag(q)}_{s}_{w.index:05d}.csv"
                 yield _table(out_dir, name, ["i", "j", "d", "rho"], rows)

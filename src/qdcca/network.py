@@ -10,6 +10,8 @@ into n and c - n lies on the paths of n (c - n) pairs (Wiener, 1947), so
 one walk that sizes every subtree gives all pairs at once.  Community
 detection is a two-phase greedy modularity search on the complete weighted
 graph with negative coefficients clamped to zero (Blondel et al., 2008).
+Results are plain data: a tree is its edge arrays in Prim's order, a
+partition a label -> community map.
 
 After the first sweep of a phase almost no visit moves a node, so from the
 second sweep on a screen skips the visits that provably cannot.  At the
@@ -35,8 +37,8 @@ cleared node stays put.  The screen never picks a move, so the product's
 summation order cannot reach any output.  A cleared visit still replays
 the exact visit's ``comm_total[c] -= S; comm_total[c] += S``: that round
 trip need not return the same float, and later gains read its bits.
-Every other node gets the exact visit, so partitions, modularities and
-generator draws are bit-identical to visiting every node.
+Every other node gets the exact visit, so partitions and generator draws
+are bit-identical to visiting every node.
 """
 
 from __future__ import annotations
@@ -65,45 +67,36 @@ class DistanceMatrix:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
-class TreeEdge:
-    i: int
-    j: int
-    distance: float
-    rho: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # fields are arrays: compare them, not trees
 class SpanningTree:
-    labels: tuple[str, ...]
-    edges: tuple[TreeEdge, ...]
+    """The n - 1 edges in the order Prim adds them: endpoint indices
+    ``i < j`` (int64) into ``labels``, with each edge's distance and rho
+    (float64)."""
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.labels)
+    labels: tuple[str, ...]
+    i: np.ndarray
+    j: np.ndarray
+    distance: np.ndarray
+    rho: np.ndarray
 
     def degrees(self) -> np.ndarray:
-        ends = np.array([(e.i, e.j) for e in self.edges], dtype=np.int64)
-        return np.bincount(ends.ravel(), minlength=self.n_nodes)
+        ends = np.concatenate((self.i, self.j))
+        return np.bincount(ends, minlength=len(self.labels))
 
 
 @dataclass(frozen=True)
 class DegreeDistribution:
-    """Empirical survival function of node degrees.
-
-    ``degrees``/``survival`` tabulate P(X >= k) at the observed distinct
-    degree values; ``counts[k]`` is the number of nodes of degree k.
-    """
+    """Empirical survival function of node degrees: ``survival[k]`` is the
+    fraction of nodes of degree at least ``degrees[k]``, at each distinct
+    degree in increasing order."""
 
     degrees: np.ndarray
     survival: np.ndarray
-    node_degrees: np.ndarray
 
 
 @dataclass(frozen=True)
 class Partition:
     communities: dict[str, int]
-    modularity: float
     degenerate: bool = False          # all-zero weights: one community per node
 
 
@@ -131,7 +124,8 @@ def minimum_spanning_tree(
 
     Ties are broken on (weight, min node index, max node index), so equal
     inputs always yield the same tree.  ``rho`` optionally supplies the
-    companion coefficients stored on the edges.
+    companion coefficients stored with the edges; by default they are
+    recovered from the distances.
     """
     dist = d.values
     n = d.dim
@@ -146,16 +140,15 @@ def minimum_spanning_tree(
     best_weight = dist[0].copy()
     best_weight[0] = np.inf  # a node in the tree is never picked again
     best_from = np.zeros(n, dtype=np.int64)
-    edges = []
-    for _ in range(n - 1):
+    ends = np.empty((2, n - 1), dtype=np.int64)
+    for k in range(n - 1):
         v = int(best_weight.argmin())
         tied = np.nonzero(best_weight == best_weight[v])[0]
         if tied.size > 1:
             u = best_from[tied]
             v = int(tied[np.lexsort((np.maximum(u, tied), np.minimum(u, tied)))[0]])
         u = int(best_from[v])
-        i, j = (u, v) if u < v else (v, u)
-        edges.append(TreeEdge(i=i, j=j, distance=float(dist[i, j]), rho=float(rho[i, j])))
+        ends[:, k] = (u, v) if u < v else (v, u)
         in_tree[v] = True
         best_weight[v] = np.inf
         row = dist[v]
@@ -170,19 +163,16 @@ def minimum_spanning_tree(
             improved[w] = (lo < old_lo) | ((lo == old_lo) & (hi < old_hi))
         best_weight[improved] = row[improved]
         best_from[improved] = v
-    return SpanningTree(labels=d.labels, edges=tuple(edges))
+    i, j = ends
+    return SpanningTree(d.labels, i, j, dist[i, j], rho[i, j])
 
 
 def degree_distribution(tree: SpanningTree) -> DegreeDistribution:
     """Survival function P(X >= k) over the tree's node degrees."""
-    node_degrees = tree.degrees()
-    distinct = np.unique(node_degrees)
-    survival = np.array([np.mean(node_degrees >= k) for k in distinct])
-    return DegreeDistribution(
-        degrees=distinct.astype(np.int64),
-        survival=survival,
-        node_degrees=node_degrees,
-    )
+    distinct, counts = np.unique(tree.degrees(), return_counts=True)
+    # Exact integer counts over n: the bits of the mean of degrees >= k.
+    survival = np.cumsum(counts[::-1])[::-1] / len(tree.labels)
+    return DegreeDistribution(degrees=distinct, survival=survival)
 
 
 def powerlaw_fit(dd: DegreeDistribution) -> tuple[float, float]:
@@ -218,11 +208,12 @@ def mean_path_length(tree: SpanningTree, weighted: bool = False) -> float:
     ``weighted`` the edge distances are summed instead.  Raises
     ShapeMismatchError when the edges contain a cycle.
     """
-    n = tree.n_nodes
+    n = len(tree.labels)
+    ends = list(zip(tree.i.tolist(), tree.j.tolist()))
     incident = [[] for _ in range(n)]
-    for k, e in enumerate(tree.edges):
-        incident[e.i].append((k, e.j))
-        incident[e.j].append((k, e.i))
+    for k, (a, b) in enumerate(ends):
+        incident[a].append((k, b))
+        incident[b].append((k, a))
     # Walk each component from its lowest node.  A node is reached once,
     # over its parent edge; any other edge to a reached node closes a cycle.
     root, parent_edge, reached = [-1] * n, [-1] * n, []
@@ -248,10 +239,10 @@ def mean_path_length(tree: SpanningTree, weighted: bool = False) -> float:
     # Edge e lies on the paths of the n_e * (c_e - n_e) pairs it separates,
     # with n_e the size of the subtree below it and c_e its component's.
     total = 0.0
-    for k, e in enumerate(tree.edges):
-        below = e.j if parent_edge[e.j] == k else e.i
+    for k, ((a, b), d) in enumerate(zip(ends, tree.distance.tolist())):
+        below = b if parent_edge[b] == k else a
         n_e = size[below]
-        total += (e.distance if weighted else 1.0) * (n_e * (size[root[below]] - n_e))
+        total += (d if weighted else 1.0) * (n_e * (size[root[below]] - n_e))
     return total / (n * (n - 1) / 2)
 
 
@@ -376,7 +367,8 @@ def louvain(
     seeded generator, so a given seed always yields the same partition.
     When every coefficient is non-positive the graph has no edges and the
     trivial one-node-per-community partition is returned, flagged.  A
-    resolution that is not finite and positive raises ConfigError.
+    resolution that is not finite and positive raises ConfigError.  Only
+    the communities are returned; their modularity is not computed.
     """
     n = c.dim
     if n < 2:
@@ -388,9 +380,7 @@ def louvain(
     two_m = weights.sum()
     if two_m == 0.0:
         return Partition(
-            communities={lab: i for i, lab in enumerate(c.labels)},
-            modularity=0.0,
-            degenerate=True,
+            communities={lab: i for i, lab in enumerate(c.labels)}, degenerate=True
         )
     rng = np.random.default_rng(seed)
     membership = np.arange(n)
@@ -406,26 +396,7 @@ def louvain(
     # Community ids 0..k-1 in order of first appearance.
     _, first, inverse = np.unique(membership, return_index=True, return_inverse=True)
     final = np.argsort(np.argsort(first))[inverse]
-    return Partition(
-        communities=dict(zip(c.labels, final.tolist())),
-        modularity=modularity(weights, membership, resolution),
-    )
-
-
-def modularity(weights: np.ndarray, membership, resolution: float = 1.0) -> float:
-    """Newman modularity of a membership vector on a zero-diagonal matrix."""
-    w = np.asarray(weights, dtype=np.float64)
-    member = np.asarray(membership)
-    two_m = w.sum()
-    if two_m == 0.0:
-        return 0.0
-    strength = w.sum(axis=1)
-    q = 0.0
-    for cid in np.unique(member):
-        mask = member == cid
-        q += w[np.ix_(mask, mask)].sum() / two_m
-        q -= resolution * (strength[mask].sum() / two_m) ** 2
-    return float(q)
+    return Partition(communities=dict(zip(c.labels, final.tolist())))
 
 
 def cluster_track(

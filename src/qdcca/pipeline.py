@@ -200,6 +200,18 @@ def gap_fill_skip(returns: ReturnMatrix, start: int, stop: int, max_missing: flo
     return None
 
 
+def _check_finite(returns: ReturnMatrix) -> None:
+    """Raise on the first non-finite return, naming its series and sample.
+    A box's first return never enters its profile, so the kernel alone
+    would not see one there."""
+    for name, row in zip(returns.tickers, returns.values):
+        finite = np.isfinite(row)
+        if not finite.all():
+            k = int(finite.argmin())
+            raise ShapeMismatchError(f"{name}: return {row[k]} at sample {k} "
+                                     f"(timestamp {returns.timestamps[k]}) is not finite")
+
+
 def _normalized(returns: ReturnMatrix) -> ReturnMatrix:
     """Every series at zero mean and unit variance; a constant one raises a
     ZeroVarianceError that names it."""
@@ -369,9 +381,11 @@ def run_analysis(
     returns: ReturnMatrix,
     families=ALL_FAMILIES,
 ) -> SweepResult:
-    """Sweep every rolling window; failures are recorded, not fatal."""
+    """Sweep every rolling window; a window's failure is recorded, not
+    fatal.  A non-finite return raises ShapeMismatchError."""
     cfg.validate()
     plan = WindowPlan(width=cfg.window, step=cfg.step)
+    _check_finite(returns)
     if cfg.global_norm:
         returns = _normalized(returns)
     windows = rolling_windows(returns.n_samples, plan)

@@ -354,12 +354,17 @@ def louvain_loop(rho, resolution=1.0, seed=0):
 def tree_weight(tree):
     """Total distance of a spanning tree's edges, summed in sorted order
     (the same arithmetic as `brute_force_mst`'s weight)."""
-    return float(np.sum(np.sort([e.distance for e in tree.edges])))
+    return float(np.sum(np.sort(tree.distance)))
 
 
-def survival_at(distribution, k):
-    """Empirical P(degree >= k) of a degree distribution's nodes."""
-    return float(np.mean(distribution.node_degrees >= k))
+def tree_pairs(tree):
+    """A spanning tree's (i, j) edge endpoints, in its edge order."""
+    return list(zip(tree.i.tolist(), tree.j.tolist()))
+
+
+def survival_at(degrees, k):
+    """Empirical P(degree >= k) over an array of node degrees."""
+    return float(np.mean(np.asarray(degrees) >= k))
 
 
 def n_communities(partition):
@@ -441,7 +446,6 @@ def build_return_matrix_pairwise(series, *, base=None, grid="uniform", stable_th
         raise ShapeMismatchError("fewer than 2 series left after exclusions")
     timestamps, prices, report = align_series_pairwise(kept)
     report.excluded = excluded
-    report.grid = grid
     tickers = tuple(qs.ticker for qs in kept)
     full = timestamps  # the intersection grid: every return a sample, no fills
     if grid == "uniform":
@@ -511,3 +515,18 @@ def gram_power_one_chunk(ra, rb, q_list):
     b = a if rb is ra else np.ascontiguousarray(rb.transpose(1, 0, 2))
     gram = a @ b.transpose(0, 2, 1)
     return {q: 0.0 + _signed_power(gram, q).sum(axis=0) for q in q_list}
+
+
+# Trees for the tests, built in the package's own result type.
+from qdcca.network import SpanningTree  # noqa: E402
+
+
+def tree_from_edges(n, edges, labels=None):
+    """A `SpanningTree` on n nodes (labels A0, A1, ... unless given) from
+    (i, j) or (i, j, distance) tuples, kept in their order and orientation.
+    The distance defaults to 1.0; rho is 1 - distance**2 / 2."""
+    ends = np.array([e[:2] for e in edges], dtype=np.int64).reshape(-1, 2)
+    distance = np.array([e[2] if len(e) > 2 else 1.0 for e in edges], dtype=np.float64)
+    labels = tuple(labels) if labels else tuple(f"A{k}" for k in range(n))
+    return SpanningTree(labels, ends[:, 0].copy(), ends[:, 1].copy(), distance,
+                        1.0 - distance**2 / 2.0)

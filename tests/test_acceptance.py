@@ -17,8 +17,6 @@ from qdcca.config import AnalysisConfig
 from qdcca.dfa import DetrendConfig, rho_q, rho_q_lagged
 from qdcca.network import (
     DegreeDistribution,
-    SpanningTree,
-    TreeEdge,
     DistanceMatrix,
     louvain,
     mean_path_length,
@@ -40,8 +38,11 @@ from qdcca.emit import write_outputs
 from oracles import (
     best_partition_exhaustive,
     brute_force_mst,
+    modularity_direct,
     n_communities,
     rho_q_literal,
+    tree_from_edges,
+    tree_pairs,
     tree_weight,
 )
 
@@ -175,33 +176,24 @@ def test_criterion_08_mst_exactness():
             DistanceMatrix(values=mat, labels=labels, q=1.0, scale=10)
         )
         oracle_weight, oracle_edges = brute_force_mst(mat)
-        edge_set = {(e.i, e.j) for e in tree.edges}
+        edge_set = set(tree_pairs(tree))
         squared = minimum_spanning_tree(
             DistanceMatrix(values=mat**2, labels=labels, q=1.0, scale=10)
         )
         ok &= tree_weight(tree) == oracle_weight
         ok &= edge_set == oracle_edges
-        ok &= {(e.i, e.j) for e in squared.edges} == edge_set
+        ok &= set(tree_pairs(squared)) == edge_set
         if not ok:
             break
     _report(8, "MST weight exactness and monotone-transform invariance", ok)
 
 
 def test_criterion_09_closed_form_topology():
-    star = SpanningTree(
-        labels=tuple(f"A{i}" for i in range(80)),
-        edges=tuple(TreeEdge(0, k, 1.0, 0.5) for k in range(1, 80)),
-    )
-    star_len = mean_path_length(star)
-    path = SpanningTree(
-        labels=("a", "b", "c", "d"),
-        edges=(TreeEdge(0, 1, 1.0, 0.5), TreeEdge(1, 2, 1.0, 0.5), TreeEdge(2, 3, 1.0, 0.5)),
-    )
+    star_len = mean_path_length(tree_from_edges(80, [(0, k) for k in range(1, 80)]))
+    path = tree_from_edges(4, [(0, 1), (1, 2), (2, 3)], labels=("a", "b", "c", "d"))
     path_len = mean_path_length(path)
     ks = np.arange(1, 11)
-    gamma, se = powerlaw_fit(
-        DegreeDistribution(degrees=ks, survival=ks.astype(float) ** -1.5, node_degrees=ks)
-    )
+    gamma, se = powerlaw_fit(DegreeDistribution(degrees=ks, survival=ks.astype(float) ** -1.5))
     ok = (
         star_len == 2 * 79 / 80
         and abs(star_len - 1.975) < 1e-12
@@ -232,7 +224,8 @@ def test_criterion_10_louvain_recovery():
     weights = np.maximum(c44.values, 0.0).copy()
     np.fill_diagonal(weights, 0.0)
     best_q, _ = best_partition_exhaustive(weights)
-    exact = abs(part.modularity - best_q) < 1e-12 and n_communities(part) == 2
+    q = modularity_direct(weights, [part.communities[lab] for lab in c44.labels])
+    exact = abs(q - best_q) < 1e-12 and n_communities(part) == 2
 
     planted = [0] * 3 + [1] * 5
     c35 = _block_matrix((3, 5), 0.9, 0.05)

@@ -7,7 +7,7 @@ positional arguments (a 2-D stack first, the scale second for
 the calls of ``network._local_phase``, which ``network.louvain`` must look
 up on the module once per level.  A sweep that stops calling a wrapped
 name records nothing, and one that changes those arguments breaks the work
-count; both would only show when the benchmark runs.
+count; without these tests both would only show when the benchmark runs.
 """
 
 import importlib.util
@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from qdcca import network
+from qdcca import emit, network
 from qdcca.config import AnalysisConfig
-from qdcca.pipeline import run_analysis
+from qdcca.pipeline import ALL_FAMILIES, run_analysis
 from qdcca.spectra import DetrendedCorrelationMatrix
 from qdcca.synth import GeneratorSpec, synth_returns
 
@@ -80,3 +80,23 @@ def test_louvain_calls_local_phase_once_per_level_through_the_module(monkeypatch
         _, _, history = louvain_loop(rho, 1.0, seed=seed)
         assert len(sizes) == len(history) - 1 >= 2
         assert sizes[0] == n and sizes == sorted(sizes, reverse=True)
+
+
+def test_all_families_sweep_calls_every_network_span_and_the_csv_writer(tmp_path):
+    # A traced name that the sweep stops looking up on its module (say, a
+    # network function inlined into its caller) records zero calls, which
+    # fails the benchmark's traced run.
+    spans = _spans_module()
+    returns = synth_returns(
+        GeneratorSpec("factor", 6, 1_500, {"beta": 1.0, "sigma": 1.0, "response_spread": 5}), 4
+    )
+    cfg = AnalysisConfig(q=(1.0, 2.0), s=(10,), window=600, step=300, lags=(-1, 0, 1),
+                         anchors=("SYN00",), verbose=True, threads=1)
+    tracer = spans.Tracer()
+    with tracer.installed():
+        result = run_analysis(cfg, returns, ALL_FAMILIES)
+        emit.write_outputs(result, cfg, str(tmp_path), ALL_FAMILIES)
+    assert result.skipped == [] and len(result.windows) == 4
+    network_spans = sorted({name for _, _, name in spans.SPANS if name.startswith("network.")})
+    assert len(network_spans) == 6
+    tracer.require([*network_spans, "emit.write", "emit.csv"])

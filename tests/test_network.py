@@ -10,15 +10,12 @@ from qdcca.network import (
     DegreeDistribution,
     DistanceMatrix,
     Partition,
-    SpanningTree,
-    TreeEdge,
     cluster_track,
     degree_distribution,
     distance_matrix,
     louvain,
     mean_path_length,
     minimum_spanning_tree,
-    modularity,
     powerlaw_fit,
 )
 from qdcca.spectra import DetrendedCorrelationMatrix
@@ -32,9 +29,12 @@ from oracles import (
     louvain_loop,
     mean_path_length_cut_loop,
     mean_path_length_loop,
+    modularity_direct,
     n_communities,
     prim_mst_loop,
     survival_at,
+    tree_from_edges,
+    tree_pairs,
     tree_weight,
 )
 
@@ -51,13 +51,6 @@ def _dist(mat, labels=None):
     n = mat.shape[0]
     labels = labels or tuple(f"A{i}" for i in range(n))
     return DistanceMatrix(values=mat, labels=tuple(labels), q=1.0, scale=10)
-
-
-def _tree(n, pairs):
-    return SpanningTree(
-        labels=tuple(f"A{i}" for i in range(n)),
-        edges=tuple(TreeEdge(i=i, j=j, distance=1.0, rho=0.5) for i, j in pairs),
-    )
 
 
 def _random_symmetric(rng, n):
@@ -79,6 +72,11 @@ def _random_correlation(rng, n, rounded):
         rho = np.round(rho, 1)
     np.fill_diagonal(rho, 1.0)
     return rho
+
+
+def _modularity(weights, part, c):
+    """The oracle's modularity of a partition's communities, in label order."""
+    return modularity_direct(weights, [part.communities[lab] for lab in c.labels])
 
 
 def _bits(values):
@@ -106,7 +104,8 @@ def test_network_layer_matches_loop_references_bitwise():
         d = distance_matrix(c)
         tree = minimum_spanning_tree(d, rho=c.values)
         expected = prim_mst_loop(d.values, c.values)
-        got = [(e.i, e.j, e.distance, e.rho) for e in tree.edges]
+        got = [(*ij, d, r) for ij, d, r in
+               zip(tree_pairs(tree), tree.distance.tolist(), tree.rho.tolist())]
         assert [e[:2] for e in got] == [e[:2] for e in expected]
         assert _bits([x for e in got for x in e[2:]]) == _bits(
             [x for e in expected for x in e[2:]]
@@ -115,9 +114,8 @@ def test_network_layer_matches_loop_references_bitwise():
         _assert_path_lengths_match(tree, n, loop_edges)
         resolution = (1.0, 0.5, 1.5)[case % 3]
         part = louvain(c, resolution=resolution, seed=case)
-        members, q, _ = louvain_loop(rho, resolution, seed=case)
+        members, _, _ = louvain_loop(rho, resolution, seed=case)
         assert [part.communities[lab] for lab in c.labels] == members
-        assert _bits([part.modularity]) == _bits([q])
 
 
 def test_louvain_phases_match_loop_references_bitwise():
@@ -173,10 +171,7 @@ def test_mean_path_length_matches_loop_on_forests():
         ]
         edges = [edges[k] for k in rng.permutation(len(edges))]
         edges = [(b, a, w) if rng.uniform() < 0.5 else (a, b, w) for a, b, w in edges]
-        tree = SpanningTree(
-            labels=tuple(f"A{i}" for i in range(n)),
-            edges=tuple(TreeEdge(i=a, j=b, distance=w, rho=0.0) for a, b, w in edges),
-        )
+        tree = tree_from_edges(n, edges)
         _assert_path_lengths_match(tree, n, edges)
 
 
@@ -185,7 +180,7 @@ def test_mean_path_length_matches_loop_on_forests():
 )
 def test_mean_path_length_rejects_cycles(pairs):
     with pytest.raises(ShapeMismatchError):
-        mean_path_length(_tree(4, pairs))
+        mean_path_length(tree_from_edges(4, pairs))
 
 
 def test_distance_reference_points():
@@ -221,7 +216,7 @@ def test_distance_metricity_on_random_matrices():
 def test_mst_three_nodes():
     d = _dist([[0.0, 0.1, 0.2], [0.1, 0.0, 0.9], [0.2, 0.9, 0.0]])
     tree = minimum_spanning_tree(d)
-    assert {(e.i, e.j) for e in tree.edges} == {(0, 1), (0, 2)}
+    assert set(tree_pairs(tree)) == {(0, 1), (0, 2)}
     assert tree_weight(tree) == pytest.approx(0.3, abs=1e-12)
 
 
@@ -241,10 +236,10 @@ def test_mst_matches_bruteforce_and_monotone_invariance():
         tree = minimum_spanning_tree(_dist(mat))
         oracle_weight, oracle_edges = brute_force_mst(mat)
         assert tree_weight(tree) == oracle_weight
-        edge_set = {(e.i, e.j) for e in tree.edges}
+        edge_set = set(tree_pairs(tree))
         assert edge_set == oracle_edges
         squared = minimum_spanning_tree(_dist(mat**2))
-        assert {(e.i, e.j) for e in squared.edges} == edge_set
+        assert set(tree_pairs(squared)) == edge_set
 
 
 def test_mst_deterministic_tie_breaking():
@@ -253,7 +248,7 @@ def test_mst_deterministic_tie_breaking():
     mat = np.ones((n, n))
     np.fill_diagonal(mat, 0.0)
     tree = minimum_spanning_tree(_dist(mat))
-    assert {(e.i, e.j) for e in tree.edges} == {(0, 1), (0, 2), (0, 3), (0, 4)}
+    assert set(tree_pairs(tree)) == {(0, 1), (0, 2), (0, 3), (0, 4)}
 
 
 def test_handshake_lemma():
@@ -264,31 +259,28 @@ def test_handshake_lemma():
 
 
 def test_degree_distribution_star_and_path():
-    star = _tree(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+    star = tree_from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
     dd = degree_distribution(star)
-    assert sorted(dd.node_degrees.tolist()) == [1, 1, 1, 1, 4]
-    assert survival_at(dd, 1) == 1.0
-    assert survival_at(dd, 2) == pytest.approx(0.2)
-    assert survival_at(dd, 4) == pytest.approx(0.2)
-    path = _tree(4, [(0, 1), (1, 2), (2, 3)])
+    assert sorted(star.degrees().tolist()) == [1, 1, 1, 1, 4]
+    assert dd.degrees.tolist() == [1, 4]
+    assert dd.survival.tolist() == [1.0, 0.2]
+    assert survival_at(star.degrees(), 2) == pytest.approx(0.2)
+    path = tree_from_edges(4, [(0, 1), (1, 2), (2, 3)])
     dd = degree_distribution(path)
-    assert survival_at(dd, 2) == pytest.approx(0.5)
+    assert dd.survival.tolist() == [1.0, 0.5]
+    assert survival_at(path.degrees(), 2) == pytest.approx(0.5)
 
 
 def test_powerlaw_exact_recovery():
     ks = np.arange(1, 11)
-    dd = DegreeDistribution(
-        degrees=ks,
-        survival=ks.astype(float) ** -1.5,
-        node_degrees=ks,
-    )
+    dd = DegreeDistribution(degrees=ks, survival=ks.astype(float) ** -1.5)
     gamma, se = powerlaw_fit(dd)
     assert gamma == pytest.approx(1.5, abs=1e-12)
     assert se < 1e-12
 
 
 def test_powerlaw_star_insufficient_support():
-    star = _tree(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+    star = tree_from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
     with pytest.raises(InsufficientSupportError):
         powerlaw_fit(degree_distribution(star))
 
@@ -311,7 +303,7 @@ def test_powerlaw_matches_independent_regression():
             edges.append((min(target, v), max(target, v)))
             degrees[target] += 1
             degrees[v] += 1
-        dd = degree_distribution(_tree(n, edges))
+        dd = degree_distribution(tree_from_edges(n, edges))
         try:
             gamma, se = powerlaw_fit(dd)
         except InsufficientSupportError:
@@ -323,10 +315,10 @@ def test_powerlaw_matches_independent_regression():
 
 
 def test_mean_path_length_closed_forms():
-    star80 = _tree(80, [(0, k) for k in range(1, 80)])
+    star80 = tree_from_edges(80, [(0, k) for k in range(1, 80)])
     assert mean_path_length(star80) == pytest.approx(2 * 79 / 80, abs=1e-12)
     assert mean_path_length(star80) == pytest.approx(1.975, abs=1e-12)
-    path4 = _tree(4, [(0, 1), (1, 2), (2, 3)])
+    path4 = tree_from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert mean_path_length(path4) == pytest.approx((1 + 2 + 3 + 1 + 2 + 1) / 6, abs=1e-12)
 
 
@@ -335,20 +327,14 @@ def test_mean_path_length_against_floyd_warshall():
     for n in (3, 5, 7, 9):
         for _ in range(10):
             tree = minimum_spanning_tree(_dist(_random_symmetric(rng, n)))
-            hops = all_pairs_hops(n, [(e.i, e.j) for e in tree.edges])
+            hops = all_pairs_hops(n, tree_pairs(tree))
             expected = hops[np.triu_indices(n, 1)].mean()
             assert mean_path_length(tree) == pytest.approx(expected, abs=1e-12)
             assert 1.0 <= mean_path_length(tree) <= (n + 1) / 3 + 1e-12
 
 
 def test_mean_path_length_weighted_variant():
-    tree = SpanningTree(
-        labels=("a", "b", "c"),
-        edges=(
-            TreeEdge(0, 1, distance=0.5, rho=0.9),
-            TreeEdge(1, 2, distance=0.25, rho=0.95),
-        ),
-    )
+    tree = tree_from_edges(3, [(0, 1, 0.5), (1, 2, 0.25)], labels=("a", "b", "c"))
     # pairs: a-b 0.5, b-c 0.25, a-c 0.75
     assert mean_path_length(tree, weighted=True) == pytest.approx(0.5, abs=1e-12)
 
@@ -361,7 +347,8 @@ def test_louvain_two_planted_blocks_match_exhaustive():
                 if i != j:
                     mat[i, j] = 0.8
     np.fill_diagonal(mat, 1.0)
-    part = louvain(_corr(mat), resolution=1.0, seed=0)
+    c = _corr(mat)
+    part = louvain(c, resolution=1.0, seed=0)
     groups = {}
     for lab, cid in part.communities.items():
         groups.setdefault(cid, set()).add(lab)
@@ -372,19 +359,20 @@ def test_louvain_two_planted_blocks_match_exhaustive():
     weights = np.maximum(mat, 0.0).copy()
     np.fill_diagonal(weights, 0.0)
     best_q, _ = best_partition_exhaustive(weights)
-    assert part.modularity == pytest.approx(best_q, abs=1e-12)
+    assert _modularity(weights, part, c) == pytest.approx(best_q, abs=1e-12)
 
 
 def test_louvain_uniform_positive_matrix_single_community():
     mat = np.full((6, 6), 0.4)
     np.fill_diagonal(mat, 1.0)
-    part = louvain(_corr(mat), resolution=1.0, seed=1)
+    c = _corr(mat)
+    part = louvain(c, resolution=1.0, seed=1)
     assert n_communities(part) == 1
     weights = np.full((6, 6), 0.4)
     np.fill_diagonal(weights, 0.0)
     best_q, best_parts = best_partition_exhaustive(weights)
     assert len(best_parts) == 1
-    assert part.modularity == pytest.approx(best_q, abs=1e-12)
+    assert _modularity(weights, part, c) == pytest.approx(best_q, abs=1e-12)
 
 
 def test_louvain_recovers_uneven_blocks():
@@ -416,7 +404,6 @@ def test_louvain_all_nonpositive_weights_flagged():
     part = louvain(_corr(mat))
     assert part.degenerate
     assert n_communities(part) == 4
-    assert part.modularity == 0.0
 
 
 @pytest.mark.parametrize("resolution", [float("nan"), float("inf"), 0.0, -1.0])
@@ -442,8 +429,8 @@ def test_louvain_modularity_monotone_and_beats_singletons():
         assert np.all(np.diff(history) >= -1e-12)
         weights = np.maximum(mat, 0.0).copy()
         np.fill_diagonal(weights, 0.0)
-        singleton_q = modularity(weights, np.arange(10))
-        assert part.modularity >= singleton_q - 1e-12
+        singleton_q = modularity_direct(weights, range(10))
+        assert _modularity(weights, part, c) >= singleton_q - 1e-12
 
 
 def test_louvain_partition_is_exact_cover():
@@ -457,20 +444,20 @@ def test_louvain_partition_is_exact_cover():
 
 
 def test_cluster_track_basics():
-    p1 = Partition(communities={"a": 0, "b": 0, "c": 1}, modularity=0.1)
+    p1 = Partition(communities={"a": 0, "b": 0, "c": 1})
     labels, raster = cluster_track([p1], anchor="a")
     assert labels == ("a", "b", "c")
     assert raster.tolist() == [[True, True, False]]
-    p2 = Partition(communities={"a": 2, "b": 0, "c": 1}, modularity=0.1)
+    p2 = Partition(communities={"a": 2, "b": 0, "c": 1})
     labels, raster = cluster_track([p2], anchor="a")
     assert raster.tolist() == [[True, False, False]]
 
 
 def test_cluster_track_three_windows_matches_enumeration():
     parts = [
-        Partition(communities={"a": 0, "b": 0, "c": 1, "d": 1}, modularity=0.0),
-        Partition(communities={"a": 0, "b": 1, "c": 0, "d": 1}, modularity=0.0),
-        Partition(communities={"a": 3, "b": 3, "c": 3, "d": 0}, modularity=0.0),
+        Partition(communities={"a": 0, "b": 0, "c": 1, "d": 1}),
+        Partition(communities={"a": 0, "b": 1, "c": 0, "d": 1}),
+        Partition(communities={"a": 3, "b": 3, "c": 3, "d": 0}),
     ]
     labels, raster = cluster_track(parts, anchor="b")
     assert labels == ("a", "b", "c", "d")

@@ -31,10 +31,9 @@ from qdcca.emit import write_outputs
 from qdcca.errors import CorrelationBoundWarning, EmptyIntersectionError, QdccaError
 from qdcca.network import (
     DistanceMatrix,
-    SpanningTree,
-    TreeEdge,
     _aggregate,
     _local_phase,
+    degree_distribution,
     louvain,
     mean_path_length,
     minimum_spanning_tree,
@@ -58,6 +57,9 @@ from oracles import (
     local_phase_loop,
     louvain_loop,
     prufer_tree_edges,
+    survival_at,
+    tree_from_edges,
+    tree_pairs,
     tree_weight,
 )
 
@@ -390,7 +392,7 @@ def test_prim_matches_exhaustive_mst(mat):
     weight, edges = brute_force_mst(mat)
     assert tree_weight(tree) == weight
     if _distinct_weights(mat):
-        assert {(e.i, e.j) for e in tree.edges} == edges
+        assert set(tree_pairs(tree)) == edges
 
 
 @settings(max_examples=100, deadline=None)
@@ -402,8 +404,7 @@ def test_prim_tree_is_invariant_under_increasing_reweighting(mat, seed):
     steps = np.random.default_rng(seed).uniform(0.01, 5.0, values.size)
     reweighted = np.cumsum(steps)[rank.reshape(mat.shape)]
     np.fill_diagonal(reweighted, 0.0)
-    before = [(e.i, e.j) for e in _mst(mat).edges]
-    assert [(e.i, e.j) for e in _mst(reweighted).edges] == before
+    assert tree_pairs(_mst(reweighted)) == tree_pairs(_mst(mat))
 
 
 @settings(max_examples=100, deadline=None)
@@ -413,8 +414,8 @@ def test_prim_tree_follows_relabelling(mat, random):
     perm = list(range(mat.shape[0]))
     random.shuffle(perm)
     relabelled = _mst(mat[np.ix_(perm, perm)])
-    mapped = {tuple(sorted((perm[e.i], perm[e.j]))) for e in relabelled.edges}
-    assert mapped == {(e.i, e.j) for e in _mst(mat).edges}
+    mapped = {tuple(sorted((perm[i], perm[j]))) for i, j in tree_pairs(relabelled)}
+    assert mapped == set(tree_pairs(_mst(mat)))
 
 
 @st.composite
@@ -447,7 +448,6 @@ def test_louvain_is_reproducible_per_seed(c, seed):
     first = louvain(c, seed=seed)
     again = louvain(c, seed=seed)
     assert again.communities == first.communities
-    assert again.modularity == first.modularity
 
 
 @st.composite
@@ -473,14 +473,13 @@ def _tie_forcing_correlations(draw):
        st.integers(0, 2**32 - 1))
 def test_louvain_matches_the_loop_oracle_bitwise(rho, resolution, seed):
     # The screen may skip only visits that cannot move a node, so every
-    # level's membership and generator state, and the final partition and
-    # modularity bits, are the literal per-node loop's.
+    # level's membership and generator state, and the final partition, are
+    # the literal per-node loop's.
     labels = tuple(f"A{i}" for i in range(rho.shape[0]))
     c = DetrendedCorrelationMatrix(values=rho, labels=labels, q=2.0, scale=10)
     part = louvain(c, resolution=resolution, seed=seed)
-    members, q, _ = louvain_loop(rho, resolution, seed=seed)
+    members, _, _ = louvain_loop(rho, resolution, seed=seed)
     assert [part.communities[lab] for lab in labels] == members
-    assert np.float64(part.modularity).tobytes() == np.float64(q).tobytes()
     weights = np.maximum(rho, 0.0)
     np.fill_diagonal(weights, 0.0)
     two_m = weights.sum()
@@ -498,15 +497,39 @@ def test_louvain_matches_the_loop_oracle_bitwise(rho, resolution, seed):
         ref_level, _ = aggregate_loop(ref_level, want)
 
 
+@st.composite
+def _trees(draw):
+    """A Pruefer-decoded random tree, a star or a path on 2-200 nodes."""
+    n = draw(st.integers(2, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["prufer", "star", "path"]))
+    if shape == "prufer":
+        pairs = prufer_tree_edges(rng.integers(0, n, n - 2).tolist(), n)
+    elif shape == "star":
+        hub = int(rng.integers(0, n))
+        pairs = [(hub, v) for v in range(n) if v != hub]
+    else:
+        order = rng.permutation(n).tolist()
+        pairs = list(zip(order, order[1:]))
+    return tree_from_edges(n, pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees())
+def test_degree_survival_is_the_mean_of_degrees_at_least_k(tree):
+    degrees = tree.degrees()
+    dd = degree_distribution(tree)
+    assert dd.degrees.tolist() == sorted(set(degrees.tolist()))
+    want = [survival_at(degrees, k) for k in dd.degrees.tolist()]
+    assert dd.survival.tobytes() == np.array(want).tobytes()
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 30), st.integers(0, 2**32 - 1))
 def test_mean_path_length_is_mean_pairwise_hops(n, seed):
     rng = np.random.default_rng(seed)
     pairs = prufer_tree_edges(rng.integers(0, n, n - 2).tolist(), n)
-    tree = SpanningTree(
-        labels=tuple(f"A{i}" for i in range(n)),
-        edges=tuple(TreeEdge(i=i, j=j, distance=1.0, rho=0.0) for i, j in pairs),
-    )
+    tree = tree_from_edges(n, pairs)
     hops = all_pairs_hops(n, pairs)
     assert mean_path_length(tree) == hops[np.triu_indices(n, 1)].mean()
 
@@ -521,10 +544,7 @@ def test_mean_path_length_ignores_edge_order_and_orientation(n, seed):
                 zip(shuffled, rng.integers(0, 2, len(shuffled)))]
 
     def mean(edges):
-        return mean_path_length(SpanningTree(
-            labels=tuple(f"A{i}" for i in range(n)),
-            edges=tuple(TreeEdge(i=i, j=j, distance=1.0, rho=0.0) for i, j in edges),
-        ))
+        return mean_path_length(tree_from_edges(n, edges))
 
     assert np.float64(mean(shuffled)).tobytes() == np.float64(mean(pairs)).tobytes()
 
