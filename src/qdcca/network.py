@@ -39,11 +39,28 @@ the exact visit's ``comm_total[c] -= S; comm_total[c] += S``: that round
 trip need not return the same float, and later gains read its bits.
 Every other node gets the exact visit, so partitions and generator draws
 are bit-identical to visiting every node.
+
+`minimum_spanning_tree` and `louvain` also take a sequence of K matrices
+of one size, and then grow the K results in lock-step, one round of numpy
+calls for all K instead of one per matrix.  Each result is bit-identical
+to the one its matrix gives alone:
+- Prim keeps a (K, n) state.  Each tree takes its own argmin, settles its
+  own ties by its own (weight, min node, max node) keys and updates its
+  own candidates from its own row, so every tree makes exactly the
+  comparisons it makes alone.
+- Louvain runs the first sweep of its level-0 phase over all K problems.
+  At node u, one `bincount` over ``membership + k n`` (problem k's
+  communities shifted to bins k n .. k n + n - 1) gives every problem's
+  links.  bincount adds in index order, so each problem's bins receive its
+  terms in node order, from +0.0, as its own call adds them.  Gains,
+  maxima and tie floors are elementwise per problem.  Each problem settles
+  its ties with its own generator, in node order, so it draws what it
+  draws alone.  The later sweeps, screened, and the upper levels run per
+  problem, with the same code a single matrix takes (K = 1).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -118,58 +135,80 @@ def distance_matrix(c: DetrendedCorrelationMatrix) -> DistanceMatrix:
 
 
 def minimum_spanning_tree(
-    d: DistanceMatrix, rho: np.ndarray | None = None
-) -> SpanningTree:
+    d: DistanceMatrix | list[DistanceMatrix], rho=None
+) -> SpanningTree | list[SpanningTree]:
     """Prim's algorithm over the dense distance matrix.
 
     Ties are broken on (weight, min node index, max node index), so equal
     inputs always yield the same tree.  ``rho`` optionally supplies the
     companion coefficients stored with the edges; by default they are
     recovered from the distances.
+
+    ``d`` may also be a sequence of K distance matrices of one size, with
+    ``rho`` None or a sequence of K arrays: the K trees then grow in one
+    lock-step Prim and come back as a list.  Each tree makes the
+    comparisons it makes alone, so it is the same tree, bit for bit.
     """
-    dist = d.values
-    n = d.dim
+    single = isinstance(d, DistanceMatrix)
+    mats = [d] if single else list(d)
+    rhos = [rho] if single else [None] * len(mats) if rho is None else list(rho)
+    if len({m.dim for m in mats}) != 1 or len(rhos) != len(mats):
+        raise ShapeMismatchError("need one or more distance matrices of one size")
+    # The matrices stay apart: a step gathers one row from each, and a
+    # stacked copy would double the memory they hold.
+    dist = [m.values for m in mats]
+    n_trees, n = len(dist), mats[0].dim
     if n < 2:
         raise ShapeMismatchError("need at least 2 nodes")
-    if not np.all(np.isfinite(dist)):
+    if not all(np.isfinite(x).all() for x in dist):
         raise ShapeMismatchError("distance matrix contains non-finite entries")
-    if rho is None:
-        rho = 1.0 - dist**2 / 2.0
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[0] = True
-    best_weight = dist[0].copy()
-    best_weight[0] = np.inf  # a node in the tree is never picked again
-    best_from = np.zeros(n, dtype=np.int64)
-    ends = np.empty((2, n - 1), dtype=np.int64)
+    trees = np.arange(n_trees)
+    in_tree = np.zeros((n_trees, n), dtype=bool)
+    in_tree[:, 0] = True
+    best_weight = np.array([x[0] for x in dist])
+    best_weight[:, 0] = np.inf  # a node in the tree is never picked again
+    best_from = np.zeros((n_trees, n), dtype=np.int64)
+    ends = np.empty((n_trees, 2, n - 1), dtype=np.int64)
     for k in range(n - 1):
-        v = int(best_weight.argmin())
-        tied = np.nonzero(best_weight == best_weight[v])[0]
-        if tied.size > 1:
-            u = best_from[tied]
-            v = int(tied[np.lexsort((np.maximum(u, tied), np.minimum(u, tied)))[0]])
-        u = int(best_from[v])
-        ends[:, k] = (u, v) if u < v else (v, u)
-        in_tree[v] = True
-        best_weight[v] = np.inf
-        row = dist[v]
+        v = best_weight.argmin(axis=1)
+        tied = best_weight == best_weight[trees, v, None]
+        if np.count_nonzero(tied) > n_trees:
+            for t in np.flatnonzero(tied.sum(axis=1) > 1):
+                w = tied[t].nonzero()[0]
+                u = best_from[t, w]
+                v[t] = w[np.lexsort((np.maximum(u, w), np.minimum(u, w)))[0]]
+        u = best_from[trees, v]
+        ends[:, 0, k] = np.minimum(u, v)
+        ends[:, 1, k] = np.maximum(u, v)
+        in_tree[trees, v] = True
+        best_weight[trees, v] = np.inf
+        row = np.array([x[r] for x, r in zip(dist, v.tolist())])
         improved = (row < best_weight) & ~in_tree
         # Equal weights keep the incumbent only if its (min, max) key is
         # smaller; otherwise the new attachment wins the tie.
-        w = np.nonzero(row == best_weight)[0]
+        t, w = np.nonzero(row == best_weight)
         if w.size:
-            old_u = best_from[w]
-            lo, old_lo = np.minimum(v, w), np.minimum(old_u, w)
-            hi, old_hi = np.maximum(v, w), np.maximum(old_u, w)
-            improved[w] = (lo < old_lo) | ((lo == old_lo) & (hi < old_hi))
-        best_weight[improved] = row[improved]
-        best_from[improved] = v
-    i, j = ends
-    return SpanningTree(d.labels, i, j, dist[i, j], rho[i, j])
+            old_u, new_u = best_from[t, w], v[t]
+            lo, old_lo = np.minimum(new_u, w), np.minimum(old_u, w)
+            hi, old_hi = np.maximum(new_u, w), np.maximum(old_u, w)
+            improved[t, w] = (lo < old_lo) | ((lo == old_lo) & (hi < old_hi))
+        np.copyto(best_weight, row, where=improved)
+        np.copyto(best_from, v[:, None], where=improved)
+    out = []
+    for m, dk, rk, (i, j) in zip(mats, dist, rhos, ends):
+        edge_d = dk[i, j]
+        edge_rho = 1.0 - edge_d**2 / 2.0 if rk is None else rk[i, j]
+        out.append(SpanningTree(m.labels, i, j, edge_d, edge_rho))
+    return out[0] if single else out
 
 
-def degree_distribution(tree: SpanningTree) -> DegreeDistribution:
-    """Survival function P(X >= k) over the tree's node degrees."""
-    distinct, counts = np.unique(tree.degrees(), return_counts=True)
+def degree_distribution(
+    tree: SpanningTree, degrees: np.ndarray | None = None
+) -> DegreeDistribution:
+    """Survival function P(X >= k) over the tree's node degrees;
+    ``degrees`` passes them in when the caller has counted them already."""
+    distinct, counts = np.unique(tree.degrees() if degrees is None else degrees,
+                                 return_counts=True)
     # Exact integer counts over n: the bits of the mean of degrees >= k.
     survival = np.cumsum(counts[::-1])[::-1] / len(tree.labels)
     return DegreeDistribution(degrees=distinct, survival=survival)
@@ -259,25 +298,76 @@ _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _UNDERFLOW = np.finfo(np.float64).smallest_subnormal  # bounds one op's absolute error
 
 
-def _local_phase(weights: np.ndarray, two_m: float, resolution: float, rng) -> np.ndarray:
+def _local_phase(weights: np.ndarray, two_m, resolution: float, rng) -> np.ndarray:
     # One sweep phase of greedy moves.  Gains are compared in the scaled
     # form links - resolution * k_u * total_D / two_m (the true gain times
     # two_m / 2), which preserves the argmax.  A node moves only on a
     # strictly positive improvement over staying put, so modularity rises
-    # with every move and the phase terminates.  From the second sweep on,
-    # a screen clears the visits that cannot move a node (module notes).
-    n = weights.shape[0]
-    membership = np.arange(n)
-    strength = weights.sum(axis=1)  # self-loop mass included
+    # with every move and the phase terminates.  ``weights`` may be a
+    # (K, n, n) stack, with ``two_m`` and ``rng`` sequences of K: the first
+    # sweep then runs in lock-step over the K problems (module notes), and
+    # the later ones, screened, per problem.
+    stack = weights.reshape(-1, *weights.shape[-2:])
+    two_ms = np.reshape(two_m, -1)
+    rngs = [rng] if weights.ndim == 2 else list(rng)
+    strength = stack.sum(axis=2)  # self-loop mass included
     comm_total = strength.copy()
     pull = resolution * strength
-    links_of = weights.copy()  # a node's links to others leave its self-loop out
-    np.fill_diagonal(links_of, 0.0)
+    links_of = stack  # a node's links to others leave its self-loop out
+    if np.diagonal(stack, axis1=1, axis2=2).any():
+        links_of = stack.copy()
+        links_of[:, np.arange(stack.shape[1]), np.arange(stack.shape[1])] = 0.0
+    membership = np.tile(np.arange(stack.shape[1]), (len(stack), 1))
+    moved = _first_sweep(membership, links_of, strength, comm_total, pull, two_ms, rngs)
+    for k in np.flatnonzero(moved):
+        _later_sweeps(membership[k], links_of[k], strength[k], comm_total[k], pull[k],
+                      two_ms[k], rngs[k])
+    return membership.reshape(weights.shape[:-1])
+
+
+def _first_sweep(membership, links_of, strength, comm_total, pull, two_m, rngs):
+    """Visit every node of K singleton problems once, in lock-step, and
+    return which problems moved one.  Node u is still alone at its visit."""
+    n_problems, n = membership.shape
+    problems = np.arange(n_problems)
+    offsets = problems[:, None] * n
+    two_m = two_m[:, None]
+    moved = np.zeros(n_problems, dtype=bool)
+    for u in range(n):
+        s = strength[:, u]
+        comm_total[:, u] -= s
+        # Summed in node order per problem; zero weights add +0.0.
+        links = np.bincount((membership + offsets).ravel(), weights=links_of[:, u].ravel(),
+                            minlength=n_problems * n).reshape(n_problems, n)
+        gains = links - pull[:, u, None] * comm_total / two_m
+        stay = gains[:, u] + 1e-12
+        # Only a linked community can gain.  Masking only lowers gains, so
+        # masking before the max settles every visit as masking after it.
+        gains[links <= 0.0] = -np.inf
+        top = gains.max(axis=1)
+        go = top > stay
+        dest = u  # where each problem's node u ends up
+        if go.any():
+            # gains > stay is gains >= nextafter(stay); a staying problem ties nowhere.
+            tied = gains >= np.maximum(top - 1e-12, np.nextafter(stay, np.inf))[:, None]
+            dest = np.where(go, tied.argmax(axis=1), u)
+            if np.count_nonzero(tied) > np.count_nonzero(go):
+                for k in np.flatnonzero(tied.sum(axis=1) > 1):
+                    dest[k] = rngs[k].choice(tied[k].nonzero()[0])
+            moved |= go
+        comm_total[problems, dest] += s
+        membership[:, u] = dest
+    return moved
+
+
+def _later_sweeps(membership, links_of, strength, comm_total, pull, two_m, rng):
+    """Sweep one problem after its first sweep until no node moves; a
+    screen clears the visits that cannot move a node (module notes)."""
     strengths = strength.tolist()
-    for sweep in itertools.count():
-        # The first sweep starts from singletons: nothing to screen.
-        screen = _Screen(membership, links_of, strength, pull, two_m) if sweep else None
-        cleared = screen.cleared(comm_total, 0).tolist() if sweep else [False] * n
+    moved = True
+    while moved:
+        screen = _Screen(membership, links_of, strength, pull, two_m)
+        cleared = screen.cleared(comm_total, 0).tolist()
         moved = False
         # Only node u's own visit moves it, so the snapshot is current at u.
         for u, cu in enumerate(membership.tolist()):
@@ -288,7 +378,7 @@ def _local_phase(weights: np.ndarray, two_m: float, resolution: float, rng) -> n
                 continue
             comm_total[cu] -= s
             # Summed in node order; zero weights add +0.0 and change nothing.
-            links = np.bincount(membership, weights=links_of[u], minlength=n)
+            links = np.bincount(membership, weights=links_of[u], minlength=membership.size)
             gains = links - pull[u] * comm_total / two_m
             stay = float(gains[cu]) + 1e-12
             # Most visits move nothing; the max alone rejects them.
@@ -306,11 +396,8 @@ def _local_phase(weights: np.ndarray, two_m: float, resolution: float, rng) -> n
             comm_total[target] += s
             membership[u] = target
             moved = True
-            if screen is not None:
-                screen.move(u, target)
-                cleared[u + 1:] = screen.cleared(comm_total, u + 1).tolist()
-        if not moved:
-            return membership
+            screen.move(u, target)
+            cleared[u + 1:] = screen.cleared(comm_total, u + 1).tolist()
 
 
 class _Screen:
@@ -359,8 +446,10 @@ class _Screen:
 
 
 def louvain(
-    c: DetrendedCorrelationMatrix, resolution: float = 1.0, seed: int = 0
-) -> Partition:
+    c: DetrendedCorrelationMatrix | list[DetrendedCorrelationMatrix],
+    resolution: float = 1.0,
+    seed: int | list[int] = 0,
+) -> Partition | list[Partition]:
     """Two-phase greedy modularity maximization on max(rho, 0) edge weights.
 
     Node sweeps run in label order; equal-gain moves are settled by the
@@ -369,34 +458,61 @@ def louvain(
     trivial one-node-per-community partition is returned, flagged.  A
     resolution that is not finite and positive raises ConfigError.  Only
     the communities are returned; their modularity is not computed.
+
+    ``c`` may also be a sequence of K matrices of one size, with ``seed`` a
+    sequence of K seeds: their first sweeps then run in lock-step and a
+    list of K partitions comes back, each the one its matrix and seed give
+    alone.
     """
-    n = c.dim
+    single = isinstance(c, DetrendedCorrelationMatrix)
+    problems = [c] if single else list(c)
+    seeds = [seed] if single else list(seed)
+    if len({p.dim for p in problems}) != 1 or len(seeds) != len(problems):
+        raise ShapeMismatchError("need one or more matrices of one size, one seed each")
+    n = problems[0].dim
     if n < 2:
         raise ShapeMismatchError("need at least 2 nodes")
     if not (0.0 < resolution < math.inf):
         raise ConfigError(f"resolution must be finite and positive, got {resolution}")
-    weights = np.maximum(c.values, 0.0, dtype=np.float64)
-    np.fill_diagonal(weights, 0.0)
-    two_m = weights.sum()
-    if two_m == 0.0:
-        return Partition(
-            communities={lab: i for i, lab in enumerate(c.labels)}, degenerate=True
-        )
-    rng = np.random.default_rng(seed)
-    membership = np.arange(n)
+    weights = np.empty((len(problems), n, n))
+    for w, p in zip(weights, problems):
+        np.maximum(p.values, 0.0, out=w)
+        np.fill_diagonal(w, 0.0)
+    two_m = np.array([w.sum() for w in weights])
+    rngs = [np.random.default_rng(s) for s in seeds]
+    out = [
+        Partition(communities={lab: i for i, lab in enumerate(p.labels)}, degenerate=True)
+        for p in problems
+    ]
+    live, local = np.flatnonzero(two_m != 0.0), []
+    if live.size == 1:  # one problem's phase takes its plain matrix, as alone
+        k = live[0]
+        local = _local_phase(weights[k], two_m[k], resolution, rngs[k])[None]
+    elif live.size:
+        stack = weights if live.size == len(weights) else weights[live]
+        local = _local_phase(stack, two_m[live], resolution, [rngs[k] for k in live])
+    for k, level in zip(live.tolist(), local):
+        out[k] = _upper_levels(problems[k].labels, weights[k], level, two_m[k], resolution,
+                               rngs[k])
+    return out[0] if single else out
+
+
+def _upper_levels(labels, weights, local, two_m, resolution, rng) -> Partition:
+    """Aggregate a problem's level-0 phase and run its upper levels."""
+    membership = np.arange(len(labels))
     level_weights = weights
     while True:
-        local = _local_phase(level_weights, two_m, resolution, rng)
         n_groups = np.unique(local).size
         no_moves = n_groups == level_weights.shape[0]
         level_weights, compact = _aggregate(level_weights, local)
         membership = compact[membership]
         if no_moves or level_weights.shape[0] == 1:
             break
+        local = _local_phase(level_weights, two_m, resolution, rng)
     # Community ids 0..k-1 in order of first appearance.
     _, first, inverse = np.unique(membership, return_index=True, return_inverse=True)
     final = np.argsort(np.argsort(first))[inverse]
-    return Partition(communities=dict(zip(c.labels, final.tolist())))
+    return Partition(communities=dict(zip(labels, final.tolist())))
 
 
 def cluster_track(

@@ -4,7 +4,7 @@ and lagged coefficients for every (window, q, scale) combination.
 Windows are independent work units and run concurrently on a thread pool
 (numpy releases the GIL inside the heavy kernels); results are collected
 back in window order before anything is written, and every random choice
-is seeded from (config seed, window index), so a sweep's output is
+is seeded from (config seed, window index, scale), so a sweep's output is
 byte-identical at any thread count.  A window that fails validation (too
 many gap fills, an asset constant inside the window, ...) is recorded in
 the skip log and the sweep continues.
@@ -32,6 +32,40 @@ a window adds the pieces whose partner ends inside it, in block order
 lags read, and a window that fails it is skipped with a reason that names
 the signed lag.  Normalization runs per window only to feed the residual
 pass, the one result it changes.
+
+A window's numbers (correlation matrices, spectra, lagged and mean
+coefficients) come from `compute_window` on the pool.  Its graphs (trees,
+topology rows, partitions) grow per wave of consecutive windows, in the
+calling thread (`_grow_graphs`): one lock-step Prim over every (window, q,
+s) tree of the wave and one lock-step Louvain over its (window, s)
+problems.  Wave w + 1's window jobs go to the pool before wave w's graphs
+grow, so the GIL-bound graph loops run beside the numeric work instead of
+taking turns with it.  Lock-step changes no bit (`network` notes: each
+tree makes its own comparisons, the offset `bincount` adds each problem's
+terms in node order, and each problem draws from its own generator), and
+a partition's seed is still drawn from (config seed, window index,
+scale).  So the outputs are those of one `compute_window` per window, at
+any thread count and wave length.
+
+A wave holds its windows' correlation matrices, 8 n^2 bytes each (|q| |s|
+per window with a tree family, |s| with clusters alone), until its graphs
+have grown.  Its length is the number of windows whose matrices fit in
+`_WAVE_BYTES` = 4 MiB, but at least the pool's thread count.  While a
+wave's graphs grow, its distance matrices take as many bytes again (the
+Louvain weights no more), and the next wave's matrices fill in, so the
+graph inputs alive at once stay under about 3 x 4 MiB.  The budget is set
+from two sides:
+- A lock-step step makes about 20 numpy calls for all K problems, against
+  about 10 per problem alone, so a stack wins from K = 3 or 4 on.  It gains
+  little once the per-problem work dominates the call overhead: measured
+  on a 2-core VM (in-process medians of 7), Prim at n = 80 took 3.7 ms for
+  8 trees one at a time against 1.5 ms stacked, and 12.5 against 3.0 ms
+  for 24; at n = 250, 13.3 against 7.2 ms for 8 trees.  A whole Louvain
+  of 8 problems at n = 250 took 24.9 against 16.2 ms.
+- 4 MiB holds 80 matrices at n = 80, 10 windows of the paper's shape
+  (80 trees and 40 Louvain problems per wave), and 8 matrices at n = 250.
+  At 8 MiB all six windows of the N = 250 benchmark fell into one wave,
+  and its peak RSS rose from 97 to 110 MB; at 4 MiB it rises by about 5%.
 """
 
 from __future__ import annotations
@@ -50,6 +84,13 @@ from .dfa import cross_fluctuation_matrices
 from .errors import ConfigError, QdccaError, ShapeMismatchError, ZeroVarianceError
 from .network import SpanningTree
 from .spectra import DetrendedCorrelationMatrix
+
+# Bytes of correlation matrices a wave of windows holds for its graphs
+# (module notes).
+_WAVE_BYTES = 4 << 20
+
+# Bytes of the boolean rows one step of the finite check builds.
+_CHECK_CHUNK = 1 << 18
 
 ALL_FAMILIES = ("spectra", "topology", "edges", "clusters", "lagged", "periods")
 
@@ -175,7 +216,7 @@ def _topology_row(tree: SpanningTree, verbose: bool) -> TopologyRow:
     degrees = tree.degrees()
     mean_path = network.mean_path_length(tree)
     try:
-        gamma, se = network.powerlaw_fit(network.degree_distribution(tree))
+        gamma, se = network.powerlaw_fit(network.degree_distribution(tree, degrees))
     except network.InsufficientSupportError:
         gamma, se = None, None
     extra = {}
@@ -190,6 +231,46 @@ def _topology_row(tree: SpanningTree, verbose: bool) -> TopologyRow:
     )
 
 
+def _grow_graphs(wave, cfg: AnalysisConfig, families) -> None:
+    """Fill in the trees, topology rows and partitions of a wave of windows,
+    each a (result, {(q, s): correlation matrix}) pair from `compute_window`:
+    one Prim over every tree of the wave, one Louvain over its (window, s)
+    problems."""
+    if not wave:
+        return
+    if {"topology", "edges"} & set(families):
+        grown = [(result, key, c) for result, held in wave for key, c in held.items()]
+        trees = network.minimum_spanning_tree(
+            [network.distance_matrix(c) for _, _, c in grown], rho=[c.values for _, _, c in grown]
+        )
+        for (result, key, _), tree in zip(grown, trees):
+            result.trees[key] = tree
+            result.topology[key] = _topology_row(tree, cfg.verbose)
+    if "clusters" in families:
+        problems = [(result, held, s) for result, held in wave for s in cfg.s]
+        seeds = [int(np.random.default_rng([cfg.seed, result.index, int(s)]).integers(2**31))
+                 for result, _, s in problems]
+        partitions = network.louvain(
+            [held[(cfg.q[0], s)] for _, held, s in problems],
+            resolution=cfg.resolution, seed=seeds,
+        )
+        for (result, _, s), partition in zip(problems, partitions):
+            result.partitions[s] = partition
+
+
+def _wave_length(n: int, n_windows: int, cfg: AnalysisConfig, families) -> int:
+    """How many windows grow their graphs together: as many as hold
+    `_WAVE_BYTES` of correlation matrices for the graph phase, and no fewer
+    than the pool threads, which the next wave keeps busy meanwhile."""
+    if {"topology", "edges"} & set(families):
+        held = len(cfg.q) * len(cfg.s)
+    else:
+        held = len(cfg.s) if "clusters" in families else 0
+    if not held:
+        return n_windows
+    return max(cfg.threads, _WAVE_BYTES // (8 * n * n * held))
+
+
 def gap_fill_skip(returns: ReturnMatrix, start: int, stop: int, max_missing: float):
     """Why samples [start, stop) are skipped for gap fills, or None."""
     if returns.filled is None:
@@ -200,16 +281,20 @@ def gap_fill_skip(returns: ReturnMatrix, start: int, stop: int, max_missing: flo
     return None
 
 
-def _check_finite(returns: ReturnMatrix) -> None:
-    """Raise on the first non-finite return, naming its series and sample.
-    A box's first return never enters its profile, so the kernel alone
-    would not see one there."""
-    for name, row in zip(returns.tickers, returns.values):
-        finite = np.isfinite(row)
+def _check_finite(returns: ReturnMatrix, start: int = 0, stop: int | None = None) -> None:
+    """Raise on the first non-finite return of samples [start, stop),
+    naming its series and sample.  A box's first return never enters its
+    profile, so the kernel alone would not see one there."""
+    values = returns.values[:, start:stop]
+    rows = max(1, _CHECK_CHUNK // max(1, values.shape[1]))
+    for lo in range(0, len(values), rows):
+        finite = np.isfinite(values[lo : lo + rows])
         if not finite.all():
-            k = int(finite.argmin())
-            raise ShapeMismatchError(f"{name}: return {row[k]} at sample {k} "
-                                     f"(timestamp {returns.timestamps[k]}) is not finite")
+            r, k = np.unravel_index(finite.argmin(), finite.shape)
+            row, k = lo + int(r), start + int(k)
+            raise ShapeMismatchError(
+                f"{returns.tickers[row]}: return {returns.values[row, k]} at sample {k} "
+                f"(timestamp {returns.timestamps[k]}) is not finite")
 
 
 def _normalized(returns: ReturnMatrix) -> ReturnMatrix:
@@ -304,13 +389,20 @@ def compute_window(
     cfg: AnalysisConfig,
     families,
     shared=None,
+    graphs=None,
 ) -> WindowResult:
     """All requested per-window products; pure function of its arguments.
+    A non-finite return in the window raises ShapeMismatchError.
 
     ``shared`` maps a scale to the `_stretch_sums` of the window's blocks,
     computed ahead (see the module docstring); a scale without them sums
-    the window itself as one stretch.
+    the window itself as one stretch.  ``graphs``, a dict, is given by a
+    sweep that has checked every return once: the window then leaves its
+    trees, topology rows and partitions to the sweep, and puts the
+    correlation matrices they grow from in ``graphs``, keyed by (q, s).
     """
+    if graphs is None:
+        _check_finite(returns, start, stop)
     reason = gap_fill_skip(returns, start, stop, cfg.max_missing)
     if reason is not None:
         raise QdccaError(reason)
@@ -330,6 +422,8 @@ def compute_window(
     if cfg.residual and "spectra" in families:
         residual_input = window_returns if cfg.global_norm else _normalized(window_returns)
     shared = shared or {}
+    held = {} if graphs is None else graphs
+    grow_trees = bool({"topology", "edges"} & set(families))
     parts = {
         s: shared.get(s)
         or [_stretch_sums(window_returns.values, 0, stop - start, s, cfg, need_corr, rows)]
@@ -350,20 +444,11 @@ def compute_window(
                 if residual_input is not None:
                     res = _residual_spectrum(residual_input, q, s, cfg, summary)
                 result.spectral[(q, s)] = _spectral_row(summary, res)
-            if {"topology", "edges"} & set(families):
-                tree = network.minimum_spanning_tree(
-                    network.distance_matrix(c), rho=c.values
-                )
-                result.trees[(q, s)] = tree
-                result.topology[(q, s)] = _topology_row(tree, cfg.verbose)
+            if grow_trees or ("clusters" in families and q == cfg.q[0]):
+                held[(q, s)] = c
             if 0 in cfg.lags and anchor_idx:
                 _anchor_means(result.lagged, 0, s, anchor_idx,
                               {q: c.values[np.ix_(anchor_rows, others)]})
-        if "clusters" in families:
-            seed = np.random.default_rng([cfg.seed, index, int(s)]).integers(2**31)
-            result.partitions[s] = network.louvain(
-                mats[cfg.q[0]], resolution=cfg.resolution, seed=int(seed)
-            )
     for s in cfg.s if rows else ():
         # The anchors' heads pair with the others' tails for a positive lag
         # and their tails with the others' heads for a negative one, so both
@@ -373,6 +458,8 @@ def compute_window(
                 if tau in cfg.lags:
                     _anchor_means(result.lagged, tau, s, anchor_idx,
                                   total.coefficients(tau, rows, others, s, tickers))
+    if graphs is None:
+        _grow_graphs([(result, held)], cfg, families)
     return result
 
 
@@ -410,21 +497,30 @@ def run_analysis(
     def worker(item):
         index, (start, stop) = item
         blocks = {s: [sums[s, b] for b in spans[index]] for s in shared} if index in spans else {}
+        held = {}
         try:
-            return compute_window(returns, start, stop, index, cfg, families, blocks)
+            return compute_window(returns, start, stop, index, cfg, families, blocks,
+                                  graphs=held), held
         except QdccaError as exc:
-            return (index, str(exc))
+            return index, str(exc)
 
+    width = _wave_length(len(returns.tickers), len(windows), cfg, families)
+    items = list(enumerate(windows))
+    waves = [items[lo : lo + width] for lo in range(0, len(items), width)]
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         # At one pool thread the work runs in the calling thread.
         run = pool.map if cfg.threads > 1 else map
         sums = dict(zip(jobs, run(block_sums, jobs)))
-        outcomes = list(run(worker, enumerate(windows)))
-    for outcome in outcomes:
-        if isinstance(outcome, WindowResult):
-            results.append(outcome)
-        else:
-            skipped.append(outcome)
+        pending = run(worker, waves[0])
+        for following in waves[1:] + [[]]:
+            done = list(pending)
+            # The next wave's windows run on the pool while this one's graphs grow.
+            pending = run(worker, following)
+            grown = [o for o in done if isinstance(o[0], WindowResult)]
+            _grow_graphs(grown, cfg, families)
+            results += [result for result, _ in grown]
+            skipped += [o for o in done if not isinstance(o[0], WindowResult)]
+            del done, grown  # the wave's matrices go before the next wave is awaited
     return SweepResult(
         windows=results,
         skipped=skipped,

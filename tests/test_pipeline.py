@@ -1,10 +1,12 @@
 import csv
 from dataclasses import replace
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from qdcca import pipeline
 from qdcca.config import AnalysisConfig
 from qdcca.data import ReturnMatrix, normalize
 from qdcca.dfa import DetrendConfig, rho_q_lagged
@@ -295,6 +297,48 @@ def test_run_analysis_names_a_non_finite_return(global_norm, bad):
     with pytest.raises(ShapeMismatchError) as err:
         run_analysis(cfg, replace(returns, values=values), families=("spectra",))
     assert str(err.value) == reason
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_compute_window_names_a_non_finite_return(bad):
+    # Called alone, a window checks its own samples: it used to return
+    # window 0 with the lambda1 of 0.0 in place of the NaN.
+    returns = _factor_matrix(4, 3_000, seed=3)
+    values = returns.values.copy()
+    values[1, 100] = bad
+    returns = replace(returns, values=values)
+    cfg = _small_cfg(q=(1.0, 2.0), s=(10,), window=1_440, step=1_440, lags=(0,))
+    with pytest.raises(ShapeMismatchError) as err:
+        compute_window(returns, 0, 1_440, 0, cfg, ("spectra",))
+    assert str(err.value) == (f"SYN01: return {bad} at sample 100 "
+                              f"(timestamp {returns.timestamps[100]}) is not finite")
+    later = compute_window(returns, 1_440, 2_880, 1, cfg, ("spectra",))
+    assert set(later.spectral) == {(1.0, 10), (2.0, 10)}
+
+
+@pytest.mark.parametrize("chunk", [1, 3_000 * 2, pipeline._CHECK_CHUNK])
+def test_finite_check_names_the_first_bad_return_in_row_order(chunk):
+    # Rows are checked a chunk at a time: the report is still the first
+    # non-finite value of the first series that has one.
+    returns = _factor_matrix(4, 3_000, seed=4)
+    values = returns.values.copy()
+    values[3, 7] = np.nan
+    values[2, 2_900] = np.inf
+    values[2, 2_950] = np.nan
+    with mock.patch.object(pipeline, "_CHECK_CHUNK", chunk):
+        with pytest.raises(ShapeMismatchError, match=r"^SYN02: return inf at sample 2900 "):
+            run_analysis(_small_cfg(), replace(returns, values=values))
+
+
+def test_sweep_checks_every_return_once():
+    # Windows overlap, so the sweep checks the returns in one pass and the
+    # windows it drives check nothing.
+    returns = _factor_matrix(4, 2_000, seed=6)
+    check = mock.Mock(wraps=pipeline._check_finite)
+    with mock.patch.object(pipeline, "_check_finite", check):
+        result = run_analysis(_small_cfg(), returns)
+    assert len(result.windows) == 3
+    assert check.call_count == 1 and check.call_args.args == (returns,)
 
 
 def test_compute_window_end_timestamp_label():

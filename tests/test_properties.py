@@ -2,9 +2,11 @@
 sweep's window arithmetic and the network layer over small random inputs."""
 
 import os
+import pickle
 import tempfile
 import warnings
 from math import gcd
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -27,6 +29,7 @@ from qdcca.dfa import (
     fluctuation_matrices,
     rho_q_lagged,
 )
+from qdcca import pipeline
 from qdcca.emit import write_outputs
 from qdcca.errors import CorrelationBoundWarning, EmptyIntersectionError, QdccaError
 from qdcca.network import (
@@ -41,6 +44,7 @@ from qdcca.network import (
 from qdcca.pipeline import (
     ALL_FAMILIES,
     WindowPlan,
+    compute_window,
     rolling_windows,
     run_analysis,
     threshold_periods,
@@ -56,6 +60,7 @@ from oracles import (
     build_return_matrix_pairwise,
     local_phase_loop,
     louvain_loop,
+    prim_mst_loop,
     prufer_tree_edges,
     survival_at,
     tree_from_edges,
@@ -419,6 +424,97 @@ def test_prim_tree_follows_relabelling(mat, random):
 
 
 @st.composite
+def _distance_stacks(draw):
+    """1-8 distance matrices of one size, each raw or rounded to one or two
+    decimals, so that equal weights occur within and across trees; half the
+    draws give each tree its own rho, the rest recover it from distances."""
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = []
+    for _ in range(draw(st.integers(1, 8))):
+        mat = rng.uniform(0.0, 2.0, (n, n))
+        mat = (mat + mat.T) / 2
+        digits = draw(st.sampled_from([None, 1, 2]))
+        if digits is not None:
+            mat = np.round(mat, digits)
+        np.fill_diagonal(mat, 0.0)
+        mats.append(mat)
+    rhos = [rng.uniform(-1.0, 1.0, (n, n)) for _ in mats] if draw(st.booleans()) else None
+    return mats, rhos
+
+
+@settings(max_examples=150, deadline=None)
+@given(_distance_stacks())
+def test_stacked_prim_grows_every_tree_as_it_grows_alone(stack):
+    # Each tree of the lock-step Prim keeps its own (weight, min, max) tie
+    # rule, so its edges, in Prim order, are the ones a K = 1 call and the
+    # literal loop give.
+    mats, rhos = stack
+    labels = tuple(f"A{i}" for i in range(mats[0].shape[0]))
+    ds = [DistanceMatrix(values=m, labels=labels, q=1.0, scale=10) for m in mats]
+    trees = minimum_spanning_tree(ds, rho=rhos)
+    assert len(trees) == len(ds)
+    for k, (d, tree) in enumerate(zip(ds, trees)):
+        rho = None if rhos is None else rhos[k]
+        alone = minimum_spanning_tree(d, rho=rho)
+        for name in ("i", "j", "distance", "rho"):
+            assert getattr(tree, name).tobytes() == getattr(alone, name).tobytes()
+        loop = prim_mst_loop(d.values, 1.0 - d.values**2 / 2.0 if rho is None else rho)
+        assert list(zip(tree.i.tolist(), tree.j.tolist())) == [e[:2] for e in loop]
+        assert tree.rho.tolist() == [e[3] for e in loop]
+
+
+@st.composite
+def _louvain_stacks(draw):
+    """1-6 symmetric problems of one size, each all non-positive (no edges),
+    small integers times a scale that makes totals inexact (tie-heavy), or
+    random coefficients; one seed each."""
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["degenerate", "integer", "random"]))
+        if kind == "degenerate":
+            rho = -rng.uniform(0.0, 1.0, (n, n))
+        elif kind == "integer":
+            rho = rng.integers(-1, 4, (n, n)) * draw(st.sampled_from([1.0, 0.1, 0.7e7]))
+        else:
+            rho = rng.uniform(-0.3, 1.0, (n, n))
+        upper = np.triu(rho, 1)
+        mats.append(upper + upper.T + np.eye(n))
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=len(mats), max_size=len(mats)))
+    return mats, seeds
+
+
+@settings(max_examples=150, deadline=None)
+@given(_louvain_stacks(), st.sampled_from([0.5, 1.0, 1.5]))
+def test_lock_step_louvain_gives_every_problem_its_own_partition(stack, resolution):
+    # The first sweep runs over all problems at once; each problem's sums,
+    # comparisons and generator draws are the ones it makes alone.
+    mats, seeds = stack
+    labels = tuple(f"A{i}" for i in range(mats[0].shape[0]))
+    cs = [DetrendedCorrelationMatrix(values=m, labels=labels, q=2.0, scale=10) for m in mats]
+    parts = louvain(cs, resolution=resolution, seed=seeds)
+    assert len(parts) == len(cs)
+    for c, seed, part in zip(cs, seeds, parts):
+        assert part == louvain(c, resolution=resolution, seed=seed)
+    weights = [np.maximum(m, 0.0) for m in mats]
+    for w in weights:
+        np.fill_diagonal(w, 0.0)
+    live = [k for k, w in enumerate(weights) if w.sum() > 0.0]
+    assume(live)
+    two_m = np.array([weights[k].sum() for k in live])
+    gens = [np.random.default_rng(seeds[k]) for k in live]
+    got = _local_phase(np.stack([weights[k] for k in live]), two_m, resolution, gens)
+    for row, k, gen, total in zip(got, live, gens, two_m):
+        alone_gen, loop_gen = np.random.default_rng(seeds[k]), np.random.default_rng(seeds[k])
+        assert np.array_equal(row, _local_phase(weights[k], total, resolution, alone_gen))
+        assert np.array_equal(row, local_phase_loop(weights[k], total, resolution, loop_gen))
+        assert gen.bit_generator.state == alone_gen.bit_generator.state
+        assert gen.bit_generator.state == loop_gen.bit_generator.state
+
+
+@st.composite
 def _correlations(draw):
     n = draw(st.integers(2, 16))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -522,6 +618,9 @@ def test_degree_survival_is_the_mean_of_degrees_at_least_k(tree):
     assert dd.degrees.tolist() == sorted(set(degrees.tolist()))
     want = [survival_at(degrees, k) for k in dd.degrees.tolist()]
     assert dd.survival.tobytes() == np.array(want).tobytes()
+    counted = degree_distribution(tree, degrees)
+    assert counted.degrees.tobytes() == dd.degrees.tobytes()
+    assert counted.survival.tobytes() == dd.survival.tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -716,3 +815,42 @@ def test_threshold_periods_match_naive_scan(steps, threshold):
         and (j == n - 1 or not above[j + 1])
     ]
     assert threshold_periods(list(zip(ts, values)), threshold) == expected
+
+
+def _window_record(w):
+    """Every field of a window's result in a byte-exact, key-sorted form."""
+    def by_key(d):
+        return [(k, d[k]) for k in sorted(d)]
+    trees = [(k, [getattr(t, name).tobytes() for name in ("i", "j", "distance", "rho")])
+             for k, t in by_key(w.trees)]
+    parts = [(k, p.communities, p.degenerate) for k, p in by_key(w.partitions)]
+    return pickle.dumps((w.index, w.end_ts, by_key(w.spectral), by_key(w.topology), trees,
+                         parts, by_key(w.lagged), by_key(w.mean_rho)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.sampled_from([1, 2]))
+def test_sweep_in_waves_matches_per_window_calls(seed, wave, threads):
+    # The wave budget is cut to `wave` windows' matrices, so the nine windows
+    # grow their graphs in three or more waves; each wave's one Prim and one
+    # Louvain must give every window the results it computes alone.  Neither
+    # scale divides the 250-sample blocks, so the sweep, like a lone window,
+    # sums each window as one stretch.
+    rng = np.random.default_rng(seed)
+    n, t = 6, 3_000
+    values = (rng.standard_normal((n, n)) + np.eye(n)) @ rng.standard_normal((n, t))
+    returns = ReturnMatrix(tickers=tuple(f"A{i}" for i in range(n)),
+                           timestamps=np.arange(t, dtype=np.int64), values=values)
+    cfg = AnalysisConfig(q=(1.0, 2.0), s=(12, 35), window=1_000, step=250, lags=(-1, 0, 1),
+                         anchors=("A0",), verbose=True, seed=seed % 1000, threads=threads)
+    held = len(cfg.q) * len(cfg.s) * 8 * n * n
+    grow = mock.Mock(wraps=pipeline._grow_graphs)
+    with mock.patch.object(pipeline, "_WAVE_BYTES", wave * held), \
+            mock.patch.object(pipeline, "_grow_graphs", grow):
+        swept = run_analysis(cfg, returns, ALL_FAMILIES)
+    assert swept.skipped == [] and grow.call_count >= 3
+    windows = rolling_windows(t, WindowPlan(cfg.window, cfg.step))
+    assert len(swept.windows) == len(windows) == 9
+    for w, (start, stop) in zip(swept.windows, windows):
+        alone = compute_window(returns, start, stop, w.index, cfg, ALL_FAMILIES)
+        assert _window_record(w) == _window_record(alone)
