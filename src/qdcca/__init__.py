@@ -12,7 +12,7 @@ from .network import (
     minimum_spanning_tree,
     powerlaw_fit,
 )
-from .pipeline import WindowPlan, rolling_windows, run_analysis, threshold_periods
+from .pipeline import rolling_windows, run_analysis, threshold_periods
 from .spectra import (
     correlation_matrix,
     eigendecompose,
@@ -30,7 +30,6 @@ __all__ = [
     "GeneratorSpec",
     "QuoteSeries",
     "ReturnMatrix",
-    "WindowPlan",
     "cluster_track",
     "correlation_matrix",
     "degree_distribution",

@@ -18,7 +18,7 @@ from .config import CONFIG_KEYS, AnalysisConfig, comma_list, load_config, parse_
 from .data import build_return_matrix, load_quotes
 from .emit import write_outputs
 from .errors import QdccaError
-from .pipeline import ALL_FAMILIES, WindowPlan, gap_fill_skip, rolling_windows, run_analysis
+from .pipeline import ALL_FAMILIES, gap_fill_skip, rolling_windows, run_analysis
 from .synth import GeneratorSpec, synth_quotes
 
 _FAMILY_OF = {
@@ -140,7 +140,7 @@ def _cmd_validate(args) -> int:
     returns, report = build_return_matrix(
         series, base=cfg.base, grid=cfg.grid, stable_threshold=cfg.stable_threshold
     )
-    windows = rolling_windows(returns.n_samples, WindowPlan(cfg.window, cfg.step))
+    windows = rolling_windows(returns.n_samples, cfg.window, cfg.step)
     print(f"series: {len(series)} loaded, {len(returns.tickers)} retained")
     for ticker, reason in sorted(report.excluded.items()):
         print(f"  excluded {ticker}: {reason}")

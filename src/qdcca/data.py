@@ -98,6 +98,26 @@ class ReturnMatrix:
         return self.values.shape[1]
 
 
+# Bytes of the boolean rows one step of `check_finite` builds.
+_CHECK_CHUNK = 1 << 18
+
+
+def check_finite(values, names, timestamps=None, start: int = 0) -> None:
+    """Raise ShapeMismatchError on the first non-finite entry of an (N, T)
+    array in row order, naming its series, its sample (column + ``start``)
+    and, given ``timestamps``, the sample's timestamp.  A box's first return
+    never enters its profile, so the dfa kernel alone would not see one."""
+    rows = max(1, _CHECK_CHUNK // max(1, values.shape[1]))
+    for lo in range(0, len(values), rows):
+        finite = np.isfinite(values[lo : lo + rows])
+        if not finite.all():
+            r, k = np.unravel_index(finite.argmin(), finite.shape)
+            row, col = lo + int(r), int(k)
+            when = "" if timestamps is None else f" (timestamp {timestamps[start + col]})"
+            raise ShapeMismatchError(f"{names[row]}: return {values[row, col]} at sample "
+                                     f"{start + col}{when} is not finite")
+
+
 @dataclass
 class AlignmentReport:
     """Per-series retention after restriction to the common grid."""
@@ -286,12 +306,17 @@ def log_returns(quotes: QuoteSeries) -> np.ndarray:
     return np.diff(np.log(quotes.prices))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a std that is not finite is named below
 def normalize(x) -> np.ndarray:
-    """Shift to zero mean and scale to unit variance (divisor-T convention)."""
+    """Shift to zero mean and scale to unit variance (divisor-T convention);
+    a non-finite, constant or overflowing series raises, with its reason."""
     arr = np.asarray(x, dtype=np.float64)
     mean = arr.mean()
     std = arr.std()
-    if std == 0.0 or not np.isfinite(std):
+    if not np.isfinite(std):
+        check_finite(arr[None], ("x",))
+        raise ZeroVarianceError("cannot normalize a series whose std overflows")
+    if std == 0.0:
         raise ZeroVarianceError("cannot normalize a constant series")
     return (arr - mean) / std
 

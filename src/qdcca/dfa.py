@@ -102,6 +102,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .data import check_finite
 from .errors import (
     ConfigError,
     CorrelationBoundWarning,
@@ -161,8 +162,7 @@ def as_series(x, name: str = "series") -> np.ndarray:
         raise ShapeMismatchError(f"{name} must be 1-D, got shape {arr.shape}")
     if arr.size < 2:
         raise ShapeMismatchError(f"{name} must hold at least 2 samples")
-    if not np.all(np.isfinite(arr)):
-        raise ShapeMismatchError(f"{name} contains NaN or Inf")
+    check_finite(arr[None], (name,))
     return arr
 
 
@@ -430,11 +430,12 @@ class CrossSums:
 
     Every array is stacked by side, [0] heads and [1] tails, then by q in
     the order of ``q``.  Like `BoxSums`, the sums of pair sets add, in a
-    fixed order, to the sums of their union; `coefficients` checks and
-    divides a total once.
+    fixed order, to the sums of their union (of the same rows);
+    `coefficients` checks and divides a total once.
     """
 
     q: tuple[float, ...]
+    rows: np.ndarray       # (A,) the kernel's row series indices, in order
     cross: np.ndarray      # (2, Q, A, N): row heads x tails, row tails x heads
     own: np.ndarray        # (2, Q, N) head and tail self powers
     energy: np.ndarray     # (2, N) head and tail residual energy
@@ -444,22 +445,23 @@ class CrossSums:
     def __add__(self, other: "CrossSums") -> "CrossSums":
         return CrossSums(
             q=self.q,
+            rows=self.rows,
             cross=self.cross + other.cross,
             own=self.own + other.own,
             energy=self.energy + other.energy,
             reference=self.reference + other.reference,
         )
 
-    def coefficients(self, tau: int, rows, cols, scale: int, labels) -> dict[float, np.ndarray]:
+    def coefficients(self, tau: int, cols, scale: int, labels) -> dict[float, np.ndarray]:
         """rho at lag tau of each ``rows`` series against each ``cols`` series.
 
-        ``rows`` are the kernel's rows, in order; ``cols`` are series
-        indices.  At tau > 0 the rows' heads pair with the cols' tails, at
-        tau < 0 the rows' tails with the cols' heads, and only those series
-        go through the zero-variance and coefficient rules; ``labels``
-        names the offender.  Each q maps to an (A, C) matrix.
+        ``cols`` are series indices.  At tau > 0 the rows' heads pair with
+        the cols' tails, at tau < 0 the rows' tails with the cols' heads,
+        and only those series go through the zero-variance and coefficient
+        rules; ``labels`` names the offender.  Each q maps to an (A, C)
+        matrix.
         """
-        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        rows, cols = self.rows, np.asarray(cols, dtype=np.intp)
         names = [labels[i] for i in rows], [labels[i] for i in cols]
         x, y = (0, 1) if tau > 0 else (1, 0)
         for side, idx, idx_names in ((x, rows, names[0]), (y, cols, names[1])):
@@ -584,6 +586,7 @@ def cross_fluctuation_matrices(
             stats = np.array([head.stats[run].sum(axis=0), tail.stats[run].sum(axis=0)])
             part = CrossSums(
                 q=tuple(q_list),
+                rows=rows,
                 cross=np.array(cross),
                 own=stats[:, 2:],
                 energy=stats[:, 0],

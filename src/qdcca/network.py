@@ -78,6 +78,7 @@ class DistanceMatrix:
     q: float
     scale: int
     clipped: bool = False  # True when rho > 1 entries were clamped to d = 0
+    rho: np.ndarray | None = None  # the source coefficients, when distances came from them
 
     @property
     def dim(self) -> int:
@@ -130,29 +131,28 @@ def distance_matrix(c: DetrendedCorrelationMatrix) -> DistanceMatrix:
     dist = np.sqrt(radicand)
     np.fill_diagonal(dist, 0.0)
     return DistanceMatrix(
-        values=dist, labels=c.labels, q=c.q, scale=c.scale, clipped=clipped
+        values=dist, labels=c.labels, q=c.q, scale=c.scale, clipped=clipped, rho=c.values
     )
 
 
 def minimum_spanning_tree(
-    d: DistanceMatrix | list[DistanceMatrix], rho=None
+    d: DistanceMatrix | list[DistanceMatrix],
 ) -> SpanningTree | list[SpanningTree]:
     """Prim's algorithm over the dense distance matrix.
 
     Ties are broken on (weight, min node index, max node index), so equal
-    inputs always yield the same tree.  ``rho`` optionally supplies the
-    companion coefficients stored with the edges; by default they are
-    recovered from the distances.
+    inputs always yield the same tree.  Each edge stores its coefficient
+    from ``d.rho``; a matrix built from raw distances (``rho`` None)
+    recovers it as 1 - d^2 / 2.
 
-    ``d`` may also be a sequence of K distance matrices of one size, with
-    ``rho`` None or a sequence of K arrays: the K trees then grow in one
-    lock-step Prim and come back as a list.  Each tree makes the
-    comparisons it makes alone, so it is the same tree, bit for bit.
+    ``d`` may also be a sequence of K distance matrices of one size: the K
+    trees then grow in one lock-step Prim and come back as a list.  Each
+    tree makes the comparisons it makes alone, so it is the same tree, bit
+    for bit.
     """
     single = isinstance(d, DistanceMatrix)
     mats = [d] if single else list(d)
-    rhos = [rho] if single else [None] * len(mats) if rho is None else list(rho)
-    if len({m.dim for m in mats}) != 1 or len(rhos) != len(mats):
+    if len({m.dim for m in mats}) != 1:
         raise ShapeMismatchError("need one or more distance matrices of one size")
     # The matrices stay apart: a step gathers one row from each, and a
     # stacked copy would double the memory they hold.
@@ -195,22 +195,19 @@ def minimum_spanning_tree(
         np.copyto(best_weight, row, where=improved)
         np.copyto(best_from, v[:, None], where=improved)
     out = []
-    for m, dk, rk, (i, j) in zip(mats, dist, rhos, ends):
+    for m, dk, (i, j) in zip(mats, dist, ends):
         edge_d = dk[i, j]
-        edge_rho = 1.0 - edge_d**2 / 2.0 if rk is None else rk[i, j]
+        edge_rho = 1.0 - edge_d**2 / 2.0 if m.rho is None else m.rho[i, j]
         out.append(SpanningTree(m.labels, i, j, edge_d, edge_rho))
     return out[0] if single else out
 
 
-def degree_distribution(
-    tree: SpanningTree, degrees: np.ndarray | None = None
-) -> DegreeDistribution:
-    """Survival function P(X >= k) over the tree's node degrees;
-    ``degrees`` passes them in when the caller has counted them already."""
-    distinct, counts = np.unique(tree.degrees() if degrees is None else degrees,
-                                 return_counts=True)
+def degree_distribution(degrees: np.ndarray) -> DegreeDistribution:
+    """Survival function P(X >= k) over the n node degrees of a graph, such
+    as a tree's ``tree.degrees()``."""
+    distinct, counts = np.unique(degrees, return_counts=True)
     # Exact integer counts over n: the bits of the mean of degrees >= k.
-    survival = np.cumsum(counts[::-1])[::-1] / len(tree.labels)
+    survival = np.cumsum(counts[::-1])[::-1] / len(degrees)
     return DegreeDistribution(degrees=distinct, survival=survival)
 
 

@@ -47,14 +47,14 @@ a partition's seed is still drawn from (config seed, window index,
 scale).  So the outputs are those of one `compute_window` per window, at
 any thread count and wave length.
 
-A wave holds its windows' correlation matrices, 8 n^2 bytes each (|q| |s|
-per window with a tree family, |s| with clusters alone), until its graphs
-have grown.  Its length is the number of windows whose matrices fit in
-`_WAVE_BYTES` = 4 MiB, but at least the pool's thread count.  While a
-wave's graphs grow, its distance matrices take as many bytes again (the
-Louvain weights no more), and the next wave's matrices fill in, so the
-graph inputs alive at once stay under about 3 x 4 MiB.  The budget is set
-from two sides:
+A wave holds its windows' correlation matrices, 8 n^2 bytes each (the
+`_graph_keys`: |q| |s| per window with a tree family, |s| with clusters
+alone), until its graphs have grown.  Its length is the number of
+windows whose matrices fit in `_WAVE_BYTES` = 4 MiB, but at least the
+pool's thread count.  While a wave's graphs grow, its distance matrices
+take as many bytes again (the Louvain weights no more), and the next
+wave's matrices fill in, so the graph inputs alive at once stay under
+about 3 x 4 MiB.  The budget is set from two sides:
 - A lock-step step makes about 20 numpy calls for all K problems, against
   about 10 per problem alone, so a stack wins from K = 3 or 4 on.  It gains
   little once the per-problem work dominates the call overhead: measured
@@ -77,7 +77,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import network, spectra
+from . import data, network, spectra
 from .config import AnalysisConfig
 from .data import ReturnMatrix, normalize
 from .dfa import cross_fluctuation_matrices
@@ -89,28 +89,16 @@ from .spectra import DetrendedCorrelationMatrix
 # (module notes).
 _WAVE_BYTES = 4 << 20
 
-# Bytes of the boolean rows one step of the finite check builds.
-_CHECK_CHUNK = 1 << 18
-
 ALL_FAMILIES = ("spectra", "topology", "edges", "clusters", "lagged", "periods")
 
 
-@dataclass(frozen=True)
-class WindowPlan:
-    width: int = 10_080
-    step: int = 1_440
-
-
-def rolling_windows(n_samples: int, plan: WindowPlan) -> list[tuple[int, int]]:
+def rolling_windows(n_samples: int, width: int, step: int) -> list[tuple[int, int]]:
     """(start, stop) sample offsets at 0, step, 2*step, ... while they fit."""
-    if plan.width < 1 or plan.step < 1:
-        raise ConfigError(f"window plan must be positive, got {plan}")
-    if n_samples < plan.width:
-        raise ConfigError(
-            f"series of {n_samples} samples is shorter than one window of {plan.width}"
-        )
-    starts = range(0, n_samples - plan.width + 1, plan.step)
-    return [(s, s + plan.width) for s in starts]
+    if width < 1 or step < 1:
+        raise ConfigError(f"window width and step must be positive, got {width} and {step}")
+    if n_samples < width:
+        raise ConfigError(f"series of {n_samples} samples is shorter than one window of {width}")
+    return [(s, s + width) for s in range(0, n_samples - width + 1, step)]
 
 
 def threshold_periods(points, threshold: float) -> list[tuple[int, int]]:
@@ -216,7 +204,7 @@ def _topology_row(tree: SpanningTree, verbose: bool) -> TopologyRow:
     degrees = tree.degrees()
     mean_path = network.mean_path_length(tree)
     try:
-        gamma, se = network.powerlaw_fit(network.degree_distribution(tree, degrees))
+        gamma, se = network.powerlaw_fit(network.degree_distribution(degrees))
     except network.InsufficientSupportError:
         gamma, se = None, None
     extra = {}
@@ -240,9 +228,7 @@ def _grow_graphs(wave, cfg: AnalysisConfig, families) -> None:
         return
     if {"topology", "edges"} & set(families):
         grown = [(result, key, c) for result, held in wave for key, c in held.items()]
-        trees = network.minimum_spanning_tree(
-            [network.distance_matrix(c) for _, _, c in grown], rho=[c.values for _, _, c in grown]
-        )
+        trees = network.minimum_spanning_tree([network.distance_matrix(c) for _, _, c in grown])
         for (result, key, _), tree in zip(grown, trees):
             result.trees[key] = tree
             result.topology[key] = _topology_row(tree, cfg.verbose)
@@ -258,17 +244,20 @@ def _grow_graphs(wave, cfg: AnalysisConfig, families) -> None:
             result.partitions[s] = partition
 
 
+def _graph_keys(cfg: AnalysisConfig, families) -> list:
+    """The (q, s) of the correlation matrices a window holds for the graph
+    phase: every one for the trees, the first q's for clusters alone."""
+    if {"topology", "edges"} & set(families):
+        return [(q, s) for s in cfg.s for q in cfg.q]
+    return [(cfg.q[0], s) for s in cfg.s] if "clusters" in families else []
+
+
 def _wave_length(n: int, n_windows: int, cfg: AnalysisConfig, families) -> int:
     """How many windows grow their graphs together: as many as hold
     `_WAVE_BYTES` of correlation matrices for the graph phase, and no fewer
     than the pool threads, which the next wave keeps busy meanwhile."""
-    if {"topology", "edges"} & set(families):
-        held = len(cfg.q) * len(cfg.s)
-    else:
-        held = len(cfg.s) if "clusters" in families else 0
-    if not held:
-        return n_windows
-    return max(cfg.threads, _WAVE_BYTES // (8 * n * n * held))
+    held = len(_graph_keys(cfg, families))
+    return max(cfg.threads, _WAVE_BYTES // (8 * n * n * held)) if held else n_windows
 
 
 def gap_fill_skip(returns: ReturnMatrix, start: int, stop: int, max_missing: float):
@@ -279,22 +268,6 @@ def gap_fill_skip(returns: ReturnMatrix, start: int, stop: int, max_missing: flo
     if frac > max_missing:
         return f"{frac:.2%} of samples are gap fills (limit {max_missing:.2%})"
     return None
-
-
-def _check_finite(returns: ReturnMatrix, start: int = 0, stop: int | None = None) -> None:
-    """Raise on the first non-finite return of samples [start, stop),
-    naming its series and sample.  A box's first return never enters its
-    profile, so the kernel alone would not see one there."""
-    values = returns.values[:, start:stop]
-    rows = max(1, _CHECK_CHUNK // max(1, values.shape[1]))
-    for lo in range(0, len(values), rows):
-        finite = np.isfinite(values[lo : lo + rows])
-        if not finite.all():
-            r, k = np.unravel_index(finite.argmin(), finite.shape)
-            row, k = lo + int(r), start + int(k)
-            raise ShapeMismatchError(
-                f"{returns.tickers[row]}: return {returns.values[row, k]} at sample {k} "
-                f"(timestamp {returns.timestamps[k]}) is not finite")
 
 
 def _normalized(returns: ReturnMatrix) -> ReturnMatrix:
@@ -313,9 +286,8 @@ def _normalized(returns: ReturnMatrix) -> ReturnMatrix:
 def _residual_spectrum(window_returns: ReturnMatrix, q, s, cfg, summary):
     """The spectrum of the residual returns once the leading eigensignal is
     regressed out of every series."""
-    values = window_returns.values
-    z1 = spectra.eigensignal(values, summary.eigenvectors[:, 0])
-    res = spectra.residual_returns(values, z1)
+    z1 = spectra.eigensignal(window_returns, summary.eigenvectors[:, 0])
+    res = spectra.residual_returns(window_returns, z1)
     c_res = spectra.correlation_matrices(
         replace(window_returns, values=res.residuals), s, cfg.poly_order, [q]
     )[q]
@@ -399,18 +371,18 @@ def compute_window(
     the window itself as one stretch.  ``graphs``, a dict, is given by a
     sweep that has checked every return once: the window then leaves its
     trees, topology rows and partitions to the sweep, and puts the
-    correlation matrices they grow from in ``graphs``, keyed by (q, s).
+    correlation matrices they grow from in ``graphs``, by `_graph_keys`.
     """
-    if graphs is None:
-        _check_finite(returns, start, stop)
-    reason = gap_fill_skip(returns, start, stop, cfg.max_missing)
-    if reason is not None:
-        raise QdccaError(reason)
     tickers = returns.tickers
     window_returns = ReturnMatrix(
         tickers=tickers, timestamps=returns.timestamps[start:stop],
         values=returns.values[:, start:stop],
     )
+    if graphs is None:
+        data.check_finite(window_returns.values, tickers, returns.timestamps, start)
+    reason = gap_fill_skip(returns, start, stop, cfg.max_missing)
+    if reason is not None:
+        raise QdccaError(reason)
     result = WindowResult(index=index, end_ts=int(returns.timestamps[stop - 1]))
     need_corr = _needs_correlations(cfg, families)
     rows = _lag_rows(tickers, cfg, families)
@@ -423,7 +395,7 @@ def compute_window(
         residual_input = window_returns if cfg.global_norm else _normalized(window_returns)
     shared = shared or {}
     held = {} if graphs is None else graphs
-    grow_trees = bool({"topology", "edges"} & set(families))
+    graph_keys = _graph_keys(cfg, families)
     parts = {
         s: shared.get(s)
         or [_stretch_sums(window_returns.values, 0, stop - start, s, cfg, need_corr, rows)]
@@ -444,7 +416,7 @@ def compute_window(
                 if residual_input is not None:
                     res = _residual_spectrum(residual_input, q, s, cfg, summary)
                 result.spectral[(q, s)] = _spectral_row(summary, res)
-            if grow_trees or ("clusters" in families and q == cfg.q[0]):
+            if (q, s) in graph_keys:
                 held[(q, s)] = c
             if 0 in cfg.lags and anchor_idx:
                 _anchor_means(result.lagged, 0, s, anchor_idx,
@@ -457,7 +429,7 @@ def compute_window(
             for tau in (k, -k):
                 if tau in cfg.lags:
                     _anchor_means(result.lagged, tau, s, anchor_idx,
-                                  total.coefficients(tau, rows, others, s, tickers))
+                                  total.coefficients(tau, others, s, tickers))
     if graphs is None:
         _grow_graphs([(result, held)], cfg, families)
     return result
@@ -471,11 +443,10 @@ def run_analysis(
     """Sweep every rolling window; a window's failure is recorded, not
     fatal.  A non-finite return raises ShapeMismatchError."""
     cfg.validate()
-    plan = WindowPlan(width=cfg.window, step=cfg.step)
-    _check_finite(returns)
+    data.check_finite(returns.values, returns.tickers, returns.timestamps)
     if cfg.global_norm:
         returns = _normalized(returns)
-    windows = rolling_windows(returns.n_samples, plan)
+    windows = rolling_windows(returns.n_samples, cfg.window, cfg.step)
     results: list[WindowResult] = []
     skipped: list[tuple[int, str]] = []
     blk = math.gcd(cfg.step, cfg.window)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ReturnMatrix
+from . import data
 from .dfa import DetrendConfig, _check_scale, fluctuation_matrices
 from .errors import EigensolverError, ShapeMismatchError, ZeroVarianceError
 
@@ -65,12 +65,15 @@ class ResidualReturns:
 
 
 def _unpack(returns) -> tuple[np.ndarray, tuple[str, ...]]:
-    if isinstance(returns, ReturnMatrix):
+    # An array is checked here; a ReturnMatrix is taken as checked (a sweep checks it once).
+    if isinstance(returns, data.ReturnMatrix):
         return returns.values, returns.tickers
     values = np.ascontiguousarray(returns, dtype=np.float64)
     if values.ndim != 2:
         raise ShapeMismatchError(f"expected (N, T) returns, got shape {values.shape}")
-    return values, tuple(f"series {i}" for i in range(values.shape[0]))
+    labels = tuple(f"series {i}" for i in range(values.shape[0]))
+    data.check_finite(values, labels)
+    return values, labels
 
 
 def correlation_matrices(

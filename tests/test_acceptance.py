@@ -23,7 +23,7 @@ from qdcca.network import (
     minimum_spanning_tree,
     powerlaw_fit,
 )
-from qdcca.pipeline import WindowPlan, compute_window, rolling_windows, run_analysis
+from qdcca.pipeline import compute_window, rolling_windows, run_analysis
 from qdcca.spectra import (
     DetrendedCorrelationMatrix,
     correlation_matrices,
@@ -125,7 +125,7 @@ def synthetic_sweep():
                       params={"beta": 1.0, "sigma": 1.0}),
         seed=105,
     )
-    windows = rolling_windows(rm.n_samples, WindowPlan(10_080, 1_440))
+    windows = rolling_windows(rm.n_samples, 10_080, 1_440)
     trace_errs = []
     max_corr = 0.0
     for start, stop in windows:
@@ -290,7 +290,7 @@ def test_criterion_12_lag_sanity():
 
 
 def test_criterion_13_window_arithmetic():
-    windows = rolling_windows(921_600, WindowPlan(width=10_080, step=1_440))
+    windows = rolling_windows(921_600, 10_080, 1_440)
     _report(13, "window count for the full-size series",
             len(windows) == 634, f"{len(windows)} windows")
 

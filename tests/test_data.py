@@ -23,6 +23,7 @@ from qdcca.data import (
 from qdcca.errors import (
     EmptyIntersectionError,
     QuoteParseError,
+    ShapeMismatchError,
     ZeroVarianceError,
 )
 
@@ -130,6 +131,20 @@ def test_normalize_reference_cases():
     assert abs(z.mean()) < 1e-12
     assert abs(z.var() - 1.0) < 1e-9
     assert np.allclose(normalize(z), z, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_normalize_names_a_non_finite_value(bad):
+    # It used to read as "cannot normalize a constant series".
+    with pytest.raises(ShapeMismatchError, match=f"^x: return {bad} at sample 1 is not finite$"):
+        normalize([1.0, bad, 2.0])
+
+
+def test_normalize_names_a_std_that_overflows():
+    # Finite values whose squared deviations overflow: no RuntimeWarning,
+    # and not the constant-series reason.
+    with pytest.raises(ZeroVarianceError, match="std overflows"):
+        normalize([1e200, -1e200, 3.0])
 
 
 def test_rebase_prices():

@@ -153,6 +153,17 @@ def test_self_and_anti_correlation_exact():
             assert rho_q(x, -x, cfg) == -1.0
 
 
+def test_non_finite_pair_names_its_series_and_sample():
+    x = np.random.default_rng(0).standard_normal(100)
+    y = x.copy()
+    y[40] = -np.inf
+    cfg = DetrendConfig(scale=10, poly_order=2, q=2.0)
+    with pytest.raises(ShapeMismatchError, match="^y: return -inf at sample 40 is not finite$"):
+        rho_q(x, y, cfg)
+    with pytest.raises(ShapeMismatchError, match="^x: return -inf at sample 40 is not finite$"):
+        rho_q(y, x, cfg)
+
+
 def test_zero_variance_raises():
     x = np.full(100, 5.0)
     y = np.random.default_rng(0).standard_normal(100)

@@ -102,7 +102,8 @@ def test_network_layer_matches_loop_references_bitwise():
         rho = _random_correlation(rng, n, rounded=case % 2 == 1)
         c = _corr(rho)
         d = distance_matrix(c)
-        tree = minimum_spanning_tree(d, rho=c.values)
+        assert d.rho is c.values  # a reference to the source coefficients, not a copy
+        tree = minimum_spanning_tree(d)
         expected = prim_mst_loop(d.values, c.values)
         got = [(*ij, d, r) for ij, d, r in
                zip(tree_pairs(tree), tree.distance.tolist(), tree.rho.tolist())]
@@ -260,13 +261,13 @@ def test_handshake_lemma():
 
 def test_degree_distribution_star_and_path():
     star = tree_from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-    dd = degree_distribution(star)
+    dd = degree_distribution(star.degrees())
     assert sorted(star.degrees().tolist()) == [1, 1, 1, 1, 4]
     assert dd.degrees.tolist() == [1, 4]
     assert dd.survival.tolist() == [1.0, 0.2]
     assert survival_at(star.degrees(), 2) == pytest.approx(0.2)
     path = tree_from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    dd = degree_distribution(path)
+    dd = degree_distribution(path.degrees())
     assert dd.survival.tolist() == [1.0, 0.5]
     assert survival_at(path.degrees(), 2) == pytest.approx(0.5)
 
@@ -282,7 +283,7 @@ def test_powerlaw_exact_recovery():
 def test_powerlaw_star_insufficient_support():
     star = tree_from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
     with pytest.raises(InsufficientSupportError):
-        powerlaw_fit(degree_distribution(star))
+        powerlaw_fit(degree_distribution(star.degrees()))
 
 
 def test_powerlaw_matches_independent_regression():
@@ -303,7 +304,7 @@ def test_powerlaw_matches_independent_regression():
             edges.append((min(target, v), max(target, v)))
             degrees[target] += 1
             degrees[v] += 1
-        dd = degree_distribution(tree_from_edges(n, edges))
+        dd = degree_distribution(tree_from_edges(n, edges).degrees())
         try:
             gamma, se = powerlaw_fit(dd)
         except InsufficientSupportError:

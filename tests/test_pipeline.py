@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from qdcca import pipeline
+from qdcca import data, network, pipeline
 from qdcca.config import AnalysisConfig
 from qdcca.data import ReturnMatrix, normalize
 from qdcca.dfa import DetrendConfig, rho_q_lagged
@@ -14,7 +14,6 @@ from qdcca.emit import write_outputs
 from qdcca.errors import ConfigError, ShapeMismatchError, ZeroVarianceError
 from qdcca.pipeline import (
     ALL_FAMILIES,
-    WindowPlan,
     compute_window,
     rolling_windows,
     run_analysis,
@@ -37,18 +36,19 @@ def _factor_matrix(n, t, seed, spread=0):
 
 
 def test_rolling_window_counts():
-    plan = WindowPlan(width=10_080, step=1_440)
-    assert len(rolling_windows(921_600, plan)) == 634
-    assert len(rolling_windows(10_080, plan)) == 1
-    assert len(rolling_windows(10_080 + 1_439, plan)) == 1
-    assert len(rolling_windows(10_080 + 1_440, plan)) == 2
-    with pytest.raises(ConfigError):
-        rolling_windows(10_079, plan)
+    assert len(rolling_windows(921_600, 10_080, 1_440)) == 634
+    assert len(rolling_windows(10_080, 10_080, 1_440)) == 1
+    assert len(rolling_windows(10_080 + 1_439, 10_080, 1_440)) == 1
+    assert len(rolling_windows(10_080 + 1_440, 10_080, 1_440)) == 2
+    with pytest.raises(ConfigError, match="shorter than one window of 10080"):
+        rolling_windows(10_079, 10_080, 1_440)
+    for width, step in ((0, 1_440), (10_080, 0), (-1, 1)):
+        with pytest.raises(ConfigError, match="must be positive"):
+            rolling_windows(921_600, width, step)
 
 
 def test_window_coverage_and_overlap():
-    plan = WindowPlan(width=100, step=30)
-    windows = rolling_windows(400, plan)
+    windows = rolling_windows(400, 100, 30)
     assert windows[0][0] == 0
     for (s0, e0), (s1, e1) in zip(windows, windows[1:]):
         assert s1 - s0 == 30
@@ -316,7 +316,7 @@ def test_compute_window_names_a_non_finite_return(bad):
     assert set(later.spectral) == {(1.0, 10), (2.0, 10)}
 
 
-@pytest.mark.parametrize("chunk", [1, 3_000 * 2, pipeline._CHECK_CHUNK])
+@pytest.mark.parametrize("chunk", [1, 3_000 * 2, data._CHECK_CHUNK])
 def test_finite_check_names_the_first_bad_return_in_row_order(chunk):
     # Rows are checked a chunk at a time: the report is still the first
     # non-finite value of the first series that has one.
@@ -325,20 +325,53 @@ def test_finite_check_names_the_first_bad_return_in_row_order(chunk):
     values[3, 7] = np.nan
     values[2, 2_900] = np.inf
     values[2, 2_950] = np.nan
-    with mock.patch.object(pipeline, "_CHECK_CHUNK", chunk):
+    with mock.patch.object(data, "_CHECK_CHUNK", chunk):
         with pytest.raises(ShapeMismatchError, match=r"^SYN02: return inf at sample 2900 "):
             run_analysis(_small_cfg(), replace(returns, values=values))
 
 
 def test_sweep_checks_every_return_once():
     # Windows overlap, so the sweep checks the returns in one pass and the
-    # windows it drives check nothing.
+    # windows it drives check nothing, the residual pass's spectra included.
     returns = _factor_matrix(4, 2_000, seed=6)
-    check = mock.Mock(wraps=pipeline._check_finite)
-    with mock.patch.object(pipeline, "_check_finite", check):
-        result = run_analysis(_small_cfg(), returns)
+    check = mock.Mock(wraps=data.check_finite)
+    with mock.patch.object(data, "check_finite", check):
+        result = run_analysis(_small_cfg(residual=True), returns)
     assert len(result.windows) == 3
-    assert check.call_count == 1 and check.call_args.args == (returns,)
+    assert check.call_count == 1 and check.call_args.args[0] is returns.values
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_each_partition_is_seeded_from_its_window_and_scale(threads):
+    # Louvain meets no exact tie on real-valued coefficients, so a wrong
+    # seed leaves every partition as it was: the seeds themselves are
+    # checked.  A one-byte wave budget makes a wave of `threads` windows.
+    returns = _factor_matrix(5, 2_000, seed=9)
+    cfg = _small_cfg(q=(1.0, 2.0), s=(20, 50), window=500, step=300, seed=11,
+                     threads=threads)
+    owner, seen, calls = {}, [], []
+    real_window, real_louvain = pipeline.compute_window, network.louvain
+
+    def window(*args, graphs, **kwargs):
+        result = real_window(*args, graphs=graphs, **kwargs)
+        for (q, s), c in graphs.items():
+            owner[id(c)] = (result.index, q, s, c)  # c stays alive: its id stays unique
+        return result
+
+    def louvain(c, resolution, seed):
+        calls.append(len(c))
+        seen.extend((owner[id(m)][:3], k) for m, k in zip(c, seed))
+        return real_louvain(c, resolution, seed)
+
+    with mock.patch.object(pipeline, "_WAVE_BYTES", 1), \
+            mock.patch.object(pipeline, "compute_window", window), \
+            mock.patch.object(network, "louvain", louvain):
+        result = run_analysis(cfg, returns, ALL_FAMILIES)
+    assert result.skipped == [] and len(result.windows) == 6
+    assert len(calls) == 6 // threads and set(calls) == {threads * len(cfg.s)}
+    want = [((i, cfg.q[0], s), int(np.random.default_rng([cfg.seed, i, s]).integers(2**31)))
+            for i in range(6) for s in cfg.s]
+    assert sorted(seen) == want
 
 
 def test_compute_window_end_timestamp_label():

@@ -219,3 +219,20 @@ def test_residual_matrix_dampens_leading_mode():
         if c_res.eigenvalues[0] <= c.eigenvalues[0]:
             wins += 1
     assert wins >= 0.95 * trials
+
+
+@pytest.mark.parametrize("sample", [100, 101])
+def test_array_input_names_a_non_finite_return(sample):
+    # Sample 100 starts a box at s = 10, and a box's first return never
+    # enters its profile: the NaN used to vanish there (the matrices were
+    # those of 0.0 in its place), and at sample 101 it read as "a box
+    # energy that overflows", with a RuntimeWarning.
+    values = np.random.default_rng(1).standard_normal((4, 3_000))
+    values[1, sample] = np.nan
+    reason = f"^series 1: return nan at sample {sample} is not finite$"
+    with pytest.raises(ShapeMismatchError, match=reason):
+        correlation_matrices(values, 10, 2, [1.0, 2.0])
+    with pytest.raises(ShapeMismatchError, match=reason):
+        eigensignal(values, np.full(4, 0.5))
+    with pytest.raises(ShapeMismatchError, match=reason):
+        residual_returns(values, np.ones(3_000))
