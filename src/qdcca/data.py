@@ -309,8 +309,11 @@ def log_returns(quotes: QuoteSeries) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")  # a std that is not finite is named below
 def normalize(x) -> np.ndarray:
     """Shift to zero mean and scale to unit variance (divisor-T convention);
-    a non-finite, constant or overflowing series raises, with its reason."""
+    an empty, non-finite, constant or overflowing series raises, with its
+    reason."""
     arr = np.asarray(x, dtype=np.float64)
+    if arr.size == 0:
+        raise ShapeMismatchError("cannot normalize an empty series")
     mean = arr.mean()
     std = arr.std()
     if not np.isfinite(std):

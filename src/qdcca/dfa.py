@@ -280,10 +280,12 @@ def _gram_power(resid: np.ndarray, q_list) -> dict[float, np.ndarray]:
 
 def _check_variance(energy, reference, scale: int, labels, where: str = ""):
     # The zero-variance rule (see _VARIANCE_FLOOR), one check per series,
-    # after a check that both energies are finite (`inf <= floor * inf`
-    # holds); ``where`` narrows the message to the stretch that was checked.
+    # after checks that both energies are numbers, then finite (`inf <=
+    # floor * inf` holds); ``where`` narrows the message to the stretch that
+    # was checked.  A NaN comes from a non-finite return the caller passed.
     # An energy that underflows to 0 cannot be told from a flat series.
     for dead, what in (
+        (np.isnan(energy) | np.isnan(reference), "a box energy that is NaN"),
         (~(np.isfinite(energy) & np.isfinite(reference)), "a box energy that overflows"),
         (energy <= _VARIANCE_FLOOR * reference, "zero detrended variance"),
     ):

@@ -378,11 +378,8 @@ def _later_sweeps(membership, links_of, strength, comm_total, pull, two_m, rng):
             links = np.bincount(membership, weights=links_of[u], minlength=membership.size)
             gains = links - pull[u] * comm_total / two_m
             stay = float(gains[cu]) + 1e-12
-            # Most visits move nothing; the max alone rejects them.
+            gains[links <= 0.0] = -np.inf  # only a linked community can gain
             top = gains.max()
-            if top > stay:
-                gains[links <= 0.0] = -np.inf  # only a linked community can gain
-                top = gains.max()
             if top <= stay:
                 comm_total[cu] += s
                 continue
@@ -499,11 +496,10 @@ def _upper_levels(labels, weights, local, two_m, resolution, rng) -> Partition:
     membership = np.arange(len(labels))
     level_weights = weights
     while True:
-        n_groups = np.unique(local).size
-        no_moves = n_groups == level_weights.shape[0]
         level_weights, compact = _aggregate(level_weights, local)
         membership = compact[membership]
-        if no_moves or level_weights.shape[0] == 1:
+        # One community left, or as many as nodes: no node moved.
+        if level_weights.shape[0] in (1, compact.size):
             break
         local = _local_phase(level_weights, two_m, resolution, rng)
     # Community ids 0..k-1 in order of first appearance.

@@ -180,21 +180,23 @@ def _mean_offdiagonal(c: DetrendedCorrelationMatrix) -> float:
 
 def _spectral_row(summary: spectra.SpectralSummary, res) -> SpectralRow:
     """The spectra row of a summary; ``res`` is the residual pass's summary,
-    or None without one."""
+    or None without one.  Localization is read from the emitted vectors."""
+    v1, v2 = summary.eigenvectors[:, 0], summary.eigenvectors[:, 1]
     residual = {}
     if res is not None:
+        r1 = res.eigenvectors[:, 0]
         residual = dict(
             res_lambda1=float(res.eigenvalues[0]),
-            res_h1=float(res.entropies[0]),
-            res_v1max=float(res.max_components[0]),
+            res_h1=spectra.shannon_entropy(r1),
+            res_v1max=float((r1**2).max()),
         )
     return SpectralRow(
         lambda1=float(summary.eigenvalues[0]),
         lambda2=float(summary.eigenvalues[1]),
-        h1=float(summary.entropies[0]),
-        h2=float(summary.entropies[1]),
-        v1max=float(summary.max_components[0]),
-        v2max=float(summary.max_components[1]),
+        h1=spectra.shannon_entropy(v1),
+        h2=spectra.shannon_entropy(v2),
+        v1max=float((v1**2).max()),
+        v2max=float((v2**2).max()),
         degenerate=summary.degenerate,
         **residual,
     )

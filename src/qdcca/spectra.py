@@ -1,9 +1,10 @@
 """Spectral analysis of the detrended correlation matrix.
 
 Builds the N x N coefficient matrix for a window of aligned return series,
-decomposes it, measures eigenvector localization through the Shannon
-entropy of squared components, and removes the leading mode's fitted
-contribution from every series to produce residual returns.
+decomposes it, and removes the leading mode's fitted contribution from
+every series to produce residual returns.  Eigenvector localization (the
+Shannon entropy and the largest squared component) is computed per vector
+where it is read: `shannon_entropy(summary.eigenvectors[:, i])`.
 
 The coefficients and their checks (underflow, overflow, entries outside
 [-1, 1]) are `dfa.BoxSums.coefficients`; this module adds none.
@@ -12,8 +13,9 @@ Eigenvalue/eigenvector conventions: eigenvalues are sorted descending and
 each eigenvector is oriented so that its largest-magnitude component is
 positive.  For q != 2 the matrix need not be positive semidefinite;
 negative eigenvalues are reported as-is.  Eigenvalue gaps below 1e-8 mark
-the summary as degenerate: entropies inside a degenerate eigenspace are
-solver-dependent and excluded from cross-run determinism guarantees.
+the summary as degenerate: vectors inside a degenerate eigenspace, and so
+their entropies, are solver-dependent and excluded from cross-run
+determinism guarantees.
 """
 
 from __future__ import annotations
@@ -49,8 +51,6 @@ class SpectralSummary:
 
     eigenvalues: np.ndarray    # descending, length N
     eigenvectors: np.ndarray   # column i pairs with eigenvalues[i]
-    entropies: np.ndarray      # Shannon entropy of squared components
-    max_components: np.ndarray # largest squared component per vector
     degenerate: bool = False
 
 
@@ -61,7 +61,6 @@ class ResidualReturns:
     residuals: np.ndarray   # (N, T)
     alpha: np.ndarray       # slope per asset
     beta: np.ndarray        # intercept per asset
-    eigensignal: np.ndarray # (T,)
 
 
 def _unpack(returns) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -132,26 +131,12 @@ def eigendecompose(c: DetrendedCorrelationMatrix) -> SpectralSummary:
     eigvecs = eigvecs[:, order]
     peak = eigvecs[np.abs(eigvecs).argmax(axis=0), np.arange(eigvecs.shape[1])]
     eigvecs *= np.where(peak < 0, -1.0, 1.0)
-    squared = eigvecs**2
-    max_components = squared.max(axis=0)
-    rows = np.ascontiguousarray(squared.T)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        entropies = -(rows * np.log(rows)).sum(axis=1)
-    for i in np.flatnonzero((rows == 0.0).any(axis=1)):  # 0 * log 0 is nan: skip the zeros
-        entropies[i] = _entropy_of_squares(rows[i])
     gaps = -np.diff(eigvals)
     return SpectralSummary(
         eigenvalues=eigvals,
         eigenvectors=eigvecs,
-        entropies=entropies,
-        max_components=max_components,
         degenerate=bool(gaps.size and gaps.min() < _DEGENERATE_GAP),
     )
-
-
-def _entropy_of_squares(p: np.ndarray) -> float:
-    nz = p > 0.0
-    return float(-(p[nz] * np.log(p[nz])).sum())
 
 
 def shannon_entropy(v) -> float:
@@ -161,7 +146,9 @@ def shannon_entropy(v) -> float:
     norm = np.sqrt(vec @ vec)
     if abs(norm - 1.0) > 1e-9:
         raise ShapeMismatchError(f"vector is not unit length: |v| = {norm!r}")
-    return _entropy_of_squares(vec**2)
+    p = vec**2
+    p = p[p > 0.0]  # 0 log 0 = 0
+    return float(-(p * np.log(p)).sum())
 
 
 def eigensignal(returns, v1) -> np.ndarray:
@@ -195,4 +182,4 @@ def residual_returns(returns, z1) -> ResidualReturns:
     alpha = (values - row_means[:, None]) @ zc / var
     beta = row_means - alpha * z_mean
     residuals = values - alpha[:, None] * z[None, :] - beta[:, None]
-    return ResidualReturns(residuals=residuals, alpha=alpha, beta=beta, eigensignal=z)
+    return ResidualReturns(residuals=residuals, alpha=alpha, beta=beta)

@@ -13,6 +13,7 @@ package's order.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -365,6 +366,13 @@ def tree_pairs(tree):
 def survival_at(degrees, k):
     """Empirical P(degree >= k) over an array of node degrees."""
     return float(np.mean(np.asarray(degrees) >= k))
+
+
+def shannon_entropy_literal(v):
+    """-sum p ln p over the non-zero squared components of a vector,
+    summed exactly."""
+    squares = [x * x for x in np.asarray(v, dtype=np.float64).tolist()]
+    return -math.fsum(p * math.log(p) for p in squares if p > 0.0)
 
 
 def n_communities(partition):

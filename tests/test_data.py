@@ -147,6 +147,13 @@ def test_normalize_names_a_std_that_overflows():
         normalize([1e200, -1e200, 3.0])
 
 
+@pytest.mark.filterwarnings("error")
+def test_normalize_names_an_empty_series():
+    # Named before any mean or std is taken, so nothing warns.
+    with pytest.raises(ShapeMismatchError, match="^cannot normalize an empty series$"):
+        normalize([])
+
+
 def test_rebase_prices():
     # Re-basing divides each alt's prices by the base's on their common
     # minutes; the returns are the log differences of those ratios.

@@ -164,6 +164,20 @@ def test_non_finite_pair_names_its_series_and_sample():
         rho_q(y, x, cfg)
 
 
+@pytest.mark.parametrize("bad, energy", [(np.nan, "is NaN"), (1e200, "overflows")])
+def test_box_energy_names_nan_apart_from_overflow(bad, energy):
+    # The kernels take arrays as given, so a NaN reaches the variance rule.
+    values = np.random.default_rng(0).standard_normal((3, 300))
+    values[1, 101] = bad
+    labels = ("a", "b", "c")
+    reason = f"^b has a box energy that {energy}{{}} at scale 10; correlation undefined$"
+    with pytest.raises(ZeroVarianceError, match=reason.format("")):
+        fluctuation_matrices(values, 10, 2, [2.0]).coefficients(10, labels)
+    (lagged,) = cross_fluctuation_matrices(values, [1], 10, 2, [2.0], [0]).values()
+    with pytest.raises(ZeroVarianceError, match=reason.format(" in its lag 1 overlap")):
+        lagged.coefficients(1, [1, 2], 10, labels)
+
+
 def test_zero_variance_raises():
     x = np.full(100, 5.0)
     y = np.random.default_rng(0).standard_normal(100)

@@ -48,7 +48,7 @@ from qdcca.pipeline import (
     run_analysis,
     threshold_periods,
 )
-from qdcca.spectra import DetrendedCorrelationMatrix, correlation_matrices
+from qdcca.spectra import DetrendedCorrelationMatrix, correlation_matrices, eigendecompose
 
 from oracles import (
     aggregate_loop,
@@ -61,6 +61,7 @@ from oracles import (
     louvain_loop,
     prim_mst_loop,
     prufer_tree_edges,
+    shannon_entropy_literal,
     survival_at,
     tree_from_edges,
     tree_pairs,
@@ -543,6 +544,42 @@ def test_louvain_is_reproducible_per_seed(c, seed):
     first = louvain(c, seed=seed)
     again = louvain(c, seed=seed)
     assert again.communities == first.communities
+
+
+@st.composite
+def _unit_diagonal_matrices(draw):
+    # Dense, block-diagonal or the identity: the last two give eigenvectors
+    # with exact zero components, which the entropy leaves out.
+    n = draw(st.integers(2, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rho = rng.uniform(-1.0, 1.0, (n, n))
+    rho = (rho + rho.T) / 2
+    shape = draw(st.sampled_from(["dense", "blocks", "identity"]))
+    if shape == "blocks":
+        group = rng.integers(0, 3, n)
+        rho[group[:, None] != group[None, :]] = 0.0
+    elif shape == "identity":
+        rho[:] = 0.0
+    np.fill_diagonal(rho, 1.0)
+    labels = tuple(f"A{i}" for i in range(n))
+    return DetrendedCorrelationMatrix(values=rho, labels=labels, q=2.0, scale=10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_unit_diagonal_matrices())
+def test_spectral_row_localization_is_the_literal_entropy_and_peak(c):
+    summary = eigendecompose(c)
+    row = pipeline._spectral_row(summary, None)
+    for h, vmax, v in ((row.h1, row.v1max, summary.eigenvectors[:, 0]),
+                       (row.h2, row.v2max, summary.eigenvectors[:, 1])):
+        # A single-node block's vector can come back with its one component
+        # at 1 + 2**-52, and the entropy at -4.4e-16: a rounding of 0.
+        assert -1e-12 <= h <= np.log(c.dim) + 1e-12
+        assert abs(h - shannon_entropy_literal(v)) <= 1e-12
+        assert vmax == max(x * x for x in v.tolist())
+    # The residual pass's first vector is read the same way.
+    res = pipeline._spectral_row(summary, summary)
+    assert (res.res_h1, res.res_v1max) == (row.h1, row.v1max)
 
 
 @st.composite

@@ -104,15 +104,16 @@ def test_trace_conservation_and_orthonormality():
         assert np.abs(norms - 1.0).max() < 1e-12
         recon = summary.eigenvectors @ np.diag(summary.eigenvalues) @ summary.eigenvectors.T
         assert np.abs(recon - c.values).max() < 1e-9
-        assert np.all(summary.entropies >= 0)
-        assert np.all(summary.entropies <= np.log(n) + 1e-12)
+        entropies = np.array([shannon_entropy(v) for v in summary.eigenvectors.T])
+        assert np.all(entropies >= 0)
+        assert np.all(entropies <= np.log(n) + 1e-12)
 
 
 def test_equicorrelation_oracle_lambda_and_entropy():
     for n, rho in ((6, 0.3), (20, 0.7), (80, 0.25)):
         summary = eigendecompose(_equicorrelation(n, rho))
         assert abs(summary.eigenvalues[0] - (1 + (n - 1) * rho)) < 1e-9
-        assert abs(summary.entropies[0] - np.log(n)) < 1e-9
+        assert abs(shannon_entropy(summary.eigenvectors.T[0]) - np.log(n)) < 1e-9
 
 
 def test_eigendecompose_rejects_nonfinite():
