@@ -86,7 +86,8 @@ Implementation notes
   (Cauchy-Schwarz), so sum_b |f2_xy|**(q/2) <= sum_b (f2_xx f2_yy)**(q/4),
   which Cauchy-Schwarz over the boxes bounds by
   sqrt(sum_b f2_xx**(q/2) * sum_b f2_yy**(q/2)).  An entry past 1 is
-  rounding; it is kept raw, and at q != 2 a CorrelationBoundWarning says so.
+  rounding; it is kept raw, and `network.distance_matrix` clamps its
+  distance to 0.
   The zero-variance rule runs first and reads the box energies, which
   overflow before any q/2 power (returns near 1e155); it raises a
   ZeroVarianceError that says so.  An energy that underflows to exactly 0
@@ -95,7 +96,6 @@ Implementation notes
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -105,7 +105,6 @@ import numpy as np
 from .data import check_finite
 from .errors import (
     ConfigError,
-    CorrelationBoundWarning,
     DegenerateFitError,
     ScaleTooLargeError,
     ShapeMismatchError,
@@ -129,7 +128,8 @@ _VARIANCE_FLOOR = 1e-24
 _TINY = np.finfo(np.float64).tiny
 
 # `_coefficients` reports what leaves the float range, so numpy's warnings
-# are off where it is formed; a decorator only (it cannot be entered twice).
+# are off where it is formed; a decorator only (each call sets its own
+# state, so decorated calls nest; one `with` block cannot be entered twice).
 _beyond_range = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -306,8 +306,7 @@ def _fault(value: float) -> str:
 def _coefficients(cross, f_x, f_y, q: float, scale: int, x_labels, y_labels, lag=None):
     """rho = cross (A, C) / sqrt(outer(f_x (A,), f_y (C,))); see the
     implementation notes.  |rho| <= 1 holds in exact arithmetic for every
-    q > 0, so an entry past 1 is rounding: it is kept raw, with a
-    CorrelationBoundWarning at q != 2.
+    q > 0, so an entry past 1 is rounding and is kept raw.
     """
     at = "at " if lag is None else f"at lag {lag}, "
     prod = np.outer(f_x, f_y)
@@ -329,11 +328,7 @@ def _coefficients(cross, f_x, f_y, q: float, scale: int, x_labels, y_labels, lag
             f"{who} {_fault(prod[i, j])} {at}q={q:g}, scale {scale}; "
             "correlation undefined", label=x,
         )
-    rho = cross / np.sqrt(prod)
-    if q != 2.0 and np.any(np.abs(rho) > 1.0):
-        warnings.warn(f"rho_q at q={q:g}, scale {scale} has entries outside [-1, 1]; "
-                      "raw values kept", CorrelationBoundWarning, stacklevel=3)
-    return rho
+    return cross / np.sqrt(prod)
 
 
 @dataclass(frozen=True)
@@ -391,6 +386,7 @@ def _detrended_boxes(values: np.ndarray, scale: int, poly_order: int):
             np.einsum("nbs,nbs->bn", profiles, profiles))
 
 
+@_beyond_range
 def fluctuation_matrices(
     values: np.ndarray, scale: int, poly_order: int, q_values, return_boxes: bool = False
 ) -> BoxSums | tuple[BoxSums, tuple]:

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class QdccaError(Exception):
@@ -53,8 +53,3 @@ class QuoteParseError(QdccaError, ValueError):
         self.path = path
         self.line = line
 
-
-class CorrelationBoundWarning(UserWarning):
-    """|rho_q| exceeded 1 for q != 2, which only rounding can cause (the
-    bound holds in exact arithmetic for every q > 0); reported raw, not
-    clamped."""

@@ -62,7 +62,6 @@ to the one its matrix gives alone:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,9 +74,6 @@ from .spectra import DetrendedCorrelationMatrix
 class DistanceMatrix:
     values: np.ndarray
     labels: tuple[str, ...]
-    q: float
-    scale: int
-    clipped: bool = False  # True when rho > 1 entries were clamped to d = 0
     rho: np.ndarray | None = None  # the source coefficients, when distances came from them
 
     @property
@@ -115,24 +111,14 @@ class DegreeDistribution:
 @dataclass(frozen=True)
 class Partition:
     communities: dict[str, int]
-    degenerate: bool = False          # all-zero weights: one community per node
 
 
 def distance_matrix(c: DetrendedCorrelationMatrix) -> DistanceMatrix:
-    """Metric distances d = sqrt(2(1 - rho)); rho > 1 clamps the radicand."""
-    radicand = 2.0 * (1.0 - c.values)
-    clipped = bool(np.any(radicand < 0.0))
-    if clipped:
-        warnings.warn(
-            f"rho > 1 at q={c.q}, s={c.scale}: clamping distance radicand to 0",
-            stacklevel=2,
-        )
-        radicand = np.maximum(radicand, 0.0)
-    dist = np.sqrt(radicand)
+    """Metric distances d = sqrt(2(1 - rho)); a rho past 1 (rounding) gets
+    d = 0."""
+    dist = np.sqrt(np.maximum(2.0 * (1.0 - c.values), 0.0))
     np.fill_diagonal(dist, 0.0)
-    return DistanceMatrix(
-        values=dist, labels=c.labels, q=c.q, scale=c.scale, clipped=clipped, rho=c.values
-    )
+    return DistanceMatrix(values=dist, labels=c.labels, rho=c.values)
 
 
 def minimum_spanning_tree(
@@ -449,7 +435,7 @@ def louvain(
     Node sweeps run in label order; equal-gain moves are settled by the
     seeded generator, so a given seed always yields the same partition.
     When every coefficient is non-positive the graph has no edges and the
-    trivial one-node-per-community partition is returned, flagged.  A
+    trivial one-node-per-community partition is returned.  A
     resolution that is not finite and positive raises ConfigError.  Only
     the communities are returned; their modularity is not computed.
 
@@ -474,15 +460,9 @@ def louvain(
         np.fill_diagonal(w, 0.0)
     two_m = np.array([w.sum() for w in weights])
     rngs = [np.random.default_rng(s) for s in seeds]
-    out = [
-        Partition(communities={lab: i for i, lab in enumerate(p.labels)}, degenerate=True)
-        for p in problems
-    ]
+    out = [Partition(communities={lab: i for i, lab in enumerate(p.labels)}) for p in problems]
     live, local = np.flatnonzero(two_m != 0.0), []
-    if live.size == 1:  # one problem's phase takes its plain matrix, as alone
-        k = live[0]
-        local = _local_phase(weights[k], two_m[k], resolution, rngs[k])[None]
-    elif live.size:
+    if live.size:
         stack = weights if live.size == len(weights) else weights[live]
         local = _local_phase(stack, two_m[live], resolution, [rngs[k] for k in live])
     for k, level in zip(live.tolist(), local):

@@ -6,8 +6,9 @@ every series to produce residual returns.  Eigenvector localization (the
 Shannon entropy and the largest squared component) is computed per vector
 where it is read: `shannon_entropy(summary.eigenvectors[:, i])`.
 
-The coefficients and their checks (underflow, overflow, entries outside
-[-1, 1]) are `dfa.BoxSums.coefficients`; this module adds none.
+The coefficients and their checks (underflow, overflow) are
+`dfa.BoxSums.coefficients`; this module adds none.  An entry past +-1 is
+rounding and is kept raw.
 
 Eigenvalue/eigenvector conventions: eigenvalues are sorted descending and
 each eigenvector is oriented so that its largest-magnitude component is
@@ -37,8 +38,6 @@ class DetrendedCorrelationMatrix:
 
     values: np.ndarray
     labels: tuple[str, ...]
-    q: float
-    scale: int
 
     @property
     def dim(self) -> int:
@@ -98,10 +97,7 @@ def correlation_matrices(
     if blocks is None:
         blocks = [fluctuation_matrices(values, scale, poly_order, q_values)]
     rhos = sum(blocks[1:], blocks[0]).coefficients(scale, labels)
-    return {
-        q: DetrendedCorrelationMatrix(values=rho, labels=labels, q=q, scale=scale)
-        for q, rho in rhos.items()
-    }
+    return {q: DetrendedCorrelationMatrix(values=rho, labels=labels) for q, rho in rhos.items()}
 
 
 def correlation_matrix(returns, cfg: DetrendConfig) -> DetrendedCorrelationMatrix:
@@ -148,7 +144,8 @@ def shannon_entropy(v) -> float:
         raise ShapeMismatchError(f"vector is not unit length: |v| = {norm!r}")
     p = vec**2
     p = p[p > 0.0]  # 0 log 0 = 0
-    return float(-(p * np.log(p)).sum())
+    # A component of 1 + 2**-52 gives -4.4e-16, and a basis vector -0.0.
+    return max(0.0, float(-(p * np.log(p)).sum()))
 
 
 def eigensignal(returns, v1) -> np.ndarray:

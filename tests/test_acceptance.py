@@ -172,14 +172,10 @@ def test_criterion_08_mst_exactness():
         mat = (mat + mat.T) / 2
         np.fill_diagonal(mat, 0.0)
         labels = tuple(f"A{i}" for i in range(7))
-        tree = minimum_spanning_tree(
-            DistanceMatrix(values=mat, labels=labels, q=1.0, scale=10)
-        )
+        tree = minimum_spanning_tree(DistanceMatrix(values=mat, labels=labels))
         oracle_weight, oracle_edges = brute_force_mst(mat)
         edge_set = set(tree_pairs(tree))
-        squared = minimum_spanning_tree(
-            DistanceMatrix(values=mat**2, labels=labels, q=1.0, scale=10)
-        )
+        squared = minimum_spanning_tree(DistanceMatrix(values=mat**2, labels=labels))
         ok &= tree_weight(tree) == oracle_weight
         ok &= edge_set == oracle_edges
         ok &= set(tree_pairs(squared)) == edge_set
@@ -213,9 +209,7 @@ def _block_matrix(sizes, within, across):
         mat[start:start + size, start:start + size] = within
         start += size
     np.fill_diagonal(mat, 1.0)
-    return DetrendedCorrelationMatrix(
-        values=mat, labels=tuple(f"A{i}" for i in range(n)), q=1.0, scale=10
-    )
+    return DetrendedCorrelationMatrix(values=mat, labels=tuple(f"A{i}" for i in range(n)))
 
 
 def test_criterion_10_louvain_recovery():

@@ -62,7 +62,7 @@ def test_louvain_calls_local_phase_once_per_level_through_the_module(monkeypatch
     sizes, real = [], network._local_phase
 
     def counting(weights, two_m, resolution, rng):
-        sizes.append(weights.shape[0])
+        sizes.append(weights.shape[-1])
         return real(weights, two_m, resolution, rng)
 
     monkeypatch.setattr(network, "_local_phase", counting)
@@ -74,8 +74,7 @@ def test_louvain_calls_local_phase_once_per_level_through_the_module(monkeypatch
         rho = np.round(rho + rng.normal(0.0, 0.1, (n, n)), 2)
         rho = np.triu(rho, 1) + np.triu(rho, 1).T + np.eye(n)
         sizes.clear()
-        c = DetrendedCorrelationMatrix(values=rho, labels=tuple(f"A{i}" for i in range(n)),
-                                       q=2.0, scale=10)
+        c = DetrendedCorrelationMatrix(values=rho, labels=tuple(f"A{i}" for i in range(n)))
         network.louvain(c, resolution=1.0, seed=seed)
         _, _, history = louvain_loop(rho, 1.0, seed=seed)
         assert len(sizes) == len(history) - 1 >= 2

@@ -21,7 +21,6 @@ from qdcca.dfa import (
 )
 from qdcca.errors import (
     ConfigError,
-    CorrelationBoundWarning,
     DegenerateFitError,
     ScaleTooLargeError,
     ShapeMismatchError,
@@ -164,9 +163,11 @@ def test_non_finite_pair_names_its_series_and_sample():
         rho_q(y, x, cfg)
 
 
-@pytest.mark.parametrize("bad, energy", [(np.nan, "is NaN"), (1e200, "overflows")])
+@pytest.mark.parametrize("bad, energy",
+                         [(np.nan, "is NaN"), (np.inf, "is NaN"), (1e200, "overflows")])
 def test_box_energy_names_nan_apart_from_overflow(bad, energy):
-    # The kernels take arrays as given, so a NaN reaches the variance rule.
+    # The kernels take arrays as given, so a NaN reaches the variance rule;
+    # an inf becomes a NaN energy, and no numpy warning comes first.
     values = np.random.default_rng(0).standard_normal((3, 300))
     values[1, 101] = bad
     labels = ("a", "b", "c")
@@ -260,22 +261,18 @@ def test_matches_literal_oracle():
         assert abs(ours - ref) < 1e-10
 
 
-def test_bound_warning_flag_for_q_not_2():
+def test_out_of_bound_coefficient_is_kept_raw():
     # Per-box Cauchy-Schwarz keeps |rho_q| <= 1 mathematically for every
-    # q > 0, so the out-of-range branch can only fire on floating-point
-    # overshoot; exercise it directly through the coefficient rule.
+    # q > 0, so an entry past 1 can only be floating-point overshoot; the
+    # coefficient rule keeps it raw and silent at every q.
     from qdcca.dfa import _coefficients
 
-    def rule(q):
-        return _coefficients(np.array([[3.0]]), np.array([2.0]), np.array([2.0]),
-                             q, 10, ["x"], ["y"])
-
-    with pytest.warns(CorrelationBoundWarning):
-        rho = rule(1.0)
-    assert rho[0, 0] == pytest.approx(1.5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rule(2.0)
+    for q in (1.0, 2.0, 4.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = _coefficients(np.array([[3.0]]), np.array([2.0]), np.array([2.0]),
+                                q, 10, ["x"], ["y"])
+        assert rho[0, 0] == 1.5
 
 
 def test_lagged_zero_shift_is_bit_exact():

@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -43,14 +44,14 @@ def _corr(mat, labels=None):
     mat = np.asarray(mat, dtype=float)
     n = mat.shape[0]
     labels = labels or tuple(f"A{i}" for i in range(n))
-    return DetrendedCorrelationMatrix(values=mat, labels=tuple(labels), q=1.0, scale=10)
+    return DetrendedCorrelationMatrix(values=mat, labels=tuple(labels))
 
 
 def _dist(mat, labels=None):
     mat = np.asarray(mat, dtype=float)
     n = mat.shape[0]
     labels = labels or tuple(f"A{i}" for i in range(n))
-    return DistanceMatrix(values=mat, labels=tuple(labels), q=1.0, scale=10)
+    return DistanceMatrix(values=mat, labels=tuple(labels))
 
 
 def _random_symmetric(rng, n):
@@ -191,14 +192,18 @@ def test_distance_reference_points():
     assert d.values[0, 1] == pytest.approx(np.sqrt(2.0), abs=1e-12)
     d = distance_matrix(_corr([[1.0, -1.0], [-1.0, 1.0]]))
     assert d.values[0, 1] == pytest.approx(2.0, abs=1e-12)
-    assert not d.clipped
 
 
 def test_distance_clamps_out_of_range_rho():
-    with pytest.warns(UserWarning):
-        d = distance_matrix(_corr([[1.0, 1.0 + 1e-9], [1.0 + 1e-9, 1.0]]))
-    assert d.clipped
-    assert d.values[0, 1] == 0.0
+    # A rho past 1 is rounding: its distance is 0, silently, and the raw
+    # coefficient stays on the matrix.
+    rho = 1.0 + 2.0**-52
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = distance_matrix(_corr([[1.0, rho, 0.5], [rho, 1.0, 0.5], [0.5, 0.5, 1.0]]))
+    assert d.values[0, 1] == d.values[1, 0] == 0.0
+    assert d.values[0, 2] == np.sqrt(2.0 * (1.0 - 0.5))
+    assert d.rho[0, 1] == rho
 
 
 def test_distance_metricity_on_random_matrices():
@@ -399,11 +404,11 @@ def test_louvain_recovers_uneven_blocks():
     assert hits >= 95
 
 
-def test_louvain_all_nonpositive_weights_flagged():
+def test_louvain_all_nonpositive_weights_one_community_per_node():
     mat = np.full((4, 4), -0.2)
     np.fill_diagonal(mat, 1.0)
     part = louvain(_corr(mat))
-    assert part.degenerate
+    assert part.communities == {"A0": 0, "A1": 1, "A2": 2, "A3": 3}
     assert n_communities(part) == 4
 
 

@@ -1,4 +1,5 @@
 import csv
+import warnings
 from dataclasses import replace
 from itertools import combinations
 from unittest import mock
@@ -216,6 +217,33 @@ def test_run_analysis_skips_bad_window_and_continues():
     assert result.skipped[0][0] == 0
     assert "SYN02" in result.skipped[0][1]
     assert len(result.windows) == 2
+
+
+def test_sweep_keeps_rounded_out_of_bound_rho_raw_and_silent(tmp_path):
+    # Series that share one Student-t factor up to noise of 1e-12 to 1e-8
+    # have coefficients that round past 1 (|rho_q| <= 1 is a theorem, see
+    # the dfa notes).  The sweep and its files take them without a warning:
+    # the edge keeps the raw rho, and its distance is clamped to 0.
+    rng = np.random.default_rng(0)
+    noise = 10.0 ** rng.uniform(-12, -8, (4, 1)) * rng.standard_normal((4, 2_000))
+    values = rng.choice([-1.0, 1.0], (4, 1)) * rng.standard_t(1.5, 2_000) + noise
+    returns = ReturnMatrix(tickers=tuple(f"A{i}" for i in range(4)),
+                           timestamps=np.arange(2_000, dtype=np.int64), values=values)
+    cfg = AnalysisConfig(q=(1.0, 4.0), s=(10,), window=1_000, step=500, lags=(-1, 0, 1),
+                         anchors=("A0",))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_analysis(cfg, returns, ALL_FAMILIES)
+        write_outputs(result, cfg, str(tmp_path), ALL_FAMILIES)
+    assert result.skipped == [] and len(result.windows) == 3
+    past = {}
+    for path in sorted(tmp_path.glob("edges_*.csv")):
+        with open(path, newline="") as fh:
+            for row in csv.DictReader(fh):
+                if float(row["rho"]) > 1.0:
+                    assert float(row["d"]) == 0.0
+                    past[path.name] = float(row["rho"])
+    assert past["edges_4_10_00000.csv"] == 1.0000000000000007
 
 
 def test_run_analysis_gap_fill_skip():

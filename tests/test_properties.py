@@ -31,7 +31,7 @@ from qdcca.dfa import (
 )
 from qdcca import pipeline
 from qdcca.emit import write_outputs
-from qdcca.errors import CorrelationBoundWarning, EmptyIntersectionError, QdccaError
+from qdcca.errors import EmptyIntersectionError, QdccaError
 from qdcca.network import (
     DistanceMatrix,
     _aggregate,
@@ -265,12 +265,9 @@ def test_heavy_tailed_collinear_coefficients_stay_within_one(seed, q, k):
     noise = 10.0 ** rng.uniform(-8.0, 0.0, (n, 1)) * rng.standard_t(1.5, (n, t))
     values = rng.choice([-1.0, 1.0], (n, 1)) * rng.standard_t(1.5, t) + noise
     labels = tuple(f"series {i}" for i in range(n))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CorrelationBoundWarning)
-        rhos = [_rho(values, scale, 2, q)]
-        (lagged,) = cross_fluctuation_matrices(values, [k], scale, 2, [q], range(n)).values()
-        rhos += [lagged.coefficients(tau, range(n), scale, labels)[q]
-                 for tau in (k, -k)]
+    rhos = [_rho(values, scale, 2, q)]
+    (lagged,) = cross_fluctuation_matrices(values, [k], scale, 2, [q], range(n)).values()
+    rhos += [lagged.coefficients(tau, range(n), scale, labels)[q] for tau in (k, -k)]
     for rho in rhos:
         assert np.all(np.abs(rho) <= 1.0 + 1e-12)
 
@@ -380,7 +377,7 @@ def _distances(draw, max_n):
 
 def _mst(mat):
     labels = tuple(f"A{i}" for i in range(mat.shape[0]))
-    return minimum_spanning_tree(DistanceMatrix(values=mat, labels=labels, q=1.0, scale=10))
+    return minimum_spanning_tree(DistanceMatrix(values=mat, labels=labels))
 
 
 def _distinct_weights(mat):
@@ -451,8 +448,8 @@ def test_stacked_prim_grows_every_tree_as_it_grows_alone(stack):
     # literal loop give.
     mats, rhos = stack
     labels = tuple(f"A{i}" for i in range(mats[0].shape[0]))
-    ds = [DistanceMatrix(values=m, labels=labels, q=1.0, scale=10,
-                         rho=None if rhos is None else rhos[k]) for k, m in enumerate(mats)]
+    ds = [DistanceMatrix(values=m, labels=labels, rho=None if rhos is None else rhos[k])
+          for k, m in enumerate(mats)]
     trees = minimum_spanning_tree(ds)
     assert len(trees) == len(ds)
     for d, tree in zip(ds, trees):
@@ -493,7 +490,7 @@ def test_lock_step_louvain_gives_every_problem_its_own_partition(stack, resoluti
     # comparisons and generator draws are the ones it makes alone.
     mats, seeds = stack
     labels = tuple(f"A{i}" for i in range(mats[0].shape[0]))
-    cs = [DetrendedCorrelationMatrix(values=m, labels=labels, q=2.0, scale=10) for m in mats]
+    cs = [DetrendedCorrelationMatrix(values=m, labels=labels) for m in mats]
     parts = louvain(cs, resolution=resolution, seed=seeds)
     assert len(parts) == len(cs)
     for c, seed, part in zip(cs, seeds, parts):
@@ -524,7 +521,7 @@ def _correlations(draw):
         rho = np.round(rho, 1)
     np.fill_diagonal(rho, 1.0)
     labels = tuple(f"A{i}" for i in range(n))
-    return DetrendedCorrelationMatrix(values=rho, labels=labels, q=2.0, scale=10)
+    return DetrendedCorrelationMatrix(values=rho, labels=labels)
 
 
 @settings(max_examples=150, deadline=None)
@@ -562,7 +559,7 @@ def _unit_diagonal_matrices(draw):
         rho[:] = 0.0
     np.fill_diagonal(rho, 1.0)
     labels = tuple(f"A{i}" for i in range(n))
-    return DetrendedCorrelationMatrix(values=rho, labels=labels, q=2.0, scale=10)
+    return DetrendedCorrelationMatrix(values=rho, labels=labels)
 
 
 @settings(max_examples=150, deadline=None)
@@ -574,7 +571,7 @@ def test_spectral_row_localization_is_the_literal_entropy_and_peak(c):
                        (row.h2, row.v2max, summary.eigenvectors[:, 1])):
         # A single-node block's vector can come back with its one component
         # at 1 + 2**-52, and the entropy at -4.4e-16: a rounding of 0.
-        assert -1e-12 <= h <= np.log(c.dim) + 1e-12
+        assert 0.0 <= h <= np.log(c.dim) + 1e-12
         assert abs(h - shannon_entropy_literal(v)) <= 1e-12
         assert vmax == max(x * x for x in v.tolist())
     # The residual pass's first vector is read the same way.
@@ -608,7 +605,7 @@ def test_louvain_matches_the_loop_oracle_bitwise(rho, resolution, seed):
     # level's membership and generator state, and the final partition, are
     # the literal per-node loop's.
     labels = tuple(f"A{i}" for i in range(rho.shape[0]))
-    c = DetrendedCorrelationMatrix(values=rho, labels=labels, q=2.0, scale=10)
+    c = DetrendedCorrelationMatrix(values=rho, labels=labels)
     part = louvain(c, resolution=resolution, seed=seed)
     members, _, _ = louvain_loop(rho, resolution, seed=seed)
     assert [part.communities[lab] for lab in labels] == members
@@ -860,7 +857,7 @@ def _window_record(w):
         return [(k, d[k]) for k in sorted(d)]
     trees = [(k, [getattr(t, name).tobytes() for name in ("i", "j", "distance", "rho")])
              for k, t in by_key(w.trees)]
-    parts = [(k, p.communities, p.degenerate) for k, p in by_key(w.partitions)]
+    parts = [(k, p.communities) for k, p in by_key(w.partitions)]
     return pickle.dumps((w.index, w.end_ts, by_key(w.spectral), by_key(w.topology), trees,
                          parts, by_key(w.lagged), by_key(w.mean_rho)))
 

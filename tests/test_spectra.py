@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,7 @@ from qdcca.spectra import (
 def _equicorrelation(n, rho):
     mat = np.full((n, n), rho)
     np.fill_diagonal(mat, 1.0)
-    return DetrendedCorrelationMatrix(
-        values=mat, labels=tuple(f"A{i}" for i in range(n)), q=2.0, scale=10
-    )
+    return DetrendedCorrelationMatrix(values=mat, labels=tuple(f"A{i}" for i in range(n)))
 
 
 def test_perfect_pair_matrix():
@@ -119,7 +119,7 @@ def test_equicorrelation_oracle_lambda_and_entropy():
 def test_eigendecompose_rejects_nonfinite():
     mat = np.eye(3)
     mat[0, 1] = mat[1, 0] = np.nan
-    c = DetrendedCorrelationMatrix(values=mat, labels=("a", "b", "c"), q=2.0, scale=10)
+    c = DetrendedCorrelationMatrix(values=mat, labels=("a", "b", "c"))
     with pytest.raises(EigensolverError):
         eigendecompose(c)
 
@@ -128,6 +128,11 @@ def test_entropy_reference_points():
     basis = np.zeros(10)
     basis[3] = 1.0
     assert shannon_entropy(basis) == 0.0
+    # Not -0.0 (a spectra row would write it so), nor -4.4e-16 from a
+    # component one ulp past 1.
+    for v in ([1.0, 0.0, 0.0], [1.0 + 2.0**-52, 0.0]):
+        h = shannon_entropy(v)
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0
     uniform = np.full(80, 1 / np.sqrt(80))
     assert abs(shannon_entropy(uniform) - np.log(80)) < 1e-12
     two = np.zeros(6)
