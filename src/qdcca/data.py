@@ -5,11 +5,14 @@ Input files are minute bars, either one CSV per ticker with columns
 Timestamps may be epoch seconds, epoch minutes or ISO-8601 and are stored
 as epoch minutes throughout.
 
-Each file is read once and parsed in one bulk pass (``np.loadtxt``, whose
-floats are bitwise those of ``float()``); the row checks run on the arrays.
-Tokens are parsed one by one only for an ISO timestamp column and for a
-file the bulk pass rejects or would misread; that pass names the first bad
-token's line.
+Each file's bytes are read and decoded once, for the UTF-8 check, the
+header, the bulk pass's guards and a bad row's line.  The bulk pass
+(``np.loadtxt``, whose floats are bitwise those of ``float()``) reads a
+regular ``.csv`` file again by path, in chunks, not line by line as a text;
+numpy decompresses other names by their extension and would read a pipe
+twice.  The row checks run on the arrays.  Tokens are parsed one by one
+only for an ISO timestamp column and for a file the bulk pass rejects or
+would misread; that pass names the first bad token's line.
 
 A series is excluded as a peg when the population std of its T log returns
 is below ``stable_threshold``.  Any two returns satisfy
@@ -188,19 +191,22 @@ def _may_hold_long_field(body: str) -> bool:
     return any(body.find(",", lo, lo + h) < 0 for lo in range(0, len(body) - h + 1, h))
 
 
-def _bulk_parse(body: str, width: int, wide: bool) -> np.ndarray | None:
-    """Every row as one (T, width) table of epoch seconds and prices, or
-    None when only the per-token parse reads the body as the rules say."""
+def _bulk_parse(body: str, first_line: int, path: str, width: int, wide: bool) -> np.ndarray | None:
+    """Every row of ``body`` (``path`` from ``first_line`` on) as one (T, width) table
+    of epoch seconds and prices, or None when only the per-token parse reads it right."""
     # numpy strips the separators \x1c-\x1f around a number; float() does
     # not; and numpy reads a field that csv rejects as too long.
     if (not body.strip("\r\n") or any(c in body for c in "\x1c\x1d\x1e\x1f") or (
             any(h in body for h in _ISO_HINTS) and _ISO_IN_FIRST_FIELD.search("\n" + body))
             or _may_hold_long_field(body)):
         return None
+    source, skip = io.StringIO(body, newline=""), 0
+    if path.lower().endswith(".csv") and os.path.isfile(path):
+        source, skip = os.path.abspath(path), first_line - 1  # absolute: never a URL
     try:
-        table = np.loadtxt(io.StringIO(body, newline=""), delimiter=",", dtype=np.float64,
-                           comments=None, quotechar='"', ndmin=2,
-                           usecols=None if wide else (0, 1))
+        table = np.loadtxt(source, delimiter=",", dtype=np.float64, comments=None,
+                           quotechar='"', ndmin=2, usecols=None if wide else (0, 1),
+                           encoding="utf-8-sig", skiprows=skip)
     except ValueError:
         return None
     table[:, 0] = _epoch_seconds(table[:, 0])
@@ -274,11 +280,14 @@ def _load_file(path: str, wide: bool | None = None) -> list[QuoteSeries]:
     except csv.Error as exc:
         raise QuoteParseError(f"unreadable row: {exc}", path, 1) from exc
     has_header = bool(header) and _is_header(header)
-    body, first_line = (text[buf.tell():], 2) if has_header else (text, 1)
+    body = text[buf.tell():] if has_header else text
+    # A quoted header may span lines: \r\n, \r or \n, as csv counts them (not splitlines).
+    head = text[:len(text) - len(body)]
+    first_line = 1 + head.count("\n") + head.count("\r") - head.count("\r\n")
     if wide and (not has_header or len(header) < 2):
         raise QuoteParseError("wide CSV needs a `timestamp,<ticker>,...` header row", path, 1)
     width = len(header) if wide else 2
-    table, error = _bulk_parse(body, width, wide), None
+    table, error = _bulk_parse(body, first_line, path, width, wide), None
     if table is None:
         values, error = _token_parse(body, first_line, path, width, wide)
         table = np.array(values, dtype=np.float64).reshape(-1, width)

@@ -21,27 +21,17 @@ from .pipeline import SpectralRow, SweepResult, TopologyRow, threshold_periods
 MANIFEST_NAME = "run_manifest.json"
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        # plain-float repr: shortest round-trip, no numpy scalar wrapper
-        return repr(float(value))
-    return str(value)
-
-
 def _tag(q: float) -> str:
     return f"{q:g}"
 
 
 def _write_csv(path: str, header, rows):
+    # csv writes a float by repr (shortest round trip), an int or str by str and
+    # None as an empty field; a bool or numpy scalar would come out as its repr.
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def _table(out_dir: str, name: str, header, rows) -> str:
@@ -65,7 +55,8 @@ def _row_files(result: SweepResult, cfg: AnalysisConfig, out_dir: str, family: s
                 if row is None:
                     continue
                 values = {"window": w.index, "end_ts": w.end_ts, "q": _tag(q), "s": s}
-                rows.append([values[c] for c in lead] + list(row[: len(fields)]))
+                rows.append([values[c] for c in lead]
+                            + [int(v) if type(v) is bool else v for v in row[: len(fields)]])
             yield _table(out_dir, f"{family}_{_tag(q)}_{s}.csv", [*lead, *fields], rows)
 
 

@@ -140,7 +140,7 @@ def shannon_entropy(v) -> float:
     ln N = uniform."""
     vec = np.asarray(v, dtype=np.float64)
     norm = np.sqrt(vec @ vec)
-    if abs(norm - 1.0) > 1e-9:
+    if not (abs(norm - 1.0) <= 1e-9):  # a NaN norm fails too
         raise ShapeMismatchError(f"vector is not unit length: |v| = {norm!r}")
     p = vec**2
     p = p[p > 0.0]  # 0 log 0 = 0

@@ -4,6 +4,7 @@ import math
 import os
 import tempfile
 import tracemalloc
+import urllib.request
 from datetime import datetime, timezone
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdcca import data
 from qdcca.data import (
     QuoteSeries,
     _common_minutes,
@@ -531,6 +533,67 @@ def test_price_parsing_is_bitwise_python_float(tmp_path):
     assert qs.prices.tobytes() == np.array([float(t) for t in tokens]).tobytes()
 
 
+def _repr_price_file(n):
+    rng = np.random.default_rng(9)
+    prices = np.exp(rng.standard_normal(n)).tolist()
+    return "timestamp,price\n" + "".join(f"{k},{p!r}\n" for k, p in enumerate(prices)), prices
+
+
+def _record_bulk_sources(monkeypatch):
+    """The first argument of each `np.loadtxt` call the loader makes."""
+    sources, loadtxt = [], np.loadtxt
+
+    def record(source, *args, **kwargs):
+        sources.append(source)
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr(data.np, "loadtxt", record)
+    return sources
+
+
+@pytest.mark.parametrize("name", ["AAA.csv", "AAA.CSV"])
+def test_clean_csv_file_is_parsed_in_bulk_from_its_path(tmp_path, monkeypatch, name):
+    text, prices = _repr_price_file(2_000)
+
+    def refuse(*args):
+        raise AssertionError("a clean file took the per-token parse")
+
+    monkeypatch.setattr(data, "_token_parse", refuse)
+    sources = _record_bulk_sources(monkeypatch)
+    (qs,) = _load_case(tmp_path, name, text)
+    assert sources == [str(tmp_path / name)]
+    assert qs.timestamps.tolist() == list(range(2_000))
+    assert qs.prices.tobytes() == np.array(prices).tobytes()
+
+
+@pytest.mark.parametrize("name", ["AAA.gz", "AAA.txt"])
+def test_other_names_are_parsed_from_the_decoded_text(tmp_path, monkeypatch, name):
+    # numpy would open a path ending in .gz as gzip; a plain-text file of
+    # that name loads like the .csv one.
+    text, _ = _repr_price_file(2_000)
+    (expected,) = _load_case(tmp_path, "AAA.csv", text)
+    sources = _record_bulk_sources(monkeypatch)
+    (qs,) = _load_case(tmp_path, name, text)
+    assert [type(source) for source in sources] == [io.StringIO]
+    assert qs.ticker == "AAA"
+    assert qs.timestamps.tolist() == expected.timestamps.tolist()
+    assert qs.prices.tobytes() == expected.prices.tobytes()
+
+
+def test_path_shaped_like_a_url_is_read_from_disk(tmp_path, monkeypatch):
+    # numpy fetches a path that parses as a URL ("http://host/..."), even
+    # when a local file of that name exists; the loader hands it no such path.
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy took a local path for a URL")
+
+    monkeypatch.setattr(urllib.request, "urlopen", refuse)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "http:" / "host").mkdir(parents=True)
+    (tmp_path / "http:" / "host" / "AAA.csv").write_text("timestamp,price\n0,100\n1,101\n")
+    (qs,) = load_quotes("http://host/AAA.csv")
+    assert qs.prices.tolist() == [100.0, 101.0]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
                 min_size=2, max_size=40))
@@ -611,7 +674,10 @@ _TOKENS = ["0", "1", "2", "7", "99999999", "100000020", "1577836860", "-5", "-0"
 
 @st.composite
 def _quote_texts(draw):
-    header = draw(st.sampled_from(["", "timestamp,price", "date-time,price", "\ufeff0,3"]))
+    # A quoted line break or a \x0c in the header moves the data's first line.
+    header = draw(st.sampled_from(["", "timestamp,price", "date-time,price", "\ufeff0,3",
+                                   '"time\nstamp",price', '"time\r\nstamp",price',
+                                   "time\x0cstamp,price"]))
     rows = draw(st.lists(st.lists(st.sampled_from(_TOKENS), max_size=3), max_size=8))
     lines = ([header] if header else []) + [",".join(row) for row in rows]
     ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),

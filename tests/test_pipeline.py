@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from qdcca import data, network, pipeline
+from qdcca import data, emit, network, pipeline
 from qdcca.config import AnalysisConfig
 from qdcca.data import ReturnMatrix, normalize
 from qdcca.dfa import DetrendConfig, rho_q_lagged
@@ -529,6 +529,28 @@ def test_run_that_skips_every_window_writes_headers_only(tmp_path):
     for name in manifest["outputs"]:
         with open(tmp_path / name, newline="") as fh:
             assert len(list(csv.reader(fh))) == 1, name
+
+
+def test_emitted_values_are_plain_python_scalars(tmp_path, monkeypatch):
+    # csv writes a bool as True/False and a numpy float64 as np.float64(...):
+    # every value the writers hand it is a str, int, float or None.
+    written = []
+    write_csv = emit._write_csv
+
+    def record(path, header, rows):
+        written.extend(rows)
+        write_csv(path, header, rows)
+
+    monkeypatch.setattr(emit, "_write_csv", record)
+    cfg = _small_cfg(q=(1.0, 4.0), s=(10, 60), residual=True, verbose=True)
+    result = run_analysis(cfg, _factor_matrix(5, 2_000, seed=1))
+    write_outputs(result, cfg, str(tmp_path), ALL_FAMILIES)
+    types = {type(v) for row in written for v in row}
+    assert types <= {str, int, float, type(None)}, types
+    assert {str, int, float} <= types
+    for path in tmp_path.glob("*.csv"):
+        text = path.read_text()
+        assert not any(t in text for t in ("np.", "True", "False")), path.name
 
 
 @pytest.mark.parametrize(

@@ -124,6 +124,13 @@ def test_eigendecompose_rejects_nonfinite():
         eigendecompose(c)
 
 
+@pytest.mark.parametrize("v", [[math.nan, 0.0, 0.0], [math.nan, 1.0]])
+def test_entropy_rejects_a_vector_with_a_nan(v):
+    # Its norm is NaN, which no tolerance test passes.
+    with pytest.raises(ShapeMismatchError, match="not unit length"):
+        shannon_entropy(v)
+
+
 def test_entropy_reference_points():
     basis = np.zeros(10)
     basis[3] = 1.0
