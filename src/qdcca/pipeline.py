@@ -13,10 +13,10 @@ Every coefficient is summed from the returns as given (after `global_norm`,
 if set) by one function, `_stretch_sums`: the box sums of a stretch of
 samples and its lagged pieces.  With blk = gcd(step, width), every window
 is a run of whole blk-sample blocks; for each scale with blk % s == 0 the
-sweep first sums every block that some window passing the gap-fill check
-needs, on the same pool, and each window adds its blocks in order.  Any
-other scale sums the window itself as its one stretch.  The zero-variance
-and coefficient rules run once, on the window's totals
+sweep sums each block that a window passing the gap-fill check needs once,
+in the first wave that needs it (below), and each window adds its blocks in
+order.  Any other scale sums the window itself as its one stretch.  The
+zero-variance and coefficient rules run once, on the window's totals
 (`dfa.BoxSums.coefficients`, `dfa.CrossSums.coefficients`).
 
 At lag k a lagged pair is series x's box at sample r against series y's
@@ -33,28 +33,27 @@ lags read, and a window that fails it is skipped with a reason that names
 the signed lag.  Normalization runs per window only to feed the residual
 pass, the one result it changes.
 
-A window's numbers (correlation matrices, spectra, lagged and mean
-coefficients) come from `compute_window` on the pool.  Its graphs (trees,
-topology rows, partitions) grow per wave of consecutive windows, in the
-calling thread (`_grow_graphs`): one lock-step Prim over every (window, q,
-s) tree of the wave and one lock-step Louvain over its (window, s)
-problems.  Wave w + 1's window jobs go to the pool before wave w's graphs
-grow, so the GIL-bound graph loops run beside the numeric work instead of
-taking turns with it.  Lock-step changes no bit (`network` notes: each
-tree makes its own comparisons, the offset `bincount` adds each problem's
-terms in node order, and each problem draws from its own generator), and
-a partition's seed is still drawn from (config seed, window index,
-scale).  So the outputs are those of one `compute_window` per window, at
-any thread count and wave length.
+The sweep is one loop over waves of consecutive windows.  A wave drops
+the held block sums below its first window (no later window reads them),
+sums on the pool the blocks its windows need that are not held, runs its
+windows on the pool (`compute_window`: correlation matrices, spectra,
+lagged and mean coefficients) and grows their graphs (trees, topology
+rows, partitions) in the calling thread (`_grow_graphs`): one lock-step
+Prim over every (window, q, s) tree and one lock-step Louvain over the
+(window, s) problems.  The next wave waits: the graph loops hold the GIL,
+so pool work beside them would only take turns with them (README).
+Lock-step changes no bit (`network` notes: each tree makes its own
+comparisons, the offset `bincount` adds each problem's terms in node
+order, and each problem draws from its own generator), so the outputs
+are those of one `compute_window` per window at any wave length.
 
 A wave holds its windows' correlation matrices, 8 n^2 bytes each (the
 `_graph_keys`: |q| |s| per window with a tree family, |s| with clusters
-alone), until its graphs have grown.  Its length is the number of
-windows whose matrices fit in `_WAVE_BYTES` = 4 MiB, but at least the
-pool's thread count.  While a wave's graphs grow, its distance matrices
-take as many bytes again (the Louvain weights no more), and the next
-wave's matrices fill in, so the graph inputs alive at once stay under
-about 3 x 4 MiB.  The budget is set from two sides:
+alone), until its graphs have grown; it has as many windows as fit in
+`_WAVE_BYTES` = 4 MiB, and no fewer than the pool's threads.  With their
+distance matrices (the Louvain weights take no more) the graph inputs
+alive at once stay under 2 x 4 MiB, and the block sums held cover at most
+one wave's span.  The budget is set from two sides:
 - A lock-step step makes about 20 numpy calls for all K problems, against
   about 10 per problem alone, so a stack wins from K = 3 or 4 on.  It gains
   little once the per-problem work dominates the call overhead: measured
@@ -257,7 +256,7 @@ def _graph_keys(cfg: AnalysisConfig, families) -> list:
 def _wave_length(n: int, n_windows: int, cfg: AnalysisConfig, families) -> int:
     """How many windows grow their graphs together: as many as hold
     `_WAVE_BYTES` of correlation matrices for the graph phase, and no fewer
-    than the pool threads, which the next wave keeps busy meanwhile."""
+    than the pool threads, so that the wave's windows fill the pool."""
     held = len(_graph_keys(cfg, families))
     return max(cfg.threads, _WAVE_BYTES // (8 * n * n * held)) if held else n_windows
 
@@ -461,7 +460,7 @@ def run_analysis(
         for index, (start, stop) in enumerate(windows)
         if gap_fill_skip(returns, start, stop, cfg.max_missing) is None
     }
-    jobs = [(s, b) for s in shared for b in sorted(set().union(*spans.values()))]
+    sums = {}
 
     def block_sums(job):
         s, b = job
@@ -483,17 +482,18 @@ def run_analysis(
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         # At one pool thread the work runs in the calling thread.
         run = pool.map if cfg.threads > 1 else map
-        sums = dict(zip(jobs, run(block_sums, jobs)))
-        pending = run(worker, waves[0])
-        for following in waves[1:] + [[]]:
-            done = list(pending)
-            # The next wave's windows run on the pool while this one's graphs grow.
-            pending = run(worker, following)
+        for wave in waves:
+            # No window of this wave or a later one starts before its first.
+            sums = {job: part for job, part in sums.items() if job[1] >= wave[0][1][0] // blk}
+            jobs = sorted({(s, b) for i, _ in wave if i in spans for s in shared for b in spans[i]}
+                          - sums.keys())
+            sums.update(zip(jobs, run(block_sums, jobs)))
+            done = list(run(worker, wave))
             grown = [o for o in done if isinstance(o[0], WindowResult)]
             _grow_graphs(grown, cfg, families)
             results += [result for result, _ in grown]
             skipped += [o for o in done if not isinstance(o[0], WindowResult)]
-            del done, grown  # the wave's matrices go before the next wave is awaited
+            del done, grown  # the wave's matrices go before the next wave starts
     return SweepResult(
         windows=results,
         skipped=skipped,

@@ -141,7 +141,7 @@ def shannon_entropy(v) -> float:
     vec = np.asarray(v, dtype=np.float64)
     norm = np.sqrt(vec @ vec)
     if not (abs(norm - 1.0) <= 1e-9):  # a NaN norm fails too
-        raise ShapeMismatchError(f"vector is not unit length: |v| = {norm!r}")
+        raise ShapeMismatchError(f"vector is not unit length: |v| = {float(norm)}")
     p = vec**2
     p = p[p > 0.0]  # 0 log 0 = 0
     # A component of 1 + 2**-52 gives -4.4e-16, and a basis vector -0.0.

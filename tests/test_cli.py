@@ -353,3 +353,32 @@ def test_validate_rejects_non_finite_float_settings(key, value):
     # keeps pegs.  Flags and files reject them earlier, when parsed.
     with pytest.raises(ConfigError, match=f"^{key} must be finite"):
         replace(AnalysisConfig(), **{key: value}).validate()
+
+
+@pytest.mark.parametrize("source, detail", [
+    ({"s": (3, 10)}, "every scale must be >= poly_order + 2 = 4, got (3, 10)"),
+    ({"window": 700}, "window of 700 samples is too short for scale 360: need at least 720"),
+    ({"step": 0}, "step must be >= 1, got 0"),
+    ({"poly_order": -1}, "poly_order must be >= 0, got -1"),
+    ({"grid": "daily"}, "grid must be 'uniform' or 'intersection', got 'daily'"),
+    ({"max_missing": -0.01}, "max_missing must be in [0, 1], got -0.01"),
+    ({"max_missing": 1.5}, "max_missing must be in [0, 1], got 1.5"),
+    ({"resolution": 0.0}, "resolution must be positive, got 0.0"),
+    ({"resolution": -1.0}, "resolution must be positive, got -1.0"),
+    ({"threads": 0}, "threads must be >= 1, got 0"),
+    (None, "config file not found: {path}"),
+    ("[analysis]\nwindo = 400\n", "{path}: unknown config key 'windo' in [analysis]"),
+    ("[analysis]\nq = 1\n[window]\nq = 2\n", "{path}: config key 'q' set more than once"),
+])
+def test_config_rejections_say_what_is_wrong(tmp_path, source, detail):
+    # A dict is a setting that `validate` rejects; text is a config file
+    # that `load_config` rejects, and None a file that is not there.
+    path = tmp_path / "run.ini"
+    if isinstance(source, str):
+        path.write_text(source)
+    with pytest.raises(ConfigError) as err:
+        if isinstance(source, dict):
+            replace(AnalysisConfig(), **source).validate()
+        else:
+            load_config(str(path))
+    assert str(err.value) == detail.format(path=path)

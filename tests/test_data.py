@@ -48,6 +48,22 @@ def test_load_three_line_csv(tmp_path):
     assert series[0].timestamps.tolist() == [0, 1, 2]
 
 
+@pytest.mark.parametrize("ts, prices, error, detail", [
+    ([0, 1, 2], [1.0, 2.0], ShapeMismatchError,
+     "timestamps and prices must be equal-length 1-D arrays"),
+    ([0, 1, 1, 2], [1.0] * 4, QuoteParseError, "timestamps not strictly increasing at row 3"),
+    ([0, 2, 1], [1.0] * 3, QuoteParseError, "timestamps not strictly increasing at row 3"),
+    ([0, 1, 2], [1.0, 0.0, 2.0], QuoteParseError, "nonpositive or non-finite price at row 2"),
+    ([0, 1, 2], [1.0, 2.0, -3.0], QuoteParseError, "nonpositive or non-finite price at row 3"),
+    ([0, 1, 2], [math.nan, 2.0, 3.0], QuoteParseError, "nonpositive or non-finite price at row 1"),
+])
+def test_quote_series_names_its_ticker_and_row(ts, prices, error, detail):
+    # Built directly, not read from a file: the ticker stands in for the path.
+    with pytest.raises(error) as err:
+        _quotes("XYZ", ts, prices)
+    assert type(err.value) is error and str(err.value) == f"XYZ: {detail}"
+
+
 def test_load_rejects_zero_price_with_row(tmp_path):
     path = tmp_path / "BAD.csv"
     path.write_text("0,100\n1,0\n2,99\n")

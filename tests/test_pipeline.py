@@ -402,6 +402,65 @@ def test_each_partition_is_seeded_from_its_window_and_scale(threads):
     assert sorted(seen) == want
 
 
+@pytest.mark.parametrize("wave, threads", [(1, 1), (2, 1), (2, 2)])
+def test_sweep_sums_each_block_once_in_the_wave_that_first_needs_it(wave, threads):
+    # Both scales divide the 250-sample blocks, so every window adds block
+    # sums.  Eight gap fills in block 9 and eight in block 11 pass alone,
+    # but windows 8 and 9 hold both and are skipped: at one or two windows
+    # a wave, a middle wave runs no window, and block 10, summed for
+    # window 7, must still be held for window 10.  Between two graph phases
+    # the sweep runs exactly one wave's windows and the blocks that no
+    # earlier wave needed.
+    n, t, blk = 5, 5_000, 250
+    returns = _factor_matrix(n, t, seed=12)
+    filled = np.zeros(t, dtype=bool)
+    for b in (9, 11):
+        filled[b * blk : b * blk + 8] = True
+    returns = replace(returns, values=np.where(filled, 0.0, returns.values), filled=filled)
+    cfg = _small_cfg(q=(1.0, 2.0), s=(10, 25), window=1_000, step=blk, threads=threads)
+    events = []
+    real_sums, real_window, real_grow = (
+        pipeline._stretch_sums, pipeline.compute_window, pipeline._grow_graphs)
+
+    def stretch_sums(values, lo, hi, s, *args):
+        events.append(("sum", s, lo // blk))
+        return real_sums(values, lo, hi, s, *args)
+
+    def window(*args, **kwargs):
+        events.append(("window", args[3]))
+        return real_window(*args, **kwargs)
+
+    def grow(*args):
+        events.append(("grow",))
+        return real_grow(*args)
+
+    held = len(cfg.q) * len(cfg.s) * 8 * n * n
+    with mock.patch.object(pipeline, "_WAVE_BYTES", wave * held), \
+            mock.patch.object(pipeline, "_stretch_sums", stretch_sums), \
+            mock.patch.object(pipeline, "compute_window", window), \
+            mock.patch.object(pipeline, "_grow_graphs", grow):
+        result = run_analysis(cfg, returns, ALL_FAMILIES)
+    windows = rolling_windows(t, cfg.window, cfg.step)
+    assert [i for i, _ in result.skipped] == [8, 9] and len(result.windows) == 15
+    spans = {i: range(a // blk, b // blk) for i, (a, b) in enumerate(windows) if i not in (8, 9)}
+    want, summed = [], set()
+    for lo in range(0, len(windows), wave):
+        indices = range(lo, min(lo + wave, len(windows)))
+        blocks = set().union(*(spans[i] for i in indices if i in spans)) - summed
+        summed |= blocks
+        want.append(sorted([("window", i) for i in indices]
+                           + [("sum", s, b) for s in cfg.s for b in blocks]))
+    phases, phase = [], []
+    for event in events:
+        if event == ("grow",):
+            phases.append(sorted(phase))
+            phase = []
+        else:
+            phase.append(event)
+    assert phase == [] and phases == want
+    assert len(set(events) - {("grow",)}) == len(events) - len(want)  # nothing twice
+
+
 def test_compute_window_end_timestamp_label():
     returns = _factor_matrix(3, 1_200, seed=8)
     cfg = _small_cfg(window=1_000, step=200, lags=(0,))

@@ -127,8 +127,16 @@ def test_eigendecompose_rejects_nonfinite():
 @pytest.mark.parametrize("v", [[math.nan, 0.0, 0.0], [math.nan, 1.0]])
 def test_entropy_rejects_a_vector_with_a_nan(v):
     # Its norm is NaN, which no tolerance test passes.
-    with pytest.raises(ShapeMismatchError, match="not unit length"):
+    with pytest.raises(ShapeMismatchError) as err:
         shannon_entropy(v)
+    assert str(err.value) == "vector is not unit length: |v| = nan"
+
+
+def test_entropy_names_the_norm_as_a_plain_float():
+    # Not numpy's repr, np.float64(0.7071067811865476).
+    with pytest.raises(ShapeMismatchError) as err:
+        shannon_entropy([0.5, 0.5])
+    assert str(err.value) == "vector is not unit length: |v| = 0.7071067811865476"
 
 
 def test_entropy_reference_points():
