@@ -454,7 +454,12 @@ def build_return_matrix(
     if timestamps.size == 0:
         raise EmptyIntersectionError("series share no common timestamps")
     if base is not None:
-        prices = np.divide(prices[:-1], prices[-1], out=prices[:-1])
+        with np.errstate(over="ignore"):  # an overflow is named below
+            prices = np.divide(prices[:-1], prices[-1], out=prices[:-1])
+        if not (prices.min() > 0 and prices.max() < np.inf):  # no mask: a ratio is never NaN
+            m, k = np.argwhere(((prices == 0) | (prices == np.inf)).T)[0]
+            raise ShapeMismatchError(f"{kept[k].ticker} in {base} units leaves the float range "
+                                     f"at minute {timestamps[m]}: {float(prices[k, m])}")
     report = AlignmentReport(
         retention={qs.ticker: timestamps.size / n for qs, n in zip(kept, lengths)}
     )

@@ -16,7 +16,7 @@ import os
 
 from .config import AnalysisConfig
 from .network import cluster_track
-from .pipeline import SpectralRow, SweepResult, TopologyRow, threshold_periods
+from .pipeline import SpectralRow, SweepResult, TopologyRow, _check_families, threshold_periods
 
 MANIFEST_NAME = "run_manifest.json"
 
@@ -150,7 +150,8 @@ def write_outputs(
     families,
 ) -> dict:
     """Write the requested CSV families plus the run manifest; returns the
-    manifest dictionary."""
+    manifest dictionary.  An unknown family raises ConfigError first."""
+    _check_families(families)
     os.makedirs(out_dir, exist_ok=True)
     outputs: list[str] = []
     for family in families:

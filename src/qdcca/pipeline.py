@@ -47,13 +47,12 @@ comparisons, the offset `bincount` adds each problem's terms in node
 order, and each problem draws from its own generator), so the outputs
 are those of one `compute_window` per window at any wave length.
 
-A wave holds its windows' correlation matrices, 8 n^2 bytes each (the
-`_graph_keys`: |q| |s| per window with a tree family, |s| with clusters
-alone), until its graphs have grown; it has as many windows as fit in
-`_WAVE_BYTES` = 4 MiB, and no fewer than the pool's threads.  With their
-distance matrices (the Louvain weights take no more) the graph inputs
-alive at once stay under 2 x 4 MiB, and the block sums held cover at most
-one wave's span.  The budget is set from two sides:
+A wave holds all |q| |s| correlation matrices of each window, whatever
+the families (8 n^2 bytes each), until its graphs have grown; it has as
+many windows as fit in `_WAVE_BYTES` = 4 MiB, and at least the pool's
+threads.  With their distance matrices (the Louvain weights take no
+more) the graph inputs alive at once stay under 2 x 4 MiB, and the block
+sums held cover one wave's span at most.  Two sides set the budget:
 - A lock-step step makes about 20 numpy calls for all K problems, against
   about 10 per problem alone, so a stack wins from K = 3 or 4 on.  It gains
   little once the per-problem work dominates the call overhead: measured
@@ -89,6 +88,14 @@ from .spectra import DetrendedCorrelationMatrix
 _WAVE_BYTES = 4 << 20
 
 ALL_FAMILIES = ("spectra", "topology", "edges", "clusters", "lagged", "periods")
+
+
+def _check_families(families) -> None:
+    """Raise ConfigError unless ``families`` is a collection of `ALL_FAMILIES` names."""
+    if isinstance(families, str):
+        raise ConfigError(f"families must be a collection of names, not the string {families!r}")
+    if unknown := sorted(set(families) - set(ALL_FAMILIES)):
+        raise ConfigError(f"unknown output family {', '.join(map(repr, unknown))}")
 
 
 def rolling_windows(n_samples: int, width: int, step: int) -> list[tuple[int, int]]:
@@ -245,20 +252,10 @@ def _grow_graphs(wave, cfg: AnalysisConfig, families) -> None:
             result.partitions[s] = partition
 
 
-def _graph_keys(cfg: AnalysisConfig, families) -> list:
-    """The (q, s) of the correlation matrices a window holds for the graph
-    phase: every one for the trees, the first q's for clusters alone."""
-    if {"topology", "edges"} & set(families):
-        return [(q, s) for s in cfg.s for q in cfg.q]
-    return [(cfg.q[0], s) for s in cfg.s] if "clusters" in families else []
-
-
-def _wave_length(n: int, n_windows: int, cfg: AnalysisConfig, families) -> int:
-    """How many windows grow their graphs together: as many as hold
-    `_WAVE_BYTES` of correlation matrices for the graph phase, and no fewer
-    than the pool threads, so that the wave's windows fill the pool."""
-    held = len(_graph_keys(cfg, families))
-    return max(cfg.threads, _WAVE_BYTES // (8 * n * n * held)) if held else n_windows
+def _wave_length(n: int, cfg: AnalysisConfig) -> int:
+    """How many windows run together: as many as hold `_WAVE_BYTES` of their
+    |q| |s| correlation matrices, and no fewer than the pool threads."""
+    return max(cfg.threads, _WAVE_BYTES // (8 * n * n * len(cfg.q) * len(cfg.s)))
 
 
 def gap_fill_skip(returns: ReturnMatrix, start: int, stop: int, max_missing: float):
@@ -349,9 +346,7 @@ def _lag_rows(tickers, cfg: AnalysisConfig, families) -> list:
 
 
 def _needs_correlations(cfg: AnalysisConfig, families) -> bool:
-    return bool({"spectra", "topology", "edges", "clusters", "periods"} & set(families)) or (
-        "lagged" in families and 0 in cfg.lags
-    )
+    return any(family != "lagged" or 0 in cfg.lags for family in families)
 
 
 def compute_window(
@@ -371,8 +366,8 @@ def compute_window(
     computed ahead (see the module docstring); a scale without them sums
     the window itself as one stretch.  ``graphs``, a dict, is given by a
     sweep that has checked every return once: the window then leaves its
-    trees, topology rows and partitions to the sweep, and puts the
-    correlation matrices they grow from in ``graphs``, by `_graph_keys`.
+    trees, topology rows and partitions to the sweep, and puts every
+    correlation matrix it computes in ``graphs``, by (q, s).
     """
     tickers = returns.tickers
     window_returns = ReturnMatrix(
@@ -394,11 +389,9 @@ def compute_window(
     residual_input = None
     if cfg.residual and "spectra" in families:
         residual_input = window_returns if cfg.global_norm else _normalized(window_returns)
-    shared = shared or {}
     held = {} if graphs is None else graphs
-    graph_keys = _graph_keys(cfg, families)
     parts = {
-        s: shared.get(s)
+        s: (shared or {}).get(s)
         or [_stretch_sums(window_returns.values, 0, stop - start, s, cfg, need_corr, rows)]
         for s in cfg.s
     }
@@ -417,8 +410,7 @@ def compute_window(
                 if residual_input is not None:
                     res = _residual_spectrum(residual_input, q, s, cfg, summary)
                 result.spectral[(q, s)] = _spectral_row(summary, res)
-            if (q, s) in graph_keys:
-                held[(q, s)] = c
+            held[(q, s)] = c
             if 0 in cfg.lags and anchor_idx:
                 _anchor_means(result.lagged, 0, s, anchor_idx,
                               {q: c.values[np.ix_(anchor_rows, others)]})
@@ -441,9 +433,10 @@ def run_analysis(
     returns: ReturnMatrix,
     families=ALL_FAMILIES,
 ) -> SweepResult:
-    """Sweep every rolling window; a window's failure is recorded, not
-    fatal.  A non-finite return raises ShapeMismatchError."""
+    """Sweep every rolling window; a window's failure is recorded, not fatal.
+    A non-finite return raises ShapeMismatchError, an unknown family ConfigError."""
     cfg.validate()
+    _check_families(families)
     data.check_finite(returns.values, returns.tickers, returns.timestamps)
     if cfg.global_norm:
         returns = _normalized(returns)
@@ -476,7 +469,7 @@ def run_analysis(
         except QdccaError as exc:
             return index, str(exc)
 
-    width = _wave_length(len(returns.tickers), len(windows), cfg, families)
+    width = _wave_length(len(returns.tickers), cfg)
     items = list(enumerate(windows))
     waves = [items[lo : lo + width] for lo in range(0, len(items), width)]
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:

@@ -188,6 +188,24 @@ def test_rebase_prices():
                             base="BTC")
 
 
+def test_rebased_price_out_of_float_range_names_ticker_base_and_minute():
+    # A ratio that underflows to 0 or overflows to inf would give an
+    # infinite log price and NaN returns; it fails before the log, naming
+    # the earliest minute of any series.
+    ts = [10, 11, 12, 13]
+    alt = _quotes("A", ts, [1.0, 1.0, 1e-300, 1.0])
+    other = _quotes("B", ts, [100.0, 100.0, 100.0, 1e-300])
+    base = _quotes("BASE", ts, [1e300] * 4)
+    with pytest.raises(ShapeMismatchError) as exc:
+        build_return_matrix([alt, other, base], base="BASE")
+    assert str(exc.value) == "A in BASE units leaves the float range at minute 12: 0.0"
+    base = _quotes("BASE", ts, [1.0, 1e-300, 1.0, 1.0])
+    alt = _quotes("A", ts, [1.0, 1e300, 1.0, 1.0])
+    with pytest.raises(ShapeMismatchError) as exc:
+        build_return_matrix([other, alt, base], base="BASE", grid="intersection")
+    assert str(exc.value) == "A in BASE units leaves the float range at minute 11: inf"
+
+
 def test_rebase_consistency_roundtrip():
     rng = np.random.default_rng(1)
     ts = np.arange(50)

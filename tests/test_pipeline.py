@@ -402,22 +402,32 @@ def test_each_partition_is_seeded_from_its_window_and_scale(threads):
     assert sorted(seen) == want
 
 
-@pytest.mark.parametrize("wave, threads", [(1, 1), (2, 1), (2, 2)])
-def test_sweep_sums_each_block_once_in_the_wave_that_first_needs_it(wave, threads):
+@pytest.mark.parametrize("wave, threads, families, lags", [
+    pytest.param(wave, threads, families, lags, id=f"{wave}-{threads}{tag}")
+    for wave, threads in [(1, 1), (2, 1), (2, 2)]
+    for tag, families, lags in [
+        ("", ALL_FAMILIES, (-1, 0, 1)),
+        ("-spectra", ("spectra",), (-1, 0, 1)),
+        ("-lagged", ("lagged",), (-1, 1)),  # no correlation pass: lagged block sums alone
+    ]
+])
+def test_sweep_sums_each_block_once_in_the_wave_that_first_needs_it(wave, threads, families,
+                                                                    lags):
     # Both scales divide the 250-sample blocks, so every window adds block
     # sums.  Eight gap fills in block 9 and eight in block 11 pass alone,
     # but windows 8 and 9 hold both and are skipped: at one or two windows
     # a wave, a middle wave runs no window, and block 10, summed for
     # window 7, must still be held for window 10.  Between two graph phases
     # the sweep runs exactly one wave's windows and the blocks that no
-    # earlier wave needed.
+    # earlier wave needed, whether or not the families grow any graph.
     n, t, blk = 5, 5_000, 250
     returns = _factor_matrix(n, t, seed=12)
     filled = np.zeros(t, dtype=bool)
     for b in (9, 11):
         filled[b * blk : b * blk + 8] = True
     returns = replace(returns, values=np.where(filled, 0.0, returns.values), filled=filled)
-    cfg = _small_cfg(q=(1.0, 2.0), s=(10, 25), window=1_000, step=blk, threads=threads)
+    cfg = _small_cfg(q=(1.0, 2.0), s=(10, 25), window=1_000, step=blk, lags=lags,
+                     threads=threads)
     events = []
     real_sums, real_window, real_grow = (
         pipeline._stretch_sums, pipeline.compute_window, pipeline._grow_graphs)
@@ -439,7 +449,7 @@ def test_sweep_sums_each_block_once_in_the_wave_that_first_needs_it(wave, thread
             mock.patch.object(pipeline, "_stretch_sums", stretch_sums), \
             mock.patch.object(pipeline, "compute_window", window), \
             mock.patch.object(pipeline, "_grow_graphs", grow):
-        result = run_analysis(cfg, returns, ALL_FAMILIES)
+        result = run_analysis(cfg, returns, families)
     windows = rolling_windows(t, cfg.window, cfg.step)
     assert [i for i, _ in result.skipped] == [8, 9] and len(result.windows) == 15
     spans = {i: range(a // blk, b // blk) for i, (a, b) in enumerate(windows) if i not in (8, 9)}
@@ -459,6 +469,30 @@ def test_sweep_sums_each_block_once_in_the_wave_that_first_needs_it(wave, thread
             phase.append(event)
     assert phase == [] and phases == want
     assert len(set(events) - {("grow",)}) == len(events) - len(want)  # nothing twice
+
+
+def test_unknown_family_is_rejected_before_any_work(tmp_path):
+    # A misspelt family, and a bare string (whose letters are no families),
+    # fail by name before a window runs or the output directory exists.
+    returns = _factor_matrix(3, 1_200, seed=8)
+    cfg = _small_cfg(window=1_000, step=200)
+    window = mock.Mock(wraps=pipeline.compute_window)
+    with mock.patch.object(pipeline, "compute_window", window):
+        with pytest.raises(ConfigError) as exc:
+            run_analysis(cfg, returns, ("spectra", "spectrum"))
+        assert str(exc.value) == "unknown output family 'spectrum'"
+        with pytest.raises(ConfigError) as exc:
+            run_analysis(cfg, returns, "spectra")
+        assert str(exc.value) == "families must be a collection of names, not the string 'spectra'"
+    assert window.call_count == 0
+    result = run_analysis(cfg, returns, ("spectra",))
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError) as exc:
+        write_outputs(result, cfg, str(out), ("spectrum",))
+    assert str(exc.value) == "unknown output family 'spectrum'"
+    with pytest.raises(ConfigError, match="not the string 'spectra'"):
+        write_outputs(result, cfg, str(out), "spectra")
+    assert not out.exists()
 
 
 def test_compute_window_end_timestamp_label():

@@ -866,25 +866,28 @@ def _window_record(w):
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.sampled_from([1, 2]))
 def test_sweep_in_waves_matches_per_window_calls(seed, wave, threads):
     # The wave budget is cut to `wave` windows' matrices, so the nine windows
-    # grow their graphs in three or more waves; each wave's one Prim and one
-    # Louvain must give every window the results it computes alone.  Neither
-    # scale divides the 250-sample blocks, so the sweep, like a lone window,
-    # sums each window as one stretch.
+    # run in three or more waves, whatever the families; each wave's one
+    # Prim and one Louvain must give every window the results it computes
+    # alone.  Neither scale divides the 250-sample blocks, so the sweep, like
+    # a lone window, sums each window as one stretch.  Lags -1, 1 alone run
+    # no correlation pass.
     rng = np.random.default_rng(seed)
     n, t = 6, 3_000
     values = (rng.standard_normal((n, n)) + np.eye(n)) @ rng.standard_normal((n, t))
     returns = ReturnMatrix(tickers=tuple(f"A{i}" for i in range(n)),
                            timestamps=np.arange(t, dtype=np.int64), values=values)
-    cfg = AnalysisConfig(q=(1.0, 2.0), s=(12, 35), window=1_000, step=250, lags=(-1, 0, 1),
-                         anchors=("A0",), verbose=True, seed=seed % 1000, threads=threads)
-    held = len(cfg.q) * len(cfg.s) * 8 * n * n
-    grow = mock.Mock(wraps=pipeline._grow_graphs)
-    with mock.patch.object(pipeline, "_WAVE_BYTES", wave * held), \
-            mock.patch.object(pipeline, "_grow_graphs", grow):
-        swept = run_analysis(cfg, returns, ALL_FAMILIES)
-    assert swept.skipped == [] and grow.call_count >= 3
-    windows = rolling_windows(t, cfg.window, cfg.step)
-    assert len(swept.windows) == len(windows) == 9
-    for w, (start, stop) in zip(swept.windows, windows):
-        alone = compute_window(returns, start, stop, w.index, cfg, ALL_FAMILIES)
-        assert _window_record(w) == _window_record(alone)
+    windows = rolling_windows(t, 1_000, 250)
+    for families, lags in [(ALL_FAMILIES, (-1, 0, 1)), (("spectra",), (-1, 0, 1)),
+                           (("lagged",), (-1, 1))]:
+        cfg = AnalysisConfig(q=(1.0, 2.0), s=(12, 35), window=1_000, step=250, lags=lags,
+                             anchors=("A0",), verbose=True, seed=seed % 1000, threads=threads)
+        held = len(cfg.q) * len(cfg.s) * 8 * n * n
+        grow = mock.Mock(wraps=pipeline._grow_graphs)
+        with mock.patch.object(pipeline, "_WAVE_BYTES", wave * held), \
+                mock.patch.object(pipeline, "_grow_graphs", grow):
+            swept = run_analysis(cfg, returns, families)
+        assert swept.skipped == [] and grow.call_count >= 3
+        assert len(swept.windows) == len(windows) == 9
+        for w, (start, stop) in zip(swept.windows, windows):
+            alone = compute_window(returns, start, stop, w.index, cfg, families)
+            assert _window_record(w) == _window_record(alone)
