@@ -35,22 +35,29 @@ pass, the one result it changes.
 
 The sweep is one loop over waves of consecutive windows.  A wave drops
 the held block sums below its first window (no later window reads them),
-sums on the pool the blocks its windows need that are not held, runs its
-windows on the pool (`compute_window`: correlation matrices, spectra,
-lagged and mean coefficients) and grows their graphs (trees, topology
-rows, partitions) in the calling thread (`_grow_graphs`): one lock-step
-Prim over every (window, q, s) tree and one lock-step Louvain over the
-(window, s) problems.  The next wave waits: the graph loops hold the GIL,
-so pool work beside them would only take turns with them (README).
-Lock-step changes no bit (`network` notes: each tree makes its own
-comparisons, the offset `bincount` adds each problem's terms in node
-order, and each problem draws from its own generator), so the outputs
-are those of one `compute_window` per window at any wave length.
+sums on the pool the blocks its windows need that are not held, and runs
+its windows on the pool (`compute_window`: correlation matrices, lagged
+and mean coefficients).  Then it queues on the pool one graph job, which
+grows every graph of the wave (`_grow_graphs`: trees, topology rows,
+partitions) with one lock-step Prim over every (window, q, s) tree and
+one lock-step Louvain over the (window, s) problems, and after it one
+spectra job per window (`_window_spectra`: eigendecompositions and the
+residual pass).  The pool takes jobs in order, so one thread grows the
+graphs while the others run the spectra, whose `eigh` releases the GIL,
+and joins them when it is done.  The graph job runs on the pool and not
+in the calling thread: beside two spectra threads that would put three
+runnable threads on two cores, and the graph loops, which hold the GIL
+between small numpy calls, would take turns with both (README).  The
+next wave waits for every job of this one.  Lock-step changes no bit
+(`network` notes: each tree makes its own comparisons, the offset
+`bincount` adds each problem's terms in node order, and each problem
+draws from its own generator), so the outputs are those of one
+`compute_window` per window at any wave length.
 
 A wave holds all |q| |s| correlation matrices of each window, whatever
-the families (8 n^2 bytes each), until its graphs have grown; it has as
-many windows as fit in `_WAVE_BYTES` = 4 MiB, and at least the pool's
-threads.  With their distance matrices (the Louvain weights take no
+the families (8 n^2 bytes each), until its graphs and spectra are done;
+it has as many windows as fit in `_WAVE_BYTES` = 4 MiB, and at least the
+pool's threads.  With their distance matrices (the Louvain weights take no
 more) the graph inputs alive at once stay under 2 x 4 MiB, and the block
 sums held cover one wave's span at most.  Two sides set the budget:
 - A lock-step step makes about 20 numpy calls for all K problems, against
@@ -71,6 +78,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -292,6 +300,24 @@ def _residual_spectrum(window_returns: ReturnMatrix, q, s, cfg, summary):
     return spectra.eigendecompose(c_res)
 
 
+def _window_spectra(window_returns: ReturnMatrix, held: dict, cfg: AnalysisConfig) -> dict:
+    """The spectra rows of a window's correlation matrices ``held``, by
+    (q, s): the residual pass's normalization first, then each matrix's
+    eigendecomposition and residual spectrum in ``held``'s (s, q) order, so
+    the first failure raised is the first that the window meets."""
+    residual_input = None
+    if cfg.residual:
+        residual_input = window_returns if cfg.global_norm else _normalized(window_returns)
+    rows = {}
+    for (q, s), c in held.items():
+        summary = spectra.eigendecompose(c)
+        res = None
+        if residual_input is not None:
+            res = _residual_spectrum(residual_input, q, s, cfg, summary)
+        rows[q, s] = _spectral_row(summary, res)
+    return rows
+
+
 def _stretch_sums(values, lo: int, hi: int, s: int, cfg: AnalysisConfig, corr: bool, rows):
     """The box sums of samples [lo, hi) of ``values`` at scale s (None
     unless ``corr``) and the lagged pieces of the pairs whose leading box
@@ -349,50 +375,21 @@ def _needs_correlations(cfg: AnalysisConfig, families) -> bool:
     return any(family != "lagged" or 0 in cfg.lags for family in families)
 
 
-def compute_window(
-    returns: ReturnMatrix,
-    start: int,
-    stop: int,
-    index: int,
-    cfg: AnalysisConfig,
-    families,
-    shared=None,
-    graphs=None,
-) -> WindowResult:
-    """All requested per-window products; pure function of its arguments.
-    A non-finite return in the window raises ShapeMismatchError.
-
-    ``shared`` maps a scale to the `_stretch_sums` of the window's blocks,
-    computed ahead (see the module docstring); a scale without them sums
-    the window itself as one stretch.  ``graphs``, a dict, is given by a
-    sweep that has checked every return once: the window then leaves its
-    trees, topology rows and partitions to the sweep, and puts every
-    correlation matrix it computes in ``graphs``, by (q, s).
-    """
-    tickers = returns.tickers
-    window_returns = ReturnMatrix(
-        tickers=tickers, timestamps=returns.timestamps[start:stop],
-        values=returns.values[:, start:stop],
-    )
-    if graphs is None:
-        data.check_finite(window_returns.values, tickers, returns.timestamps, start)
-    reason = gap_fill_skip(returns, start, stop, cfg.max_missing)
-    if reason is not None:
-        raise QdccaError(reason)
-    result = WindowResult(index=index, end_ts=int(returns.timestamps[stop - 1]))
+def _window_coefficients(window_returns: ReturnMatrix, result: WindowResult, held: dict,
+                         cfg: AnalysisConfig, families, shared) -> None:
+    """A window's correlation matrices, put in ``held`` by (q, s) in (s, q)
+    order, and its mean and lagged coefficients, put in ``result``."""
+    tickers = window_returns.tickers
     need_corr = _needs_correlations(cfg, families)
     rows = _lag_rows(tickers, cfg, families)
     # The lagged family's anchors and the series they are averaged against.
     anchor_idx = _anchors(tickers, cfg) if "lagged" in families else {}
     anchor_rows = list(anchor_idx.values())
     others = np.setdiff1d(np.arange(len(tickers)), anchor_rows)
-    residual_input = None
-    if cfg.residual and "spectra" in families:
-        residual_input = window_returns if cfg.global_norm else _normalized(window_returns)
-    held = {} if graphs is None else graphs
+    width = window_returns.n_samples
     parts = {
         s: (shared or {}).get(s)
-        or [_stretch_sums(window_returns.values, 0, stop - start, s, cfg, need_corr, rows)]
+        or [_stretch_sums(window_returns.values, 0, width, s, cfg, need_corr, rows)]
         for s in cfg.s
     }
     for s in cfg.s if need_corr else ():
@@ -404,12 +401,6 @@ def compute_window(
             c = mats[q]
             if "periods" in families:
                 result.mean_rho[(q, s)] = _mean_offdiagonal(c)
-            if "spectra" in families:
-                summary = spectra.eigendecompose(c)
-                res = None
-                if residual_input is not None:
-                    res = _residual_spectrum(residual_input, q, s, cfg, summary)
-                result.spectral[(q, s)] = _spectral_row(summary, res)
             held[(q, s)] = c
             if 0 in cfg.lags and anchor_idx:
                 _anchor_means(result.lagged, 0, s, anchor_idx,
@@ -423,9 +414,63 @@ def compute_window(
                 if tau in cfg.lags:
                     _anchor_means(result.lagged, tau, s, anchor_idx,
                                   total.coefficients(tau, others, s, tickers))
+
+
+def _window(returns: ReturnMatrix, start: int, stop: int) -> ReturnMatrix:
+    return ReturnMatrix(tickers=returns.tickers, timestamps=returns.timestamps[start:stop],
+                        values=returns.values[:, start:stop])
+
+
+def compute_window(
+    returns: ReturnMatrix,
+    start: int,
+    stop: int,
+    index: int,
+    cfg: AnalysisConfig,
+    families,
+    shared=None,
+    graphs=None,
+) -> WindowResult:
+    """All requested per-window products; pure function of its arguments.
+    A non-finite return in the window raises ShapeMismatchError, an unknown
+    family ConfigError.
+
+    ``shared`` maps a scale to the `_stretch_sums` of the window's blocks,
+    computed ahead (see the module docstring); a scale without them sums
+    the window itself as one stretch.  ``graphs``, a dict, is given by a
+    sweep that has checked every return once: the window then leaves its
+    spectra rows, trees, topology rows and partitions to the sweep, and
+    puts every correlation matrix it computes in ``graphs``, by (q, s).
+
+    A window that fails first runs the spectra of the matrices it holds,
+    so a skip reason is the first failure in the order the checks ran in
+    one pass: gap fills, the residual pass's normalization, then per scale
+    the coefficients and that scale's spectra, then the lagged pass.
+    """
+    _check_families(families)
+    window_returns = _window(returns, start, stop)
     if graphs is None:
+        data.check_finite(window_returns.values, returns.tickers, returns.timestamps, start)
+    reason = gap_fill_skip(returns, start, stop, cfg.max_missing)
+    if reason is not None:
+        raise QdccaError(reason)
+    result = WindowResult(index=index, end_ts=int(returns.timestamps[stop - 1]))
+    held = {} if graphs is None else graphs
+    try:
+        _window_coefficients(window_returns, result, held, cfg, families, shared)
+    except QdccaError:
+        if "spectra" in families:
+            _window_spectra(window_returns, held, cfg)  # an earlier failure wins
+        raise
+    if graphs is None:
+        if "spectra" in families:
+            result.spectral = _window_spectra(window_returns, held, cfg)
         _grow_graphs([(result, held)], cfg, families)
     return result
+
+
+def _call(job):
+    return job()
 
 
 def run_analysis(
@@ -469,6 +514,12 @@ def run_analysis(
         except QdccaError as exc:
             return index, str(exc)
 
+    def spectra_job(result, held):
+        try:
+            result.spectral = _window_spectra(_window(returns, *windows[result.index]), held, cfg)
+        except QdccaError as exc:
+            return result.index, str(exc)
+
     width = _wave_length(len(returns.tickers), cfg)
     items = list(enumerate(windows))
     waves = [items[lo : lo + width] for lo in range(0, len(items), width)]
@@ -483,10 +534,15 @@ def run_analysis(
             sums.update(zip(jobs, run(block_sums, jobs)))
             done = list(run(worker, wave))
             grown = [o for o in done if isinstance(o[0], WindowResult)]
-            _grow_graphs(grown, cfg, families)
-            results += [result for result, _ in grown]
-            skipped += [o for o in done if not isinstance(o[0], WindowResult)]
-            del done, grown  # the wave's matrices go before the next wave starts
+            # The graph job first: the pool takes jobs in order (module notes).
+            jobs = [partial(_grow_graphs, grown, cfg, families)]
+            if "spectra" in families:
+                jobs += [partial(spectra_job, result, held) for result, held in grown]
+            failed = dict(filter(None, run(_call, jobs)))
+            results += [result for result, _ in grown if result.index not in failed]
+            skipped += sorted([o for o in done if not isinstance(o[0], WindowResult)]
+                              + list(failed.items()))
+            del done, grown, jobs  # the wave's matrices go before the next wave starts
     return SweepResult(
         windows=results,
         skipped=skipped,

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from qdcca import data, emit, network, pipeline
+from qdcca import data, emit, network, pipeline, spectra
 from qdcca.config import AnalysisConfig
 from qdcca.data import ReturnMatrix, normalize
 from qdcca.dfa import DetrendConfig, rho_q_lagged
@@ -493,6 +493,50 @@ def test_unknown_family_is_rejected_before_any_work(tmp_path):
     with pytest.raises(ConfigError, match="not the string 'spectra'"):
         write_outputs(result, cfg, str(out), "spectra")
     assert not out.exists()
+
+
+def test_compute_window_rejects_unknown_families():
+    # A lone window checks its families as the sweep does: a misspelt one
+    # used to give a result with every dict empty, and a bare string its
+    # spectra rows through a substring test.
+    returns = _factor_matrix(3, 1_200, seed=8)
+    cfg = _small_cfg(window=1_000, step=200)
+    with pytest.raises(ConfigError) as exc:
+        compute_window(returns, 0, 1_000, 0, cfg, ("spectrum",))
+    assert str(exc.value) == "unknown output family 'spectrum'"
+    with pytest.raises(ConfigError) as exc:
+        compute_window(returns, 0, 1_000, 0, cfg, "spectra")
+    assert str(exc.value) == "families must be a collection of names, not the string 'spectra'"
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_residual_failure_at_one_scale_outranks_coefficients_at_the_next(threads):
+    # Window 1's residual pass fails at s = 10 and its coefficients at
+    # s = 50.  One pass in (s, q) order meets the residual failure first, so
+    # that is the reason, alone and in a sweep, whose windows sum every
+    # coefficient before their spectra run.
+    returns = _factor_matrix(4, 2_000, seed=4)
+    cfg = _small_cfg(s=(10, 50), residual=True, threads=threads)
+    first = returns.timestamps[500]
+    real_corr, real_residual = spectra.correlation_matrices, spectra.residual_returns
+
+    def corr(r, s, *args, **kwargs):
+        if s == 50 and r.timestamps[0] == first:
+            raise ZeroVarianceError("coefficients fail")
+        return real_corr(r, s, *args, **kwargs)
+
+    def residual(r, z1):
+        if r.timestamps[0] == first:
+            raise ZeroVarianceError("residual pass fails")
+        return real_residual(r, z1)
+
+    with mock.patch.object(spectra, "correlation_matrices", corr), \
+            mock.patch.object(spectra, "residual_returns", residual):
+        with pytest.raises(ZeroVarianceError, match="^residual pass fails$"):
+            compute_window(returns, 500, 1_500, 1, cfg, ("spectra",))
+        result = run_analysis(cfg, returns, ("spectra", "periods"))
+    assert result.skipped == [(1, "residual pass fails")]
+    assert [w.index for w in result.windows] == [0, 2]
 
 
 def test_compute_window_end_timestamp_label():

@@ -3,12 +3,15 @@ sweep's window arithmetic and the network layer over small random inputs."""
 
 import os
 import pickle
+import sys
 import tempfile
 import warnings
+from dataclasses import replace
 from math import gcd
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +34,7 @@ from qdcca.dfa import (
 )
 from qdcca import pipeline
 from qdcca.emit import write_outputs
-from qdcca.errors import EmptyIntersectionError, QdccaError
+from qdcca.errors import EigensolverError, EmptyIntersectionError, QdccaError
 from qdcca.network import (
     DistanceMatrix,
     _aggregate,
@@ -870,7 +873,7 @@ def test_sweep_in_waves_matches_per_window_calls(seed, wave, threads):
     # Prim and one Louvain must give every window the results it computes
     # alone.  Neither scale divides the 250-sample blocks, so the sweep, like
     # a lone window, sums each window as one stretch.  Lags -1, 1 alone run
-    # no correlation pass.
+    # no correlation pass.  The residual pass runs wherever spectra do.
     rng = np.random.default_rng(seed)
     n, t = 6, 3_000
     values = (rng.standard_normal((n, n)) + np.eye(n)) @ rng.standard_normal((n, t))
@@ -880,7 +883,8 @@ def test_sweep_in_waves_matches_per_window_calls(seed, wave, threads):
     for families, lags in [(ALL_FAMILIES, (-1, 0, 1)), (("spectra",), (-1, 0, 1)),
                            (("lagged",), (-1, 1))]:
         cfg = AnalysisConfig(q=(1.0, 2.0), s=(12, 35), window=1_000, step=250, lags=lags,
-                             anchors=("A0",), verbose=True, seed=seed % 1000, threads=threads)
+                             anchors=("A0",), verbose=True, seed=seed % 1000, threads=threads,
+                             residual=True)
         held = len(cfg.q) * len(cfg.s) * 8 * n * n
         grow = mock.Mock(wraps=pipeline._grow_graphs)
         with mock.patch.object(pipeline, "_WAVE_BYTES", wave * held), \
@@ -891,3 +895,73 @@ def test_sweep_in_waves_matches_per_window_calls(seed, wave, threads):
         for w, (start, stop) in zip(swept.windows, windows):
             alone = compute_window(returns, start, stop, w.index, cfg, families)
             assert _window_record(w) == _window_record(alone)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_skips_a_failed_spectrum_as_a_lone_window_does(threads):
+    # The eigensolver fails on window 3's second matrix in (s, q) order, and
+    # gap fills skip window 4; both sit in the middle wave of three.  The
+    # sweep runs a wave's spectra apart from its windows, yet it must skip
+    # the windows that fail alone, with their reasons in window order, and
+    # give every other window the results it computes alone.  Neither scale
+    # divides the blocks, so each window is summed as one stretch, as alone.
+    rng = np.random.default_rng(4)
+    n, t, width = 6, 4_500, 500
+    values = (rng.standard_normal((n, n)) + np.eye(n)) @ rng.standard_normal((n, t))
+    filled = np.zeros(t, dtype=bool)
+    filled[2_000:2_100] = True
+    returns = ReturnMatrix(tickers=tuple(f"A{i}" for i in range(n)),
+                           timestamps=np.arange(t, dtype=np.int64), values=values,
+                           filled=filled)
+    cfg = AnalysisConfig(q=(1.0, 2.0), s=(12, 35), window=width, step=width, lags=(-1, 0, 1),
+                         anchors=("A0",), verbose=True, residual=True, threads=threads)
+    windows = rolling_windows(t, width, width)
+    target = {}
+    compute_window(returns, *windows[3], 3, cfg, ("periods",), graphs=target)
+    target = target[(2.0, 12)].values
+
+    def eigh(c):
+        if np.array_equal(c.values, target):
+            raise EigensolverError("planted failure")
+        return eigendecompose(c)
+
+    with mock.patch.object(pipeline.spectra, "eigendecompose", eigh):
+        alone, reasons = {}, []
+        for i, (start, stop) in enumerate(windows):
+            try:
+                alone[i] = compute_window(returns, start, stop, i, cfg, ALL_FAMILIES)
+            except QdccaError as exc:
+                reasons.append((i, str(exc)))
+        with mock.patch.object(pipeline, "_WAVE_BYTES", 3 * len(cfg.q) * len(cfg.s) * 8 * n * n):
+            swept = run_analysis(cfg, returns, ALL_FAMILIES)
+    assert [i for i, _ in reasons] == [3, 4] and reasons[0][1] == "planted failure"
+    assert swept.skipped == reasons
+    assert [w.index for w in swept.windows] == sorted(alone)
+    for w in swept.windows:
+        assert _window_record(w) == _window_record(alone[w.index])
+
+
+def test_graph_and_spectra_jobs_beside_each_other_match_one_thread():
+    # The graph job and the spectra jobs fill different fields of the same
+    # window results on different threads.  Four pool threads, thread
+    # switches every microsecond and waves of eight windows (four
+    # graph-and-spectra stages) must give every window the bytes of the
+    # one-thread sweep.
+    rng = np.random.default_rng(11)
+    n, t = 6, 3_000
+    values = (rng.standard_normal((n, n)) + np.eye(n)) @ rng.standard_normal((n, t))
+    returns = ReturnMatrix(tickers=tuple(f"A{i}" for i in range(n)),
+                           timestamps=np.arange(t, dtype=np.int64), values=values)
+    cfg = AnalysisConfig(q=(1.0, 2.0), s=(12, 35), window=600, step=80, lags=(-1, 0, 1),
+                         anchors=("A0",), verbose=True, residual=True, threads=1)
+    serial = run_analysis(cfg, returns, ALL_FAMILIES)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(pipeline, "_WAVE_BYTES", 8 * len(cfg.q) * len(cfg.s) * 8 * n * n):
+            threaded = run_analysis(replace(cfg, threads=4), returns, ALL_FAMILIES)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded.skipped == serial.skipped == [] and len(serial.windows) == 31
+    assert [_window_record(w) for w in threaded.windows] == [
+        _window_record(w) for w in serial.windows]
