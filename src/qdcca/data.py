@@ -40,6 +40,7 @@ import itertools
 import math
 import os
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -105,20 +106,47 @@ class ReturnMatrix:
 _CHECK_CHUNK = 1 << 18
 
 
-def check_finite(values, names, timestamps=None, start: int = 0) -> None:
+def check_finite(values, names, timestamps=None) -> None:
     """Raise ShapeMismatchError on the first non-finite entry of an (N, T)
-    array in row order, naming its series, its sample (column + ``start``)
-    and, given ``timestamps``, the sample's timestamp.  A box's first return
-    never enters its profile, so the dfa kernel alone would not see one."""
+    array in row order, naming its series, its sample and, given
+    ``timestamps``, the sample's timestamp.  A box's first return never
+    enters its profile, so the dfa kernel alone would not see one."""
     rows = max(1, _CHECK_CHUNK // max(1, values.shape[1]))
     for lo in range(0, len(values), rows):
         finite = np.isfinite(values[lo : lo + rows])
         if not finite.all():
             r, k = np.unravel_index(finite.argmin(), finite.shape)
             row, col = lo + int(r), int(k)
-            when = "" if timestamps is None else f" (timestamp {timestamps[start + col]})"
+            when = "" if timestamps is None else f" (timestamp {timestamps[col]})"
             raise ShapeMismatchError(f"{names[row]}: return {values[row, col]} at sample "
-                                     f"{start + col}{when} is not finite")
+                                     f"{col}{when} is not finite")
+
+
+def _repeated(names):
+    """The first name that ``names`` holds more than once, or None."""
+    return next((name for name, k in Counter(names).items() if k > 1), None)
+
+
+def check_returns(returns: ReturnMatrix) -> None:
+    """Raise ShapeMismatchError, naming the fault, unless ``returns`` holds a
+    2-D (N, T) array of finite values, N distinct tickers, T strictly
+    increasing timestamps and, if any, a T-long ``filled`` mask."""
+    values, stamps, filled = returns.values, np.asarray(returns.timestamps), returns.filled
+    if np.ndim(values) != 2:
+        raise ShapeMismatchError(f"returns must be a 2-D (N, T) array, not {np.ndim(values)}-D")
+    n, t = values.shape
+    if len(returns.tickers) != n:
+        raise ShapeMismatchError(f"{len(returns.tickers)} tickers for {n} series")
+    if (name := _repeated(returns.tickers)) is not None:
+        raise ShapeMismatchError(f"ticker {name!r} is repeated")
+    if stamps.shape != (t,):
+        raise ShapeMismatchError(f"need {t} timestamps, got an array of shape {stamps.shape}")
+    if not (np.diff(stamps) > 0).all():
+        k = int(np.argmin(np.diff(stamps) > 0)) + 1
+        raise ShapeMismatchError(f"timestamps not strictly increasing at sample {k}")
+    if filled is not None and np.shape(filled) != (t,):
+        raise ShapeMismatchError(f"need {t} gap-fill flags, got shape {np.shape(filled)}")
+    check_finite(values, returns.tickers, stamps)
 
 
 @dataclass
@@ -286,14 +314,16 @@ def _load_file(path: str, wide: bool | None = None) -> list[QuoteSeries]:
     first_line = 1 + head.count("\n") + head.count("\r") - head.count("\r\n")
     if wide and (not has_header or len(header) < 2):
         raise QuoteParseError("wide CSV needs a `timestamp,<ticker>,...` header row", path, 1)
+    tickers = ([t.strip() for t in header[1:]] if wide
+               else [os.path.splitext(os.path.basename(path))[0]])
+    if (name := _repeated(tickers)) is not None:
+        raise QuoteParseError(f"ticker {name!r} is repeated in the header", path, 1)
     width = len(header) if wide else 2
     table, error = _bulk_parse(body, first_line, path, width, wide), None
     if table is None:
         values, error = _token_parse(body, first_line, path, width, wide)
         table = np.array(values, dtype=np.float64).reshape(-1, width)
     stamps = _check_rows(table, error, body, first_line, path)
-    tickers = ([t.strip() for t in header[1:]] if wide
-               else [os.path.splitext(os.path.basename(path))[0]])
     return [QuoteSeries(ticker=t, timestamps=stamps, prices=table[:, 1 + k].copy())
             for k, t in enumerate(tickers)]
 
@@ -305,6 +335,10 @@ def load_quotes(path: str) -> list[QuoteSeries]:
     names = sorted(n for n in os.listdir(path) if n.lower().endswith(".csv"))
     if not names:
         raise QuoteParseError("no .csv files found", path)
+    first = {}  # ticker -> the file that holds it
+    for name in names:
+        if (other := first.setdefault(os.path.splitext(name)[0], name)) != name:
+            raise QuoteParseError(f"{other} and {name} hold the same ticker", path)
     return [qs for name in names for qs in _load_file(os.path.join(path, name), wide=False)]
 
 
@@ -421,6 +455,8 @@ def build_return_matrix(
     """
     if grid not in ("uniform", "intersection"):
         raise ShapeMismatchError(f"unknown grid policy {grid!r}")
+    if (name := _repeated([qs.ticker for qs in series])) is not None:
+        raise ShapeMismatchError(f"ticker {name!r} is repeated")
     excluded: dict[str, str] = {}
     # Peg detection runs on the raw quote-currency series: re-based, a
     # pegged asset is just the inverse of the base and looks volatile.

@@ -460,14 +460,14 @@ def louvain(
         np.fill_diagonal(w, 0.0)
     two_m = np.array([w.sum() for w in weights])
     rngs = [np.random.default_rng(s) for s in seeds]
-    out = [Partition(communities={lab: i for i, lab in enumerate(p.labels)}) for p in problems]
-    live, local = np.flatnonzero(two_m != 0.0), []
+    live, local = np.flatnonzero(two_m != 0.0), iter(())
     if live.size:
         stack = weights if live.size == len(weights) else weights[live]
-        local = _local_phase(stack, two_m[live], resolution, [rngs[k] for k in live])
-    for k, level in zip(live.tolist(), local):
-        out[k] = _upper_levels(problems[k].labels, weights[k], level, two_m[k], resolution,
-                               rngs[k])
+        local = iter(_local_phase(stack, two_m[live], resolution, [rngs[k] for k in live]))
+    # A problem with no edge keeps one node per community.
+    out = [_upper_levels(p.labels, w, next(local), m, resolution, rng) if m != 0.0
+           else Partition(communities={lab: i for i, lab in enumerate(p.labels)})
+           for p, w, m, rng in zip(problems, weights, two_m, rngs)]
     return out[0] if single else out
 
 

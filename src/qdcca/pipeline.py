@@ -51,8 +51,8 @@ between small numpy calls, would take turns with both (README).  The
 next wave waits for every job of this one.  Lock-step changes no bit
 (`network` notes: each tree makes its own comparisons, the offset
 `bincount` adds each problem's terms in node order, and each problem
-draws from its own generator), so the outputs are those of one
-`compute_window` per window at any wave length.
+draws from its own generator), so the outputs are those of one-window
+waves at any wave length.
 
 A wave holds all |q| |s| correlation matrices of each window, whatever
 the families (8 n^2 bytes each), until its graphs and spectra are done;
@@ -375,97 +375,66 @@ def _needs_correlations(cfg: AnalysisConfig, families) -> bool:
     return any(family != "lagged" or 0 in cfg.lags for family in families)
 
 
-def _window_coefficients(window_returns: ReturnMatrix, result: WindowResult, held: dict,
-                         cfg: AnalysisConfig, families, shared) -> None:
-    """A window's correlation matrices, put in ``held`` by (q, s) in (s, q)
-    order, and its mean and lagged coefficients, put in ``result``."""
-    tickers = window_returns.tickers
+def _window(returns: ReturnMatrix, start: int, stop: int) -> ReturnMatrix:
+    return ReturnMatrix(tickers=returns.tickers, timestamps=returns.timestamps[start:stop],
+                        values=returns.values[:, start:stop])
+
+
+def compute_window(returns: ReturnMatrix, start: int, stop: int, index: int,
+                   cfg: AnalysisConfig, families, shared: dict, graphs: dict) -> WindowResult:
+    """A sweep's window job: the window's correlation matrices, put in
+    ``graphs`` by (q, s) in (s, q) order, and its mean and lagged
+    coefficients, put in the result; the sweep grows its spectra rows,
+    trees, topology rows and partitions from ``graphs`` (module notes).
+
+    ``shared`` maps a scale to the `_stretch_sums` of the window's blocks,
+    computed ahead; a scale without them sums the window itself as one
+    stretch.  A window that fails first runs the spectra of the matrices it
+    holds, so a skip reason is the first failure in the order the checks ran
+    in one pass: gap fills, the residual pass's normalization, then per
+    scale the coefficients and that scale's spectra, then the lagged pass.
+    """
+    reason = gap_fill_skip(returns, start, stop, cfg.max_missing)
+    if reason is not None:
+        raise QdccaError(reason)
+    window_returns = _window(returns, start, stop)
+    result = WindowResult(index=index, end_ts=int(returns.timestamps[stop - 1]))
+    tickers = returns.tickers
     need_corr = _needs_correlations(cfg, families)
     rows = _lag_rows(tickers, cfg, families)
     # The lagged family's anchors and the series they are averaged against.
     anchor_idx = _anchors(tickers, cfg) if "lagged" in families else {}
     anchor_rows = list(anchor_idx.values())
     others = np.setdiff1d(np.arange(len(tickers)), anchor_rows)
-    width = window_returns.n_samples
-    parts = {
-        s: (shared or {}).get(s)
-        or [_stretch_sums(window_returns.values, 0, width, s, cfg, need_corr, rows)]
-        for s in cfg.s
-    }
-    for s in cfg.s if need_corr else ():
-        mats = spectra.correlation_matrices(
-            window_returns, s, cfg.poly_order, cfg.q,
-            blocks=[sums for sums, _ in parts[s]],
-        )
-        for q in cfg.q:
-            c = mats[q]
-            if "periods" in families:
-                result.mean_rho[(q, s)] = _mean_offdiagonal(c)
-            held[(q, s)] = c
-            if 0 in cfg.lags and anchor_idx:
-                _anchor_means(result.lagged, 0, s, anchor_idx,
-                              {q: c.values[np.ix_(anchor_rows, others)]})
-    for s in cfg.s if rows else ():
-        # The anchors' heads pair with the others' tails for a positive lag
-        # and their tails with the others' heads for a negative one, so both
-        # signs come out of one set of sums per |tau|.
-        for k, total in _lag_totals([pieces for _, pieces in parts[s]]).items():
-            for tau in (k, -k):
-                if tau in cfg.lags:
-                    _anchor_means(result.lagged, tau, s, anchor_idx,
-                                  total.coefficients(tau, others, s, tickers))
-
-
-def _window(returns: ReturnMatrix, start: int, stop: int) -> ReturnMatrix:
-    return ReturnMatrix(tickers=returns.tickers, timestamps=returns.timestamps[start:stop],
-                        values=returns.values[:, start:stop])
-
-
-def compute_window(
-    returns: ReturnMatrix,
-    start: int,
-    stop: int,
-    index: int,
-    cfg: AnalysisConfig,
-    families,
-    shared=None,
-    graphs=None,
-) -> WindowResult:
-    """All requested per-window products; pure function of its arguments.
-    A non-finite return in the window raises ShapeMismatchError, an unknown
-    family ConfigError.
-
-    ``shared`` maps a scale to the `_stretch_sums` of the window's blocks,
-    computed ahead (see the module docstring); a scale without them sums
-    the window itself as one stretch.  ``graphs``, a dict, is given by a
-    sweep that has checked every return once: the window then leaves its
-    spectra rows, trees, topology rows and partitions to the sweep, and
-    puts every correlation matrix it computes in ``graphs``, by (q, s).
-
-    A window that fails first runs the spectra of the matrices it holds,
-    so a skip reason is the first failure in the order the checks ran in
-    one pass: gap fills, the residual pass's normalization, then per scale
-    the coefficients and that scale's spectra, then the lagged pass.
-    """
-    _check_families(families)
-    window_returns = _window(returns, start, stop)
-    if graphs is None:
-        data.check_finite(window_returns.values, returns.tickers, returns.timestamps, start)
-    reason = gap_fill_skip(returns, start, stop, cfg.max_missing)
-    if reason is not None:
-        raise QdccaError(reason)
-    result = WindowResult(index=index, end_ts=int(returns.timestamps[stop - 1]))
-    held = {} if graphs is None else graphs
     try:
-        _window_coefficients(window_returns, result, held, cfg, families, shared)
+        parts = {s: shared.get(s) or [_stretch_sums(window_returns.values, 0, stop - start, s,
+                                                    cfg, need_corr, rows)]
+                 for s in cfg.s}
+        for s in cfg.s if need_corr else ():
+            mats = spectra.correlation_matrices(
+                window_returns, s, cfg.poly_order, cfg.q,
+                blocks=[sums for sums, _ in parts[s]],
+            )
+            for q in cfg.q:
+                c = graphs[(q, s)] = mats[q]
+                if "periods" in families:
+                    result.mean_rho[(q, s)] = _mean_offdiagonal(c)
+                if 0 in cfg.lags and anchor_idx:
+                    _anchor_means(result.lagged, 0, s, anchor_idx,
+                                  {q: c.values[np.ix_(anchor_rows, others)]})
+        for s in cfg.s if rows else ():
+            # The anchors' heads pair with the others' tails for a positive
+            # lag and their tails with the others' heads for a negative one,
+            # so both signs come out of one set of sums per |tau|.
+            for k, total in _lag_totals([pieces for _, pieces in parts[s]]).items():
+                for tau in (k, -k):
+                    if tau in cfg.lags:
+                        _anchor_means(result.lagged, tau, s, anchor_idx,
+                                      total.coefficients(tau, others, s, tickers))
     except QdccaError:
         if "spectra" in families:
-            _window_spectra(window_returns, held, cfg)  # an earlier failure wins
+            _window_spectra(window_returns, graphs, cfg)  # an earlier failure wins
         raise
-    if graphs is None:
-        if "spectra" in families:
-            result.spectral = _window_spectra(window_returns, held, cfg)
-        _grow_graphs([(result, held)], cfg, families)
     return result
 
 
@@ -473,16 +442,13 @@ def _call(job):
     return job()
 
 
-def run_analysis(
-    cfg: AnalysisConfig,
-    returns: ReturnMatrix,
-    families=ALL_FAMILIES,
-) -> SweepResult:
+def run_analysis(cfg: AnalysisConfig, returns: ReturnMatrix, families=ALL_FAMILIES) -> SweepResult:
     """Sweep every rolling window; a window's failure is recorded, not fatal.
-    A non-finite return raises ShapeMismatchError, an unknown family ConfigError."""
+    Returns that `data.check_returns` rejects raise ShapeMismatchError, and
+    an unknown family ConfigError, before any window runs."""
     cfg.validate()
     _check_families(families)
-    data.check_finite(returns.values, returns.tickers, returns.timestamps)
+    data.check_returns(returns)
     if cfg.global_norm:
         returns = _normalized(returns)
     windows = rolling_windows(returns.n_samples, cfg.window, cfg.step)
@@ -543,9 +509,5 @@ def run_analysis(
             skipped += sorted([o for o in done if not isinstance(o[0], WindowResult)]
                               + list(failed.items()))
             del done, grown, jobs  # the wave's matrices go before the next wave starts
-    return SweepResult(
-        windows=results,
-        skipped=skipped,
-        tickers=returns.tickers,
-        n_windows_planned=len(windows),
-    )
+    return SweepResult(windows=results, skipped=skipped, tickers=returns.tickers,
+                       n_windows_planned=len(windows))

@@ -23,7 +23,7 @@ from qdcca.network import (
     minimum_spanning_tree,
     powerlaw_fit,
 )
-from qdcca.pipeline import compute_window, rolling_windows, run_analysis
+from qdcca.pipeline import rolling_windows, run_analysis
 from qdcca.spectra import (
     DetrendedCorrelationMatrix,
     correlation_matrices,
@@ -299,8 +299,7 @@ def test_criterion_14_performance(tmp_path):
                          step=1_440, lags=(-1, 0, 1),
                          anchors=("SYN00", "SYN01"), seed=0, threads=1)
     t0 = time.perf_counter()
-    compute_window(rm, 0, 10_080, 0, cfg,
-                   ("spectra", "topology", "edges", "clusters", "lagged", "periods"))
+    run_analysis(cfg, rm)  # the one window of 10,080 samples, every family
     one_window = time.perf_counter() - t0
 
     sweep_rm = synth_returns(

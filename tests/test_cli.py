@@ -116,6 +116,18 @@ def test_non_utf8_quote_file_is_machine_readable(tmp_path, capsys):
     assert payload["detail"].startswith(f"{tmp_path / 'AAA.csv'}:3: ")
 
 
+def test_two_files_of_one_ticker_are_machine_readable(tmp_path, capsys):
+    # `validate` used to print ok here, and `analyze` to emit an edge from
+    # SYN00 to SYN00.
+    for name in ("SYN00.csv", "SYN00.CSV", "SYN01.csv"):
+        (tmp_path / name).write_text("timestamp,price\n0,100\n1,101\n2,102\n")
+    code, out, err = _run(capsys, "validate", str(tmp_path))
+    assert code == 2 and not out
+    assert json.loads(err.strip()) == {
+        "error": "QuoteParseError",
+        "detail": f"{tmp_path}: SYN00.CSV and SYN00.csv hold the same ticker"}
+
+
 def test_synth_output_loads_back_bitwise(tmp_path, capsys):
     code, _, _ = _run(capsys, "synth", "--generator", "factor", "--n", "4", "--t", "500",
                       "--seed", "11", "--response-spread", "3", "--out", str(tmp_path))

@@ -126,6 +126,33 @@ def test_load_directory(tmp_path):
     assert [s.ticker for s in series] == ["AAA", "BBB"]
 
 
+def test_wide_csv_with_a_repeated_ticker_names_its_header(tmp_path):
+    # Tickers are compared once stripped: " BBB" and "BBB " are one series,
+    # which used to come out twice, as a tree edge from BBB to BBB.
+    path = tmp_path / "wide.csv"
+    path.write_text("timestamp,AAA, BBB,BBB \n0,100,1,2\n1,101,2,3\n2,99,3,4\n")
+    with pytest.raises(QuoteParseError) as exc:
+        load_quotes(str(path))
+    assert (exc.value.path, exc.value.line) == (str(path), 1)
+    assert str(exc.value) == f"{path}:1: ticker 'BBB' is repeated in the header"
+
+
+def test_directory_with_two_files_of_one_ticker_names_both(tmp_path):
+    # SYN00.csv and SYN00.CSV both load as ticker SYN00.
+    for name in ("SYN00.csv", "SYN00.CSV", "SYN01.csv"):
+        (tmp_path / name).write_text("0,100\n1,101\n2,99\n")
+    with pytest.raises(QuoteParseError) as exc:
+        load_quotes(str(tmp_path))
+    assert str(exc.value) == f"{tmp_path}: SYN00.CSV and SYN00.csv hold the same ticker"
+
+
+def test_build_return_matrix_rejects_a_repeated_ticker():
+    series = [_quotes(t, [0, 1, 2], [100.0, p, 99.0]) for t, p in
+              [("AAA", 101.0), ("BBB", 98.0), ("AAA", 103.0)]]
+    with pytest.raises(ShapeMismatchError, match="^ticker 'AAA' is repeated$"):
+        build_return_matrix(series)
+
+
 def test_paper_sample_count_arithmetic():
     assert 640 * 1440 == 921_600
 

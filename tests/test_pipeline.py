@@ -15,7 +15,6 @@ from qdcca.emit import write_outputs
 from qdcca.errors import ConfigError, ShapeMismatchError, ZeroVarianceError
 from qdcca.pipeline import (
     ALL_FAMILIES,
-    compute_window,
     rolling_windows,
     run_analysis,
     threshold_periods,
@@ -327,23 +326,6 @@ def test_run_analysis_names_a_non_finite_return(global_norm, bad):
     assert str(err.value) == reason
 
 
-@pytest.mark.parametrize("bad", [np.nan, -np.inf])
-def test_compute_window_names_a_non_finite_return(bad):
-    # Called alone, a window checks its own samples: it used to return
-    # window 0 with the lambda1 of 0.0 in place of the NaN.
-    returns = _factor_matrix(4, 3_000, seed=3)
-    values = returns.values.copy()
-    values[1, 100] = bad
-    returns = replace(returns, values=values)
-    cfg = _small_cfg(q=(1.0, 2.0), s=(10,), window=1_440, step=1_440, lags=(0,))
-    with pytest.raises(ShapeMismatchError) as err:
-        compute_window(returns, 0, 1_440, 0, cfg, ("spectra",))
-    assert str(err.value) == (f"SYN01: return {bad} at sample 100 "
-                              f"(timestamp {returns.timestamps[100]}) is not finite")
-    later = compute_window(returns, 1_440, 2_880, 1, cfg, ("spectra",))
-    assert set(later.spectral) == {(1.0, 10), (2.0, 10)}
-
-
 @pytest.mark.parametrize("chunk", [1, 3_000 * 2, data._CHECK_CHUNK])
 def test_finite_check_names_the_first_bad_return_in_row_order(chunk):
     # Rows are checked a chunk at a time: the report is still the first
@@ -356,6 +338,33 @@ def test_finite_check_names_the_first_bad_return_in_row_order(chunk):
     with mock.patch.object(data, "_CHECK_CHUNK", chunk):
         with pytest.raises(ShapeMismatchError, match=r"^SYN02: return inf at sample 2900 "):
             run_analysis(_small_cfg(), replace(returns, values=values))
+
+
+@pytest.mark.parametrize("fault, reason", [
+    pytest.param(lambda r: replace(r, values=r.values[0]),
+                 "returns must be a 2-D (N, T) array, not 1-D", id="1-d values"),
+    pytest.param(lambda r: replace(r, tickers=r.tickers[:3]),
+                 "3 tickers for 4 series", id="ticker count"),
+    pytest.param(lambda r: replace(r, tickers=("A", "A", "B", "C")),
+                 "ticker 'A' is repeated", id="repeated ticker"),
+    pytest.param(lambda r: replace(r, timestamps=r.timestamps[:999]),
+                 "need 2000 timestamps, got an array of shape (999,)", id="short timestamps"),
+    pytest.param(lambda r: replace(r, timestamps=r.timestamps[::-1]),
+                 "timestamps not strictly increasing at sample 1", id="reversed timestamps"),
+    pytest.param(lambda r: replace(r, filled=np.zeros(10, dtype=bool)),
+                 "need 2000 gap-fill flags, got shape (10,)", id="short filled"),
+])
+def test_run_analysis_rejects_a_malformed_return_matrix(fault, reason):
+    # Each fault is named before any window runs.  Unchecked, short
+    # timestamps raised an IndexError, a short gap-fill mask read as no
+    # fills, reversed timestamps failed only at emission, and a repeated
+    # ticker left an `A,A` tree edge.
+    returns = fault(_factor_matrix(4, 2_000, seed=6))
+    window = mock.Mock(wraps=pipeline.compute_window)
+    with mock.patch.object(pipeline, "compute_window", window):
+        with pytest.raises(ShapeMismatchError) as err:
+            run_analysis(_small_cfg(), returns)
+    assert str(err.value) == reason and window.call_count == 0
 
 
 def test_sweep_checks_every_return_once():
@@ -495,26 +504,12 @@ def test_unknown_family_is_rejected_before_any_work(tmp_path):
     assert not out.exists()
 
 
-def test_compute_window_rejects_unknown_families():
-    # A lone window checks its families as the sweep does: a misspelt one
-    # used to give a result with every dict empty, and a bare string its
-    # spectra rows through a substring test.
-    returns = _factor_matrix(3, 1_200, seed=8)
-    cfg = _small_cfg(window=1_000, step=200)
-    with pytest.raises(ConfigError) as exc:
-        compute_window(returns, 0, 1_000, 0, cfg, ("spectrum",))
-    assert str(exc.value) == "unknown output family 'spectrum'"
-    with pytest.raises(ConfigError) as exc:
-        compute_window(returns, 0, 1_000, 0, cfg, "spectra")
-    assert str(exc.value) == "families must be a collection of names, not the string 'spectra'"
-
-
 @pytest.mark.parametrize("threads", [1, 2])
 def test_residual_failure_at_one_scale_outranks_coefficients_at_the_next(threads):
     # Window 1's residual pass fails at s = 10 and its coefficients at
     # s = 50.  One pass in (s, q) order meets the residual failure first, so
-    # that is the reason, alone and in a sweep, whose windows sum every
-    # coefficient before their spectra run.
+    # that is the reason, though the sweep's windows sum every coefficient
+    # before their spectra run.
     returns = _factor_matrix(4, 2_000, seed=4)
     cfg = _small_cfg(s=(10, 50), residual=True, threads=threads)
     first = returns.timestamps[500]
@@ -532,8 +527,6 @@ def test_residual_failure_at_one_scale_outranks_coefficients_at_the_next(threads
 
     with mock.patch.object(spectra, "correlation_matrices", corr), \
             mock.patch.object(spectra, "residual_returns", residual):
-        with pytest.raises(ZeroVarianceError, match="^residual pass fails$"):
-            compute_window(returns, 500, 1_500, 1, cfg, ("spectra",))
         result = run_analysis(cfg, returns, ("spectra", "periods"))
     assert result.skipped == [(1, "residual pass fails")]
     assert [w.index for w in result.windows] == [0, 2]
@@ -542,8 +535,8 @@ def test_residual_failure_at_one_scale_outranks_coefficients_at_the_next(threads
 def test_compute_window_end_timestamp_label():
     returns = _factor_matrix(3, 1_200, seed=8)
     cfg = _small_cfg(window=1_000, step=200, lags=(0,))
-    w = compute_window(returns, 0, 1_000, 0, cfg, ("periods",))
-    assert w.end_ts == int(returns.timestamps[999])
+    first, second = run_analysis(cfg, returns, ("periods",)).windows
+    assert (first.end_ts, second.end_ts) == tuple(returns.timestamps[[999, 1_199]])
 
 
 def test_epps_buildup_with_asynchronous_factor():

@@ -865,14 +865,22 @@ def _window_record(w):
                          parts, by_key(w.lagged), by_key(w.mean_rho)))
 
 
+def _one_window_waves(cfg, returns, families):
+    """The sweep at one pool thread with its wave budget cut to one window's
+    |q| |s| matrices: every window is a wave of its own."""
+    n = len(returns.tickers)
+    with mock.patch.object(pipeline, "_WAVE_BYTES", len(cfg.q) * len(cfg.s) * 8 * n * n):
+        return run_analysis(replace(cfg, threads=1), returns, families)
+
+
 @settings(max_examples=12, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.sampled_from([1, 2]))
 def test_sweep_in_waves_matches_per_window_calls(seed, wave, threads):
     # The wave budget is cut to `wave` windows' matrices, so the nine windows
     # run in three or more waves, whatever the families; each wave's one
-    # Prim and one Louvain must give every window the results it computes
-    # alone.  Neither scale divides the 250-sample blocks, so the sweep, like
-    # a lone window, sums each window as one stretch.  Lags -1, 1 alone run
+    # Prim and one Louvain must give every window the results that a wave
+    # of that window alone computes.  Neither scale divides the 250-sample
+    # blocks, so each window is summed as one stretch.  Lags -1, 1 alone run
     # no correlation pass.  The residual pass runs wherever spectra do.
     rng = np.random.default_rng(seed)
     n, t = 6, 3_000
@@ -892,9 +900,9 @@ def test_sweep_in_waves_matches_per_window_calls(seed, wave, threads):
             swept = run_analysis(cfg, returns, families)
         assert swept.skipped == [] and grow.call_count >= 3
         assert len(swept.windows) == len(windows) == 9
-        for w, (start, stop) in zip(swept.windows, windows):
-            alone = compute_window(returns, start, stop, w.index, cfg, families)
-            assert _window_record(w) == _window_record(alone)
+        alone = _one_window_waves(cfg, returns, families)
+        assert [_window_record(w) for w in swept.windows] == [
+            _window_record(w) for w in alone.windows]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -902,9 +910,10 @@ def test_sweep_skips_a_failed_spectrum_as_a_lone_window_does(threads):
     # The eigensolver fails on window 3's second matrix in (s, q) order, and
     # gap fills skip window 4; both sit in the middle wave of three.  The
     # sweep runs a wave's spectra apart from its windows, yet it must skip
-    # the windows that fail alone, with their reasons in window order, and
-    # give every other window the results it computes alone.  Neither scale
-    # divides the blocks, so each window is summed as one stretch, as alone.
+    # the windows that fail in waves of one window, with their reasons in
+    # window order, and give every other window the results it has there.
+    # Neither scale divides the blocks, so each window is summed as one
+    # stretch.
     rng = np.random.default_rng(4)
     n, t, width = 6, 4_500, 500
     values = (rng.standard_normal((n, n)) + np.eye(n)) @ rng.standard_normal((n, t))
@@ -917,7 +926,7 @@ def test_sweep_skips_a_failed_spectrum_as_a_lone_window_does(threads):
                          anchors=("A0",), verbose=True, residual=True, threads=threads)
     windows = rolling_windows(t, width, width)
     target = {}
-    compute_window(returns, *windows[3], 3, cfg, ("periods",), graphs=target)
+    compute_window(returns, *windows[3], 3, cfg, ("periods",), {}, target)
     target = target[(2.0, 12)].values
 
     def eigh(c):
@@ -926,19 +935,13 @@ def test_sweep_skips_a_failed_spectrum_as_a_lone_window_does(threads):
         return eigendecompose(c)
 
     with mock.patch.object(pipeline.spectra, "eigendecompose", eigh):
-        alone, reasons = {}, []
-        for i, (start, stop) in enumerate(windows):
-            try:
-                alone[i] = compute_window(returns, start, stop, i, cfg, ALL_FAMILIES)
-            except QdccaError as exc:
-                reasons.append((i, str(exc)))
+        alone = _one_window_waves(cfg, returns, ALL_FAMILIES)
         with mock.patch.object(pipeline, "_WAVE_BYTES", 3 * len(cfg.q) * len(cfg.s) * 8 * n * n):
             swept = run_analysis(cfg, returns, ALL_FAMILIES)
-    assert [i for i, _ in reasons] == [3, 4] and reasons[0][1] == "planted failure"
-    assert swept.skipped == reasons
-    assert [w.index for w in swept.windows] == sorted(alone)
-    for w in swept.windows:
-        assert _window_record(w) == _window_record(alone[w.index])
+    assert [i for i, _ in alone.skipped] == [3, 4] and alone.skipped[0][1] == "planted failure"
+    assert swept.skipped == alone.skipped
+    assert [_window_record(w) for w in swept.windows] == [
+        _window_record(w) for w in alone.windows]
 
 
 def test_graph_and_spectra_jobs_beside_each_other_match_one_thread():
