@@ -50,15 +50,17 @@ Implementation notes
   zero after its first sample then has a flat profile and exactly zero
   residuals, not the rounding dust that the q/2 power lifts at q < 2.
 * All reductions run in a fixed order, so results are bit-identical
-  across runs, across any outer parallelism and across BLAS thread counts.
-  For q != 2 every box sum is the in-order sum from +0.0 over all boxes:
-  each sub-chunk's first box takes the running total and sum(axis=0) adds
-  along the boxes, so the sub-chunk size never changes a bit.  At q = 2
-  the self sum is one product's sum over the B*s samples, which BLAS
-  threads do not split.  The thread count is checked on a whole run
-  (`tests/test_dfa.py`, 1 against 2 OpenBLAS threads).  Keep the
-  detrending low-rank: an s x s projector product fails that check at
-  s = 180.
+  across runs and across any outer parallelism.  For q != 2 every box sum
+  is the in-order sum from +0.0 over all boxes: each sub-chunk's first box
+  takes the running total and sum(axis=0) adds along the boxes, so the
+  sub-chunk size never changes a bit.  At q = 2 the self sum is one
+  product's sum over the B*s samples.  Across BLAS thread counts the bits
+  hold for small stacks only: at N = 80 a whole run is checked, 1 against
+  2 OpenBLAS threads (`tests/test_dfa.py`), but from about N = 250 on
+  OpenBLAS splits the q = 2 product (and the batched Grams) across its
+  threads, and the last bits follow their count (README).  Keep the
+  detrending low-rank: an s x s projector product fails the N = 80 check
+  at s = 180.
 * A stack's own per-box Grams are exactly symmetric (with one operand
   buffer BLAS fills one triangle and numpy mirrors it), so `_gram_power`
   powers and sums their upper triangles only and mirrors the sums.

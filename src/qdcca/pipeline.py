@@ -71,6 +71,56 @@ sums held cover one wave's span at most.  Two sides set the budget:
   (80 trees and 40 Louvain problems per wave), and 8 matrices at n = 250.
   At 8 MiB all six windows of the N = 250 benchmark fell into one wave,
   and its peak RSS rose from 97 to 110 MB; at 4 MiB it rises by about 5%.
+With `residual` at q = 2 and m = poly_order >= 1, each window of a wave
+also holds its q = 2 power sum per scale for the residual pass (below),
+one more n^2 matrix per s, which the budget does not count.
+
+The residual pass regresses each window-normalized series
+xn_i = (x_i - mu_i) / sigma_i on the eigensignal z = v1 . xn and
+correlates the residuals r = xn - alpha z - beta.  At q = 2 and m >= 1 its
+matrix needs no second kernel pass (`_residual_closed_form`).  Detrending
+is linear, and at m >= 1 it removes the ramp that a constant (mu_i,
+beta_i) leaves in a box profile, so the detrended boxes of r are A D, with
+D those of the returns the sweep summed and A = (I - alpha v1^T)
+diag(1/sigma) (sigma = 1 under `global_norm`, whose returns the sweep sums
+already normalized).  Summed over the boxes, the residual power sum is
+P = A G A^T, with G the window's q = 2 power sum that `compute_window`
+has just added up: O(N^3) per matrix instead of a pass over N x W
+samples.  Both products are einsums, whose bits do not follow the BLAS
+thread count.  At q != 2 the box powers do not factor, and at m = 0 the
+ramps stay, so there the kernel runs again on the residual returns.
+
+The guard sends a matrix to the kernel unless three things hold.
+- Rounding.  Let u = 2**-53, Abar = (I + |alpha v1^T|) diag(1/sigma)
+  (entrywise >= |A|) and reach_i = sum_k Abar_ik sqrt(G_kk).  Forming A
+  costs at most three roundings per entry, relative to Abar; a product of
+  N terms errs by at most gamma_N = N u / (1 - N u) times the product of
+  the magnitudes; and |G_kl| <= sqrt(G_kk G_ll), G being a sum of Grams
+  (to a factor 1 + O(W u)).  So the computed P' has
+  |P'_ij - P_ij| <= kappa reach_i reach_j with kappa = 2 (N + 3) u + O(u^2),
+  taken here as (N + 4) eps (eps = 2u).  With t_i = kappa reach_i^2 / P_ii,
+  rho_ij = P_ij / sqrt(P_ii P_jj) moves by at most t_i + t_j to first order
+  (|rho| <= 1).  The guard asks kappa reach_i^2 <= 2.5e-12 P'_ii for every
+  i, so no residual coefficient moves by more than 5e-12 + O(u) < 1e-11.
+  It trips where the residuals are mostly cancellation (a series that the
+  leading mode explains almost fully): there the closed form's error
+  grows like 1/noise^2 and the kernel's like 1/noise.
+- The zero-variance rule.  The closed form has the residual energies
+  P_ii but not the residual profile energies that the rule compares them
+  with.  A box profile p_j = r_2 + ... + r_j has p_j^2 <= (j - 1) times the
+  box's sum of r^2 (Cauchy-Schwarz), so a box's profile energy is at most
+  s (s - 1) / 2 times that sum, and every sample lies in at most two boxes
+  (forward and backward tilings): the profile energy is at most
+  s^2 sum_t r_t^2.  The guard asks P'_ii > 2 _VARIANCE_FLOOR s^2
+  sum_t r_t^2 (the 2 covers the rounding of both sides), which implies
+  that the kernel's rule passes.
+- The coefficient checks.  Every F_i = P'_ii / B (B boxes) must have
+  2 tiny <= F_i^2 and F_i^2 <= max / 2, so every normalizer and every
+  product of two that `dfa._coefficients` checks is a normal finite float
+  with a margin of 2, here and (within 1e-11) in the kernel; the closed
+  form's own `_coefficients` call then checks its numbers again.
+So a window the kernel would skip (a flat residual, a normalizer out of
+range) takes the kernel path and keeps the kernel's reason.
 """
 
 from __future__ import annotations
@@ -86,7 +136,7 @@ import numpy as np
 from . import data, network, spectra
 from .config import AnalysisConfig
 from .data import ReturnMatrix, normalize
-from .dfa import cross_fluctuation_matrices
+from .dfa import _TINY, _VARIANCE_FLOOR, _coefficients, cross_fluctuation_matrices
 from .errors import ConfigError, QdccaError, ShapeMismatchError, ZeroVarianceError
 from .network import SpanningTree
 from .spectra import DetrendedCorrelationMatrix
@@ -94,6 +144,12 @@ from .spectra import DetrendedCorrelationMatrix
 # Bytes of correlation matrices a wave of windows holds for its graphs
 # (module notes).
 _WAVE_BYTES = 4 << 20
+
+# The residual pass's closed form is kept when its rounding bound moves no
+# residual coefficient by more than twice this (module notes): 5e-12.
+_CLOSED_FORM_TOL = 2.5e-12
+_EPS = np.finfo(np.float64).eps
+_HUGE = np.finfo(np.float64).max
 
 ALL_FAMILIES = ("spectra", "topology", "edges", "clusters", "lagged", "periods")
 
@@ -289,31 +345,80 @@ def _normalized(returns: ReturnMatrix) -> ReturnMatrix:
     return replace(returns, values=out)
 
 
-def _residual_spectrum(window_returns: ReturnMatrix, q, s, cfg, summary):
+@np.errstate(over="ignore", invalid="ignore")  # the guard reads what leaves the range
+def _residual_closed_form(res, v1, sigma, gram, s: int, labels):
+    """The residual pass's q = 2 matrix from the window's own power sum, as
+    A G A^T (module notes), or None when the guard sends it to the kernel.
+    ``gram`` is (G, box count) and ``sigma`` the std that normalized each
+    series (1 under `global_norm`)."""
+    power, n_boxes = gram
+    n = len(v1)
+    outer = np.outer(res.alpha, v1)
+    a = (np.eye(n) - outer) / sigma
+    # einsum, not @: its bits do not follow the BLAS thread count.
+    p = np.einsum("ik,kj->ij", a, np.einsum("kl,jl->kj", power, a))
+    p = (p + p.T) / 2
+    energy = np.diag(p)
+    # Row i of |A| against sqrt(diag G): the reach of the rounding bound.
+    root = np.sqrt(np.diag(power)) / sigma
+    reach = root + np.abs(res.alpha) * np.einsum("k,k->", np.abs(v1), root)
+    f = energy / n_boxes
+    exact = (np.isfinite(p).all()
+             and np.all((n + 4) * _EPS * reach**2 <= _CLOSED_FORM_TOL * energy)
+             and np.all(energy > 2 * _VARIANCE_FLOOR * s * s
+                        * np.einsum("nt,nt->n", res.residuals, res.residuals))
+             and 2 * _TINY <= f.min() ** 2 and f.max() ** 2 <= _HUGE / 2)
+    if not exact:
+        return None
+    rho = _coefficients(p / n_boxes, f, f, 2.0, s, labels, labels)
+    np.fill_diagonal(rho, 1.0)
+    return DetrendedCorrelationMatrix(values=rho, labels=labels)
+
+
+def _residual_spectrum(window_returns: ReturnMatrix, q, s, cfg, summary, gram, sigma):
     """The spectrum of the residual returns once the leading eigensignal is
-    regressed out of every series."""
-    z1 = spectra.eigensignal(window_returns, summary.eigenvectors[:, 0])
+    regressed out of every series: from ``gram`` (see
+    `_residual_closed_form`) when it is given and the guard holds, else by
+    the kernel on the residual returns."""
+    v1 = summary.eigenvectors[:, 0]
+    z1 = spectra.eigensignal(window_returns, v1)
     res = spectra.residual_returns(window_returns, z1)
-    c_res = spectra.correlation_matrices(
-        replace(window_returns, values=res.residuals), s, cfg.poly_order, [q]
-    )[q]
+    c_res = None
+    if gram is not None:
+        c_res = _residual_closed_form(res, v1, sigma, gram, s, window_returns.tickers)
+    if c_res is None:
+        c_res = spectra.correlation_matrices(
+            replace(window_returns, values=res.residuals), s, cfg.poly_order, [q]
+        )[q]
     return spectra.eigendecompose(c_res)
 
 
-def _window_spectra(window_returns: ReturnMatrix, held: dict, cfg: AnalysisConfig) -> dict:
+def _window_spectra(window_returns: ReturnMatrix, held: dict, grams: dict,
+                    cfg: AnalysisConfig) -> dict:
     """The spectra rows of a window's correlation matrices ``held``, by
     (q, s): the residual pass's normalization first, then each matrix's
     eigendecomposition and residual spectrum in ``held``'s (s, q) order, so
-    the first failure raised is the first that the window meets."""
-    residual_input = None
+    the first failure raised is the first that the window meets.
+
+    ``grams`` maps s to the window's q = 2 power sum and box count, which
+    `compute_window` keeps when the residual pass can use them: at q = 2 and
+    poly_order >= 1 the residual matrix is A G A^T unless its guard trips
+    (module notes).  At any other q, at poly_order = 0 and wherever the
+    guard trips, the kernel runs again on the residual returns.
+    """
+    residual_input = sigma = None
     if cfg.residual:
         residual_input = window_returns if cfg.global_norm else _normalized(window_returns)
+        if grams:
+            # `normalize`'s std: numpy reduces each row as it does one series.
+            sigma = 1.0 if cfg.global_norm else window_returns.values.std(axis=1)
     rows = {}
     for (q, s), c in held.items():
         summary = spectra.eigendecompose(c)
         res = None
         if residual_input is not None:
-            res = _residual_spectrum(residual_input, q, s, cfg, summary)
+            gram = grams.get(s) if q == 2.0 else None
+            res = _residual_spectrum(residual_input, q, s, cfg, summary, gram, sigma)
         rows[q, s] = _spectral_row(summary, res)
     return rows
 
@@ -381,11 +486,14 @@ def _window(returns: ReturnMatrix, start: int, stop: int) -> ReturnMatrix:
 
 
 def compute_window(returns: ReturnMatrix, start: int, stop: int, index: int,
-                   cfg: AnalysisConfig, families, shared: dict, graphs: dict) -> WindowResult:
+                   cfg: AnalysisConfig, families, shared: dict, graphs: dict,
+                   grams: dict) -> WindowResult:
     """A sweep's window job: the window's correlation matrices, put in
     ``graphs`` by (q, s) in (s, q) order, and its mean and lagged
     coefficients, put in the result; the sweep grows its spectra rows,
     trees, topology rows and partitions from ``graphs`` (module notes).
+    When the residual pass can use them (`_window_spectra`), the q = 2
+    power sum and box count of each scale go in ``grams`` by s.
 
     ``shared`` maps a scale to the `_stretch_sums` of the window's blocks,
     computed ahead; a scale without them sums the window itself as one
@@ -406,15 +514,19 @@ def compute_window(returns: ReturnMatrix, start: int, stop: int, index: int,
     anchor_idx = _anchors(tickers, cfg) if "lagged" in families else {}
     anchor_rows = list(anchor_idx.values())
     others = np.setdiff1d(np.arange(len(tickers)), anchor_rows)
+    keep_grams = (cfg.residual and cfg.poly_order >= 1 and 2.0 in cfg.q
+                  and "spectra" in families)
     try:
         parts = {s: shared.get(s) or [_stretch_sums(window_returns.values, 0, stop - start, s,
                                                     cfg, need_corr, rows)]
                  for s in cfg.s}
         for s in cfg.s if need_corr else ():
-            mats = spectra.correlation_matrices(
-                window_returns, s, cfg.poly_order, cfg.q,
-                blocks=[sums for sums, _ in parts[s]],
-            )
+            blocks = [sums for sums, _ in parts[s]]
+            total = sum(blocks[1:], blocks[0])
+            if keep_grams:
+                grams[s] = total.power[2.0], total.n_boxes
+            mats = spectra.correlation_matrices(window_returns, s, cfg.poly_order, cfg.q,
+                                                sums=total)
             for q in cfg.q:
                 c = graphs[(q, s)] = mats[q]
                 if "periods" in families:
@@ -433,7 +545,7 @@ def compute_window(returns: ReturnMatrix, start: int, stop: int, index: int,
                                       total.coefficients(tau, others, s, tickers))
     except QdccaError:
         if "spectra" in families:
-            _window_spectra(window_returns, graphs, cfg)  # an earlier failure wins
+            _window_spectra(window_returns, graphs, grams, cfg)  # an earlier failure wins
         raise
     return result
 
@@ -473,16 +585,17 @@ def run_analysis(cfg: AnalysisConfig, returns: ReturnMatrix, families=ALL_FAMILI
     def worker(item):
         index, (start, stop) = item
         blocks = {s: [sums[s, b] for b in spans[index]] for s in shared} if index in spans else {}
-        held = {}
+        held, grams = {}, {}
         try:
             return compute_window(returns, start, stop, index, cfg, families, blocks,
-                                  graphs=held), held
+                                  graphs=held, grams=grams), held, grams
         except QdccaError as exc:
             return index, str(exc)
 
-    def spectra_job(result, held):
+    def spectra_job(result, held, grams):
         try:
-            result.spectral = _window_spectra(_window(returns, *windows[result.index]), held, cfg)
+            result.spectral = _window_spectra(_window(returns, *windows[result.index]), held,
+                                              grams, cfg)
         except QdccaError as exc:
             return result.index, str(exc)
 
@@ -501,11 +614,12 @@ def run_analysis(cfg: AnalysisConfig, returns: ReturnMatrix, families=ALL_FAMILI
             done = list(run(worker, wave))
             grown = [o for o in done if isinstance(o[0], WindowResult)]
             # The graph job first: the pool takes jobs in order (module notes).
-            jobs = [partial(_grow_graphs, grown, cfg, families)]
+            jobs = [partial(_grow_graphs, [(result, held) for result, held, _ in grown],
+                            cfg, families)]
             if "spectra" in families:
-                jobs += [partial(spectra_job, result, held) for result, held in grown]
+                jobs += [partial(spectra_job, *window) for window in grown]
             failed = dict(filter(None, run(_call, jobs)))
-            results += [result for result, _ in grown if result.index not in failed]
+            results += [result for result, *_ in grown if result.index not in failed]
             skipped += sorted([o for o in done if not isinstance(o[0], WindowResult)]
                               + list(failed.items()))
             del done, grown, jobs  # the wave's matrices go before the next wave starts

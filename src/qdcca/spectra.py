@@ -79,24 +79,22 @@ def correlation_matrices(
     scale: int,
     poly_order: int,
     q_values,
-    blocks=None,
+    sums=None,
 ) -> dict[float, DetrendedCorrelationMatrix]:
     """Coefficient matrices for several q values sharing one detrending pass.
 
-    ``blocks``, when given, holds the window's box sums computed ahead: the
-    `fluctuation_matrices` of consecutive stretches that tile its samples,
-    in sample order (`pipeline.run_analysis` shares them between
-    overlapping windows).  Without it the window is one block of its own
-    values.  The blocks are added in order and every check runs once, on
-    the window's totals.
+    ``sums``, when given, are the window's box sums computed ahead, a
+    `dfa.BoxSums` (`pipeline.run_analysis` adds them up from blocks that
+    overlapping windows share); without them the window's own values are
+    summed.  Every check runs once, on the window's totals.
     """
     values, labels = _unpack(returns)
     if values.shape[0] < 2:
         raise ShapeMismatchError("need at least 2 series")
     _check_scale(values.shape[1], DetrendConfig(scale=scale, poly_order=poly_order))
-    if blocks is None:
-        blocks = [fluctuation_matrices(values, scale, poly_order, q_values)]
-    rhos = sum(blocks[1:], blocks[0]).coefficients(scale, labels)
+    if sums is None:
+        sums = fluctuation_matrices(values, scale, poly_order, q_values)
+    rhos = sums.coefficients(scale, labels)
     return {q: DetrendedCorrelationMatrix(values=rho, labels=labels) for q, rho in rhos.items()}
 
 

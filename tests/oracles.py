@@ -380,6 +380,41 @@ def n_communities(partition):
     return len(set(partition.communities.values()))
 
 
+def _literal_matrix(series, q, scale, poly_order):
+    n = len(series)
+    rho = np.eye(n)
+    for i, j in itertools.combinations(range(n), 2):
+        rho[i, j] = rho[j, i] = rho_q_literal(series[i], series[j], q, scale, poly_order)
+    return rho
+
+
+def residual_spectrum_literal(window, q, scale, poly_order):
+    """Reference residual pass over one window of (N, T) returns: the
+    (lambda1, h1, v1max) of the residual matrix.
+
+    Every series is normalized to zero mean and unit variance (divisor T),
+    the leading eigenvector v1 of their `rho_q_literal` matrix weights the
+    eigensignal z = sum_k v1[k] x_k, each series is regressed on z with an
+    intercept by ordinary least squares, and the residual series'
+    `rho_q_literal` matrix (which reads float64) is decomposed by
+    np.linalg.eigh.  The normalization, the regression and the residuals
+    are formed in extended precision (np.longdouble, where the platform has
+    it), so a residual far below its series keeps its leading digits.
+    """
+    window = np.asarray(window, dtype=np.longdouble)
+    x = [(row - row.mean()) / row.std() for row in window]
+    _, vectors = np.linalg.eigh(_literal_matrix(x, q, scale, poly_order))
+    z = sum(np.longdouble(w) * row for w, row in zip(vectors[:, -1], x))
+    zc = z - z.mean()
+    residuals = []
+    for row in x:
+        slope = np.dot(row - row.mean(), zc) / np.dot(zc, zc)
+        residuals.append(row - row.mean() - slope * zc)
+    values, vectors = np.linalg.eigh(_literal_matrix(residuals, q, scale, poly_order))
+    lead = vectors[:, -1]
+    return float(values[-1]), shannon_entropy_literal(lead), float(np.max(lead**2))
+
+
 # The input stage's original pairwise-intersection alignment and re-basing,
 # kept literally (plus the return-matrix construction that used them): the
 # package now counts minutes instead, and must agree bit for bit.  These

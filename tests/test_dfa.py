@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -520,3 +521,73 @@ def test_residuals_do_not_depend_on_blas_threads():
     # anchor and periods, 48 edge files, 8 cluster rasters) and the manifest
     assert len(one) == 2 + 116 + 1
     assert one == two, sorted(name for name in one if one[name] != two.get(name))
+
+
+# One N = 250 window of the universe250 shape (q = 2 and 4, s = 30 and 120,
+# eigensignal residuals, every family): the text of every file, manifest
+# included, per pool thread count given on the command line.
+_RUN_N250 = """
+import json, os, sys, tempfile
+from dataclasses import replace
+from qdcca.config import AnalysisConfig
+from qdcca.emit import MANIFEST_NAME, write_outputs
+from qdcca.pipeline import ALL_FAMILIES, run_analysis
+from qdcca.synth import GeneratorSpec, synth_returns
+returns = synth_returns(GeneratorSpec("blocks", 250, 1_440,
+                        {"sizes": [50] * 5, "within": 0.4, "across": 0.1}), seed=250)
+cfg = AnalysisConfig(q=(2.0, 4.0), s=(30, 120), window=1_440, step=1_440, lags=(0,),
+                     anchors=("SYN00", "SYN01"), verbose=True, residual=True, seed=1)
+runs = {}
+for threads in sys.argv[1:]:
+    run_cfg = replace(cfg, threads=int(threads))
+    with tempfile.TemporaryDirectory() as out:
+        manifest = write_outputs(run_analysis(run_cfg, returns), run_cfg, out, ALL_FAMILIES)
+        runs[threads] = {}
+        for name in manifest["outputs"] + [MANIFEST_NAME]:
+            with open(os.path.join(out, name)) as fh:
+                runs[threads][name] = fh.read()
+print(json.dumps(runs))
+"""
+
+
+def _fields_apart(a: str, b: str) -> float:
+    """The largest |difference| of two texts' float fields, or inf when
+    any other field differs."""
+    rows_a, rows_b = a.splitlines(), b.splitlines()
+    if len(rows_a) != len(rows_b):
+        return float("inf")
+    worst = 0.0
+    for row_a, row_b in zip(rows_a, rows_b):
+        fields_a, fields_b = row_a.split(","), row_b.split(",")
+        if len(fields_a) != len(fields_b):
+            return float("inf")
+        for x, y in zip(fields_a, fields_b):
+            if x == y:
+                continue
+            try:
+                worst = max(worst, abs(float(x) - float(y)))
+            except ValueError:
+                return float("inf")
+    return worst
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores for two BLAS threads")
+def test_n250_bytes_follow_the_blas_threads_but_not_the_pool_threads():
+    # README's claim at N = 250: at one BLAS thread count, one and two pool
+    # threads write the same bytes; across BLAS thread counts (OpenBLAS
+    # splits products of this size) the bytes may differ, and every float
+    # stays within 1e-12.
+    env = dict(os.environ, PYTHONPATH=str(Path(qdcca.__file__).resolve().parent.parent))
+    runs = [subprocess.Popen([sys.executable, "-c", _RUN_N250, *pool],
+                             env=dict(env, OPENBLAS_NUM_THREADS=blas, OMP_NUM_THREADS=blas),
+                             stdout=subprocess.PIPE, text=True)
+            for blas, pool in (("1", ["1"]), ("2", ["1", "2"]))]
+    outs = [proc.communicate(timeout=300)[0] for proc in runs]
+    assert [proc.returncode for proc in runs] == [0, 0]
+    (one,), (two, two_pooled) = (json.loads(out).values() for out in outs)
+    assert two_pooled == two
+    # 4 each of spectra, topology, edges, periods and clusters (per anchor
+    # and s), 8 lagged (per anchor, q and s) and the manifest
+    assert sorted(one) == sorted(two) and len(one) == 29
+    apart = {name: _fields_apart(one[name], two[name]) for name in one}
+    assert max(apart.values()) <= 1e-12, apart

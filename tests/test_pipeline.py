@@ -22,7 +22,7 @@ from qdcca.pipeline import (
 from qdcca.spectra import correlation_matrices
 from qdcca.synth import GeneratorSpec, synth_returns
 
-from oracles import rho_q_literal
+from oracles import residual_spectrum_literal, rho_q_literal
 
 
 def _factor_matrix(n, t, seed, spread=0):
@@ -530,6 +530,74 @@ def test_residual_failure_at_one_scale_outranks_coefficients_at_the_next(threads
         result = run_analysis(cfg, returns, ("spectra", "periods"))
     assert result.skipped == [(1, "residual pass fails")]
     assert [w.index for w in result.windows] == [0, 2]
+
+
+def _residual_routes(cfg, returns):
+    """The sweep's spectra, and per residual matrix at q = 2 whether the
+    closed form gave it (False: its guard sent it to the kernel)."""
+    routes, real = [], pipeline._residual_closed_form
+
+    def closed_form(*args):
+        out = real(*args)
+        routes.append(out is not None)
+        return out
+
+    with mock.patch.object(pipeline, "_residual_closed_form", closed_form):
+        return run_analysis(cfg, returns, ("spectra",)), routes
+
+
+@pytest.mark.parametrize("poly_order", [1, 2])
+@pytest.mark.parametrize("noise, closed, bound", [
+    pytest.param(1.0, True, 1e-10, id="closed-form"),
+    pytest.param(1e-4, False, 1e-10, id="kernel-1e-4"),
+    pytest.param(1e-6, False, 1e-8, id="kernel-1e-6"),
+])
+def test_residual_columns_match_the_literal_oracle(noise, closed, bound, poly_order):
+    # Six series load one factor, plus idiosyncratic noise at `noise` times
+    # its scale.  At 1 the residual matrix is A G A^T from the window's own
+    # power sum; at 1e-4 and 1e-6 the residuals are nearly all cancellation,
+    # the guard trips and the kernel runs on the residual returns.  The
+    # sweep forms those in float64, so a residual 1e-6 of its series keeps
+    # about 1e-10 of relative precision, which the leading eigenpair of six
+    # near-independent residuals can magnify tenfold: that case gets a
+    # bound 100 times wider (the oracle forms its residuals in extended
+    # precision).
+    rng = np.random.default_rng(5)
+    n, t = 6, 2_000
+    values = (rng.uniform(0.5, 1.5, (n, 1)) * rng.standard_normal(t)
+              + noise * rng.standard_normal((n, t)))
+    returns = ReturnMatrix(tickers=tuple(f"A{i}" for i in range(n)),
+                           timestamps=np.arange(t, dtype=np.int64), values=values)
+    cfg = _small_cfg(window=1_000, step=1_000, lags=(0,), poly_order=poly_order,
+                     residual=True)
+    result, routes = _residual_routes(cfg, returns)
+    assert result.skipped == [] and routes == [closed, closed]
+    for window, (start, stop) in zip(result.windows, rolling_windows(t, 1_000, 1_000)):
+        row = window.spectral[(2.0, 50)]
+        want = residual_spectrum_literal(values[:, start:stop], 2.0, 50, poly_order)
+        got = (row.res_lambda1, row.res_h1, row.res_v1max)
+        assert max(abs(a - b) for a, b in zip(got, want)) <= bound, (got, want)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_flat_residual_skips_the_window_with_the_kernels_reason(threads):
+    # Every series is an affine copy of one +-1 series with as many of each
+    # sign per window, so each normalizes to it exactly, v1 is 0.5 in every
+    # component, each series lies exactly on the eigensignal plus a
+    # constant, and its residual returns are exact zeros.  The closed form
+    # cannot tell that from cancellation, so its guard sends the matrix to
+    # the kernel, whose zero-variance rule skips both windows with the
+    # reason it always gave.
+    signs = np.concatenate([np.random.default_rng(seed).permutation(np.repeat([-1.0, 1.0], 512))
+                            for seed in (1, 2)])
+    values = np.array([signs, signs + 1, 2 * signs, 3 * signs - 2])
+    returns = ReturnMatrix(tickers=tuple(f"A{i}" for i in range(4)),
+                           timestamps=np.arange(2_048, dtype=np.int64), values=values)
+    cfg = _small_cfg(s=(16,), window=1_024, step=1_024, lags=(0,), residual=True,
+                     threads=threads)
+    result, routes = _residual_routes(cfg, returns)
+    reason = "A0 has zero detrended variance at scale 16; correlation undefined"
+    assert result.skipped == [(0, reason), (1, reason)] and routes == [False, False]
 
 
 def test_compute_window_end_timestamp_label():

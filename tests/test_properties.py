@@ -926,7 +926,7 @@ def test_sweep_skips_a_failed_spectrum_as_a_lone_window_does(threads):
                          anchors=("A0",), verbose=True, residual=True, threads=threads)
     windows = rolling_windows(t, width, width)
     target = {}
-    compute_window(returns, *windows[3], 3, cfg, ("periods",), {}, target)
+    compute_window(returns, *windows[3], 3, cfg, ("periods",), {}, target, {})
     target = target[(2.0, 12)].values
 
     def eigh(c):
