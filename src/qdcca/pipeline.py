@@ -77,7 +77,10 @@ one more n^2 matrix per s, which the budget does not count.
 
 The residual pass regresses each window-normalized series
 xn_i = (x_i - mu_i) / sigma_i on the eigensignal z = v1 . xn and
-correlates the residuals r = xn - alpha z - beta.  At q = 2 and m >= 1 its
+correlates the residuals r = xn - alpha z - beta.  `_normalized` takes a
+window's means and stds in one pass over its (N, W) array (numpy reduces
+each row as it reduces one series, so the bits are `data.normalize`'s),
+and those stds are the sigma below.  At q = 2 and m >= 1 the residual
 matrix needs no second kernel pass (`_residual_closed_form`).  Detrending
 is linear, and at m >= 1 it removes the ramp that a constant (mu_i,
 beta_i) leaves in a box profile, so the detrended boxes of r are A D, with
@@ -88,7 +91,9 @@ P = A G A^T, with G the window's q = 2 power sum that `compute_window`
 has just added up: O(N^3) per matrix instead of a pass over N x W
 samples.  Both products are einsums, whose bits do not follow the BLAS
 thread count.  At q != 2 the box powers do not factor, and at m = 0 the
-ramps stay, so there the kernel runs again on the residual returns.
+ramps stay, so there the kernel runs again on the residual returns.  Only
+that path forms r (`spectra.ResidualReturns.residuals` is formed when
+read): the closed form reads alpha alone.
 
 The guard sends a matrix to the kernel unless three things hold.
 - Rounding.  Let u = 2**-53, Abar = (I + |alpha v1^T|) diag(1/sigma)
@@ -111,16 +116,56 @@ The guard sends a matrix to the kernel unless three things hold.
   box's sum of r^2 (Cauchy-Schwarz), so a box's profile energy is at most
   s (s - 1) / 2 times that sum, and every sample lies in at most two boxes
   (forward and backward tilings): the profile energy is at most
-  s^2 sum_t r_t^2.  The guard asks P'_ii > 2 _VARIANCE_FLOOR s^2
-  sum_t r_t^2 (the 2 covers the rounding of both sides), which implies
-  that the kernel's rule passes.
+  s^2 sum_t r_t^2.  That sum needs no r either.  Let x be the series
+  regressed (xn, or the window's returns under `global_norm`).  Least
+  squares with an intercept minimises sum_t (x_t - a z_t - b)^2 over
+  (a, b), and (0, mean x) is a candidate, so at the optimum
+  sum_t r_t^2 <= sum_t (x_t - mean x)^2 <= E_i = sum_t x_t^2: one einsum per
+  window.  The guard asks P'_ii > 2 _VARIANCE_FLOOR s^2 E'_i, the 2 being
+  the rounding margin, and rz = sqrt(W) |mean z| / ||z - mean z|| <= 100
+  (per-window normalization leaves mean z at rounding dust; under
+  `global_norm` rz is the eigensignal's window mean over its window std;
+  at most 2e-17 and 0.05 on the benchmark's q = 2 workloads).
+  The margin must cover:
+  - the computed (alpha, beta) miss the optimum (a*, b*).  The optimal
+    residual is orthogonal to 1 and z, so the miss adds
+    sum_t ((a* - alpha) z_t + b* - beta)^2 to sum_t r_t^2, second order in
+    rounding: O((W u)^2 (1 + rz)^2) E_i.
+  - the kernel reads r' = fl(fl(x - fl(alpha z)) - beta), not r: at most
+    3u (|x_t| + |alpha z_t| + |beta|) apart per sample.  Cauchy-Schwarz on
+    alpha = <x - mean x, z - mean z> / ||z - mean z||^2 gives
+    ||alpha z|| <= (1 + rz) sqrt(E_i) and sqrt(W) |beta| <= (1 + rz)
+    sqrt(E_i), so ||r' - r|| <= 9 (1 + rz) u sqrt(E_i).  The root of a
+    detrended energy is a seminorm of the series, at most s times its
+    norm, so the root of r''s is at least sqrt(P_ii) - 9 s (1 + rz) u
+    sqrt(E_i), which the guard makes at least (1 - 7e-4 (1 + rz))
+    sqrt(P_ii) >= 0.92 sqrt(P_ii).  And the profile energy of r' is at most
+    s^2 (1 + 9 (1 + rz) u)^2 E_i.
+  - E'_i and P'_ii (first leg) are within a relative O(W u) of E_i and
+    P_ii.
+  So r''s detrended energy exceeds 1.7 _VARIANCE_FLOOR times its profile
+  energy, which leaves the kernel's own rounding (O(s u) times the root of
+  the profile energy, on the root of each energy) a margin of 1.7, and the
+  kernel's rule passes.  And as P_ii is at most the profile energy of r,
+  so at most s^2 sum_t r_t^2, sum_t r'_t^2 exceeds 1.7 _VARIANCE_FLOOR
+  sum_t (x_t - mean x)^2: the kernel path's own check below passes too.
 - The coefficient checks.  Every F_i = P'_ii / B (B boxes) must have
   2 tiny <= F_i^2 and F_i^2 <= max / 2, so every normalizer and every
   product of two that `dfa._coefficients` checks is a normal finite float
   with a margin of 2, here and (within 1e-11) in the kernel; the closed
   form's own `_coefficients` call then checks its numbers again.
-So a window the kernel would skip (a flat residual, a normalizer out of
-range) takes the kernel path and keeps the kernel's reason.
+So a window the kernel path would skip (a flat residual, a normalizer out
+of range) takes the kernel path and keeps its reason.
+
+The kernel path adds one check of its own.  A series that lies on the
+eigensignal up to rounding (one of several collinear series, say) leaves
+residual dust, and the kernel's rule compares the dust's detrended energy
+with the dust's profile energy, which passes: the residual spectrum of
+rounding noise.  So before the kernel runs, a series whose residual energy
+sum_t r'_t^2 is at most `_VARIANCE_FLOOR` times its centred energy
+sum_t (x_t - mean x)^2 raises the kernel's zero-variance reason, naming the
+first such series.  Dust sits at 1e-32 to 1e-30 of the centred energy,
+and a residual 1e-6 of its series at 1e-12.
 """
 
 from __future__ import annotations
@@ -136,7 +181,13 @@ import numpy as np
 from . import data, network, spectra
 from .config import AnalysisConfig
 from .data import ReturnMatrix, normalize
-from .dfa import _TINY, _VARIANCE_FLOOR, _coefficients, cross_fluctuation_matrices
+from .dfa import (
+    _TINY,
+    _VARIANCE_FLOOR,
+    _check_variance,
+    _coefficients,
+    cross_fluctuation_matrices,
+)
 from .errors import ConfigError, QdccaError, ShapeMismatchError, ZeroVarianceError
 from .network import SpanningTree
 from .spectra import DetrendedCorrelationMatrix
@@ -332,25 +383,31 @@ def gap_fill_skip(returns: ReturnMatrix, start: int, stop: int, max_missing: flo
     return None
 
 
-def _normalized(returns: ReturnMatrix) -> ReturnMatrix:
-    """Every series at zero mean and unit variance; a constant one raises a
-    ZeroVarianceError that names it."""
-    out = np.empty_like(returns.values)
-    for k, row in enumerate(returns.values):
-        try:
-            out[k] = normalize(row)
-        except ZeroVarianceError as exc:
-            name = returns.tickers[k]
-            raise ZeroVarianceError(f"{name}: {exc}", label=name) from exc
-    return replace(returns, values=out)
+@np.errstate(over="ignore", invalid="ignore")  # a std that is not finite is named below
+def _normalized(returns: ReturnMatrix) -> tuple[ReturnMatrix, np.ndarray]:
+    """Every series at zero mean and unit variance, and the stds that
+    scaled them, in one pass over the array: numpy reduces each row as
+    `normalize` reduces one series, so the bits are `normalize`'s.  A series
+    that `normalize` refuses (constant, or a std that overflows) raises its
+    ZeroVarianceError, naming the series."""
+    values = returns.values
+    mean, std = values.mean(axis=1), values.std(axis=1)
+    if not np.all((std > 0.0) & (std < np.inf)):
+        for name, row in zip(returns.tickers, values):
+            try:
+                normalize(row)
+            except ZeroVarianceError as exc:
+                raise ZeroVarianceError(f"{name}: {exc}", label=name) from exc
+    return replace(returns, values=(values - mean[:, None]) / std[:, None]), std
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the guard reads what leaves the range
-def _residual_closed_form(res, v1, sigma, gram, s: int, labels):
+def _residual_closed_form(res, v1, sigma, gram, s: int, raw_energy, labels):
     """The residual pass's q = 2 matrix from the window's own power sum, as
     A G A^T (module notes), or None when the guard sends it to the kernel.
-    ``gram`` is (G, box count) and ``sigma`` the std that normalized each
-    series (1 under `global_norm`)."""
+    ``gram`` is (G, box count), ``sigma`` the std that normalized each
+    series (1 under `global_norm`) and ``raw_energy`` each regressed
+    series' sum of squares, which bounds its residuals' (module notes)."""
     power, n_boxes = gram
     n = len(v1)
     outer = np.outer(res.alpha, v1)
@@ -363,10 +420,13 @@ def _residual_closed_form(res, v1, sigma, gram, s: int, labels):
     root = np.sqrt(np.diag(power)) / sigma
     reach = root + np.abs(res.alpha) * np.einsum("k,k->", np.abs(v1), root)
     f = energy / n_boxes
+    drift = res.signal.mean()
+    swing = res.signal - drift
     exact = (np.isfinite(p).all()
              and np.all((n + 4) * _EPS * reach**2 <= _CLOSED_FORM_TOL * energy)
-             and np.all(energy > 2 * _VARIANCE_FLOOR * s * s
-                        * np.einsum("nt,nt->n", res.residuals, res.residuals))
+             and np.all(energy > 2 * _VARIANCE_FLOOR * s * s * raw_energy)
+             # rz <= 100: the eigensignal's mean against its spread.
+             and swing.size * drift**2 <= 1e4 * np.einsum("t,t->", swing, swing)
              and 2 * _TINY <= f.min() ** 2 and f.max() ** 2 <= _HUGE / 2)
     if not exact:
         return None
@@ -375,20 +435,31 @@ def _residual_closed_form(res, v1, sigma, gram, s: int, labels):
     return DetrendedCorrelationMatrix(values=rho, labels=labels)
 
 
-def _residual_spectrum(window_returns: ReturnMatrix, q, s, cfg, summary, gram, sigma):
+def _residual_spectrum(window_returns: ReturnMatrix, q, s, cfg, summary, gram, sigma,
+                       raw_energy):
     """The spectrum of the residual returns once the leading eigensignal is
     regressed out of every series: from ``gram`` (see
     `_residual_closed_form`) when it is given and the guard holds, else by
-    the kernel on the residual returns."""
+    the kernel on the residual returns, the only path that forms them.  A
+    series whose residual energy is at most `_VARIANCE_FLOOR` times its
+    centred energy lies on the eigensignal up to rounding, and raises."""
     v1 = summary.eigenvectors[:, 0]
     z1 = spectra.eigensignal(window_returns, v1)
     res = spectra.residual_returns(window_returns, z1)
+    labels = window_returns.tickers
     c_res = None
     if gram is not None:
-        c_res = _residual_closed_form(res, v1, sigma, gram, s, window_returns.tickers)
+        c_res = _residual_closed_form(res, v1, sigma, gram, s, raw_energy, labels)
     if c_res is None:
+        residuals = res.residuals
+        x = window_returns.values
+        centred = x - x.mean(axis=1, keepdims=True)
+        # The kernel's own rule compares the dust of such a series with
+        # the dust's profile, and passes it.
+        _check_variance(np.einsum("nt,nt->n", residuals, residuals),
+                        np.einsum("nt,nt->n", centred, centred), s, labels)
         c_res = spectra.correlation_matrices(
-            replace(window_returns, values=res.residuals), s, cfg.poly_order, [q]
+            replace(window_returns, values=residuals), s, cfg.poly_order, [q]
         )[q]
     return spectra.eigendecompose(c_res)
 
@@ -406,19 +477,23 @@ def _window_spectra(window_returns: ReturnMatrix, held: dict, grams: dict,
     (module notes).  At any other q, at poly_order = 0 and wherever the
     guard trips, the kernel runs again on the residual returns.
     """
-    residual_input = sigma = None
+    residual_input = sigma = raw_energy = None
     if cfg.residual:
-        residual_input = window_returns if cfg.global_norm else _normalized(window_returns)
+        if cfg.global_norm:
+            residual_input, sigma = window_returns, 1.0
+        else:
+            residual_input, sigma = _normalized(window_returns)
         if grams:
-            # `normalize`'s std: numpy reduces each row as it does one series.
-            sigma = 1.0 if cfg.global_norm else window_returns.values.std(axis=1)
+            x = residual_input.values
+            raw_energy = np.einsum("nt,nt->n", x, x)
     rows = {}
     for (q, s), c in held.items():
         summary = spectra.eigendecompose(c)
         res = None
         if residual_input is not None:
             gram = grams.get(s) if q == 2.0 else None
-            res = _residual_spectrum(residual_input, q, s, cfg, summary, gram, sigma)
+            res = _residual_spectrum(residual_input, q, s, cfg, summary, gram, sigma,
+                                     raw_energy)
         rows[q, s] = _spectral_row(summary, res)
     return rows
 
@@ -562,7 +637,7 @@ def run_analysis(cfg: AnalysisConfig, returns: ReturnMatrix, families=ALL_FAMILI
     _check_families(families)
     data.check_returns(returns)
     if cfg.global_norm:
-        returns = _normalized(returns)
+        returns, _ = _normalized(returns)
     windows = rolling_windows(returns.n_samples, cfg.window, cfg.step)
     results: list[WindowResult] = []
     skipped: list[tuple[int, str]] = []

@@ -21,7 +21,8 @@ determinism guarantees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,11 +56,19 @@ class SpectralSummary:
 
 @dataclass(frozen=True)
 class ResidualReturns:
-    """Per-asset least-squares removal of the leading eigensignal."""
+    """Per-asset least-squares removal of the leading eigensignal.  The
+    residual series are formed when first read: the q = 2 residual pass
+    (`pipeline`) reads only the fit."""
 
-    residuals: np.ndarray   # (N, T)
     alpha: np.ndarray       # slope per asset
     beta: np.ndarray        # intercept per asset
+    values: np.ndarray = field(repr=False)   # (N, T) series that were fitted
+    signal: np.ndarray = field(repr=False)   # (T,) eigensignal they were fitted on
+
+    @cached_property
+    def residuals(self) -> np.ndarray:
+        """(N, T) series minus their fitted part."""
+        return self.values - self.alpha[:, None] * self.signal[None, :] - self.beta[:, None]
 
 
 def _unpack(returns) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -158,8 +167,8 @@ def eigensignal(returns, v1) -> np.ndarray:
 
 
 def residual_returns(returns, z1) -> ResidualReturns:
-    """Ordinary least squares of every series on the eigensignal; returns
-    the de-trended residual series along with the fit parameters."""
+    """Ordinary least squares of every series on the eigensignal: the fit
+    parameters, and the residual series when read."""
     values, _ = _unpack(returns)
     z = np.asarray(z1, dtype=np.float64)
     if z.ndim != 1 or z.size != values.shape[1]:
@@ -176,5 +185,4 @@ def residual_returns(returns, z1) -> ResidualReturns:
     row_means = values.mean(axis=1)
     alpha = (values - row_means[:, None]) @ zc / var
     beta = row_means - alpha * z_mean
-    residuals = values - alpha[:, None] * z[None, :] - beta[:, None]
-    return ResidualReturns(residuals=residuals, alpha=alpha, beta=beta)
+    return ResidualReturns(alpha=alpha, beta=beta, values=values, signal=z)

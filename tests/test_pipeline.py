@@ -586,8 +586,8 @@ def test_flat_residual_skips_the_window_with_the_kernels_reason(threads):
     # component, each series lies exactly on the eigensignal plus a
     # constant, and its residual returns are exact zeros.  The closed form
     # cannot tell that from cancellation, so its guard sends the matrix to
-    # the kernel, whose zero-variance rule skips both windows with the
-    # reason it always gave.
+    # the kernel path, which skips both windows with the reason the
+    # kernel's zero-variance rule always gave.
     signs = np.concatenate([np.random.default_rng(seed).permutation(np.repeat([-1.0, 1.0], 512))
                             for seed in (1, 2)])
     values = np.array([signs, signs + 1, 2 * signs, 3 * signs - 2])
@@ -598,6 +598,71 @@ def test_flat_residual_skips_the_window_with_the_kernels_reason(threads):
     result, routes = _residual_routes(cfg, returns)
     reason = "A0 has zero detrended variance at scale 16; correlation undefined"
     assert result.skipped == [(0, reason), (1, reason)] and routes == [False, False]
+
+
+_ON_THE_EIGENSIGNAL = {
+    "collinear": lambda f: [f, 2 * f + 1, -f + 3, f / 2],
+    "identical": lambda f: [f, f, f, f],
+    "sign-flipped": lambda f: [f, -f],
+}
+
+
+@pytest.mark.parametrize("global_norm", [False, True])
+@pytest.mark.parametrize("poly_order", [1, 2])
+@pytest.mark.parametrize("case", _ON_THE_EIGENSIGNAL)
+def test_series_on_the_eigensignal_skip_the_residual_pass(case, poly_order, global_norm):
+    # Every series is an affine map of one Gaussian series, so each lies on
+    # the eigensignal and its residual returns are rounding dust, about
+    # 1e-31 of its centred energy.  The kernel's zero-variance rule compares
+    # the dust's detrended energy with the dust's profile and passed it:
+    # res_lambda1 read 3.1 to 3.98 (collinear), 4.0 (identical) or 2.0
+    # (sign-flipped), no window skipped.  The guard declines the closed
+    # form, and the kernel path skips each window, naming the first such
+    # series.
+    f = np.random.default_rng(3).standard_normal(2_000)
+    values = np.array(_ON_THE_EIGENSIGNAL[case](f))
+    returns = ReturnMatrix(tickers=tuple(f"A{i}" for i in range(len(values))),
+                           timestamps=np.arange(2_000, dtype=np.int64), values=values)
+    cfg = _small_cfg(window=1_000, step=1_000, lags=(0,), poly_order=poly_order,
+                     global_norm=global_norm, residual=True)
+    result, routes = _residual_routes(cfg, returns)
+    reason = "A0 has zero detrended variance at scale 50; correlation undefined"
+    assert result.skipped == [(0, reason), (1, reason)] and routes == [False, False]
+
+
+def _residual_reads(cfg, returns):
+    """The sweep's spectra and how often it read `ResidualReturns.residuals`."""
+    reads, form = [], spectra.ResidualReturns.__dict__["residuals"].func
+
+    def residuals(res):
+        reads.append(res)
+        return form(res)
+
+    with mock.patch.object(spectra.ResidualReturns, "residuals", property(residuals)):
+        return run_analysis(cfg, returns, ("spectra",)), len(reads)
+
+
+@pytest.mark.parametrize("global_norm", [False, True])
+def test_closed_form_forms_no_residual_returns(global_norm):
+    # At q = 2 and m >= 1 every matrix here takes the closed form, which
+    # reads only the fit: the sweep forms no residual array and its res_*
+    # columns are those of an unpatched run.
+    returns = _factor_matrix(5, 2_000, seed=6)
+    cfg = _small_cfg(s=(10, 50), lags=(0,), global_norm=global_norm, residual=True)
+    want, routes = _residual_routes(cfg, returns)
+    assert len(routes) == 3 * 2 and all(routes)
+    got, reads = _residual_reads(cfg, returns)
+    assert reads == 0 and got.skipped == want.skipped == []
+    assert [w.spectral for w in got.windows] == [w.spectral for w in want.windows]
+
+
+def test_the_kernel_path_forms_the_residual_returns_once_per_matrix():
+    returns = _factor_matrix(5, 2_000, seed=6)
+    cfg = _small_cfg(q=(4.0,), s=(10, 50), lags=(0,), residual=True)
+    want = run_analysis(cfg, returns, ("spectra",))
+    got, reads = _residual_reads(cfg, returns)
+    assert reads == 3 * 2 and got.skipped == want.skipped == []
+    assert [w.spectral for w in got.windows] == [w.spectral for w in want.windows]
 
 
 def test_compute_window_end_timestamp_label():

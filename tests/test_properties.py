@@ -24,6 +24,7 @@ from qdcca.data import (
     _volatile_head,
     build_return_matrix,
     log_returns,
+    normalize,
 )
 from qdcca.dfa import (
     DetrendConfig,
@@ -34,7 +35,12 @@ from qdcca.dfa import (
 )
 from qdcca import pipeline
 from qdcca.emit import write_outputs
-from qdcca.errors import EigensolverError, EmptyIntersectionError, QdccaError
+from qdcca.errors import (
+    EigensolverError,
+    EmptyIntersectionError,
+    QdccaError,
+    ZeroVarianceError,
+)
 from qdcca.network import (
     DistanceMatrix,
     _aggregate,
@@ -223,6 +229,57 @@ def test_peg_screen_keeps_only_series_the_exact_rule_keeps(case):
     assert rm.tickers == rm_want.tickers and report == report_want
     for field in ("timestamps", "values", "filled"):
         assert _same_bits(getattr(rm, field), getattr(rm_want, field)), field
+
+
+@st.composite
+def _normalization_windows(draw):
+    """A window [lo, lo + width) of an (N, T) return matrix, a strided view
+    as the sweep takes it.  A row is Gaussian around an offset at a scale
+    from 1e-150 to 1e150, constant, or +-1e200 (a std that overflows)."""
+    n = draw(st.integers(1, 5))
+    t = draw(st.integers(1, 20_000))
+    width = draw(st.integers(1, t))
+    lo = draw(st.integers(0, t - width))
+    kinds = draw(st.lists(st.sampled_from(["gaussian"] * 6 + ["constant", "overflows"]),
+                          min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = ((rng.standard_normal((n, t)) + rng.uniform(-10.0, 10.0, (n, 1)))
+              * 10.0 ** rng.uniform(-150.0, 150.0, (n, 1)))
+    for row, kind in zip(values, kinds):
+        if kind == "constant":
+            row[:] = row[0]
+        elif kind == "overflows":
+            row[:] = rng.choice([-1e200, 1e200], t)
+    returns = ReturnMatrix(tickers=tuple(f"T{k}" for k in range(n)),
+                           timestamps=np.arange(t, dtype=np.int64), values=values)
+    return pipeline._window(returns, lo, lo + width)
+
+
+def _normalized_row_by_row(returns):
+    """One `normalize` call per series, naming the first it refuses; and
+    each series' std."""
+    rows = []
+    for name, row in zip(returns.tickers, returns.values):
+        try:
+            rows.append(normalize(row))
+        except ZeroVarianceError as exc:
+            raise ZeroVarianceError(f"{name}: {exc}", label=name) from exc
+    return np.array(rows), np.array([row.std() for row in returns.values])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_normalization_windows())
+def test_one_pass_normalization_is_the_row_by_row_loop_bitwise(window):
+    try:
+        want, want_sigma = _normalized_row_by_row(window)
+    except ZeroVarianceError as exc:
+        with pytest.raises(ZeroVarianceError) as err:
+            pipeline._normalized(window)
+        assert (str(err.value), err.value.label) == (str(exc), exc.label)
+        return
+    got, sigma = pipeline._normalized(window)
+    assert _same_bits(got.values, want) and _same_bits(sigma, want_sigma)
+    assert got.tickers == window.tickers and got.timestamps is window.timestamps
 
 
 @st.composite
