@@ -15,6 +15,7 @@ import json
 import os
 
 from .config import AnalysisConfig
+from .errors import ConfigError
 from .network import cluster_track
 from .pipeline import SpectralRow, SweepResult, TopologyRow, _check_families, threshold_periods
 
@@ -51,9 +52,7 @@ def _row_files(result: SweepResult, cfg: AnalysisConfig, out_dir: str, family: s
         for s in cfg.s:
             rows = []
             for w in result.windows:
-                row = getattr(w, table).get((q, s))
-                if row is None:
-                    continue
+                row = getattr(w, table)[(q, s)]
                 values = {"window": w.index, "end_ts": w.end_ts, "q": _tag(q), "s": s}
                 rows.append([values[c] for c in lead]
                             + [int(v) if type(v) is bool else v for v in row[: len(fields)]])
@@ -74,9 +73,7 @@ def _edge_files(result: SweepResult, cfg: AnalysisConfig, out_dir: str):
     for q in cfg.q:
         for s in cfg.s:
             for w in result.windows:
-                tree = w.trees.get((q, s))
-                if tree is None:
-                    continue
+                tree = w.trees[(q, s)]
                 labels = tree.labels
                 rows = [
                     [labels[i], labels[j], d, rho]
@@ -89,16 +86,13 @@ def _edge_files(result: SweepResult, cfg: AnalysisConfig, out_dir: str):
 
 def _cluster_files(result: SweepResult, cfg: AnalysisConfig, out_dir: str):
     anchors = [a for a in cfg.anchors if a in result.tickers]
-    for s in cfg.s:
-        windows = [w for w in result.windows if s in w.partitions]
-        if not windows:
-            continue
-        partitions = [w.partitions[s] for w in windows]
+    for s in cfg.s if result.windows else ():
+        partitions = [w.partitions[s] for w in result.windows]
         for anchor in anchors:
             labels, raster = cluster_track(partitions, anchor)
             rows = [
                 [w.index, w.end_ts, *raster[k].astype(int).tolist()]
-                for k, w in enumerate(windows)
+                for k, w in enumerate(result.windows)
             ]
             yield _table(out_dir, f"clusters_{anchor}_{s}.csv",
                          ["window", "end_ts", *labels], rows)
@@ -111,9 +105,7 @@ def _lagged_files(result: SweepResult, cfg: AnalysisConfig, out_dir: str):
             for s in cfg.s:
                 rows = []
                 for w in result.windows:
-                    taus = w.lagged.get((anchor, q, s))
-                    if not taus:
-                        continue
+                    taus = w.lagged.get((anchor, q, s), {})  # none with no lags
                     for tau in sorted(taus):
                         rows.append([w.index, w.end_ts, tau, taus[tau]])
                 yield _table(out_dir, f"lagged_{anchor}_{_tag(q)}_{s}.csv",
@@ -123,11 +115,7 @@ def _lagged_files(result: SweepResult, cfg: AnalysisConfig, out_dir: str):
 def _period_files(result: SweepResult, cfg: AnalysisConfig, out_dir: str):
     for q in cfg.q:
         for s in cfg.s:
-            points = [
-                (w.end_ts, w.mean_rho[(q, s)])
-                for w in result.windows
-                if (q, s) in w.mean_rho
-            ]
+            points = [(w.end_ts, w.mean_rho[(q, s)]) for w in result.windows]
             intervals = threshold_periods(points, cfg.threshold)
             yield _table(out_dir, f"periods_{_tag(q)}_{s}.csv", ["start_ts", "end_ts"],
                          intervals)
@@ -150,8 +138,12 @@ def write_outputs(
     families,
 ) -> dict:
     """Write the requested CSV families plus the run manifest; returns the
-    manifest dictionary.  An unknown family raises ConfigError first."""
+    manifest dictionary.  An unknown family, or one the sweep did not
+    compute, raises ConfigError before anything is written."""
     _check_families(families)
+    if missing := [f for f in families if f not in result.families]:
+        names = ", ".join(map(repr, missing))
+        raise ConfigError(f"output family {names} not computed by the sweep")
     os.makedirs(out_dir, exist_ok=True)
     outputs: list[str] = []
     for family in families:

@@ -30,8 +30,8 @@ start, and splits the sums by the block in which the partner box ends;
 a window adds the pieces whose partner ends inside it, in block order
 (`_lag_totals`).  The zero-variance rule reads only what the requested
 lags read, and a window that fails it is skipped with a reason that names
-the signed lag.  Normalization runs per window only to feed the residual
-pass, the one result it changes.
+the signed lag.  Each window's stds feed only the residual pass's
+eigensignal weights.
 
 The sweep is one loop over waves of consecutive windows.  A wave drops
 the held block sums below its first window (no later window reads them),
@@ -75,33 +75,35 @@ With `residual` at q = 2 and m = poly_order >= 1, each window of a wave
 also holds its q = 2 power sum per scale for the residual pass (below),
 one more n^2 matrix per s, which the budget does not count.
 
-The residual pass regresses each window-normalized series
-xn_i = (x_i - mu_i) / sigma_i on the eigensignal z = v1 . xn and
-correlates the residuals r = xn - alpha z - beta.  `_normalized` takes a
-window's means and stds in one pass over its (N, W) array (numpy reduces
-each row as it reduces one series, so the bits are `data.normalize`'s),
-and those stds are the sigma below.  At q = 2 and m >= 1 the residual
-matrix needs no second kernel pass (`_residual_closed_form`).  Detrending
-is linear, and at m >= 1 it removes the ramp that a constant (mu_i,
-beta_i) leaves in a box profile, so the detrended boxes of r are A D, with
-D those of the returns the sweep summed and A = (I - alpha v1^T)
-diag(1/sigma) (sigma = 1 under `global_norm`, whose returns the sweep sums
-already normalized).  Summed over the boxes, the residual power sum is
-P = A G A^T, with G the window's q = 2 power sum that `compute_window`
-has just added up: O(N^3) per matrix instead of a pass over N x W
-samples.  Both products are einsums, whose bits do not follow the BLAS
-thread count.  At q != 2 the box powers do not factor, and at m = 0 the
-ramps stay, so there the kernel runs again on the residual returns.  Only
-that path forms r (`spectra.ResidualReturns.residuals` is formed when
-read): the closed form reads alpha alone.
+The residual pass regresses each series x_i of the window, as the sweep
+summed it, on the eigensignal z = w . x with weights w = v1 / sigma, and
+correlates the residuals r = x - alpha z - beta.  sigma are the window's
+stds (`_stds`), or 1 under `global_norm`, whose returns `_normalized`
+normalizes once over the span.  That is the regression of each
+window-normalized series xn_i = (x_i - mean x_i) / sigma_i on v1 . xn,
+times sigma_i: w . x and v1 . xn differ by a constant, which the
+intercepts absorb, and rho_q ignores each series' positive scale.  At
+q = 2 and m >= 1 the residual matrix needs no second kernel pass
+(`_residual_closed_form`).  Detrending is linear, and at m >= 1 it removes
+the ramp that a constant beta_i leaves in a box profile, so the detrended
+boxes of r are A D, with D those of x and A = I - alpha w^T.  Summed over
+the boxes, the residual power sum is P = A G A^T, with G the window's
+q = 2 power sum that `compute_window` has just added up: O(N^3) per
+matrix instead of a pass over N x W samples.  Both products are einsums,
+whose bits do not follow the BLAS thread count.  At q != 2 the box powers
+do not factor, and at m = 0 the ramps stay, so there the kernel runs
+again on the residual returns over sigma (a normalized window's float
+range).  Only that path forms r: the closed form reads alpha alone, and
+`spectra.ResidualReturns.residuals` is formed when read.
 
-The guard sends a matrix to the kernel unless three things hold.
-- Rounding.  Let u = 2**-53, Abar = (I + |alpha v1^T|) diag(1/sigma)
-  (entrywise >= |A|) and reach_i = sum_k Abar_ik sqrt(G_kk).  Forming A
-  costs at most three roundings per entry, relative to Abar; a product of
-  N terms errs by at most gamma_N = N u / (1 - N u) times the product of
-  the magnitudes; and |G_kl| <= sqrt(G_kk G_ll), G being a sum of Grams
-  (to a factor 1 + O(W u)).  So the computed P' has
+The guard sends a matrix to the kernel unless three things hold.  The
+first two compare quantities of one series that a scale moves alike.
+- Rounding.  Let u = 2**-53, Abar = I + |alpha w^T| (entrywise >= |A|)
+  and reach_i = sum_k Abar_ik sqrt(G_kk).  Forming A (w, the product, the
+  difference) costs at most three roundings per entry, relative to Abar; a
+  product of N terms errs by at most gamma_N = N u / (1 - N u) times the
+  product of the magnitudes; and |G_kl| <= sqrt(G_kk G_ll), G being a sum
+  of Grams (to a factor 1 + O(W u)).  So the computed P' has
   |P'_ij - P_ij| <= kappa reach_i reach_j with kappa = 2 (N + 3) u + O(u^2),
   taken here as (N + 4) eps (eps = 2u).  With t_i = kappa reach_i^2 / P_ii,
   rho_ij = P_ij / sqrt(P_ii P_jj) moves by at most t_i + t_j to first order
@@ -116,44 +118,49 @@ The guard sends a matrix to the kernel unless three things hold.
   box's sum of r^2 (Cauchy-Schwarz), so a box's profile energy is at most
   s (s - 1) / 2 times that sum, and every sample lies in at most two boxes
   (forward and backward tilings): the profile energy is at most
-  s^2 sum_t r_t^2.  That sum needs no r either.  Let x be the series
-  regressed (xn, or the window's returns under `global_norm`).  Least
-  squares with an intercept minimises sum_t (x_t - a z_t - b)^2 over
-  (a, b), and (0, mean x) is a candidate, so at the optimum
+  s^2 sum_t r_t^2.  That sum needs no r either.  Least squares with an
+  intercept minimises sum_t (x_t - a z_t - b)^2 over (a, b), and
+  (0, mean x) is a candidate, so at the optimum
   sum_t r_t^2 <= sum_t (x_t - mean x)^2 <= E_i = sum_t x_t^2: one einsum per
   window.  The guard asks P'_ii > 2 _VARIANCE_FLOOR s^2 E'_i, the 2 being
-  the rounding margin, and rz = sqrt(W) |mean z| / ||z - mean z|| <= 100
-  (per-window normalization leaves mean z at rounding dust; under
-  `global_norm` rz is the eigensignal's window mean over its window std;
-  at most 2e-17 and 0.05 on the benchmark's q = 2 workloads).
-  The margin must cover:
+  the rounding margin, and rz = sqrt(W) |mean z| / ||z - mean z|| <= 100,
+  the eigensignal's window mean over its window std (at most 0.02 on the
+  benchmark's ingest_gappy windows, 0.05 on universe250's with `residual`
+  on).  The margin must cover:
   - the computed (alpha, beta) miss the optimum (a*, b*).  The optimal
     residual is orthogonal to 1 and z, so the miss adds
     sum_t ((a* - alpha) z_t + b* - beta)^2 to sum_t r_t^2, second order in
     rounding: O((W u)^2 (1 + rz)^2) E_i.
-  - the kernel reads r' = fl(fl(x - fl(alpha z)) - beta), not r: at most
-    3u (|x_t| + |alpha z_t| + |beta|) apart per sample.  Cauchy-Schwarz on
+  - the kernel reads r' = fl(fl(fl(x - fl(alpha z)) - beta) / sigma), not
+    r / sigma.  Scaled back by sigma, that is at most 3u (|x_t| + |alpha z_t|
+    + |beta|) + u |r_t| apart per sample.  Cauchy-Schwarz on
     alpha = <x - mean x, z - mean z> / ||z - mean z||^2 gives
     ||alpha z|| <= (1 + rz) sqrt(E_i) and sqrt(W) |beta| <= (1 + rz)
-    sqrt(E_i), so ||r' - r|| <= 9 (1 + rz) u sqrt(E_i).  The root of a
+    sqrt(E_i), so ||sigma r' - r|| <= 10 (1 + rz) u sqrt(E_i).  The root of a
     detrended energy is a seminorm of the series, at most s times its
-    norm, so the root of r''s is at least sqrt(P_ii) - 9 s (1 + rz) u
-    sqrt(E_i), which the guard makes at least (1 - 7e-4 (1 + rz))
-    sqrt(P_ii) >= 0.92 sqrt(P_ii).  And the profile energy of r' is at most
-    s^2 (1 + 9 (1 + rz) u)^2 E_i.
+    norm, so the root of sigma r''s is at least sqrt(P_ii) - 10 s (1 + rz) u
+    sqrt(E_i), which the guard makes at least (1 - 8e-4 (1 + rz))
+    sqrt(P_ii) >= 0.91 sqrt(P_ii).  And the profile energy of sigma r' is at
+    most s^2 (1 + 10 (1 + rz) u)^2 E_i.
   - E'_i and P'_ii (first leg) are within a relative O(W u) of E_i and
     P_ii.
-  So r''s detrended energy exceeds 1.7 _VARIANCE_FLOOR times its profile
-  energy, which leaves the kernel's own rounding (O(s u) times the root of
-  the profile energy, on the root of each energy) a margin of 1.7, and the
-  kernel's rule passes.  And as P_ii is at most the profile energy of r,
-  so at most s^2 sum_t r_t^2, sum_t r'_t^2 exceeds 1.7 _VARIANCE_FLOOR
+  So r''s detrended energy exceeds 1.6 _VARIANCE_FLOOR times its profile
+  energy (a scale moves both alike), which leaves the kernel's own
+  rounding (O(s u) times the root of the profile energy, on the root of
+  each energy) a margin of 1.6, and the kernel's rule passes.  And as P_ii
+  is at most the profile energy of r, so at most s^2 sum_t r_t^2, the
+  residuals' sum of squares exceeds 1.6 _VARIANCE_FLOOR
   sum_t (x_t - mean x)^2: the kernel path's own check below passes too.
 - The coefficient checks.  Every F_i = P'_ii / B (B boxes) must have
   2 tiny <= F_i^2 and F_i^2 <= max / 2, so every normalizer and every
-  product of two that `dfa._coefficients` checks is a normal finite float
-  with a margin of 2, here and (within 1e-11) in the kernel; the closed
-  form's own `_coefficients` call then checks its numbers again.
+  product of two that the closed form's `_coefficients` call checks is a
+  normal finite float with a margin of 2; that call then checks its
+  numbers again.  Under `global_norm` (sigma = 1) the kernel reads these
+  numbers within 1e-11.  Otherwise it reads the residuals over the
+  window's stds, whose normalizers lie between 2e-24 s^2 W / B (second
+  leg, as E_i >= W sigma_i^2) and s^2 W / B (P_ii <= s^2 sum_t r_t^2 <=
+  s^2 W sigma_i^2), far inside the range: there this leg only sends to
+  the kernel a matrix whose numbers leave the range at the series' scale.
 So a window the kernel path would skip (a flat residual, a normalizer out
 of range) takes the kernel path and keeps its reason.
 
@@ -161,11 +168,11 @@ The kernel path adds one check of its own.  A series that lies on the
 eigensignal up to rounding (one of several collinear series, say) leaves
 residual dust, and the kernel's rule compares the dust's detrended energy
 with the dust's profile energy, which passes: the residual spectrum of
-rounding noise.  So before the kernel runs, a series whose residual energy
-sum_t r'_t^2 is at most `_VARIANCE_FLOOR` times its centred energy
-sum_t (x_t - mean x)^2 raises the kernel's zero-variance reason, naming the
-first such series.  Dust sits at 1e-32 to 1e-30 of the centred energy,
-and a residual 1e-6 of its series at 1e-12.
+rounding noise.  So before the residuals are divided by sigma, a series
+whose residual energy sum_t r_t^2 is at most `_VARIANCE_FLOOR` times its
+centred energy sum_t (x_t - mean x)^2 raises the kernel's zero-variance
+reason, naming the first such series.  Dust sits at 1e-32 to 1e-30 of the
+centred energy, and a residual 1e-6 of its series at 1e-12.
 """
 
 from __future__ import annotations
@@ -292,6 +299,7 @@ class SweepResult:
     skipped: list[tuple[int, str]]
     tickers: tuple[str, ...]
     n_windows_planned: int
+    families: tuple[str, ...]   # the output families the sweep computed
 
 
 def _mean_offdiagonal(c: DetrendedCorrelationMatrix) -> float:
@@ -384,41 +392,44 @@ def gap_fill_skip(returns: ReturnMatrix, start: int, stop: int, max_missing: flo
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a std that is not finite is named below
-def _normalized(returns: ReturnMatrix) -> tuple[ReturnMatrix, np.ndarray]:
-    """Every series at zero mean and unit variance, and the stds that
-    scaled them, in one pass over the array: numpy reduces each row as
-    `normalize` reduces one series, so the bits are `normalize`'s.  A series
-    that `normalize` refuses (constant, or a std that overflows) raises its
-    ZeroVarianceError, naming the series."""
-    values = returns.values
-    mean, std = values.mean(axis=1), values.std(axis=1)
+def _stds(returns: ReturnMatrix) -> np.ndarray:
+    """Each series' std, in one pass over the array: numpy reduces each row
+    as `normalize` reduces one series, so the bits are `normalize`'s.  A
+    series that `normalize` refuses (constant, or a std that overflows)
+    raises its ZeroVarianceError, naming the series."""
+    std = returns.values.std(axis=1)
     if not np.all((std > 0.0) & (std < np.inf)):
-        for name, row in zip(returns.tickers, values):
+        for name, row in zip(returns.tickers, returns.values):
             try:
                 normalize(row)
             except ZeroVarianceError as exc:
                 raise ZeroVarianceError(f"{name}: {exc}", label=name) from exc
-    return replace(returns, values=(values - mean[:, None]) / std[:, None]), std
+    return std
+
+
+def _normalized(returns: ReturnMatrix) -> ReturnMatrix:
+    """`global_norm`'s returns: bit for bit one `normalize` call per series."""
+    std, values = _stds(returns), returns.values
+    return replace(returns, values=(values - values.mean(axis=1)[:, None]) / std[:, None])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the guard reads what leaves the range
-def _residual_closed_form(res, v1, sigma, gram, s: int, raw_energy, labels):
+def _residual_closed_form(res, w, gram, s: int, raw_energy, labels):
     """The residual pass's q = 2 matrix from the window's own power sum, as
     A G A^T (module notes), or None when the guard sends it to the kernel.
-    ``gram`` is (G, box count), ``sigma`` the std that normalized each
-    series (1 under `global_norm`) and ``raw_energy`` each regressed
-    series' sum of squares, which bounds its residuals' (module notes)."""
+    ``w`` are the eigensignal's weights, ``gram`` is (G, box count) and
+    ``raw_energy`` each regressed series' sum of squares, which bounds its
+    residuals' (module notes)."""
     power, n_boxes = gram
-    n = len(v1)
-    outer = np.outer(res.alpha, v1)
-    a = (np.eye(n) - outer) / sigma
+    n = len(w)
+    a = np.eye(n) - np.outer(res.alpha, w)
     # einsum, not @: its bits do not follow the BLAS thread count.
     p = np.einsum("ik,kj->ij", a, np.einsum("kl,jl->kj", power, a))
     p = (p + p.T) / 2
     energy = np.diag(p)
     # Row i of |A| against sqrt(diag G): the reach of the rounding bound.
-    root = np.sqrt(np.diag(power)) / sigma
-    reach = root + np.abs(res.alpha) * np.einsum("k,k->", np.abs(v1), root)
+    root = np.sqrt(np.diag(power))
+    reach = root + np.abs(res.alpha) * np.einsum("k,k->", np.abs(w), root)
     f = energy / n_boxes
     drift = res.signal.mean()
     swing = res.signal - drift
@@ -437,29 +448,28 @@ def _residual_closed_form(res, v1, sigma, gram, s: int, raw_energy, labels):
 
 def _residual_spectrum(window_returns: ReturnMatrix, q, s, cfg, summary, gram, sigma,
                        raw_energy):
-    """The spectrum of the residual returns once the leading eigensignal is
-    regressed out of every series: from ``gram`` (see
+    """The spectrum of the residual returns once the eigensignal with weights
+    v1 / ``sigma`` is regressed out of every series: from ``gram`` (see
     `_residual_closed_form`) when it is given and the guard holds, else by
-    the kernel on the residual returns, the only path that forms them.  A
-    series whose residual energy is at most `_VARIANCE_FLOOR` times its
-    centred energy lies on the eigensignal up to rounding, and raises."""
-    v1 = summary.eigenvectors[:, 0]
-    z1 = spectra.eigensignal(window_returns, v1)
+    the kernel on the residual returns over ``sigma``, the only path that
+    forms them.  A series whose residual energy is at most `_VARIANCE_FLOOR`
+    times its centred energy (on the eigensignal up to rounding) raises."""
+    w = summary.eigenvectors[:, 0] / sigma
+    z1 = spectra.eigensignal(window_returns, w)
     res = spectra.residual_returns(window_returns, z1)
     labels = window_returns.tickers
     c_res = None
     if gram is not None:
-        c_res = _residual_closed_form(res, v1, sigma, gram, s, raw_energy, labels)
+        c_res = _residual_closed_form(res, w, gram, s, raw_energy, labels)
     if c_res is None:
         residuals = res.residuals
         x = window_returns.values
-        centred = x - x.mean(axis=1, keepdims=True)
         # The kernel's own rule compares the dust of such a series with
         # the dust's profile, and passes it.
         _check_variance(np.einsum("nt,nt->n", residuals, residuals),
-                        np.einsum("nt,nt->n", centred, centred), s, labels)
+                        x.shape[1] * x.var(axis=1), s, labels)
         c_res = spectra.correlation_matrices(
-            replace(window_returns, values=residuals), s, cfg.poly_order, [q]
+            replace(window_returns, values=residuals / sigma[:, None]), s, cfg.poly_order, [q]
         )[q]
     return spectra.eigendecompose(c_res)
 
@@ -467,9 +477,9 @@ def _residual_spectrum(window_returns: ReturnMatrix, q, s, cfg, summary, gram, s
 def _window_spectra(window_returns: ReturnMatrix, held: dict, grams: dict,
                     cfg: AnalysisConfig) -> dict:
     """The spectra rows of a window's correlation matrices ``held``, by
-    (q, s): the residual pass's normalization first, then each matrix's
-    eigendecomposition and residual spectrum in ``held``'s (s, q) order, so
-    the first failure raised is the first that the window meets.
+    (q, s): the residual pass's stds (1 under `global_norm`) first, then
+    each matrix's eigendecomposition and residual spectrum in ``held``'s
+    (s, q) order, so the first failure raised is the first the window meets.
 
     ``grams`` maps s to the window's q = 2 power sum and box count, which
     `compute_window` keeps when the residual pass can use them: at q = 2 and
@@ -477,22 +487,19 @@ def _window_spectra(window_returns: ReturnMatrix, held: dict, grams: dict,
     (module notes).  At any other q, at poly_order = 0 and wherever the
     guard trips, the kernel runs again on the residual returns.
     """
-    residual_input = sigma = raw_energy = None
+    sigma = raw_energy = None
     if cfg.residual:
-        if cfg.global_norm:
-            residual_input, sigma = window_returns, 1.0
-        else:
-            residual_input, sigma = _normalized(window_returns)
+        x = window_returns.values
+        sigma = np.ones(len(x)) if cfg.global_norm else _stds(window_returns)
         if grams:
-            x = residual_input.values
             raw_energy = np.einsum("nt,nt->n", x, x)
     rows = {}
     for (q, s), c in held.items():
         summary = spectra.eigendecompose(c)
         res = None
-        if residual_input is not None:
+        if sigma is not None:
             gram = grams.get(s) if q == 2.0 else None
-            res = _residual_spectrum(residual_input, q, s, cfg, summary, gram, sigma,
+            res = _residual_spectrum(window_returns, q, s, cfg, summary, gram, sigma,
                                      raw_energy)
         rows[q, s] = _spectral_row(summary, res)
     return rows
@@ -574,7 +581,7 @@ def compute_window(returns: ReturnMatrix, start: int, stop: int, index: int,
     computed ahead; a scale without them sums the window itself as one
     stretch.  A window that fails first runs the spectra of the matrices it
     holds, so a skip reason is the first failure in the order the checks ran
-    in one pass: gap fills, the residual pass's normalization, then per
+    in one pass: gap fills, the residual pass's stds, then per
     scale the coefficients and that scale's spectra, then the lagged pass.
     """
     reason = gap_fill_skip(returns, start, stop, cfg.max_missing)
@@ -637,7 +644,7 @@ def run_analysis(cfg: AnalysisConfig, returns: ReturnMatrix, families=ALL_FAMILI
     _check_families(families)
     data.check_returns(returns)
     if cfg.global_norm:
-        returns, _ = _normalized(returns)
+        returns = _normalized(returns)
     windows = rolling_windows(returns.n_samples, cfg.window, cfg.step)
     results: list[WindowResult] = []
     skipped: list[tuple[int, str]] = []
@@ -699,4 +706,4 @@ def run_analysis(cfg: AnalysisConfig, returns: ReturnMatrix, families=ALL_FAMILI
                               + list(failed.items()))
             del done, grown, jobs  # the wave's matrices go before the next wave starts
     return SweepResult(windows=results, skipped=skipped, tickers=returns.tickers,
-                       n_windows_planned=len(windows))
+                       n_windows_planned=len(windows), families=tuple(families))

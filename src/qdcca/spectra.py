@@ -168,7 +168,8 @@ def eigensignal(returns, v1) -> np.ndarray:
 
 def residual_returns(returns, z1) -> ResidualReturns:
     """Ordinary least squares of every series on the eigensignal: the fit
-    parameters, and the residual series when read."""
+    parameters, and the residual series when read.  The slopes need no
+    centred series: <x - mean x, z - mean z> = <x, z - mean z>."""
     values, _ = _unpack(returns)
     z = np.asarray(z1, dtype=np.float64)
     if z.ndim != 1 or z.size != values.shape[1]:
@@ -182,7 +183,6 @@ def residual_returns(returns, z1) -> ResidualReturns:
     var = np.einsum("t,t->", zc, zc)
     if var == 0.0:
         raise ZeroVarianceError("eigensignal is constant; fit undefined")
-    row_means = values.mean(axis=1)
-    alpha = (values - row_means[:, None]) @ zc / var
-    beta = row_means - alpha * z_mean
+    alpha = values @ zc / var
+    beta = values.mean(axis=1) - alpha * z_mean
     return ResidualReturns(alpha=alpha, beta=beta, values=values, signal=z)

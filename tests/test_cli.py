@@ -141,6 +141,64 @@ def test_synth_output_loads_back_bitwise(tmp_path, capsys):
         assert got.prices.tobytes() == want.prices.tobytes()
 
 
+@pytest.mark.parametrize("flags, kind, params", [
+    (["--generator", "ar1", "--phi", "0.5"], "ar1", {"phi": 0.5}),
+    (["--generator", "correlated", "--pearson", "0.3"], "correlated",
+     {"target": [[1.0, 0.3, 0.3], [0.3, 1.0, 0.3], [0.3, 0.3, 1.0]]}),
+])
+def test_synth_generator_flags_reach_the_generator(tmp_path, capsys, flags, kind, params):
+    # --phi feeds the ar1 coefficient; --pearson fills the off-diagonal of
+    # the correlated kind's target matrix.
+    code, out, _ = _run(capsys, "synth", *flags, "--n", "3", "--t", "400", "--seed", "2",
+                        "--out", str(tmp_path))
+    assert code == 0 and out == f"wrote 3 series x 401 rows to {tmp_path}\n"
+    expected = synth_quotes(GeneratorSpec(kind, 3, 400, params), 2)
+    loaded = load_quotes(str(tmp_path))
+    for got, want in zip(loaded, expected, strict=True):
+        assert got.ticker == want.ticker
+        assert got.prices.tobytes() == want.prices.tobytes()
+
+
+def _gappy_pegged_quotes(capsys, data_dir):
+    """Three factor series, one missing 20 minutes (2% gap fills in the
+    windows of width 1000, step 500, that hold them), and a pegged USDX."""
+    code, _, _ = _run(capsys, "synth", "--generator", "factor", "--n", "3", "--t", "3000",
+                      "--seed", "5", "--out", str(data_dir))
+    assert code == 0
+    path = data_dir / "SYN01.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line for k, line in enumerate(lines) if not 701 <= k < 721))
+    (data_dir / "USDX.csv").write_text(
+        "timestamp,price\n" + "".join(f"{k},1.0\n" for k in range(3_001)))
+    return ["--window", "1000", "--step", "500", "--s", "10", "--q", "2",
+            "--max-missing", "0.01", "--anchors", "SYN00"]
+
+
+_PEGGED = "  excluded USDX: near-zero return variance (pegged to quote currency)\n"
+
+
+def test_validate_prints_each_exclusion(tmp_path, capsys):
+    flags = _gappy_pegged_quotes(capsys, tmp_path / "data")
+    code, out, err = _run(capsys, "validate", str(tmp_path / "data"), *flags)
+    assert code == 0, err
+    assert "series: 4 loaded, 3 retained\n" + _PEGGED in out
+    assert "gap-fill skips: 2 of 5 windows exceed max_missing 1.00%\n" in out
+
+
+@pytest.mark.parametrize("verbose", [True, False])
+def test_verbose_analyze_prints_skipped_windows_and_exclusions(tmp_path, capsys, verbose):
+    flags = _gappy_pegged_quotes(capsys, tmp_path / "data")
+    flags += ["--verbose"] if verbose else []
+    code, out, err = _run(capsys, "analyze", str(tmp_path / "data"), *flags,
+                          "--out", str(tmp_path / "run"))
+    assert code == 0, err
+    skipped = "".join(f"  skipped window {w}: 2.00% of samples are gap fills (limit 1.00%)\n"
+                      for w in (0, 1))
+    lines = "5 windows planned, 3 done, 2 skipped\n" + skipped + _PEGGED
+    assert (lines in out) is verbose
+    assert ("skipped window" in out) is verbose and ("excluded" in out) is verbose
+
+
 def _analyze_args(out_dir, *extra):
     return [
         "analyze", FIXTURE, "--out", str(out_dir),

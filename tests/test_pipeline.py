@@ -504,6 +504,40 @@ def test_unknown_family_is_rejected_before_any_work(tmp_path):
     assert not out.exists()
 
 
+def test_write_outputs_refuses_a_family_the_sweep_did_not_compute(tmp_path):
+    # A spectra-only sweep holds no trees, partitions, lagged or mean
+    # coefficients: writing those families would leave header-only files
+    # and a manifest that lists them over every done window.
+    returns = _factor_matrix(4, 3_000, seed=1)
+    cfg = _small_cfg(window=1_000, step=500)
+    result = run_analysis(cfg, returns, ("spectra", "lagged"))
+    assert result.families == ("spectra", "lagged")
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError) as exc:
+        write_outputs(result, cfg, str(out), ALL_FAMILIES)
+    assert str(exc.value) == ("output family 'topology', 'edges', 'clusters', 'periods' "
+                              "not computed by the sweep")
+    with pytest.raises(ConfigError, match="^output family 'periods' not computed by the sweep$"):
+        write_outputs(result, cfg, str(out), ("lagged", "periods"))
+    assert not out.exists()
+    manifest = write_outputs(result, cfg, str(out), ("lagged",))
+    assert manifest["families"] == ["lagged"] and len(manifest["outputs"]) == 2
+
+
+def test_no_lags_write_header_only_lagged_files(tmp_path):
+    # An empty lag list computes no lagged coefficients, yet the lagged
+    # family is asked for: each anchor's files hold their header alone.
+    returns = _factor_matrix(4, 3_000, seed=1)
+    cfg = _small_cfg(lags=())
+    result = run_analysis(cfg, returns, ALL_FAMILIES)
+    assert len(result.windows) == 5 and all(w.lagged == {} for w in result.windows)
+    manifest = write_outputs(result, cfg, str(tmp_path), ALL_FAMILIES)
+    assert {"lagged_SYN00_2_50.csv", "lagged_SYN01_2_50.csv"} <= set(manifest["outputs"])
+    for name in ("lagged_SYN00_2_50.csv", "lagged_SYN01_2_50.csv"):
+        with open(tmp_path / name, newline="") as fh:
+            assert list(csv.reader(fh)) == [["window", "end_ts", "tau", "mean_rho"]]
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_residual_failure_at_one_scale_outranks_coefficients_at_the_next(threads):
     # Window 1's residual pass fails at s = 10 and its coefficients at
@@ -663,6 +697,39 @@ def test_the_kernel_path_forms_the_residual_returns_once_per_matrix():
     got, reads = _residual_reads(cfg, returns)
     assert reads == 3 * 2 and got.skipped == want.skipped == []
     assert [w.spectral for w in got.windows] == [w.spectral for w in want.windows]
+
+
+# Powers of ten at which the sweep computes every window of the data
+# below: from 10^+-40 on, its own q = 4 coefficients leave the float range.
+_RESIDUAL_SCALES = {1.0: (20, 40, 60, 75), 2.0: (20, 40, 60, 75), 4.0: (20,)}
+
+
+@pytest.mark.parametrize("global_norm", [False, True])
+@pytest.mark.parametrize("noise", [1.0, 1e-3, 1e-5])
+@pytest.mark.parametrize("q", sorted(_RESIDUAL_SCALES))
+def test_residual_columns_do_not_depend_on_the_returns_scale(q, noise, global_norm):
+    # The residual pass regresses the returns as the sweep summed them, at
+    # their own scale, so its residuals are sigma times those of the
+    # normalized window.  The kernel path divides them by sigma: at
+    # 10^-75 (q = 2, noise 1e-3) residuals left at their own scale make a
+    # fluctuation whose square underflows, which would skip every window.
+    rng = np.random.default_rng(11)
+    n, t = 5, 2_000
+    values = (rng.uniform(0.5, 1.5, (n, 1)) * rng.standard_normal(t)
+              + noise * rng.standard_normal((n, t)))
+    cfg = _small_cfg(q=(q,), s=(10, 50), lags=(0,), residual=True, global_norm=global_norm)
+
+    def res_columns(scale):
+        returns = ReturnMatrix(tickers=tuple(f"A{i}" for i in range(n)),
+                               timestamps=np.arange(t, dtype=np.int64), values=values * scale)
+        result = run_analysis(cfg, returns, ("spectra",))
+        assert result.skipped == [] and len(result.windows) == 3, (scale, result.skipped)
+        return np.array([row[7:] for w in result.windows for row in w.spectral.values()])
+
+    want = res_columns(1.0)
+    for k in _RESIDUAL_SCALES[q]:
+        for scale in (10.0**k, 10.0**-k):
+            assert np.abs(res_columns(scale) - want).max() <= 1e-8, scale
 
 
 def test_compute_window_end_timestamp_label():

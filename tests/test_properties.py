@@ -270,15 +270,19 @@ def _normalized_row_by_row(returns):
 @settings(max_examples=150, deadline=None)
 @given(_normalization_windows())
 def test_one_pass_normalization_is_the_row_by_row_loop_bitwise(window):
+    # `global_norm`'s returns and the stds that weight the residual pass's
+    # eigensignal are those of one `normalize` call per series, and a
+    # series it refuses raises its message and label.
     try:
         want, want_sigma = _normalized_row_by_row(window)
     except ZeroVarianceError as exc:
-        with pytest.raises(ZeroVarianceError) as err:
-            pipeline._normalized(window)
-        assert (str(err.value), err.value.label) == (str(exc), exc.label)
+        for one_pass in (pipeline._normalized, pipeline._stds):
+            with pytest.raises(ZeroVarianceError) as err:
+                one_pass(window)
+            assert (str(err.value), err.value.label) == (str(exc), exc.label)
         return
-    got, sigma = pipeline._normalized(window)
-    assert _same_bits(got.values, want) and _same_bits(sigma, want_sigma)
+    got = pipeline._normalized(window)
+    assert _same_bits(got.values, want) and _same_bits(pipeline._stds(window), want_sigma)
     assert got.tickers == window.tickers and got.timestamps is window.timestamps
 
 
