@@ -7,7 +7,10 @@ back in window order before anything is written, and every random choice
 is seeded from (config seed, window index, scale), so a sweep's output is
 byte-identical at any thread count.  A window that fails validation (too
 many gap fills, an asset constant inside the window, ...) is recorded in
-the skip log and the sweep continues.
+the skip log and the sweep continues.  Its reason is the first failure in
+the order one pass over the window meets them: gap fills, the residual
+pass's stds, then per scale the coefficients and that scale's spectra,
+then the lagged pass.
 
 Every coefficient is summed from the returns as given (after `global_norm`,
 if set) by one function, `_stretch_sums`: the box sums of a stretch of
@@ -33,26 +36,29 @@ lags read, and a window that fails it is skipped with a reason that names
 the signed lag.  Each window's stds feed only the residual pass's
 eigensignal weights.
 
-The sweep is one loop over waves of consecutive windows.  A wave drops
+The sweep is one loop over waves of consecutive windows; a window that
+fails the gap-fill check, made once per window, runs no job.  A wave drops
 the held block sums below its first window (no later window reads them),
 sums on the pool the blocks its windows need that are not held, and runs
-its windows on the pool (`compute_window`: correlation matrices, lagged
-and mean coefficients).  Then it queues on the pool one graph job, which
-grows every graph of the wave (`_grow_graphs`: trees, topology rows,
+its windows' numeric passes on the pool (`compute_window`: correlation
+matrices, lagged and mean coefficients, and a failure's reason).  Then it
+queues on the pool one graph job, which grows the graphs of every window
+whose pass did not fail (`_grow_graphs`: trees, topology rows,
 partitions) with one lock-step Prim over every (window, q, s) tree and
 one lock-step Louvain over the (window, s) problems, and after it one
 spectra job per window (`_window_spectra`: eigendecompositions and the
-residual pass).  The pool takes jobs in order, so one thread grows the
-graphs while the others run the spectra, whose `eigh` releases the GIL,
-and joins them when it is done.  The graph job runs on the pool and not
-in the calling thread: beside two spectra threads that would put three
-runnable threads on two cores, and the graph loops, which hold the GIL
-between small numpy calls, would take turns with both (README).  The
-next wave waits for every job of this one.  Lock-step changes no bit
-(`network` notes: each tree makes its own comparisons, the offset
-`bincount` adds each problem's terms in node order, and each problem
-draws from its own generator), so the outputs are those of one-window
-waves at any wave length.
+residual pass), on the matrices a failed pass reached before its failure,
+so a spectra failure outranks the pass's.  The pool takes jobs in order,
+so one thread grows the graphs while the others run the spectra, whose
+`eigh` releases the GIL, and joins them when it is done.  The graph job
+runs on the pool and not in the calling thread: beside two spectra
+threads that would put three runnable threads on two cores, and the graph
+loops, which hold the GIL between small numpy calls, would take turns
+with both (README).  The next wave waits for every job of this one.
+Lock-step changes no bit (`network` notes: each tree makes its own
+comparisons, the offset `bincount` adds each problem's terms in node
+order, and each problem draws from its own generator), so the outputs are
+those of one-window waves at any wave length.
 
 A wave holds all |q| |s| correlation matrices of each window, whatever
 the families (8 n^2 bytes each), until its graphs and spectra are done;
@@ -481,11 +487,11 @@ def _window_spectra(window_returns: ReturnMatrix, held: dict, grams: dict,
     each matrix's eigendecomposition and residual spectrum in ``held``'s
     (s, q) order, so the first failure raised is the first the window meets.
 
-    ``grams`` maps s to the window's q = 2 power sum and box count, which
-    `compute_window` keeps when the residual pass can use them: at q = 2 and
-    poly_order >= 1 the residual matrix is A G A^T unless its guard trips
-    (module notes).  At any other q, at poly_order = 0 and wherever the
-    guard trips, the kernel runs again on the residual returns.
+    ``grams`` maps (2, s) to the window's q = 2 power sum and box count,
+    which `compute_window` keeps where the residual pass can use them
+    (poly_order >= 1): there the residual matrix is A G A^T unless its guard
+    trips (module notes).  At any other q, at poly_order = 0 and wherever
+    the guard trips, the kernel runs again on the residual returns.
     """
     sigma = raw_energy = None
     if cfg.residual:
@@ -498,9 +504,8 @@ def _window_spectra(window_returns: ReturnMatrix, held: dict, grams: dict,
         summary = spectra.eigendecompose(c)
         res = None
         if sigma is not None:
-            gram = grams.get(s) if q == 2.0 else None
-            res = _residual_spectrum(window_returns, q, s, cfg, summary, gram, sigma,
-                                     raw_energy)
+            res = _residual_spectrum(window_returns, q, s, cfg, summary, grams.get((q, s)),
+                                     sigma, raw_energy)
         rows[q, s] = _spectral_row(summary, res)
     return rows
 
@@ -568,27 +573,23 @@ def _window(returns: ReturnMatrix, start: int, stop: int) -> ReturnMatrix:
 
 
 def compute_window(returns: ReturnMatrix, start: int, stop: int, index: int,
-                   cfg: AnalysisConfig, families, shared: dict, graphs: dict,
-                   grams: dict) -> WindowResult:
-    """A sweep's window job: the window's correlation matrices, put in
-    ``graphs`` by (q, s) in (s, q) order, and its mean and lagged
-    coefficients, put in the result; the sweep grows its spectra rows,
-    trees, topology rows and partitions from ``graphs`` (module notes).
-    When the residual pass can use them (`_window_spectra`), the q = 2
-    power sum and box count of each scale go in ``grams`` by s.
+                   cfg: AnalysisConfig, families, shared: dict):
+    """A sweep's window job, the window's numeric pass: its correlation
+    matrices and its mean and lagged coefficients.  Returns the result, with
+    those coefficients; the matrices by (q, s), in (s, q) order; the q = 2
+    power sums and box counts by (q, s) that the residual pass reads
+    (`_window_spectra`); and the reason the pass failed, or None.  A
+    failure ends the pass, which returns what it computed before it; the
+    sweep grows the spectra rows, trees, topology rows and partitions from
+    the matrices (module notes).
 
     ``shared`` maps a scale to the `_stretch_sums` of the window's blocks,
     computed ahead; a scale without them sums the window itself as one
-    stretch.  A window that fails first runs the spectra of the matrices it
-    holds, so a skip reason is the first failure in the order the checks ran
-    in one pass: gap fills, the residual pass's stds, then per
-    scale the coefficients and that scale's spectra, then the lagged pass.
+    stretch.
     """
-    reason = gap_fill_skip(returns, start, stop, cfg.max_missing)
-    if reason is not None:
-        raise QdccaError(reason)
     window_returns = _window(returns, start, stop)
     result = WindowResult(index=index, end_ts=int(returns.timestamps[stop - 1]))
+    held, grams = {}, {}
     tickers = returns.tickers
     need_corr = _needs_correlations(cfg, families)
     rows = _lag_rows(tickers, cfg, families)
@@ -606,11 +607,11 @@ def compute_window(returns: ReturnMatrix, start: int, stop: int, index: int,
             blocks = [sums for sums, _ in parts[s]]
             total = sum(blocks[1:], blocks[0])
             if keep_grams:
-                grams[s] = total.power[2.0], total.n_boxes
+                grams[2.0, s] = total.power[2.0], total.n_boxes
             mats = spectra.correlation_matrices(window_returns, s, cfg.poly_order, cfg.q,
                                                 sums=total)
             for q in cfg.q:
-                c = graphs[(q, s)] = mats[q]
+                c = held[q, s] = mats[q]
                 if "periods" in families:
                     result.mean_rho[(q, s)] = _mean_offdiagonal(c)
                 if 0 in cfg.lags and anchor_idx:
@@ -625,11 +626,9 @@ def compute_window(returns: ReturnMatrix, start: int, stop: int, index: int,
                     if tau in cfg.lags:
                         _anchor_means(result.lagged, tau, s, anchor_idx,
                                       total.coefficients(tau, others, s, tickers))
-    except QdccaError:
-        if "spectra" in families:
-            _window_spectra(window_returns, graphs, grams, cfg)  # an earlier failure wins
-        raise
-    return result
+    except QdccaError as exc:
+        return result, held, grams, str(exc)
+    return result, held, grams, None
 
 
 def _call(job):
@@ -643,6 +642,9 @@ def run_analysis(cfg: AnalysisConfig, returns: ReturnMatrix, families=ALL_FAMILI
     cfg.validate()
     _check_families(families)
     data.check_returns(returns)
+    if "lagged" in families and cfg.lags and not set(returns.tickers) - set(cfg.anchors):
+        raise ConfigError("lagged coefficients need a series that is not an anchor, "
+                          f"and every series is one: {', '.join(returns.tickers)}")
     if cfg.global_norm:
         returns = _normalized(returns)
     windows = rolling_windows(returns.n_samples, cfg.window, cfg.step)
@@ -652,27 +654,20 @@ def run_analysis(cfg: AnalysisConfig, returns: ReturnMatrix, families=ALL_FAMILI
     need_corr = _needs_correlations(cfg, families)
     rows = _lag_rows(returns.tickers, cfg, families)
     shared = [s for s in cfg.s if blk % s == 0]
-    # The blocks of each window that passes the gap-fill check.
-    spans = {
-        index: range(start // blk, stop // blk)
-        for index, (start, stop) in enumerate(windows)
-        if gap_fill_skip(returns, start, stop, cfg.max_missing) is None
-    }
+    # Each window's gap-fill reason, or None, and the blocks of every window
+    # that passes.
+    gaps = [gap_fill_skip(returns, start, stop, cfg.max_missing) for start, stop in windows]
+    spans = {i: range(start // blk, stop // blk)
+             for i, (start, stop) in enumerate(windows) if gaps[i] is None}
     sums = {}
 
     def block_sums(job):
         s, b = job
         return _stretch_sums(returns.values, b * blk, (b + 1) * blk, s, cfg, need_corr, rows)
 
-    def worker(item):
-        index, (start, stop) = item
-        blocks = {s: [sums[s, b] for b in spans[index]] for s in shared} if index in spans else {}
-        held, grams = {}, {}
-        try:
-            return compute_window(returns, start, stop, index, cfg, families, blocks,
-                                  graphs=held, grams=grams), held, grams
-        except QdccaError as exc:
-            return index, str(exc)
+    def window_job(index):
+        blocks = {s: [sums[s, b] for b in spans[index]] for s in shared}
+        return compute_window(returns, *windows[index], index, cfg, families, blocks)
 
     def spectra_job(result, held, grams):
         try:
@@ -682,28 +677,30 @@ def run_analysis(cfg: AnalysisConfig, returns: ReturnMatrix, families=ALL_FAMILI
             return result.index, str(exc)
 
     width = _wave_length(len(returns.tickers), cfg)
-    items = list(enumerate(windows))
-    waves = [items[lo : lo + width] for lo in range(0, len(items), width)]
+    waves = [range(lo, min(lo + width, len(windows))) for lo in range(0, len(windows), width)]
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         # At one pool thread the work runs in the calling thread.
         run = pool.map if cfg.threads > 1 else map
         for wave in waves:
             # No window of this wave or a later one starts before its first.
-            sums = {job: part for job, part in sums.items() if job[1] >= wave[0][1][0] // blk}
-            jobs = sorted({(s, b) for i, _ in wave if i in spans for s in shared for b in spans[i]}
-                          - sums.keys())
+            first = windows[wave[0]][0] // blk
+            sums = {job: part for job, part in sums.items() if job[1] >= first}
+            live = [i for i in wave if i in spans]
+            jobs = sorted({(s, b) for i in live for s in shared for b in spans[i]} - sums.keys())
             sums.update(zip(jobs, run(block_sums, jobs)))
-            done = list(run(worker, wave))
-            grown = [o for o in done if isinstance(o[0], WindowResult)]
+            done = list(run(window_job, live))
             # The graph job first: the pool takes jobs in order (module notes).
-            jobs = [partial(_grow_graphs, [(result, held) for result, held, _ in grown],
-                            cfg, families)]
+            jobs = [partial(_grow_graphs, [(result, held) for result, held, _, reason in done
+                                           if reason is None], cfg, families)]
             if "spectra" in families:
-                jobs += [partial(spectra_job, *window) for window in grown]
-            failed = dict(filter(None, run(_call, jobs)))
-            results += [result for result, *_ in grown if result.index not in failed]
-            skipped += sorted([o for o in done if not isinstance(o[0], WindowResult)]
-                              + list(failed.items()))
-            del done, grown, jobs  # the wave's matrices go before the next wave starts
+                jobs += [partial(spectra_job, result, held, grams)
+                         for result, held, grams, _ in done]
+            failed = {i: gaps[i] for i in wave if i not in spans}
+            failed |= {result.index: reason for result, *_, reason in done if reason is not None}
+            # A window's spectra fail on matrices that its pass reached first.
+            failed.update(filter(None, run(_call, jobs)))
+            results += [result for result, *_ in done if result.index not in failed]
+            skipped += sorted(failed.items())
+            del done, jobs  # the wave's matrices go before the next wave starts
     return SweepResult(windows=results, skipped=skipped, tickers=returns.tickers,
                        n_windows_planned=len(windows), families=tuple(families))

@@ -1,4 +1,5 @@
 import csv
+import math
 import warnings
 from dataclasses import replace
 from itertools import combinations
@@ -260,6 +261,53 @@ def test_run_analysis_gap_fill_skip():
     assert len(result.windows) == 2
 
 
+def test_gap_fill_check_runs_once_per_window_and_gates_its_job():
+    # The sweep checks each window's gap fills once, when it plans the
+    # blocks, and a window that fails runs no window job.  Windows 0 and 1
+    # hold 5% gap fills, window 2 none.
+    returns = _factor_matrix(3, 2_000, seed=6)
+    filled = np.zeros(2_000, dtype=bool)
+    filled[600:650] = True
+    gappy = replace(returns, filled=filled)
+    check = mock.Mock(wraps=pipeline.gap_fill_skip)
+    window = mock.Mock(wraps=pipeline.compute_window)
+    with mock.patch.object(pipeline, "gap_fill_skip", check), \
+            mock.patch.object(pipeline, "compute_window", window):
+        result = run_analysis(_small_cfg(max_missing=0.01), gappy, ALL_FAMILIES)
+    assert [idx for idx, _ in result.skipped] == [0, 1]
+    assert [w.index for w in result.windows] == [2]
+    assert [c.args[1:3] for c in check.call_args_list] == [(0, 1_000), (500, 1_500),
+                                                           (1_000, 2_000)]
+    assert [c.args[3] for c in window.call_args_list] == [2]
+
+
+@pytest.mark.parametrize("lags", [(0,), (-1, 1)])
+def test_lagged_family_with_every_series_an_anchor_is_rejected(lags):
+    # The lagged pass averages each anchor's row over the series that are
+    # not anchors.  With none left it averaged over zero series: a numpy
+    # warning and nan rows.  The sweep refuses before any window runs.
+    returns = _factor_matrix(2, 2_000, seed=6)
+    cfg = _small_cfg(lags=lags)
+    window = mock.Mock(wraps=pipeline.compute_window)
+    with mock.patch.object(pipeline, "compute_window", window):
+        with pytest.raises(ConfigError) as exc:
+            run_analysis(cfg, returns, ("spectra", "lagged"))
+    assert str(exc.value) == ("lagged coefficients need a series that is not an anchor, "
+                              "and every series is one: SYN00, SYN01")
+    assert window.call_count == 0
+    # Without the lagged family, or with no lags, nothing is averaged.
+    assert len(run_analysis(cfg, returns, ("spectra",)).windows) == 3
+    assert len(run_analysis(replace(cfg, lags=()), returns, ("lagged",)).windows) == 3
+    # A third series leaves one to average over.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_analysis(cfg, _factor_matrix(3, 2_000, seed=6), ("lagged",))
+    assert len(result.windows) == 3
+    for w in result.windows:
+        assert sorted(w.lagged) == [(a, 2.0, 50) for a in cfg.anchors]
+        assert all(math.isfinite(v) for taus in w.lagged.values() for v in taus.values())
+
+
 def test_global_normalization_flag():
     # The coefficient reads the returns as given and is affine-invariant at
     # m >= 1, so normalizing once over the full series instead of per
@@ -389,11 +437,11 @@ def test_each_partition_is_seeded_from_its_window_and_scale(threads):
     owner, seen, calls = {}, [], []
     real_window, real_louvain = pipeline.compute_window, network.louvain
 
-    def window(*args, graphs, **kwargs):
-        result = real_window(*args, graphs=graphs, **kwargs)
-        for (q, s), c in graphs.items():
+    def window(*args):
+        out = result, held, _, _ = real_window(*args)
+        for (q, s), c in held.items():
             owner[id(c)] = (result.index, q, s, c)  # c stays alive: its id stays unique
-        return result
+        return out
 
     def louvain(c, resolution, seed):
         calls.append(len(c))
@@ -427,8 +475,9 @@ def test_sweep_sums_each_block_once_in_the_wave_that_first_needs_it(wave, thread
     # but windows 8 and 9 hold both and are skipped: at one or two windows
     # a wave, a middle wave runs no window, and block 10, summed for
     # window 7, must still be held for window 10.  Between two graph phases
-    # the sweep runs exactly one wave's windows and the blocks that no
-    # earlier wave needed, whether or not the families grow any graph.
+    # the sweep runs exactly the wave's windows that pass the gap-fill check
+    # and the blocks that no earlier wave needed, whether or not the
+    # families grow any graph.
     n, t, blk = 5, 5_000, 250
     returns = _factor_matrix(n, t, seed=12)
     filled = np.zeros(t, dtype=bool)
@@ -467,7 +516,7 @@ def test_sweep_sums_each_block_once_in_the_wave_that_first_needs_it(wave, thread
         indices = range(lo, min(lo + wave, len(windows)))
         blocks = set().union(*(spans[i] for i in indices if i in spans)) - summed
         summed |= blocks
-        want.append(sorted([("window", i) for i in indices]
+        want.append(sorted([("window", i) for i in indices if i in spans]
                            + [("sum", s, b) for s in cfg.s for b in blocks]))
     phases, phase = [], []
     for event in events:
@@ -841,7 +890,9 @@ def test_series_constant_over_a_window_skips_it(level, reason):
 
 
 def test_run_that_skips_every_window_writes_headers_only(tmp_path):
-    # Window 0 is all gap fills; SYN02 is constant from window 1 on.
+    # Window 0 is all gap fills; SYN02 is constant from window 1 on.  With
+    # no window done, the spectra, topology, lagged and periods files hold
+    # their headers alone, and no edges or clusters file is written.
     returns = _factor_matrix(4, 4_320, seed=3)
     values = returns.values.copy()
     values[2, 1_440:] = 0.0
@@ -859,6 +910,10 @@ def test_run_that_skips_every_window_writes_headers_only(tmp_path):
     for name in manifest["outputs"]:
         with open(tmp_path / name, newline="") as fh:
             assert len(list(csv.reader(fh))) == 1, name
+    keys = [f"{q}_{s}" for q in (1, 4) for s in (10, 60)]
+    assert manifest["outputs"] == sorted(
+        [f"{family}_{key}.csv" for family in ("spectra", "topology", "periods") for key in keys]
+        + [f"lagged_{a}_{key}.csv" for a in ("SYN00", "SYN01") for key in keys])
 
 
 def test_emitted_values_are_plain_python_scalars(tmp_path, monkeypatch):

@@ -986,9 +986,8 @@ def test_sweep_skips_a_failed_spectrum_as_a_lone_window_does(threads):
     cfg = AnalysisConfig(q=(1.0, 2.0), s=(12, 35), window=width, step=width, lags=(-1, 0, 1),
                          anchors=("A0",), verbose=True, residual=True, threads=threads)
     windows = rolling_windows(t, width, width)
-    target = {}
-    compute_window(returns, *windows[3], 3, cfg, ("periods",), {}, target, {})
-    target = target[(2.0, 12)].values
+    _, held, _, _ = compute_window(returns, *windows[3], 3, cfg, ("periods",), {})
+    target = held[(2.0, 12)].values
 
     def eigh(c):
         if np.array_equal(c.values, target):
