@@ -2,9 +2,9 @@
 
 Subcommands: analyze (full sweep), spectra / mst / clusters / lagged /
 periods (single output family), synth (test-data generation), validate
-(input and config checks, no computation).  Every config-file key has an
-identically named flag, both read from the `AnalysisConfig` fields (a
-boolean's flag also has a ``--no-`` form); flags win over the file.
+(every check `analyze` makes before its first window; no window runs).
+Each config-file key has a same-named flag, which wins over the file;
+both come from the `AnalysisConfig` fields (a boolean's has a ``--no-`` form).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .config import CONFIG_KEYS, AnalysisConfig, comma_list, load_config, parse_
 from .data import build_return_matrix, load_quotes
 from .emit import write_outputs
 from .errors import QdccaError
-from .pipeline import ALL_FAMILIES, gap_fill_skip, rolling_windows, run_analysis
+from .pipeline import ALL_FAMILIES, prepare, run_analysis
 from .synth import GeneratorSpec, synth_quotes
 
 _FAMILY_OF = {
@@ -82,7 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="block sizes (blocks kind)")
     synth.add_argument("--within", type=float, default=0.8, help="within-block correlation")
     synth.add_argument("--across", type=float, default=0.0, help="across-block correlation")
-    validate = subs.add_parser("validate", help="check inputs and config, compute nothing")
+    validate = subs.add_parser(
+        "validate", help="every check analyze makes before its first window; no window runs")
     validate.add_argument("data", help="directory of per-ticker CSVs or one wide CSV")
     _add_config_flags(validate)
     return parser
@@ -140,7 +141,7 @@ def _cmd_validate(args) -> int:
     returns, report = build_return_matrix(
         series, base=cfg.base, grid=cfg.grid, stable_threshold=cfg.stable_threshold
     )
-    windows = rolling_windows(returns.n_samples, cfg.window, cfg.step)
+    _, windows, gaps = prepare(cfg, returns, ALL_FAMILIES)
     print(f"series: {len(series)} loaded, {len(returns.tickers)} retained")
     for ticker, reason in sorted(report.excluded.items()):
         print(f"  excluded {ticker}: {reason}")
@@ -149,11 +150,7 @@ def _cmd_validate(args) -> int:
     print(f"samples: {returns.n_samples} on the {cfg.grid} grid "
           f"(gap fills: {report.filled_fraction:.4%})")
     print(f"windows: {len(windows)} of width {cfg.window}, step {cfg.step}")
-    gappy = sum(
-        gap_fill_skip(returns, start, stop, cfg.max_missing) is not None
-        for start, stop in windows
-    )
-    print(f"gap-fill skips: {gappy} of {len(windows)} windows exceed "
+    print(f"gap-fill skips: {len(windows) - gaps.count(None)} of {len(windows)} windows exceed "
           f"max_missing {cfg.max_missing:.2%}")
     print(f"q: {list(cfg.q)}  s: {list(cfg.s)}  m: {cfg.poly_order}")
     missing = [a for a in cfg.anchors if a not in returns.tickers]

@@ -48,6 +48,7 @@ import configparser
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
@@ -158,6 +159,9 @@ class AnalysisConfig:
             values = getattr(self, key)
             if len(set(values)) < len(values):
                 raise ConfigError(f"{key} repeats a value: {values}")
+        if bad := [a for a in self.anchors if not a or "/" in a or os.sep in a]:
+            raise ConfigError(f"anchor {bad[0]!r} cannot name its output files: "
+                              "it is empty or holds a path separator")
         return self
 
     def semantic_dict(self) -> dict:

@@ -316,6 +316,8 @@ def _load_file(path: str, wide: bool | None = None) -> list[QuoteSeries]:
         raise QuoteParseError("wide CSV needs a `timestamp,<ticker>,...` header row", path, 1)
     tickers = ([t.strip() for t in header[1:]] if wide
                else [os.path.splitext(os.path.basename(path))[0]])
+    if "" in tickers:
+        raise QuoteParseError(f"column {tickers.index('') + 2} has no ticker name", path, 1)
     if (name := _repeated(tickers)) is not None:
         raise QuoteParseError(f"ticker {name!r} is repeated in the header", path, 1)
     width = len(header) if wide else 2

@@ -293,10 +293,9 @@ def _check_variance(energy, reference, scale: int, labels, where: str = ""):
     ):
         if np.any(dead):
             i = int(np.argmax(dead))
-            name = labels[i] if labels is not None else f"series {i}"
             raise ZeroVarianceError(
-                f"{name} has {what}{where} at scale {scale}; correlation undefined",
-                label=str(name),
+                f"{labels[i]} has {what}{where} at scale {scale}; correlation undefined",
+                label=str(labels[i]),
             )
 
 
@@ -338,7 +337,7 @@ class BoxSums:
     """Additive box sums of one stretch of an (N, T) stack at one scale.
 
     The sums of consecutive stretches add, in a fixed order, to the sums of
-    their union; `fluctuations` checks and averages a total once.
+    their union; `coefficients` checks and averages a total once.
     """
 
     power: dict[float, np.ndarray]  # q -> (N, N) sum of signed q/2 Gram powers
@@ -355,23 +354,16 @@ class BoxSums:
             n_boxes=self.n_boxes + other.n_boxes,
         )
 
-    def fluctuations(self, scale: int, labels=None, where: str = "") -> dict[float, np.ndarray]:
-        """Fluctuation matrices F(q): the power sums over the box count.
-
-        The diagonal is the per-series fluctuation used as the normalizer.
-        A ZeroVarianceError is raised for any series whose residuals are
-        pure rounding noise or whose energies overflow; ``labels`` names the
-        offender in the message and ``where`` the stretch.
-        """
-        _check_variance(self.energy, self.reference, scale, labels, where)
-        return {q: total / self.n_boxes for q, total in self.power.items()}
-
     def coefficients(self, scale: int, labels, lag=None) -> dict[float, np.ndarray]:
-        """Per q the (N, N) `_coefficients` with a unit diagonal; errors
-        name ``lag`` when it is given."""
+        """Per q the (N, N) `_coefficients` of F(q), the power sum over the box
+        count, with a unit diagonal, once the zero-variance rule passes
+        (`_check_variance`); ``labels`` names an offender, and errors name
+        ``lag`` when it is given."""
+        _check_variance(self.energy, self.reference, scale, labels,
+                        "" if lag is None else f" in its lag {lag} overlap")
         out = {}
-        where = "" if lag is None else f" in its lag {lag} overlap"
-        for q, fmat in self.fluctuations(scale, labels, where).items():
+        for q, total in self.power.items():
+            fmat = total / self.n_boxes
             diag = np.diag(fmat)
             out[q] = _coefficients(fmat, diag, diag, q, scale, labels, labels, lag)
             np.fill_diagonal(out[q], 1.0)

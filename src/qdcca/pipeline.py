@@ -635,10 +635,11 @@ def _call(job):
     return job()
 
 
-def run_analysis(cfg: AnalysisConfig, returns: ReturnMatrix, families=ALL_FAMILIES) -> SweepResult:
-    """Sweep every rolling window; a window's failure is recorded, not fatal.
-    Returns that `data.check_returns` rejects raise ShapeMismatchError, and
-    an unknown family ConfigError, before any window runs."""
+def prepare(cfg: AnalysisConfig, returns: ReturnMatrix, families=ALL_FAMILIES):
+    """What a sweep does before its first window: the checks that refuse a
+    run, in this order, `global_norm`'s normalization and the windows.
+    Returns the returns the sweep reads, its (start, stop) windows and each
+    window's gap-fill reason, or None."""
     cfg.validate()
     _check_families(families)
     data.check_returns(returns)
@@ -648,15 +649,19 @@ def run_analysis(cfg: AnalysisConfig, returns: ReturnMatrix, families=ALL_FAMILI
     if cfg.global_norm:
         returns = _normalized(returns)
     windows = rolling_windows(returns.n_samples, cfg.window, cfg.step)
+    return returns, windows, [gap_fill_skip(returns, *w, cfg.max_missing) for w in windows]
+
+
+def run_analysis(cfg: AnalysisConfig, returns: ReturnMatrix, families=ALL_FAMILIES) -> SweepResult:
+    """Sweep the windows `prepare` plans; a window's failure is recorded, not fatal."""
+    returns, windows, gaps = prepare(cfg, returns, families)
     results: list[WindowResult] = []
     skipped: list[tuple[int, str]] = []
     blk = math.gcd(cfg.step, cfg.window)
     need_corr = _needs_correlations(cfg, families)
     rows = _lag_rows(returns.tickers, cfg, families)
     shared = [s for s in cfg.s if blk % s == 0]
-    # Each window's gap-fill reason, or None, and the blocks of every window
-    # that passes.
-    gaps = [gap_fill_skip(returns, start, stop, cfg.max_missing) for start, stop in windows]
+    # The blocks of every window that passes the gap-fill check.
     spans = {i: range(start // blk, stop // blk)
              for i, (start, stop) in enumerate(windows) if gaps[i] is None}
     sums = {}

@@ -436,6 +436,11 @@ def test_validate_rejects_non_finite_float_settings(key, value):
     ({"resolution": 0.0}, "resolution must be positive, got 0.0"),
     ({"resolution": -1.0}, "resolution must be positive, got -1.0"),
     ({"threads": 0}, "threads must be >= 1, got 0"),
+    # An anchor names its clusters_ and lagged_ files.
+    ({"anchors": ("a/b",)}, "anchor 'a/b' cannot name its output files: "
+                            "it is empty or holds a path separator"),
+    ({"anchors": ("BTC", "")}, "anchor '' cannot name its output files: "
+                               "it is empty or holds a path separator"),
     (None, "config file not found: {path}"),
     ("[analysis]\nwindo = 400\n", "{path}: unknown config key 'windo' in [analysis]"),
     ("[analysis]\nq = 1\n[window]\nq = 2\n", "{path}: config key 'q' set more than once"),
@@ -452,3 +457,92 @@ def test_config_rejections_say_what_is_wrong(tmp_path, source, detail):
         else:
             load_config(str(path))
     assert str(err.value) == detail.format(path=path)
+
+
+def _wide_csv(path, names, n_samples=3_000, seed=1):
+    """A wide CSV of factor series under the header names ``names``."""
+    spec = GeneratorSpec(kind="factor", n_series=len(names), n_samples=n_samples)
+    quotes = synth_quotes(spec, seed)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["timestamp", *names])
+        writer.writerows([int(ts), *map(float, prices)]
+                         for ts, *prices in zip(quotes[0].timestamps, *(q.prices for q in quotes)))
+    return str(path)
+
+
+def test_analyze_refuses_an_anchor_with_a_path_separator_before_reading(tmp_path, capsys):
+    # One failed to open its output files only after the whole sweep.
+    data = _wide_csv(tmp_path / "wide.csv", ["a/b", "BTC", "ETH"])
+    flags = ["--q", "2", "--s", "10", "--window", "1000", "--step", "1000", "--lags=0"]
+    code, out, err = _run(capsys, "analyze", data, *flags, "--anchors", "a/b,BTC",
+                          "--out", str(tmp_path / "o2"))
+    assert code == 2 and not out
+    assert json.loads(err) == {"error": "ConfigError", "detail": (
+        "anchor 'a/b' cannot name its output files: it is empty or holds a path separator")}
+    assert not (tmp_path / "o2").exists()
+    # A ticker that holds a separator but is no anchor names no file.
+    code, _, err = _run(capsys, "analyze", data, *flags, "--anchors", "BTC",
+                        "--out", str(tmp_path / "ok"))
+    assert code == 0, err
+    manifest = json.loads((tmp_path / "ok" / "run_manifest.json").read_text())
+    assert manifest["tickers"] == ["a/b", "BTC", "ETH"]
+    assert "clusters_BTC_10.csv" in manifest["outputs"]
+
+
+def _hold_price(path, price: str):
+    """Rewrite a per-ticker CSV with every price set to ``price``."""
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header] + [f"{row.split(',')[0]},{price}" for row in rows]) + "\n")
+
+
+# Each case's JSON error, or None where both commands pass.
+_REFUSALS = {
+    "all-anchors": {"error": "ConfigError", "detail": (
+        "lagged coefficients need a series that is not an anchor, "
+        "and every series is one: SYN00, SYN01, SYN02, SYN03")},
+    "constant": {"error": "ZeroVarianceError",
+                 "detail": "SYN03: cannot normalize a constant series"},
+    "long-window": {"error": "ConfigError",
+                    "detail": "series of 3000 samples is shorter than one window of 4000"},
+    "anchor-path": {"error": "ConfigError", "detail": (
+        "anchor 'a/b' cannot name its output files: it is empty or holds a path separator")},
+    "gappy": None,
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_validate_refuses_what_analyze_refuses(tmp_path, capsys, case):
+    # `validate` runs the checks that `analyze` makes before its first
+    # window, so it exits 0 exactly when `analyze` would start; on the
+    # gappy data both count the same windows and gap-fill skips.
+    data_dir = tmp_path / "data"
+    if case == "gappy":
+        flags = _gappy_pegged_quotes(capsys, data_dir)
+    else:
+        _run(capsys, "synth", "--generator", "factor", "--n", "4", "--t", "3000", "--seed", "1",
+             "--out", str(data_dir))
+        flags = ["--q", "1,4", "--s", "10,60", "--lags=-1,0,1", "--window", "1000",
+                 "--step", "500", "--anchors", "SYN00"]
+        flags += {"all-anchors": ["--anchors", "SYN00,SYN01,SYN02,SYN03"],
+                  # Only a stable_threshold of 0 keeps a constant series.
+                  "constant": ["--global-norm", "--stable-threshold", "0"],
+                  "long-window": ["--window", "4000"],
+                  "anchor-path": ["--anchors", "a/b"]}[case]
+        if case == "constant":
+            _hold_price(data_dir / "SYN03.csv", "5.0")
+    out_dir = tmp_path / "out"
+    checked = _run(capsys, "validate", str(data_dir), *flags)
+    ran = _run(capsys, "analyze", str(data_dir), *flags, "--out", str(out_dir))
+    if _REFUSALS[case] is not None:
+        assert checked[0] == ran[0] == 2 and not checked[1]
+        assert json.loads(checked[2]) == json.loads(ran[2]) == _REFUSALS[case]
+        assert not out_dir.exists()
+        return
+    assert checked[0] == ran[0] == 0, checked[2] + ran[2]
+    manifest = json.loads((out_dir / "run_manifest.json").read_text())
+    gap_skips = sum("gap fills" in reason for _, reason in manifest["skipped"])
+    n = manifest["n_windows_planned"]
+    assert (n, gap_skips) == (5, 2)
+    assert f"windows: {n} of width 1000, step 500\n" in checked[1]
+    assert f"gap-fill skips: {gap_skips} of {n} windows exceed" in checked[1]

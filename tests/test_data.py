@@ -137,6 +137,20 @@ def test_wide_csv_with_a_repeated_ticker_names_its_header(tmp_path):
     assert str(exc.value) == f"{path}:1: ticker 'BBB' is repeated in the header"
 
 
+@pytest.mark.parametrize("header, column", [("timestamp,,BTC,ETH", 2),
+                                            ("timestamp,BTC, ,ETH", 3),
+                                            ("timestamp,BTC,ETH,", 4)])
+def test_wide_header_with_an_empty_ticker_name_is_rejected(tmp_path, header, column):
+    # A nameless column used to load as a series named "", which named
+    # output files such as clusters__10.csv.
+    path = tmp_path / "wide.csv"
+    path.write_text(header + "\n0,100,1,2\n1,101,2,3\n2,99,3,4\n")
+    with pytest.raises(QuoteParseError) as exc:
+        load_quotes(str(path))
+    assert (exc.value.path, exc.value.line) == (str(path), 1)
+    assert str(exc.value) == f"{path}:1: column {column} has no ticker name"
+
+
 def test_directory_with_two_files_of_one_ticker_names_both(tmp_path):
     # SYN00.csv and SYN00.CSV both load as ticker SYN00.
     for name in ("SYN00.csv", "SYN00.CSV", "SYN01.csv"):

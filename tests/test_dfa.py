@@ -112,7 +112,8 @@ def test_local_moments_identical_and_negated_inputs():
     rng = np.random.default_rng(3)
     x = rng.standard_normal(120)
     for q in (1.0, 2.0, 4.0):
-        f = fluctuation_matrices(np.stack([x, x, -x]), 20, 2, [q]).fluctuations(20)[q]
+        sums = fluctuation_matrices(np.stack([x, x, -x]), 20, 2, [q])
+        f = sums.power[q] / sums.n_boxes
         assert f[0, 1] == f[0, 0] == f[1, 1] == f[2, 2]
         assert np.isclose(f[0, 2], -f[0, 0], rtol=0, atol=1e-12)
         assert f[0, 2] == f[2, 0]
@@ -123,7 +124,8 @@ def test_local_moments_two_point_boxes():
     # residuals [1, -1] in every box, y gives [2, -2], so the per-box
     # moments are 2 (xx), 8 (yy) and 4 (xy).
     x = np.array([0.0, -2.0, 0.0, -2.0])
-    f = fluctuation_matrices(np.stack([x, 2.0 * x]), 2, 0, [2.0]).fluctuations(2)[2.0]
+    sums = fluctuation_matrices(np.stack([x, 2.0 * x]), 2, 0, [2.0])
+    f = sums.power[2.0] / sums.n_boxes
     assert f[0, 0] == pytest.approx(2.0)
     assert f[1, 1] == pytest.approx(8.0)
     assert f[0, 1] == pytest.approx(4.0)
@@ -134,7 +136,8 @@ def test_fluctuation_function_values():
     # x's two boxes have moments 2 and 8, each counted twice (T = 2s), so
     # F_q is the mean of the per-box q/2 powers, not a power of their mean.
     x = np.array([0.0, -2.0, 0.0, -4.0])
-    f = fluctuation_matrices(np.stack([x, -x]), 2, 0, [1.0, 2.0, 4.0]).fluctuations(2)
+    sums = fluctuation_matrices(np.stack([x, -x]), 2, 0, [1.0, 2.0, 4.0])
+    f = {q: power / sums.n_boxes for q, power in sums.power.items()}
     assert f[2.0][0, 0] == pytest.approx(5.0)
     assert f[4.0][0, 0] == pytest.approx(34.0)
     assert f[1.0][0, 0] == pytest.approx(1.5 * np.sqrt(2.0))
@@ -323,7 +326,8 @@ def test_matrix_kernel_matches_pairwise_path():
     rng = np.random.default_rng(16)
     values = rng.standard_normal((5, 400))
     for q in (1.0, 2.0, 4.0):
-        fmat = fluctuation_matrices(values, 25, 2, [q]).fluctuations(25)[q]
+        sums = fluctuation_matrices(values, 25, 2, [q])
+        fmat = sums.power[q] / sums.n_boxes
         cfg = DetrendConfig(scale=25, poly_order=2, q=q)
         for i in range(5):
             for j in range(i + 1, 5):
