@@ -135,6 +135,14 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _note_missing_anchors(cfg: AnalysisConfig, returns) -> None:
+    """One line naming the anchors that no retained series holds; the
+    sweep runs without them."""
+    missing = [a for a in cfg.anchors if a not in returns.tickers]
+    if missing:
+        print(f"note: anchors not in data: {missing}")
+
+
 def _cmd_validate(args) -> int:
     cfg = _config_from_args(args)
     series = load_quotes(args.data)
@@ -153,9 +161,7 @@ def _cmd_validate(args) -> int:
     print(f"gap-fill skips: {len(windows) - gaps.count(None)} of {len(windows)} windows exceed "
           f"max_missing {cfg.max_missing:.2%}")
     print(f"q: {list(cfg.q)}  s: {list(cfg.s)}  m: {cfg.poly_order}")
-    missing = [a for a in cfg.anchors if a not in returns.tickers]
-    if missing:
-        print(f"note: anchors not in data: {missing}")
+    _note_missing_anchors(cfg, returns)
     print("ok")
     return 0
 
@@ -176,6 +182,7 @@ def _cmd_analysis(args) -> int:
             print(f"  skipped window {idx}: {reason}")
         for ticker, reason in sorted(report.excluded.items()):
             print(f"  excluded {ticker}: {reason}")
+    _note_missing_anchors(cfg, returns)
     print(f"outputs: {len(manifest['outputs'])} files in {args.out} "
           f"(config hash {manifest['config_hash'][:12]})")
     return 0

@@ -5,14 +5,20 @@ Input files are minute bars, either one CSV per ticker with columns
 Timestamps may be epoch seconds, epoch minutes or ISO-8601 and are stored
 as epoch minutes throughout.
 
-Each file's bytes are read and decoded once, for the UTF-8 check, the
-header, the bulk pass's guards and a bad row's line.  The bulk pass
-(``np.loadtxt``, whose floats are bitwise those of ``float()``) reads a
-regular ``.csv`` file again by path, in chunks, not line by line as a text;
-numpy decompresses other names by their extension and would read a pipe
-twice.  The row checks run on the arrays.  Tokens are parsed one by one
-only for an ISO timestamp column and for a file the bulk pass rejects or
-would misread; that pass names the first bad token's line.
+Each file's bytes are read and decoded once, for the UTF-8 check.  Two
+copies of the text remain: the decoded text and the body after the header
+(one slice), which the bulk pass's guards and a bad row's line read.  The
+header is read from its own lines, split lazily as
+``io.StringIO(text, newline="")`` splits them, so no stream of the whole
+text is built for it.  The bulk pass (``np.loadtxt``, whose floats are
+bitwise those of ``float()``) reads a regular ``.csv`` file again by path,
+in chunks, not line by line as a text; only other names reach it as a
+stream of the body, since numpy decompresses them by their extension and
+would read a pipe twice.  The row checks run on the arrays, and the search
+for a repeated timestamp (a sort) only when the stamps are not strictly
+increasing.  Tokens are parsed one by one only for an ISO timestamp column
+and for a file the bulk pass rejects or would misread; that pass names the
+first bad token's line.
 
 A series is excluded as a peg when the population std of its T log returns
 is below ``stable_threshold``.  Any two returns satisfy
@@ -164,6 +170,10 @@ _PEG_SCREEN = 256
 _ISO_HINTS = ("-", ":", "T")
 # Some line's first field (the timestamp column) holds one of the hints.
 _ISO_IN_FIRST_FIELD = re.compile(r"[\r\n][^,\r\n]*[-:T]")
+# One line and its break, or a last line without one; no match is empty.
+_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
+# Found in a body that holds more than line breaks, without a copy of it.
+_NOT_LINE_BREAK = re.compile(r"[^\r\n]")
 
 
 def _epoch_seconds(value):
@@ -191,6 +201,29 @@ def _is_header(row: list[str]) -> bool:
         except ValueError:
             pass
     return True
+
+
+def _lines(text: str):
+    """The lines of ``text``, as ``io.StringIO(text, newline="")`` yields them
+    (each with its \\r\\n, \\r or \\n), one at a time: no copy of the text.
+    For every line of a body the stream is faster; a header reads a few."""
+    return (m.group() for m in _LINE.finditer(text))
+
+
+def _split_header(text: str, path: str) -> tuple[list[str], str, int]:
+    """The header row of ``text`` ([] when its first row is data or there is
+    none), the body after it and the 1-based line the body starts on."""
+    rows = csv.reader(_lines(text))
+    try:
+        header = next(rows, [])
+    except csv.Error as exc:
+        raise QuoteParseError(f"unreadable row: {exc}", path, 1) from exc
+    if not (header and _is_header(header)):
+        return [], text, 1
+    # csv reads the lines of one record and none past them; a quoted header
+    # may span lines: \r\n, \r or \n, as csv counts them (not splitlines).
+    head = "".join(itertools.islice(_lines(text), rows.line_num))
+    return header, text[len(head):], 1 + head.count("\n") + head.count("\r") - head.count("\r\n")
 
 
 def _rows(text: str, first_line: int, path: str):
@@ -224,13 +257,14 @@ def _bulk_parse(body: str, first_line: int, path: str, width: int, wide: bool) -
     of epoch seconds and prices, or None when only the per-token parse reads it right."""
     # numpy strips the separators \x1c-\x1f around a number; float() does
     # not; and numpy reads a field that csv rejects as too long.
-    if (not body.strip("\r\n") or any(c in body for c in "\x1c\x1d\x1e\x1f") or (
+    if (not _NOT_LINE_BREAK.search(body) or any(c in body for c in "\x1c\x1d\x1e\x1f") or (
             any(h in body for h in _ISO_HINTS) and _ISO_IN_FIRST_FIELD.search("\n" + body))
             or _may_hold_long_field(body)):
         return None
-    source, skip = io.StringIO(body, newline=""), 0
     if path.lower().endswith(".csv") and os.path.isfile(path):
         source, skip = os.path.abspath(path), first_line - 1  # absolute: never a URL
+    else:
+        source, skip = io.StringIO(body, newline=""), 0
     try:
         table = np.loadtxt(source, delimiter=",", dtype=np.float64, comments=None,
                            quotechar='"', ndmin=2, usecols=None if wide else (0, 1),
@@ -265,8 +299,12 @@ def _check_rows(table: np.ndarray, error, body: str, first_line: int, path: str)
         rounded = np.rint(minutes)
         stamp_ok = (np.abs(minutes - rounded) <= 1e-6) & (np.abs(rounded) < 2.0**63)
     stamps = np.where(stamp_ok, rounded, 0.0).astype(np.int64)
-    first_seen = np.zeros(stamps.size, dtype=bool)
-    first_seen[np.unique(stamps, return_index=True)[1]] = True
+    steps = np.diff(stamps)
+    if (steps > 0).all():  # strictly increasing: every stamp is new
+        first_seen = np.ones(stamps.size, dtype=bool)
+    else:
+        first_seen = np.zeros(stamps.size, dtype=bool)
+        first_seen[np.unique(stamps, return_index=True)[1]] = True
     prices = table[:, 1:]
     row_ok = stamp_ok & first_seen & (np.isfinite(prices) & (prices > 0)).all(axis=1)
     if not row_ok.all():
@@ -278,8 +316,8 @@ def _check_rows(table: np.ndarray, error, body: str, first_line: int, path: str)
         raise error
     elif stamps.size < 2:
         raise QuoteParseError("fewer than 2 rows", path)
-    elif np.any(np.diff(stamps) < 0):
-        k = int(np.argmax(np.diff(stamps) < 0)) + 1
+    elif np.any(steps < 0):
+        k = int(np.argmax(steps < 0)) + 1
         problem = "timestamps not strictly increasing"
     else:
         return stamps
@@ -302,17 +340,8 @@ def _load_file(path: str, wide: bool | None = None) -> list[QuoteSeries]:
         raise QuoteParseError(f"not UTF-8 text: byte {bad!r} ({exc.reason})", path, line) from exc
     if wide is None:
         wide = re.match(r"[^\r\n]*", text).group().count(",") >= 2
-    buf = io.StringIO(text, newline="")
-    try:
-        header = next(csv.reader(buf), [])
-    except csv.Error as exc:
-        raise QuoteParseError(f"unreadable row: {exc}", path, 1) from exc
-    has_header = bool(header) and _is_header(header)
-    body = text[buf.tell():] if has_header else text
-    # A quoted header may span lines: \r\n, \r or \n, as csv counts them (not splitlines).
-    head = text[:len(text) - len(body)]
-    first_line = 1 + head.count("\n") + head.count("\r") - head.count("\r\n")
-    if wide and (not has_header or len(header) < 2):
+    header, body, first_line = _split_header(text, path)
+    if wide and len(header) < 2:
         raise QuoteParseError("wide CSV needs a `timestamp,<ticker>,...` header row", path, 1)
     tickers = ([t.strip() for t in header[1:]] if wide
                else [os.path.splitext(os.path.basename(path))[0]])

@@ -186,7 +186,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -453,13 +453,14 @@ def _residual_closed_form(res, w, gram, s: int, raw_energy, labels):
 
 
 def _residual_spectrum(window_returns: ReturnMatrix, q, s, cfg, summary, gram, sigma,
-                       raw_energy):
+                       raw_energy, centred):
     """The spectrum of the residual returns once the eigensignal with weights
     v1 / ``sigma`` is regressed out of every series: from ``gram`` (see
     `_residual_closed_form`) when it is given and the guard holds, else by
     the kernel on the residual returns over ``sigma``, the only path that
     forms them.  A series whose residual energy is at most `_VARIANCE_FLOOR`
-    times its centred energy (on the eigensignal up to rounding) raises."""
+    times its centred energy (``centred()``; on the eigensignal up to
+    rounding) raises."""
     w = summary.eigenvectors[:, 0] / sigma
     z1 = spectra.eigensignal(window_returns, w)
     res = spectra.residual_returns(window_returns, z1)
@@ -469,11 +470,9 @@ def _residual_spectrum(window_returns: ReturnMatrix, q, s, cfg, summary, gram, s
         c_res = _residual_closed_form(res, w, gram, s, raw_energy, labels)
     if c_res is None:
         residuals = res.residuals
-        x = window_returns.values
         # The kernel's own rule compares the dust of such a series with
         # the dust's profile, and passes it.
-        _check_variance(np.einsum("nt,nt->n", residuals, residuals),
-                        x.shape[1] * x.var(axis=1), s, labels)
+        _check_variance(np.einsum("nt,nt->n", residuals, residuals), centred(), s, labels)
         c_res = spectra.correlation_matrices(
             replace(window_returns, values=residuals / sigma[:, None]), s, cfg.poly_order, [q]
         )[q]
@@ -493,19 +492,22 @@ def _window_spectra(window_returns: ReturnMatrix, held: dict, grams: dict,
     trips (module notes).  At any other q, at poly_order = 0 and wherever
     the guard trips, the kernel runs again on the residual returns.
     """
-    sigma = raw_energy = None
+    sigma = raw_energy = centred = None
     if cfg.residual:
         x = window_returns.values
         sigma = np.ones(len(x)) if cfg.global_norm else _stds(window_returns)
         if grams:
             raw_energy = np.einsum("nt,nt->n", x, x)
+        # Each series' centred energy, taken once per window and only where
+        # the kernel path asks for it.
+        centred = cache(lambda: x.shape[1] * x.var(axis=1))
     rows = {}
     for (q, s), c in held.items():
         summary = spectra.eigendecompose(c)
         res = None
         if sigma is not None:
             res = _residual_spectrum(window_returns, q, s, cfg, summary, grams.get((q, s)),
-                                     sigma, raw_energy)
+                                     sigma, raw_energy, centred)
         rows[q, s] = _spectral_row(summary, res)
     return rows
 

@@ -546,3 +546,30 @@ def test_validate_refuses_what_analyze_refuses(tmp_path, capsys, case):
     assert (n, gap_skips) == (5, 2)
     assert f"windows: {n} of width 1000, step 500\n" in checked[1]
     assert f"gap-fill skips: {gap_skips} of {n} windows exceed" in checked[1]
+
+
+
+@pytest.mark.parametrize("command", ["analyze", "lagged"])
+@pytest.mark.parametrize("verbose", [True, False])
+def test_analysis_notes_anchors_that_are_not_in_the_data(tmp_path, capsys, command, verbose):
+    # BTC names no series of the synthetic quotes, so the sweep writes no
+    # clusters_BTC_ or lagged_BTC_ file; the run says so on one line, with
+    # or without --verbose, as validate does.
+    data_dir = tmp_path / "data"
+    _run(capsys, "synth", "--generator", "factor", "--n", "4", "--t", "3000", "--seed", "1",
+         "--out", str(data_dir))
+    flags = ["--window", "1000", "--step", "500", "--s", "10", "--q", "2"]
+    flags += ["--verbose"] if verbose else []
+    note = "note: anchors not in data: ['BTC']\n"
+    code, out, err = _run(capsys, command, str(data_dir), *flags, "--anchors", "BTC",
+                          "--out", str(tmp_path / "btc"))
+    assert code == 0, err
+    assert out.count(note) == 1
+    assert not any("BTC" in name for name in os.listdir(tmp_path / "btc"))
+    code, out, err = _run(capsys, "validate", str(data_dir), *flags, "--anchors", "BTC")
+    assert code == 0 and note in out
+    # An anchor that the data holds leaves no note.
+    code, out, err = _run(capsys, command, str(data_dir), *flags, "--anchors", "SYN00",
+                          "--out", str(tmp_path / "syn"))
+    assert code == 0, err
+    assert "note:" not in out

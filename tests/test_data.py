@@ -655,6 +655,32 @@ def test_other_names_are_parsed_from_the_decoded_text(tmp_path, monkeypatch, nam
     assert qs.prices.tobytes() == expected.prices.tobytes()
 
 
+def _record_string_streams(monkeypatch):
+    """The text of each `io.StringIO` the loader builds."""
+    texts, string_io = [], io.StringIO
+
+    def record(text="", *args, **kwargs):
+        texts.append(text)
+        return string_io(text, *args, **kwargs)
+
+    monkeypatch.setattr(data.io, "StringIO", record)
+    return texts
+
+
+@pytest.mark.parametrize("name", ["AAA.csv", "AAA.CSV", "AAA.txt", "AAA.gz"])
+def test_only_a_stream_fed_bulk_parse_copies_the_text(tmp_path, monkeypatch, name):
+    # The header is read from its own lines and a regular .csv file by its
+    # path: no stream of the file's text is built.  Other names reach numpy
+    # as a stream of the body after the header.
+    text, _ = _repr_price_file(2_000)
+    (expected,) = _load_case(tmp_path, "AAA.csv", text)
+    texts = _record_string_streams(monkeypatch)
+    (qs,) = _load_case(tmp_path, name, text)
+    body = text.split("\n", 1)[1]
+    assert texts == ([] if name.lower().endswith(".csv") else [body])
+    assert qs.prices.tobytes() == expected.prices.tobytes()
+
+
 def test_path_shaped_like_a_url_is_read_from_disk(tmp_path, monkeypatch):
     # numpy fetches a path that parses as a URL ("http://host/..."), even
     # when a local file of that name exists; the loader hands it no such path.
@@ -775,3 +801,79 @@ def test_parsing_matches_row_by_row_reference(text):
             with pytest.raises(QuoteParseError) as exc:
                 load_quotes(tmp)
             assert exc.value.line == expected
+
+
+# Headers that move the data's first line or hide a line break from csv:
+# quoted \n, \r\n and \r, and the breaks \x0c, \x85 and \u2028, which
+# str.splitlines splits on and csv does not.
+_HEADERS = ["", "timestamp,price", "date-time,price", "\ufeff0,3", "\ufefftimestamp,price",
+            '"time\nstamp",price', '"time\r\nstamp",price', '"time\rstamp",price',
+            '"a\n\nb\r\rc",price', "time\x0cstamp,price", "time\x85stamp,price",
+            "time\u2028stamp,price", '"unclosed,price', "timestamp,price,extra"]
+
+
+@st.composite
+def _header_texts(draw):
+    header = draw(st.sampled_from(_HEADERS))
+    rows = draw(st.lists(st.lists(st.sampled_from(_TOKENS), max_size=3), max_size=4))
+    lines = [header] + [",".join(row) for row in rows]
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    # No final line break, or none at all after a header that fills the file.
+    return text[: -len(ends[-1])] if draw(st.booleans()) else text
+
+
+@settings(max_examples=300, deadline=None)
+@given(_header_texts())
+def test_header_split_matches_a_string_stream(text):
+    # The lazy line split reads what csv.reader over
+    # io.StringIO(text, newline="") reads: the same first row, body offset
+    # (`tell()`) and body line, or the same unreadable-row error.
+    buf = io.StringIO(text, newline="")
+    try:
+        row = next(csv.reader(buf), [])
+    except csv.Error as exc:
+        with pytest.raises(QuoteParseError, match="unreadable row") as err:
+            data._split_header(text, "AAA.csv")
+        assert str(exc) in str(err.value) and err.value.line == 1
+        return
+    head = text[: buf.tell()]
+    first_line = 1 + head.count("\n") + head.count("\r") - head.count("\r\n")
+    expected = (row, text[buf.tell():], first_line) if row and data._is_header(row) else (
+        [], text, 1)
+    assert data._split_header(text, "AAA.csv") == expected
+
+
+# (case, file text, problem): the faults each case names, which `_check_rows`
+# finds on the arrays; the first is on the line `_reference_load` names.
+ROW_ORDER_CASES = [
+    ("one duplicate stamp", "timestamp,price\n0,100\n1,101\n1,102\n2,103\n",
+     "duplicate timestamp"),
+    ("one step back", "timestamp,price\n0,100\n2,101\n1,102\n3,103\n",
+     "timestamps not strictly increasing"),
+    ("a duplicate after a non-whole-minute row",
+     "timestamp,price\n0,100\n1,101\n1577836830,102\n1,103\n3,104\n",
+     "timestamp is not a finite whole minute"),
+    ("a bad price on the row after a duplicate",
+     "timestamp,price\n0,100\n1,101\n1,102\n2,-1\n", "duplicate timestamp"),
+    ("a bad price after a step back", "timestamp,price\n0,100\n2,101\n1,102\n3,0\n",
+     "price is not positive and finite"),
+    ("a duplicate of a stamp that a step back left behind",
+     "timestamp,price\n\n5,100\n3,101\n\n4,102\n5,103\n", "duplicate timestamp"),
+]
+
+
+@pytest.mark.parametrize("name", ["AAA.csv", "AAA.txt"])
+@pytest.mark.parametrize("case,text,problem", ROW_ORDER_CASES,
+                         ids=[c[0] for c in ROW_ORDER_CASES])
+def test_row_checks_name_the_fault_a_row_by_row_reader_meets_first(
+        tmp_path, case, text, problem, name):
+    line = _reference_load(text)
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(QuoteParseError) as exc:
+        load_quotes(str(path))
+    assert (exc.value.path, exc.value.line) == (str(path), line)
+    row = text.splitlines()[line - 1]
+    assert str(exc.value).startswith(f"{path}:{line}: {problem} in {row!r}")

@@ -629,6 +629,48 @@ def _residual_routes(cfg, returns):
         return run_analysis(cfg, returns, ("spectra",)), routes
 
 
+def test_residual_kernel_path_takes_each_windows_variance_once(tmp_path):
+    # At q = 1, 4 every residual matrix runs the kernel, whose variance rule
+    # reads each series' centred energy T var(x): one array per window, bit
+    # for bit the one each (q, s) matrix once took for itself, and the sweep
+    # writes the bytes it wrote when each matrix took its own.
+    returns = _factor_matrix(5, 3_000, seed=4)
+    cfg = _small_cfg(q=(1.0, 4.0), s=(10, 50), residual=True)
+    real_spectrum, real_check = pipeline._residual_spectrum, pipeline._check_variance
+    calls = []  # (window values, centred energies) per residual matrix
+
+    def spectrum(window_returns, *args):
+        calls.append([window_returns.values, None])
+        return real_spectrum(window_returns, *args)
+
+    def check(energy, centred, *args):
+        calls[-1][1] = centred
+        return real_check(energy, centred, *args)
+
+    with mock.patch.object(pipeline, "_residual_spectrum", spectrum), \
+            mock.patch.object(pipeline, "_check_variance", check):
+        result = run_analysis(cfg, returns, ALL_FAMILIES)
+    write_outputs(result, cfg, str(tmp_path / "once"), ALL_FAMILIES)
+    assert len(result.windows) == 5 and len(calls) == 5 * 4
+    for k in range(0, len(calls), 4):
+        x, centred = calls[k]
+        assert all(c is centred for _, c in calls[k : k + 4])
+        assert centred.tobytes() == (x.shape[1] * x.var(axis=1)).tobytes()
+    assert len({id(c) for _, c in calls}) == 5
+
+    def per_matrix(window_returns, *args):
+        x = window_returns.values
+        return real_spectrum(window_returns, *args[:-1], lambda: x.shape[1] * x.var(axis=1))
+
+    with mock.patch.object(pipeline, "_residual_spectrum", per_matrix):
+        result = run_analysis(cfg, returns, ALL_FAMILIES)
+    write_outputs(result, cfg, str(tmp_path / "each"), ALL_FAMILIES)
+    names = sorted(p.name for p in (tmp_path / "once").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "each").iterdir())
+    for name in names:
+        assert (tmp_path / "once" / name).read_bytes() == (tmp_path / "each" / name).read_bytes()
+
+
 @pytest.mark.parametrize("poly_order", [1, 2])
 @pytest.mark.parametrize("noise, closed, bound", [
     pytest.param(1.0, True, 1e-10, id="closed-form"),
